@@ -5,7 +5,6 @@ flow, heavy-ball flow, and ridge regression.
 
 from .bounds import (
     GridSpec,
-    HbAux,
     MinMaxResult,
     bias_ratio_unbounded_witness,
     gf_inflation_constant,
@@ -45,7 +44,6 @@ from .linalg import (
     sym_eig,
 )
 from .oracle import (
-    DecoupledState,
     IterateConfig,
     Trajectory,
     compare_closed_form,

@@ -46,14 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Spectrum
-from .risk import SignalModel, bayes_risk, optimal_ridge_bayes_risk
+from .risk import SignalModel, optimal_ridge_bayes_risk, risk_curve
 from .shrinkage import FlowKind, hb_kernel, hb_kernel_complement
 from .special import j1_ratio, j1_ratio_complement
 
 __all__ = [
     "GridSpec",
     "MinMaxResult",
-    "HbAux",
     "HbParamErrorReport",
     "KernelBoundReport",
     "CrossoverCase",
@@ -127,39 +126,6 @@ class MinMaxResult:
     refinement_depth: int
 
 
-@dataclass(frozen=True)
-class HbAux:
-    """Kernel arguments of one heavy-ball scan node.
-
-    a = t sqrt(mu), b = t sqrt(s - mu) and x = t sqrt(s) always satisfy
-    a^2 + b^2 = x^2; z = sqrt(kappa)/tau is the inverse rate the normalized
-    bias envelope tilde_h sees (kappa = s/mu per node).
-    """
-
-    a: float
-    b: float
-    x: float
-    z: float
-
-    def __post_init__(self):
-        if self.x > 0:
-            gap = abs(self.a ** 2 + self.b ** 2 - self.x ** 2)
-            if gap > 1e-12 * self.x ** 2:
-                raise ValueError("inconsistent kernel arguments: "
-                                 "a^2 + b^2 != x^2")
-
-    @classmethod
-    def from_time_point(cls, s: float, mu: float, t: float,
-                        tau: float | None = None) -> "HbAux":
-        if not (0 < mu <= s):
-            raise ValueError("requires 0 < mu <= s")
-        if t <= 0:
-            raise ValueError("requires t > 0")
-        scale = tau if tau is not None else t
-        return cls(a=t * np.sqrt(mu), b=t * np.sqrt(s - mu),
-                   x=t * np.sqrt(s), z=np.sqrt(s / mu) / scale)
-
-
 def _inner_max(objective, tau, x_coarse, zoom_rounds=3, zoom_points=240):
     """Max over x of objective(tau, .): coarse scan plus local dense zooms."""
     vals = objective(tau, x_coarse)
@@ -211,7 +177,7 @@ def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
                 c, f_c = d, f_d
                 d = lo + (hi - lo) * _GOLDEN
                 f_d = outer(d)
-    tau_star = 0.5 * (lo + hi)
+    tau_star = float(0.5 * (lo + hi))
     value, x_star = _inner_max(objective, tau_star, x_coarse)
     if not (x_coarse[1] < x_star < x_coarse[-2]):
         raise RuntimeError(
@@ -278,6 +244,35 @@ def nest_param_error_constant(x_spec=GridSpec(1e-8, 1e4, 200000, "log"),
     return float(value), float(x_star)
 
 
+def _hb_scan(mu_grid, s_grid, t_grid, t_positive: bool):
+    """Validated (mu, s, t) meshgrid for the heavy-ball scans.
+
+    Returns the admissible-node mask s >= mu and, per node, the kernel
+    arguments a = t sqrt(mu), b = t sqrt(s - mu), x = t sqrt(s) and
+    sqrt(kappa) = sqrt(s/mu).  t_positive rejects t = 0, which the
+    parameter-error scan needs because it divides by x^2.
+    """
+    mu = np.asarray(mu_grid, dtype=float)
+    s = np.asarray(s_grid, dtype=float)
+    t = np.asarray(t_grid, dtype=float)
+    if (mu <= 0).any():
+        raise ValueError("mu grid must be positive")
+    if t_positive and (t <= 0).any():
+        raise ValueError("t grid must be positive")
+    if (t < 0).any():
+        raise ValueError("t grid must be nonnegative")
+    if (s <= 0).any():
+        raise ValueError("s grid must be positive")
+    big_mu, big_s, big_t = np.meshgrid(mu, s, t, indexing="ij")
+    mask = big_s >= big_mu
+    if not mask.any():
+        raise ValueError("grid has no nodes with s >= mu")
+    a = big_t * np.sqrt(big_mu)
+    b = big_t * np.sqrt(np.where(mask, big_s - big_mu, 0.0))
+    x = big_t * np.sqrt(big_s)
+    return mask, a, b, x, np.sqrt(big_s / big_mu)
+
+
 @dataclass(frozen=True)
 class HbParamErrorReport:
     """Grid maxima of f^2 and (f-1)^2 for the heavy-ball coupling factor."""
@@ -297,22 +292,7 @@ def hb_param_error_check(mu_grid, s_grid, t_grid,
     x = t sqrt(s).  Nodes with s < mu are skipped; the remaining maxima are
     certified against f^2 <= 16 and (f-1)^2 <= 25.
     """
-    mu = np.asarray(mu_grid, dtype=float)
-    s = np.asarray(s_grid, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
-    if (mu <= 0).any():
-        raise ValueError("mu grid must be positive")
-    if (t <= 0).any():
-        raise ValueError("t grid must be positive")
-    if (s <= 0).any():
-        raise ValueError("s grid must be positive")
-    big_mu, big_s, big_t = np.meshgrid(mu, s, t, indexing="ij")
-    mask = big_s >= big_mu
-    if not mask.any():
-        raise ValueError("grid has no nodes with s >= mu")
-    a = big_t * np.sqrt(big_mu)
-    b = big_t * np.sqrt(np.where(mask, big_s - big_mu, 0.0))
-    x = big_t * np.sqrt(big_s)
+    mask, a, b, x, _ = _hb_scan(mu_grid, s_grid, t_grid, t_positive=True)
     comp = hb_kernel_complement(a, b)
     f = comp * (x * x + 1.0) / (x * x)
     f_sq = float((f * f)[mask].max())
@@ -483,11 +463,11 @@ def hb_inflation_check(spectrum: Spectrum, prior: SignalModel,
         raise ValueError("heavy-ball inflation requires mu > 0")
     if t_grid is None:
         t_grid = np.logspace(-2, 3, 2000)
-    t_grid = np.asarray(t_grid, dtype=float)
-    risks = np.array([bayes_risk(spectrum, prior, FlowKind.HEAVY_BALL_FLOW,
-                                 float(t)).risk for t in t_grid])
-    k = int(np.argmin(risks))
     ridge_opt, _ = optimal_ridge_bayes_risk(spectrum, prior)
+    t_grid = np.asarray(t_grid, dtype=float)
+    curve = risk_curve(spectrum, prior, FlowKind.HEAVY_BALL_FLOW, t_grid)
+    risks = np.array([dec.risk for _, dec in curve])
+    k = int(np.argmin(risks))
     ratio = float(risks[k]) / ridge_opt
     bound = h_kappa(spectrum.kappa)
     ok = (1.0 - 1e-9) <= ratio <= bound + 1e-9
@@ -517,23 +497,8 @@ def hb_kernel_bound_checks(mu_grid, s_grid, t_grid,
              (1-kernel(a,b))^2        <= (1+(x/sqrt(kappa)+1)e^{-x/sqrt(kappa)})^2
                                                                   for x >  1
     """
-    mu = np.asarray(mu_grid, dtype=float)
-    s = np.asarray(s_grid, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
-    if (mu <= 0).any():
-        raise ValueError("mu grid must be positive")
-    if (t < 0).any():
-        raise ValueError("t grid must be nonnegative")
-    if (s <= 0).any():
-        raise ValueError("s grid must be positive")
-    big_mu, big_s, big_t = np.meshgrid(mu, s, t, indexing="ij")
-    mask = big_s >= big_mu
-    if not mask.any():
-        raise ValueError("grid has no nodes with s >= mu")
-    a = big_t * np.sqrt(big_mu)
-    b = big_t * np.sqrt(np.where(mask, big_s - big_mu, 0.0))
-    x = big_t * np.sqrt(big_s)
-    root_kappa = np.sqrt(big_s / big_mu)
+    mask, a, b, x, root_kappa = _hb_scan(mu_grid, s_grid, t_grid,
+                                         t_positive=False)
     kernel = hb_kernel(a, b)
     rhs_bias = (x / root_kappa + 1.0) ** 2 * np.exp(-2.0 * x / root_kappa)
     viol_bias = float(np.maximum(kernel * kernel - rhs_bias, 0.0)[mask].max())

@@ -1,8 +1,8 @@
 """Command-line interface: verification, curves, estimates, simulation, plots.
 
 Exit codes: 0 success, 1 a verification failed (a certified value left its
-tolerance), 2 usage or configuration error.  All numeric output carries 17
-significant digits.  ACCELFLOW_THREADS caps sweep parallelism (0 = auto).
+tolerance, or the certifier could not produce one), 2 usage or
+configuration error.  All numeric output carries 17 significant digits.
 """
 
 from __future__ import annotations
@@ -23,29 +23,13 @@ from .linalg import (Spectrum, attach_response, design_decompose,
                      read_matrix_csv, read_vector_csv)
 from .oracle import compare_closed_form
 from .plotting import PlotSchemaError, load_plot_series, render_line_plot
-from .risk import SignalModel, risk_curve, write_risk_csv, RISK_CSV_HEADER
+from .risk import (SignalModel, _fmt, risk_csv_text, risk_curve,
+                   write_risk_csv)
 from .rng import SeededStream
-from .shrinkage import FlowKind, gf_shrink, hb_shrink, nest_shrink, ridge_shrink
+from .shrinkage import FlowKind, factor_block
 from .special import bessel_j1, j1_ratio
 
 __all__ = ["main", "run"]
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("ACCELFLOW_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError:
-        return 1
-    if v == 0:
-        return os.cpu_count() or 1
-    return max(1, v)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -158,10 +142,7 @@ def _cmd_risk_curve(args) -> int:
     if args.out:
         write_risk_csv(args.out, kind, curve)
     else:
-        sys.stdout.write(RISK_CSV_HEADER + "\n")
-        for param, dec in curve:
-            sys.stdout.write(",".join([kind.value, _fmt(param), _fmt(dec.bias_sq),
-                                       _fmt(dec.variance), _fmt(dec.risk)]) + "\n")
+        sys.stdout.write(risk_csv_text(kind, curve))
     return 0
 
 
@@ -212,7 +193,7 @@ def _cmd_simulate(args) -> int:
         config = replace(config, output_dir=args.out)
     if config.output_dir is None:
         raise ConfigError("config key 'output_dir' is missing (or pass --out)")
-    dataset = figure_sweep(config, bayes=args.bayes, workers=_max_workers())
+    dataset = figure_sweep(config, bayes=args.bayes)
     n_files = sum(len(v) for v in dataset.values())
     print(f"wrote {n_files} curve files and manifest.json to {config.output_dir}")
     return 0
@@ -220,17 +201,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_shrink(args) -> int:
     kind = FlowKind.parse(args.kind)
-    if kind is FlowKind.GRADIENT_FLOW:
-        value = gf_shrink(args.s, args.t)
-    elif kind is FlowKind.ACCELERATED_FLOW:
-        value = nest_shrink(args.s, args.t)
-    elif kind is FlowKind.HEAVY_BALL_FLOW:
-        if args.mu is None:
-            raise ConfigError("config key 'mu' is missing (heavy ball needs --mu)")
-        value = hb_shrink(args.s, args.mu, args.t)
-    else:
-        value = ridge_shrink(args.s, args.t)
-    print(_fmt(value))
+    if kind is FlowKind.HEAVY_BALL_FLOW and args.mu is None:
+        raise ConfigError("config key 'mu' is missing (heavy ball needs --mu)")
+    print(_fmt(factor_block(kind, args.s, args.t, args.mu)[0, 0]))
     return 0
 
 
@@ -353,6 +326,9 @@ def run(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,11 +212,14 @@ class ExperimentConfig:
         }
 
 
-def _random_orthogonal(p: int, stream: SeededStream) -> np.ndarray:
-    gauss = stream.normals(p * p).reshape(p, p)
+def _orthonormal_columns(gauss: np.ndarray) -> np.ndarray:
+    """Q of the QR of a Gaussian matrix, signs fixed so diag(R) >= 0.
+
+    The sign fix makes Q a deterministic, Haar-distributed function of the
+    draws.
+    """
     q, r = np.linalg.qr(gauss)
-    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-    return q * signs[None, :]
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)[None, :]
 
 
 def gen_power_law_design(spec: DesignSpec) -> SpectralDesign:
@@ -226,7 +228,8 @@ def gen_power_law_design(spec: DesignSpec) -> SpectralDesign:
         raise ConfigError("gen_power_law_design requires a PowerLaw spec")
     values = spec.c / np.arange(1, spec.p + 1, dtype=float) ** spec.nu
     spectrum = Spectrum(np.sort(values))
-    basis = _random_orthogonal(spec.p, SeededStream(spec.seed))
+    gauss = SeededStream(spec.seed).normals(spec.p * spec.p)
+    basis = _orthonormal_columns(gauss.reshape(spec.p, spec.p))
     return SpectralDesign(n=spec.n, p=spec.p, spectrum=spectrum, v_basis=basis)
 
 
@@ -249,9 +252,7 @@ def gen_orthogonal_design(spec: DesignSpec) -> np.ndarray:
         raise ConfigError("gen_orthogonal_design requires an Orthogonal spec")
     stream = SeededStream(spec.seed)
     gauss = stream.normals(spec.n * spec.p).reshape(spec.n, spec.p)
-    q, r = np.linalg.qr(gauss)
-    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-    return q * signs[None, :] * np.sqrt(spec.n * spec.s)
+    return _orthonormal_columns(gauss) * np.sqrt(spec.n * spec.s)
 
 
 def gen_signal(p: int, snr: float, sigma_sq: float, seed: int) -> tuple[np.ndarray, float]:
@@ -302,8 +303,7 @@ def _sweep_one(design: SpectralDesign, spec: DesignSpec, config: ExperimentConfi
     return risk_curve(design.spectrum, signal, kind, grid.points())
 
 
-def figure_sweep(config: ExperimentConfig, bayes: bool = False,
-                 workers: int = 1) -> dict:
+def figure_sweep(config: ExperimentConfig, bayes: bool = False) -> dict:
     """Run every (design, family) sweep and return the curve dataset.
 
     Returns {design_label: {kind_token: curve}}.  When config.output_dir is
@@ -311,30 +311,16 @@ def figure_sweep(config: ExperimentConfig, bayes: bool = False,
     git-style blob hash of every output.  Heavy-ball sweeps are skipped
     with a logged warning on designs whose smallest eigenvalue is zero.
     """
-    labels = _unique_labels(config.design)
-    designs = [build_design(spec) for spec in config.design]
-    jobs = []
-    for label, spec, design in zip(labels, config.design, designs):
+    dataset: dict = {}
+    for label, spec in zip(_unique_labels(config.design), config.design):
+        design = build_design(spec)
         for kind in config.flows:
             if kind is FlowKind.HEAVY_BALL_FLOW and design.spectrum.mu <= 0:
                 log.warning("skipping heavy ball on %s: smallest eigenvalue is 0",
                             label)
                 continue
-            jobs.append((label, spec, design, kind))
-
-    def run(job):
-        label, spec, design, kind = job
-        return label, kind, _sweep_one(design, spec, config, kind, bayes)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
-    dataset: dict = {}
-    for label, kind, curve in results:
-        dataset.setdefault(label, {})[kind.value] = curve
+            curve = _sweep_one(design, spec, config, kind, bayes)
+            dataset.setdefault(label, {})[kind.value] = curve
 
     if config.output_dir is not None:
         out = Path(config.output_dir)

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Spectrum, design_decompose
-from .shrinkage import FlowKind, profile
+from .risk import bias_variance, bias_variance_curve
+from .shrinkage import FlowKind, factor_block
 
 __all__ = [
-    "DecoupledState",
     "Trajectory",
     "IterateConfig",
     "integrate_flow",
@@ -50,15 +50,6 @@ _FLOWS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
 
 
 @dataclass(frozen=True, eq=False)
-class DecoupledState:
-    """Position and velocity of the decoupled coordinates at one time."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    time: float
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A full integration record, one row per step."""
 
@@ -69,11 +60,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def state(self, k: int) -> DecoupledState:
-        return DecoupledState(position=self.positions[k].copy(),
-                              velocity=self.velocities[k].copy(),
-                              time=float(self.times[k]))
 
     def nearest_index(self, t: float) -> int:
         return int(np.argmin(np.abs(self.times - t)))
@@ -237,19 +223,11 @@ def discrete_iterates(kind: FlowKind, x, y, config: IterateConfig) -> list[np.nd
 
 
 def _closed_form_positions(kind, spectrum, forcing, times):
-    from .shrinkage import gf_shrink, hb_shrink, nest_shrink
-
     s = spectrum.eigenvalues
     live = s > 0
     target = np.zeros_like(forcing)
     target[live] = forcing[live] / s[live]
-    t_col = times[:, None]
-    if kind is FlowKind.GRADIENT_FLOW:
-        g = gf_shrink(s[None, :], t_col)
-    elif kind is FlowKind.ACCELERATED_FLOW:
-        g = nest_shrink(s[None, :], t_col)
-    else:
-        g = hb_shrink(s[None, :], spectrum.mu, t_col)
+    g = factor_block(kind, s, times, spectrum.mu)
     return np.where(live[None, :], (1.0 - g) * target[None, :], 0.0)
 
 
@@ -316,19 +294,15 @@ def nesterov_discrete_consistency(spectrum: Spectrum, weights, noise_scale: floa
     s = spectrum.eigenvalues
     weights = np.asarray(weights, dtype=float)
     factors = _discrete_nesterov_factors(s, eps, iterations)
-    live = s > 0
-    bias = (weights[None, :] * factors ** 2).sum(axis=1)
-    resid = (1.0 - factors[:, live]) ** 2 / s[live][None, :]
-    risk_disc = bias + noise_scale * resid.sum(axis=1)
+    bias, variance = bias_variance(factors, s, weights, noise_scale)
+    risk_disc = bias + variance
     k_min = int(np.argmin(risk_disc))
     t_disc = (k_min + 1) * np.sqrt(eps)
 
     t_grid = np.logspace(-2, np.log10(max(iterations * np.sqrt(eps), 1.0)), 2000)
-    risk_flow = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        g = profile(spectrum, FlowKind.ACCELERATED_FLOW, float(t)).factors
-        risk_flow[i] = float((weights * g * g).sum()) + noise_scale * float(
-            (((1.0 - g[live]) ** 2) / s[live]).sum())
+    bias, variance = bias_variance_curve(spectrum, weights, noise_scale,
+                                         FlowKind.ACCELERATED_FLOW, t_grid)
+    risk_flow = bias + variance
     t_flow = float(t_grid[int(np.argmin(risk_flow))])
     return {
         "eps": eps,

@@ -18,9 +18,10 @@ effective signal strength alpha = r^2 n / (sigma^2 p).  The optimally
 tuned ridge Bayes risk (sigma^2/n) sum_i alpha/(alpha s_i + 1), attained
 at lambda = 1/alpha, is the floor every family is compared against.
 
-Curves are computed directly from the spectrum; they never form estimator
-vectors.  The estimators module plus Monte Carlo provides the independent
-cross-check of these formulas.
+Curves are computed directly from the spectrum, a block of grid points at
+a time, through the single reduction bias_variance; they never form
+estimator vectors.  The estimators module plus Monte Carlo provides the
+independent cross-check of these formulas.
 """
 
 from __future__ import annotations
@@ -30,22 +31,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Spectrum
-from .shrinkage import FlowKind, profile
+from .shrinkage import FlowKind, factor_block
 
 __all__ = [
     "SignalModel",
     "RiskDecomposition",
     "OscillationReport",
+    "bias_variance",
+    "bias_variance_curve",
     "fixed_risk",
     "bayes_risk",
     "optimal_ridge_bayes_risk",
     "risk_curve",
     "oscillation_report",
+    "risk_csv_text",
     "write_risk_csv",
     "RISK_CSV_HEADER",
 ]
 
 RISK_CSV_HEADER = "kind,param,bias_sq,variance,risk"
+# Factors per block in bias_variance_curve: large enough to amortize the
+# per-call overhead at p = 100, small enough that p = 10^4 curves add no
+# measurable peak memory.
+_BLOCK_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,20 +126,39 @@ class SignalModel:
         return self.sigma_sq / self.n
 
 
-def _variance_sum(spectrum: Spectrum, factors: np.ndarray) -> float:
-    """sum (1-g)^2/s with the zero-eigenvalue terms contributing exactly 0."""
-    s = spectrum.eigenvalues
+def bias_variance(factors, s: np.ndarray, weights: np.ndarray,
+                  noise_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bias^2 and variance of each row G of a factor matrix.
+
+    bias = (G*G) @ w and variance = noise_scale * ((1-G)^2 / s) @ [s > 0]:
+    null directions contribute exactly 0 to the variance.  Dividing by s,
+    rather than multiplying by 1/s, keeps a subnormal eigenvalue from
+    overflowing to an infinite weight.
+    """
     live = s > 0
-    resid = 1.0 - factors[live]
-    return float(np.sum(resid * resid / s[live]))
+    bias = (factors * factors) @ weights
+    resid_sq = (1.0 - factors) ** 2 / np.where(live, s, 1.0)
+    return bias, noise_scale * (resid_sq @ live.astype(float))
 
 
-def _decompose(spectrum: Spectrum, weights: np.ndarray, noise_scale: float,
-               kind: FlowKind, param: float) -> RiskDecomposition:
-    g = profile(spectrum, kind, param).factors
-    bias_sq = float(np.sum(weights * g * g))
-    variance = noise_scale * _variance_sum(spectrum, g)
-    return RiskDecomposition(bias_sq=bias_sq, variance=variance)
+def bias_variance_curve(spectrum: Spectrum, weights: np.ndarray,
+                        noise_scale: float, kind: FlowKind,
+                        grid) -> tuple[np.ndarray, np.ndarray]:
+    """bias_variance of one family along a grid, a block of rows at a time.
+
+    Each block holds about _BLOCK_DOUBLES factors, so memory stays flat in
+    the grid length whatever the spectrum size.
+    """
+    s = spectrum.eigenvalues
+    grid = np.asarray(grid, dtype=float)
+    rows = max(1, _BLOCK_DOUBLES // s.size)
+    bias = np.empty(grid.size)
+    variance = np.empty(grid.size)
+    for lo in range(0, grid.size, rows):
+        g = factor_block(kind, s, grid[lo:lo + rows], spectrum.mu)
+        bias[lo:lo + rows], variance[lo:lo + rows] = bias_variance(
+            g, s, weights, noise_scale)
+    return bias, variance
 
 
 def fixed_risk(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
@@ -139,10 +166,7 @@ def fixed_risk(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
     """Risk decomposition for a fixed true coefficient vector."""
     if signal.mode != "fixed":
         raise ValueError("fixed_risk requires a fixed-mode signal")
-    if signal.beta0_rotated.size != spectrum.p:
-        raise ValueError("beta0_rotated length does not match the spectrum")
-    weights = signal.beta0_rotated ** 2
-    return _decompose(spectrum, weights, signal.noise_scale, kind, param)
+    return risk_curve(spectrum, signal, kind, [param])[0][1]
 
 
 def bayes_risk(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
@@ -150,8 +174,7 @@ def bayes_risk(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
     """Bayes risk decomposition: fixed_risk with (v_i' b0)^2 -> r^2/p."""
     if signal.mode != "prior":
         raise ValueError("bayes_risk requires a prior-mode signal")
-    weights = np.full(spectrum.p, signal.r_sq / spectrum.p)
-    return _decompose(spectrum, weights, signal.noise_scale, kind, param)
+    return risk_curve(spectrum, signal, kind, [param])[0][1]
 
 
 def optimal_ridge_bayes_risk(spectrum: Spectrum,
@@ -173,16 +196,25 @@ def risk_curve(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
                grid) -> list[tuple[float, RiskDecomposition]]:
     """Risk decomposition at every grid point, in grid order.
 
-    The grid must be ascending and nonnegative.  Dispatches on the signal
-    mode, so one call covers both fixed and Bayes curves.
+    The grid must be ascending and nonnegative.  Fixed signals weight the
+    bias by (v_i' b0)^2, prior signals by r^2/p, so one call covers both
+    fixed and Bayes curves.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D array")
     if (grid < 0).any() or (np.diff(grid) < 0).any():
         raise ValueError("grid must be ascending and nonnegative")
-    evaluate = fixed_risk if signal.mode == "fixed" else bayes_risk
-    return [(float(t), evaluate(spectrum, signal, kind, float(t))) for t in grid]
+    if signal.mode == "fixed":
+        if signal.beta0_rotated.size != spectrum.p:
+            raise ValueError("beta0_rotated length does not match the spectrum")
+        weights = signal.beta0_rotated ** 2
+    else:
+        weights = np.full(spectrum.p, signal.r_sq / spectrum.p)
+    bias, variance = bias_variance_curve(spectrum, weights, signal.noise_scale,
+                                         kind, grid)
+    return [(float(t), RiskDecomposition(bias_sq=float(b), variance=float(v)))
+            for t, b, v in zip(grid, bias, variance)]
 
 
 @dataclass(frozen=True)
@@ -215,19 +247,20 @@ def oscillation_report(curve) -> OscillationReport:
 
 
 def _fmt(v: float) -> str:
+    """A double with 17 significant digits, which round-trips it exactly."""
     return format(float(v), ".17g")
 
 
-def write_risk_csv(path, kind: FlowKind, curve) -> None:
-    """Write a curve with the header kind,param,bias_sq,variance,risk.
+def risk_csv_text(kind: FlowKind, curve) -> str:
+    """A curve as CSV text with the header kind,param,bias_sq,variance,risk."""
+    rows = [RISK_CSV_HEADER] + [
+        ",".join([kind.value, _fmt(param), _fmt(dec.bias_sq),
+                  _fmt(dec.variance), _fmt(dec.risk)])
+        for param, dec in curve]
+    return "\n".join(rows) + "\n"
 
-    Every number is emitted with 17 significant digits so the file
-    round-trips doubles exactly.
-    """
+
+def write_risk_csv(path, kind: FlowKind, curve) -> None:
+    """Write risk_csv_text(kind, curve) to path."""
     with open(path, "w") as fh:
-        fh.write(RISK_CSV_HEADER + "\n")
-        for param, dec in curve:
-            fh.write(",".join([
-                kind.value, _fmt(param), _fmt(dec.bias_sq),
-                _fmt(dec.variance), _fmt(dec.risk),
-            ]) + "\n")
+        fh.write(risk_csv_text(kind, curve))

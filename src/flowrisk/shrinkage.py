@@ -16,7 +16,11 @@ smallest covariance eigenvalue) as an explicit argument so grid scans over
 (s, mu, t) stay possible; it is only defined for 0 < mu <= s, and the
 removable sin(t b)/b singularity at s = mu is evaluated by series.
 
-Everything here is pure and stateless.
+factor_block is the one evaluator: it validates its input and looks the
+family up in a single formula table.  profile and the *_shrink helpers are
+views of it; a helper returns one factor per (parameter, eigenvalue) pair,
+shaped param.shape + s.shape, and a float for two scalars.  Everything
+here is pure and stateless.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "nest_shrink",
     "hb_shrink",
     "ridge_shrink",
+    "factor_block",
     "hb_kernel",
     "hb_kernel_complement",
     "profile",
@@ -80,37 +85,10 @@ class ShrinkageProfile:
     factors: np.ndarray
 
 
-def _validated(x, name, lower=0.0):
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    if (arr < lower).any():
-        raise ValueError(f"{name} must be >= {lower}")
-    return arr
-
-
 def _scalar_or_array(out, *inputs):
     if all(np.ndim(v) == 0 for v in inputs):
         return float(out)
     return out
-
-
-def gf_shrink(s, t):
-    """Gradient-flow factor exp(-t s); in [0, 1] for s, t >= 0."""
-    s = _validated(s, "s")
-    t = _validated(t, "t")
-    return _scalar_or_array(np.exp(-t * s), s, t)
-
-
-def nest_shrink(s, t):
-    """Accelerated-flow factor 2 J1(t sqrt(s)) / (t sqrt(s)).
-
-    Equals 1 whenever t*sqrt(s) = 0, which covers both the start of the
-    path and null directions.
-    """
-    s = _validated(s, "s")
-    t = _validated(t, "t")
-    return _scalar_or_array(j1_ratio(t * np.sqrt(s)), s, t)
 
 
 def _sinc(u):
@@ -153,6 +131,66 @@ def hb_kernel_complement(a, b):
     return _scalar_or_array(out, a, b)
 
 
+# The one map from a family to its closed form f(s, param, mu); every entry
+# broadcasts s against param.
+_FORMULAS = {
+    FlowKind.GRADIENT_FLOW: lambda s, t, mu: np.exp(-t * s),
+    FlowKind.ACCELERATED_FLOW: lambda s, t, mu: j1_ratio(t * np.sqrt(s)),
+    FlowKind.HEAVY_BALL_FLOW:
+        lambda s, t, mu: hb_kernel(t * np.sqrt(mu), t * np.sqrt(s - mu)),
+    FlowKind.RIDGE: lambda s, lam, mu: lam / (s + lam),
+}
+
+
+def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
+    """Shrinkage factors, one row per path parameter, one column per eigenvalue.
+
+    s and params are 1-D (scalars count as length 1); params are times for
+    the flows and penalties for ridge.  mu is the heavy-ball damping level
+    and is ignored by the other families.  Raises ValueError on non-finite
+    or negative input, on heavy ball without 0 < mu <= s, and on ridge at
+    s = lambda = 0 (naming the eigenvalue index).
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    params = np.atleast_1d(np.asarray(params, dtype=float))
+    if s.ndim != 1 or params.ndim != 1:
+        raise ValueError("eigenvalues and path parameters must be 1-D")
+    if not np.isfinite(params).all() or (params < 0).any():
+        raise ValueError("path parameter must be finite and >= 0")
+    if not np.isfinite(s).all() or (s < 0).any():
+        raise ValueError("eigenvalues must be finite and >= 0")
+    if kind is FlowKind.HEAVY_BALL_FLOW:
+        if mu is None or not (np.isfinite(mu) and mu > 0.0):
+            raise ValueError("heavy-ball flow requires a finite mu > 0")
+        if (s < mu).any():
+            raise ValueError("heavy-ball flow requires s >= mu")
+    if kind is FlowKind.RIDGE and (params == 0.0).any():
+        zero = np.flatnonzero(s == 0.0)
+        if zero.size:
+            raise ValueError(f"ridge factor undefined at eigenvalue index {zero[0]}: "
+                             "s = 0 and lambda = 0")
+    return _FORMULAS[kind](s[None, :], params[:, None], mu)
+
+
+def _pointwise(kind, s, param, mu=None):
+    out = factor_block(kind, np.ravel(s), np.ravel(param), mu)
+    return _scalar_or_array(out.reshape(np.shape(param) + np.shape(s)), s, param)
+
+
+def gf_shrink(s, t):
+    """Gradient-flow factor exp(-t s); in [0, 1] for s, t >= 0."""
+    return _pointwise(FlowKind.GRADIENT_FLOW, s, t)
+
+
+def nest_shrink(s, t):
+    """Accelerated-flow factor 2 J1(t sqrt(s)) / (t sqrt(s)).
+
+    Equals 1 whenever t*sqrt(s) = 0, which covers both the start of the
+    path and null directions.
+    """
+    return _pointwise(FlowKind.ACCELERATED_FLOW, s, t)
+
+
 def hb_shrink(s, mu, t):
     """Heavy-ball factor exp(-sqrt(mu) t)(cos(t b) + sqrt(mu) sin(t b)/b).
 
@@ -160,18 +198,7 @@ def hb_shrink(s, mu, t):
     (1 + sqrt(mu) t) exp(-sqrt(mu) t).  Hypothetical s < mu (a hyperbolic
     branch) is rejected rather than extended.
     """
-    s = np.asarray(s, dtype=float)
-    mu_f = float(mu)
-    t = _validated(t, "t")
-    if not np.isfinite(s).all() or not np.isfinite(mu_f):
-        raise ValueError("hb_shrink requires finite input")
-    if mu_f <= 0.0:
-        raise ValueError("hb_shrink requires mu > 0")
-    if (s < mu_f).any():
-        raise ValueError("hb_shrink requires s >= mu")
-    a = t * np.sqrt(mu_f)
-    b = t * np.sqrt(s - mu_f)
-    return _scalar_or_array(hb_kernel(a, b), s, t)
+    return _pointwise(FlowKind.HEAVY_BALL_FLOW, s, t, float(mu))
 
 
 def ridge_shrink(s, lam):
@@ -179,42 +206,11 @@ def ridge_shrink(s, lam):
 
     The corner s = lambda = 0 is an undefined 0/0 and is rejected.
     """
-    s = _validated(s, "s")
-    lam = _validated(lam, "lambda")
-    if (np.atleast_1d(s + lam) == 0).any():
-        raise ValueError("ridge_shrink undefined at s = lambda = 0")
-    return _scalar_or_array(lam / (s + lam), s, lam)
+    return _pointwise(FlowKind.RIDGE, s, lam)
 
 
 def profile(spectrum: Spectrum, kind: FlowKind, t_or_lambda: float) -> ShrinkageProfile:
-    """Shrinkage factors of one family on every eigenvalue of a spectrum.
-
-    Scalar domain errors are annotated with the offending eigenvalue index.
-    """
+    """Shrinkage factors of one family on every eigenvalue of a spectrum."""
     param = float(t_or_lambda)
-    if not np.isfinite(param) or param < 0:
-        raise ValueError("path parameter must be finite and >= 0")
-    s = spectrum.eigenvalues
-    if kind is FlowKind.GRADIENT_FLOW:
-        factors = np.exp(-param * s)
-    elif kind is FlowKind.ACCELERATED_FLOW:
-        factors = j1_ratio(param * np.sqrt(s))
-    elif kind is FlowKind.HEAVY_BALL_FLOW:
-        if spectrum.mu <= 0.0:
-            raise ValueError(
-                "heavy-ball flow requires mu > 0 (eigenvalue index 0 is zero)"
-            )
-        factors = hb_shrink(s, spectrum.mu, param)
-    elif kind is FlowKind.RIDGE:
-        if param == 0.0:
-            zero = np.flatnonzero(s == 0.0)
-            if zero.size:
-                raise ValueError(
-                    f"ridge factor undefined at eigenvalue index {zero[0]}: "
-                    "s = 0 and lambda = 0"
-                )
-        factors = param / (s + param)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown flow kind {kind!r}")
-    factors = np.atleast_1d(np.asarray(factors, dtype=float))
+    factors = factor_block(kind, spectrum.eigenvalues, param, spectrum.mu)[0]
     return ShrinkageProfile(kind=kind, t_or_lambda=param, factors=factors)

@@ -71,6 +71,17 @@ def test_risk_curve_schema_and_roundtrip(tmp_path, instance_files, capsys):
         assert float(risk) == float(bias) + float(var)
 
 
+def test_risk_curve_stdout_matches_out_file(tmp_path, instance_files, capsys):
+    xp, _, bp = instance_files
+    argv = ["risk-curve", "--design", str(xp), "--kind", "hb",
+            "--grid", "0.01,10,7", "--beta0", str(bp)]
+    out = tmp_path / "curve.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_risk_curve_bayes_requires_r2(instance_files, capsys):
     xp, _, _ = instance_files
     assert run(["risk-curve", "--design", str(xp), "--kind", "gf",
@@ -145,15 +156,13 @@ def test_plot_two_column_with_header(tmp_path):
     assert "polyline" in svg
 
 
-def test_simulate_full_grid_of_designs_and_flows(tmp_path, capsys,
-                                                 monkeypatch):
-    # 4 designs x 4 families = 16 curve files plus the manifest; the
-    # thread cap only affects scheduling, never the bytes
+def test_simulate_full_grid_of_designs_and_flows(tmp_path, capsys):
+    # 4 designs x 4 families = 16 curve files plus the manifest; a rerun
+    # rewrites the same bytes
     import pathlib
     config_path = pathlib.Path(__file__).parent.parent / "demos" / \
         "power_law_sweep.json"
     out = tmp_path / "curves"
-    monkeypatch.setenv("ACCELFLOW_THREADS", "2")
     assert run(["simulate", "--config", str(config_path),
                 "--out", str(out)]) == 0
     capsys.readouterr()
@@ -161,7 +170,6 @@ def test_simulate_full_grid_of_designs_and_flows(tmp_path, capsys,
     assert len([f for f in files if f.endswith(".csv")]) == 16
     assert "manifest.json" in files
     first = {p.name: p.read_bytes() for p in out.iterdir()}
-    monkeypatch.delenv("ACCELFLOW_THREADS")
     assert run(["simulate", "--config", str(config_path),
                 "--out", str(out)]) == 0
     capsys.readouterr()
@@ -175,6 +183,18 @@ def test_unknown_subcommand_exits_2():
 def test_unknown_flag_exits_2():
     assert run(["shrink", "--kind", "gf", "--s", "1", "--t", "1",
                 "--bogus", "3"]) == 2
+
+
+def test_certifier_failure_exits_1_without_traceback(monkeypatch, capsys):
+    # an x grid that stops at 100 puts the inner maximizer on its boundary
+    from flowrisk import bounds
+    real = bounds.gf_inflation_constant
+    monkeypatch.setattr(bounds, "gf_inflation_constant",
+                        lambda: real(x_spec=bounds.GridSpec(100.0, 1e6, 50)))
+    assert run(["verify-constants"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inner maximizer")
+    assert "Traceback" not in err
 
 
 def test_verify_constants_cli(tmp_path, capsys):

@@ -166,16 +166,6 @@ class TestFigureSweep:
         for name, digest in manifest["outputs"].items():
             assert git_blob_hash((tmp_path / name).read_bytes()) == digest
 
-    def test_parallel_equals_serial(self, tmp_path):
-        cfg = small_config(tmp_path)
-        serial = figure_sweep(cfg, workers=1)
-        figure_sweep(cfg, workers=4)
-        parallel = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        figure_sweep(cfg, workers=1)
-        serial_files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert parallel == serial_files
-        assert set(serial) == {"powerlaw-nu2", "orthogonal-s0.1"}
-
     def test_heavy_ball_skipped_on_singular_design(self, caplog):
         cfg = ExperimentConfig.from_json({
             "design": {"family": "IidGaussian", "n": 3, "p": 6, "seed": 0},

@@ -53,13 +53,6 @@ class TestIntegrateFlow:
         assert traj.times[0] == pytest.approx(1e-6)
         assert np.abs(traj.positions[0]).max() <= 1e-12
 
-    def test_state_accessor(self):
-        traj = integrate_flow(FlowKind.GRADIENT_FLOW, UNIT, np.array([1.0]),
-                              0.1, step=1e-2)
-        st = traj.state(3)
-        assert st.time == pytest.approx(traj.times[3])
-        assert st.position.shape == (1,)
-
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             integrate_flow(FlowKind.GRADIENT_FLOW, UNIT, np.array([1.0]),

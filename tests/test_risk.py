@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j1
 
 from flowrisk.estimators import flow_estimate, ridge_estimate
 from flowrisk.linalg import Spectrum, attach_response, design_decompose
 from flowrisk.risk import (
+    _BLOCK_DOUBLES,
     OscillationReport,
     RiskDecomposition,
     SignalModel,
     bayes_risk,
+    bias_variance_curve,
     fixed_risk,
     optimal_ridge_bayes_risk,
     oscillation_report,
@@ -244,3 +247,52 @@ def test_closed_forms_match_monte_carlo_estimators():
         se = sq_errors.std(ddof=1) / np.sqrt(m)
         target = fixed_risk(base.spectrum, signal, kind, param).risk
         assert abs(sq_errors.mean() - target) <= 3 * se
+
+
+def _direct_factors(kind, s, t):
+    """The four closed forms at one grid point, written out directly."""
+    if kind is FlowKind.GRADIENT_FLOW:
+        return np.exp(-t * s)
+    if kind is FlowKind.RIDGE:
+        return t / (s + t)
+    if kind is FlowKind.ACCELERATED_FLOW:
+        u = t * np.sqrt(s)
+        safe = np.where(u > 0, u, 1.0)
+        return np.where(u > 0, 2.0 * j1(safe) / safe, 1.0)
+    a = t * np.sqrt(s[0])
+    b = t * np.sqrt(s - s[0])
+    safe = np.where(b > 0, b, 1.0)
+    return np.exp(-a) * (np.cos(b) + a * np.where(b > 0, np.sin(safe) / safe, 1.0))
+
+
+def test_block_reduction_matches_direct_sums():
+    # more than three row blocks with a partial last one, null directions
+    # in every family but heavy ball, and an eigenvalue repeated at mu
+    rng = np.random.default_rng(11)
+    positive = np.sort(rng.uniform(1e-4, 4.0, 4095))
+    positive[1] = positive[0]
+    grid = np.logspace(-2, 3, 52)
+    for kind in FlowKind:
+        s = positive if kind is FlowKind.HEAVY_BALL_FLOW else \
+            np.concatenate([np.zeros(4), positive])
+        rows = _BLOCK_DOUBLES // s.size
+        assert grid.size > 3 * rows and grid.size % rows
+        weights = rng.uniform(0.0, 1.0, s.size)
+        bias, variance = bias_variance_curve(Spectrum(s), weights, 0.3, kind,
+                                             grid)
+        live = s > 0
+        for k, t in enumerate(grid):
+            g = _direct_factors(kind, s, t)
+            want_bias = np.sum(weights * g * g)
+            want_var = 0.3 * np.sum((1.0 - g[live]) ** 2 / s[live])
+            assert bias[k] == pytest.approx(want_bias, rel=1e-13, abs=0)
+            assert variance[k] == pytest.approx(want_var, rel=1e-13, abs=0)
+
+
+def test_subnormal_eigenvalue_keeps_variance_finite():
+    spec = Spectrum(np.array([0.0, 1e-310, 1.0]))
+    signal = SignalModel.fixed(np.ones(3), sigma_sq=1.0, n=1)
+    for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
+                 FlowKind.RIDGE):
+        for _, dec in risk_curve(spec, signal, kind, [0.5, 2.0]):
+            assert np.isfinite(dec.variance)
