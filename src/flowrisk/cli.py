@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -168,7 +169,10 @@ def _cmd_oracle_check(args) -> int:
     eigs = np.sort(0.05 + 2.95 * stream.uniforms(args.p))
     spectrum = Spectrum(eigs)
     forcing = stream.normals(args.p)
-    t_grid = np.linspace(0.0, args.t_end, args.grid_count)
+    # a non-finite --t-end gives a non-finite grid, which compare_closed_form
+    # rejects by name
+    with np.errstate(invalid="ignore"):
+        t_grid = np.linspace(0.0, args.t_end, args.grid_count)
     sup_error = compare_closed_form(kind, spectrum, forcing, t_grid, step=args.step)
     report = {
         "kind": kind.value,
@@ -318,6 +322,12 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # warnings the package logs (e.g. a skipped heavy-ball sweep) go to
+    # stderr for the length of this command
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    package_log = logging.getLogger("flowrisk")
+    package_log.addHandler(handler)
     try:
         return args.handler(args)
     except (ConfigError, PlotSchemaError) as exc:
@@ -329,6 +339,8 @@ def run(argv) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_log.removeHandler(handler)
 
 
 def main() -> None:

@@ -21,6 +21,17 @@ a(t0) = c t0^2/8, a'(t0) = c t0/4, which continues the rest start exactly
 to O(t0^4).  The systems are linear and non-stiff at the scales used here,
 so a fixed step is enough; the default step is 1e-3 and every step is
 recorded.
+
+Because the dynamics are linear, one RK4 step is an exact affine map of
+the state, per coordinate.  The integrator evaluates the RK4 stage
+formulas once per chunk of consecutive steps, vectorized over the chunk,
+to get each step's map, composes the maps by prefix doubling (log2 of the
+chunk length vectorized levels), and applies the running compositions to
+the chunk's start state.  The iterates are those of the classical
+fixed-step RK4 recurrence up to rounding (the order of the products
+differs).  A chunk holds at most _SCAN_DOUBLES (steps x coordinates)
+doubles per array, so memory beyond the recorded trajectory does not
+grow with the horizon.
 """
 
 from __future__ import annotations
@@ -45,6 +56,10 @@ __all__ = [
 
 DEFAULT_STEP = 1e-3
 _ACCEL_T0 = 1e-6
+# Doubles per (steps x coordinates) array of one scan chunk: the chunk is
+# _SCAN_DOUBLES // p steps, so the scan's temporaries stay at a few megabytes
+# whatever the horizon and p.
+_SCAN_DOUBLES = 1 << 12
 _FLOWS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
           FlowKind.HEAVY_BALL_FLOW)
 
@@ -60,9 +75,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def nearest_index(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.times - t)))
 
 
 @dataclass(frozen=True)
@@ -90,8 +102,12 @@ def _validate_flow_inputs(kind, spectrum, forcing, t_end, step):
         raise ValueError("forcing length does not match the spectrum")
     if not np.isfinite(c).all():
         raise ValueError("forcing must be finite")
+    if not np.isfinite(step):
+        raise ValueError(f"step must be finite, got {step!r}")
     if step <= 0:
         raise ValueError("step must be positive")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     if kind is FlowKind.HEAVY_BALL_FLOW and spectrum.mu <= 0:
@@ -99,16 +115,18 @@ def _validate_flow_inputs(kind, spectrum, forcing, t_end, step):
     return c
 
 
-def _rk4_second_order(s, c, damping, times, u0, v0):
-    """RK4 on u'' + damping(t) u' + s u = c, vectorized over coordinates."""
-    m = times.size - 1
-    pos = np.empty((m + 1, s.size))
-    vel = np.empty((m + 1, s.size))
-    u, v = u0.copy(), v0.copy()
-    pos[0], vel[0] = u, v
-    for k in range(m):
-        t = times[k]
-        h = times[k + 1] - t
+def _gf_step(s, c, t, h, u):
+    """One RK4 step of a' = c - s a."""
+    d1 = c - s * u
+    d2 = c - s * (u + 0.5 * h * d1)
+    d3 = c - s * (u + 0.5 * h * d2)
+    d4 = c - s * (u + h * d3)
+    return (u + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4),)
+
+
+def _damped_step(damping):
+    """One RK4 step of u'' + damping(t) u' + s u = c, as (u, v) -> (u, v)."""
+    def step(s, c, t, h, u, v):
         a1 = c - s * u - damping(t) * v
         u2 = u + 0.5 * h * v
         v2 = v + 0.5 * h * a1
@@ -119,28 +137,63 @@ def _rk4_second_order(s, c, damping, times, u0, v0):
         u4 = u + h * v3
         v4 = v + h * a3
         a4 = c - s * u4 - damping(t + h) * v4
-        u = u + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        pos[k + 1], vel[k + 1] = u, v
-    return pos, vel
+        return (u + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+    return step
 
 
-def _rk4_first_order(s, c, times):
-    """RK4 on a' = c - s a from zero; the velocity row records a'."""
+def _chunk_steps(p: int) -> int:
+    return max(1, _SCAN_DOUBLES // max(p, 1))
+
+
+def _compose_prefix(a, b):
+    """Turn per-step maps x -> a[k] x + b[k] into their running compositions.
+
+    a is (d, d, n, p) and b is (d, n, p): one affine map per step and
+    coordinate.  Prefix doubling: after the level with offset o, row k holds
+    the composition of maps max(0, k - 2o + 1) .. k, so ceil(log2 n) levels
+    leave row k mapping the state before the first step to the state after
+    step k.
+    """
+    n = b.shape[1]
+    offset = 1
+    while offset < n:
+        later = a[:, :, offset:]
+        new_b = b[:, offset:] + np.einsum("ijnp,jnp->inp", later, b[:, :-offset])
+        a[:, :, offset:] = np.einsum("ijnp,jknp->iknp", later, a[:, :, :-offset])
+        b[:, offset:] = new_b
+        offset *= 2
+
+
+def _rk4_scan(step, s, c, times, x0):
+    """RK4 iterates of a linear system at every time, one chunk at a time.
+
+    step(s, c, t, h, *x) is one RK4 step on a state tuple x of length d.
+    It is affine in x, so evaluating it on the unit states with no forcing
+    and on the zero state with the forcing gives each step's map; the maps
+    of a chunk are composed by _compose_prefix and applied to the chunk's
+    start state.  Returns the (d, m+1, p) record, row 0 being x0.
+    """
+    dim, p = len(x0), s.size
     m = times.size - 1
-    pos = np.empty((m + 1, s.size))
-    vel = np.empty((m + 1, s.size))
-    u = np.zeros_like(c)
-    pos[0], vel[0] = u, c - s * u
-    for k in range(m):
-        h = times[k + 1] - times[k]
-        d1 = c - s * u
-        d2 = c - s * (u + 0.5 * h * d1)
-        d3 = c - s * (u + 0.5 * h * d2)
-        d4 = c - s * (u + h * d3)
-        u = u + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        pos[k + 1], vel[k + 1] = u, c - s * u
-    return pos, vel
+    out = np.empty((dim, m + 1, p))
+    out[:, 0] = x0
+    chunk = _chunk_steps(p)
+    # probe j < d is the unit state e_j without forcing; probe d is the
+    # zero state with the forcing
+    forcing = np.zeros((dim + 1, 1, p))
+    forcing[dim] = c
+    for k0 in range(0, m, chunk):
+        k1 = min(k0 + chunk, m)
+        t = times[k0:k1, None]
+        h = times[k0 + 1:k1 + 1, None] - t
+        probes = np.zeros((dim, dim + 1, k1 - k0, p))
+        probes[range(dim), range(dim)] = 1.0
+        maps = np.array(step(s, forcing, t, h, *probes))
+        a, b = maps[:, :dim], maps[:, dim]
+        _compose_prefix(a, b)
+        out[:, k0 + 1:k1 + 1] = b + np.einsum("ijnp,jp->inp", a, out[:, k0])
+    return out
 
 
 def integrate_flow(kind: FlowKind, spectrum: Spectrum, forcing, t_end: float,
@@ -159,17 +212,20 @@ def integrate_flow(kind: FlowKind, spectrum: Spectrum, forcing, t_end: float,
         times = t0 + step * np.arange(m + 1)
         u0 = c * t0 * t0 / 8.0
         v0 = c * t0 / 4.0
-        pos, vel = _rk4_second_order(s, c, lambda t: 3.0 / t, times, u0, v0)
+        pos, vel = _rk4_scan(_damped_step(lambda t: 3.0 / t), s, c, times,
+                             (u0, v0))
     elif kind is FlowKind.HEAVY_BALL_FLOW:
         m = max(int(np.ceil(t_end / step)), 0)
         times = step * np.arange(m + 1)
         zero = np.zeros_like(c)
         rate = 2.0 * np.sqrt(spectrum.mu)
-        pos, vel = _rk4_second_order(s, c, lambda t: rate, times, zero, zero)
+        pos, vel = _rk4_scan(_damped_step(lambda t: rate), s, c, times,
+                             (zero, zero))
     else:
         m = max(int(np.ceil(t_end / step)), 0)
         times = step * np.arange(m + 1)
-        pos, vel = _rk4_first_order(s, c, times)
+        (pos,) = _rk4_scan(_gf_step, s, c, times, (np.zeros_like(c),))
+        vel = c - s * pos
     return Trajectory(kind=kind, times=times, positions=pos, velocities=vel)
 
 
@@ -251,6 +307,8 @@ def compare_closed_form(kind: FlowKind, spectrum: Spectrum, forcing, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-D array")
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be finite")
     if (t_grid < 0).any():
         raise ValueError("t_grid must be nonnegative")
     traj = integrate_flow(kind, spectrum, forcing, float(t_grid.max()), step)

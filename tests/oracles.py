@@ -99,3 +99,47 @@ def grid_min(fn, grid: np.ndarray) -> tuple[float, float]:
 
 
 J1_ROOTS_BELOW_8 = (3.8317059702075123, 7.015586669815619)
+
+
+def rk4_first_order(s, c, times):
+    """Step-by-step RK4 on a' = c - s a from zero; the velocity row is a'."""
+    m = times.size - 1
+    pos = np.empty((m + 1, s.size))
+    vel = np.empty((m + 1, s.size))
+    u = np.zeros_like(c)
+    pos[0], vel[0] = u, c - s * u
+    for k in range(m):
+        h = times[k + 1] - times[k]
+        d1 = c - s * u
+        d2 = c - s * (u + 0.5 * h * d1)
+        d3 = c - s * (u + 0.5 * h * d2)
+        d4 = c - s * (u + h * d3)
+        u = u + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        pos[k + 1], vel[k + 1] = u, c - s * u
+    return pos, vel
+
+
+def rk4_second_order(s, c, damping, times, u0, v0):
+    """Step-by-step RK4 on u'' + damping(t) u' + s u = c."""
+    m = times.size - 1
+    pos = np.empty((m + 1, s.size))
+    vel = np.empty((m + 1, s.size))
+    u, v = u0.copy(), v0.copy()
+    pos[0], vel[0] = u, v
+    for k in range(m):
+        t = times[k]
+        h = times[k + 1] - t
+        a1 = c - s * u - damping(t) * v
+        u2 = u + 0.5 * h * v
+        v2 = v + 0.5 * h * a1
+        a2 = c - s * u2 - damping(t + 0.5 * h) * v2
+        u3 = u + 0.5 * h * v2
+        v3 = v + 0.5 * h * a2
+        a3 = c - s * u3 - damping(t + 0.5 * h) * v3
+        u4 = u + h * v3
+        v4 = v + h * a3
+        a4 = c - s * u4 - damping(t + h) * v4
+        u = u + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        pos[k + 1], vel[k + 1] = u, v
+    return pos, vel

@@ -97,6 +97,42 @@ def test_oracle_check_passes_tolerance(capsys):
     assert report["sup_error"] <= 1e-6
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--t-end", "inf", "t_grid must be finite"),
+    ("--t-end", "nan", "t_grid must be finite"),
+    ("--step", "nan", "step must be finite"),
+])
+def test_oracle_check_rejects_non_finite_input(capsys, flag, value, message):
+    assert run(["oracle-check", "--kind", "gf", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_heavy_ball_skip_warning_on_stderr(tmp_path, capsys):
+    # n < p puts a zero at the bottom of the spectrum, so heavy ball is
+    # skipped; the warning reaches stderr and nothing of it the outputs
+    config = {
+        "design": [{"family": "IidGaussian", "n": 10, "p": 20, "seed": 5}],
+        "snr": 1.0,
+        "flows": ["gf", "hb"],
+        "t_grid": {"lo": 0.01, "hi": 100.0, "count": 20, "log": True},
+        "ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 20, "log": True},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "WARNING: skipping heavy ball" in err
+    assert "smallest eigenvalue is 0" in err
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files) == ["gaussian_gf.csv", "manifest.json"]
+    assert run(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "skipping heavy ball" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+
 def test_simulate_and_plot_pipeline(tmp_path, capsys):
     config = {
         "design": [{"family": "PowerLaw", "C": 1.0, "nu": 1.0, "n": 100,

@@ -6,6 +6,7 @@ import pytest
 from flowrisk.linalg import Spectrum
 from flowrisk.oracle import (
     IterateConfig,
+    _chunk_steps,
     compare_closed_form,
     discrete_iterates,
     integrate_flow,
@@ -14,7 +15,29 @@ from flowrisk.oracle import (
 from flowrisk.shrinkage import FlowKind
 from flowrisk.special import j1_ratio
 
+from oracles import rk4_first_order, rk4_second_order
+
 UNIT = Spectrum(np.array([1.0]))
+FLOWS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
+         FlowKind.HEAVY_BALL_FLOW)
+
+
+def _nearest(times, t):
+    return int(np.argmin(np.abs(times - t)))
+
+
+def _reference_trajectory(kind, spectrum, forcing, times):
+    """The step-by-step RK4 loop on the scan's own time lattice."""
+    s = spectrum.eigenvalues
+    if kind is FlowKind.GRADIENT_FLOW:
+        return rk4_first_order(s, forcing, times)
+    if kind is FlowKind.ACCELERATED_FLOW:
+        t0 = times[0]
+        return rk4_second_order(s, forcing, lambda t: 3.0 / t, times,
+                                forcing * t0 * t0 / 8.0, forcing * t0 / 4.0)
+    rate = 2.0 * np.sqrt(spectrum.mu)
+    zero = np.zeros_like(forcing)
+    return rk4_second_order(s, forcing, lambda t: rate, times, zero, zero)
 
 
 class TestIntegrateFlow:
@@ -22,14 +45,14 @@ class TestIntegrateFlow:
         traj = integrate_flow(FlowKind.GRADIENT_FLOW, UNIT, np.array([1.0]),
                               5.0, step=1e-3)
         for t in (1.0, 5.0):
-            k = traj.nearest_index(t)
+            k = _nearest(traj.times, t)
             assert traj.positions[k, 0] == pytest.approx(
                 1.0 - math.exp(-traj.times[k]), abs=1e-8)
 
     def test_accelerated_scalar_matches_bessel_form(self):
         traj = integrate_flow(FlowKind.ACCELERATED_FLOW, UNIT, np.array([1.0]),
                               2.0, step=1e-3)
-        k = traj.nearest_index(2.0)
+        k = _nearest(traj.times, 2.0)
         expected = 1.0 - j1_ratio(traj.times[k])
         assert traj.positions[k, 0] == pytest.approx(expected, abs=1e-6)
         assert expected == pytest.approx(0.42328, abs=1e-4)
@@ -58,6 +81,15 @@ class TestIntegrateFlow:
             integrate_flow(FlowKind.GRADIENT_FLOW, UNIT, np.array([1.0]),
                            1.0, step=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_step_and_t_end(self, value):
+        with pytest.raises(ValueError, match="step must be finite"):
+            integrate_flow(FlowKind.GRADIENT_FLOW, UNIT, np.array([1.0]),
+                           1.0, step=value)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            integrate_flow(FlowKind.ACCELERATED_FLOW, UNIT, np.array([1.0]),
+                           value, step=1e-2)
+
     def test_heavy_ball_needs_positive_mu(self):
         spec = Spectrum(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="mu > 0"):
@@ -75,6 +107,66 @@ class TestIntegrateFlow:
                            @ spec.eigenvalues)
         energy = kinetic + potential
         assert (np.diff(energy) <= 1e-8 * max(1.0, energy[0])).all()
+
+
+class TestScanMatchesStepLoop:
+    """The chunked scan against the step-by-step RK4 loop of tests/oracles.
+
+    p = 8 fixes the chunk length; a step of 2^-6 makes t_end / step exact,
+    so each horizon below is exactly the intended number of steps.
+    """
+
+    P = 8
+    STEP = 2.0 ** -6
+
+    def _instance(self):
+        rng = np.random.default_rng(17)
+        spec = Spectrum(np.sort(rng.uniform(0.05, 3.0, self.P)))
+        return spec, rng.standard_normal(self.P)
+
+    def _assert_matches(self, kind, spec, forcing, t_end, steps):
+        traj = integrate_flow(kind, spec, forcing, t_end, step=self.STEP)
+        assert len(traj) == steps + 1
+        pos, vel = _reference_trajectory(kind, spec, forcing, traj.times)
+        for got, want in ((traj.positions, pos), (traj.velocities, vel)):
+            assert got.shape == want.shape
+            scale = max(np.abs(want).max(), np.finfo(float).tiny)
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", FLOWS)
+    @pytest.mark.parametrize("chunks, extra", [(0, 300), (1, 0), (2, 1)])
+    def test_chunk_boundaries(self, kind, chunks, extra):
+        # less than one chunk, exactly one chunk, two chunks plus one step
+        spec, forcing = self._instance()
+        steps = chunks * _chunk_steps(self.P) + extra
+        self._assert_matches(kind, spec, forcing, steps * self.STEP, steps)
+
+    @pytest.mark.parametrize("kind", FLOWS)
+    def test_zero_horizon_is_one_row(self, kind):
+        spec, forcing = self._instance()
+        self._assert_matches(kind, spec, forcing, 0.0, 0)
+
+    def test_accelerated_horizon_below_start_time(self):
+        spec, forcing = self._instance()
+        traj = integrate_flow(FlowKind.ACCELERATED_FLOW, spec, forcing,
+                              5e-7, step=self.STEP)
+        assert len(traj) == 1 and traj.times[0] == 5e-7
+        self._assert_matches(FlowKind.ACCELERATED_FLOW, spec, forcing,
+                             5e-7, 0)
+
+    @pytest.mark.parametrize("kind", [FlowKind.GRADIENT_FLOW,
+                                      FlowKind.ACCELERATED_FLOW])
+    def test_null_coordinate_exactly_zero_across_chunks(self, kind):
+        spec, forcing = self._instance()
+        s = spec.eigenvalues.copy()
+        s[0], forcing[0] = 0.0, 0.0
+        spec = Spectrum(s)
+        steps = 2 * _chunk_steps(self.P) + 1
+        traj = integrate_flow(kind, spec, forcing, steps * self.STEP,
+                              step=self.STEP)
+        assert (traj.positions[:, 0] == 0.0).all()
+        assert (traj.velocities[:, 0] == 0.0).all()
+        self._assert_matches(kind, spec, forcing, steps * self.STEP, steps)
 
 
 class TestCompareClosedForm:
@@ -95,6 +187,12 @@ class TestCompareClosedForm:
         err = compare_closed_form(kind, spec, forcing,
                                   np.linspace(0, 20, 200), step=2e-3)
         assert err <= 1e-6
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            compare_closed_form(FlowKind.GRADIENT_FLOW, UNIT, np.array([1.0]),
+                                np.array([0.0, 1.0, bad]), step=1e-2)
 
     def test_heavy_ball_with_degenerate_eigenvalue(self):
         spec = Spectrum(np.array([0.4, 0.4, 1.7]))
