@@ -1,59 +1,27 @@
 """Certify every constant in the theory and render the inflation envelope.
 
-Runs the full certification battery (the same checks the CLI's
-verify-constants exposes), prints each certified value next to its target,
-then writes the heavy-ball inflation envelope h(kappa) for kappa in
-[1, 100] as a two-column CSV and a log-x SVG plot.
+Runs the certification table `bounds.CHECKS` (the same rows the CLI's
+verify-constants reports), prints each certified value next to its paper
+value and tolerance, then writes the heavy-ball inflation envelope h(kappa)
+for kappa in [1, 100] as a two-column CSV and a log-x SVG plot.
 
 Run:  python demos/demo_constants.py
 """
 
 import numpy as np
 
-from flowrisk import (
-    gf_inflation_constant,
-    h_kappa,
-    hb_param_error_check,
-    hb_variance_bound_check,
-    hb_kernel_bound_checks,
-    nest_inflation_constant,
-    nest_param_error_constant,
-    tilde_h_crossover,
-)
+from flowrisk import h_kappa
+from flowrisk.bounds import run_checks
 from flowrisk.plotting import Series, render_line_plot
 
-gf = gf_inflation_constant()
-print(f"gradient-flow inflation   {gf.value:.6f}   (target 1.0786 +- 1e-3, "
-      f"tau* = {gf.tau_star:.4f}, x* = {gf.x_star:.4f})")
-
-nest = nest_inflation_constant()
-print(f"accelerated inflation     {nest.value:.6f}   (target 1.5991 +- 1e-3, "
-      f"tau* = {nest.tau_star:.4f}, x* = {nest.x_star:.4f})")
-
-sup, x_star = nest_param_error_constant()
-print(f"accelerated param error   {sup:.6f}   (target 49/64 = 0.765625, "
-      f"approached as x -> 0: argmax {x_star:.2e})")
-
-grid = (np.logspace(-3, 1, 50), np.logspace(-3, 1, 50), np.logspace(-3, 2, 50))
-hb = hb_param_error_check(*grid)
-print(f"heavy-ball f^2 max        {hb.max_f_sq:.6f}   (bound 16)")
-print(f"heavy-ball (f-1)^2 max    {hb.max_fm1_sq:.6f}   (bound 25)")
-
-cross = tilde_h_crossover()
-print(f"bias-envelope crossover   z* = {cross.z_star:.6f}   (target 0.907)")
-for case in cross.cases:
-    where = "x = 0" if case.argmax_x == 0 else f"x = {case.argmax_x:.4f}"
-    print(f"   z = {case.z:g}: case {case.case_index}, maximum at {where}")
-
-var_rep = hb_variance_bound_check()
-print(f"variance branch collapse  max recomposition error "
-      f"{var_rep.max_recomposition_error:.2e}   (tolerance 1e-10)")
-
-kernel_rep = hb_kernel_bound_checks(np.logspace(-3, 1, 40), np.logspace(-3, 1, 40),
-                             np.logspace(-3, 2, 40))
-print(f"kernel inequalities       worst violation "
-      f"{max(kernel_rep.max_violation_bias, kernel_rep.max_violation_var_small_x, kernel_rep.max_violation_var_large_x):.2e} "
-      f"over {kernel_rep.nodes_checked} nodes")
+for check, result, value, _ in run_checks():
+    print(f"{check.name:<26} {value:<12.6g} paper {check.paper_value:.6g} "
+          f"({check.mode}, tol {check.tolerance:g})  "
+          f"{'PASS' if check.passes(value) else 'FAIL'}")
+    if check.name == "crossover_case_structure":
+        for case in result.cases:
+            where = "x = 0" if case.argmax_x == 0 else f"x = {case.argmax_x:.4f}"
+            print(f"   z = {case.z:g}: case {case.case_index}, maximum at {where}")
 
 kappas = np.linspace(1.0, 100.0, 400)
 values = h_kappa(kappas)

@@ -22,8 +22,7 @@ The certified quantities:
   = 8 kappa^{2/3} at tau = kappa^{1/6};
 
 * the two pointwise kernel inequalities behind the heavy-ball bounds,
-  checked on
-  dense grids with zero tolerance for violations beyond 1e-10;
+  checked on dense grids;
 
 * the witness that no constant can couple the accelerated bias to the
   ridge bias uniformly: along the J1 envelope peaks the bias ratio grows
@@ -37,11 +36,17 @@ the minimizing tau: both objectives there are 1 + O(1/sqrt(x)) +
 O(1/(tau^3 sqrt(x))), below the certified values, while at tiny tau the
 grid already sees inner maxima far above them, steering the outer minimum
 away.  Smallest-tau tie-breaking keeps results deterministic.
+
+The certifiers report values.  CHECKS, the certification table, holds their
+paper values, tolerances and scan grids and alone decides pass or fail.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +56,10 @@ from .shrinkage import FlowKind, hb_kernel, hb_kernel_complement
 from .special import j1_ratio, j1_ratio_complement
 
 __all__ = [
+    "Check",
+    "CHECKS",
+    "within",
+    "run_checks",
     "GridSpec",
     "MinMaxResult",
     "HbParamErrorReport",
@@ -74,13 +83,6 @@ __all__ = [
     "hb_kernel_bound_checks",
     "bias_ratio_unbounded_witness",
 ]
-
-GF_INFLATION = 1.0786
-NEST_INFLATION = 1.5991
-NEST_PARAM_ERROR = 49.0 / 64.0
-HB_F_SQ_BOUND = 16.0
-HB_PARAM_ERROR = 25.0
-CROSSOVER_Z = 0.907
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -121,9 +123,6 @@ class MinMaxResult:
     value: float
     tau_star: float
     x_star: float
-    tau_grid_spec: GridSpec
-    x_grid_spec: GridSpec
-    refinement_depth: int
 
 
 def _inner_max(objective, tau, x_coarse, zoom_rounds=3, zoom_points=240):
@@ -183,9 +182,7 @@ def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
         raise RuntimeError(
             f"inner maximizer x* = {x_star:.3g} landed at the scan boundary; "
             "widen the x grid")
-    return MinMaxResult(value=value, tau_star=tau_star, x_star=x_star,
-                        tau_grid_spec=tau_spec, x_grid_spec=x_spec,
-                        refinement_depth=refinement_depth)
+    return MinMaxResult(value=value, tau_star=tau_star, x_star=x_star)
 
 
 def gf_inflation_objective(tau, x):
@@ -221,11 +218,6 @@ def nest_inflation_constant(tau_spec=DEFAULT_TAU_GRID, x_spec=DEFAULT_X_GRID,
                               refinement_depth)
 
 
-def _nest_coupling_factor(x):
-    x = np.asarray(x, dtype=float)
-    return j1_ratio_complement(x) * (x * x + 1.0) / (x * x)
-
-
 def nest_param_error_constant(x_spec=GridSpec(1e-8, 1e4, 200000, "log"),
                               zoom_rounds=3) -> tuple[float, float]:
     """Sup over x > 0 of (f(x)-1)^2 for the accelerated coupling factor.
@@ -237,8 +229,7 @@ def nest_param_error_constant(x_spec=GridSpec(1e-8, 1e4, 200000, "log"),
     xs = x_spec.points()
 
     def objective(_tau, x):
-        f = _nest_coupling_factor(x)
-        return (f - 1.0) ** 2
+        return (j1_ratio_complement(x) * (x * x + 1.0) / (x * x) - 1.0) ** 2
 
     value, x_star = _inner_max(objective, 0.0, xs, zoom_rounds=zoom_rounds)
     return float(value), float(x_star)
@@ -280,29 +271,22 @@ class HbParamErrorReport:
     max_f_sq: float
     max_fm1_sq: float
     nodes_checked: int
-    f_sq_ok: bool
-    fm1_sq_ok: bool
 
 
-def hb_param_error_check(mu_grid, s_grid, t_grid,
-                         slack: float = 1e-6) -> HbParamErrorReport:
+def hb_param_error_check(mu_grid, s_grid, t_grid) -> HbParamErrorReport:
     """Scan f(x) = (1 - kernel)(x^2+1)/x^2 over an admissible (mu, s, t) grid.
 
     kernel is the damped cosine at a = t sqrt(mu), b = t sqrt(s - mu), and
     x = t sqrt(s).  Nodes with s < mu are skipped; the remaining maxima are
-    certified against f^2 <= 16 and (f-1)^2 <= 25.
+    the values CHECKS certifies against f^2 <= 16 and (f-1)^2 <= 25.
     """
     mask, a, b, x, _ = _hb_scan(mu_grid, s_grid, t_grid, t_positive=True)
     comp = hb_kernel_complement(a, b)
     f = comp * (x * x + 1.0) / (x * x)
-    f_sq = float((f * f)[mask].max())
-    fm1_sq = float(((f - 1.0) ** 2)[mask].max())
     return HbParamErrorReport(
-        max_f_sq=f_sq,
-        max_fm1_sq=fm1_sq,
+        max_f_sq=float((f * f)[mask].max()),
+        max_fm1_sq=float(((f - 1.0) ** 2)[mask].max()),
         nodes_checked=int(mask.sum()),
-        f_sq_ok=f_sq <= HB_F_SQ_BOUND + slack,
-        fm1_sq_ok=fm1_sq <= HB_PARAM_ERROR + slack,
     )
 
 
@@ -413,10 +397,9 @@ class VarianceBoundReport:
     max_branch_gap: float        # max over grid of branch2 - 8 kappa^{2/3}
     max_equality_error: float    # max |8 tau^4 - 8 kappa^{2/3}| at tau = kappa^{1/6}
     max_recomposition_error: float
-    ok: bool
 
 
-def hb_variance_bound_check(kappas=None, tol: float = 1e-10) -> VarianceBoundReport:
+def hb_variance_bound_check(kappas=None) -> VarianceBoundReport:
     """At tau = kappa^{1/6}, the variance bound collapses to 8 kappa^{2/3}.
 
     Checks that 8 tau^4 equals 8 kappa^{2/3} and dominates the second
@@ -437,13 +420,9 @@ def hb_variance_bound_check(kappas=None, tol: float = 1e-10) -> VarianceBoundRep
     z = np.cbrt(kappas)
     recomp = np.array([float(tilde_h(tilde_h_maximizer(zz), zz)) for zz in z])
     recomp_err = float(np.abs(recomp + target - h_kappa(kappas)).max())
-    ok = (equality_err <= tol * float(target.max())
-          and branch_gap <= 0.0
-          and recomp_err <= tol)
     return VarianceBoundReport(max_branch_gap=branch_gap,
                                max_equality_error=equality_err,
-                               max_recomposition_error=recomp_err,
-                               ok=ok)
+                               max_recomposition_error=recomp_err)
 
 
 @dataclass(frozen=True)
@@ -483,11 +462,9 @@ class KernelBoundReport:
     max_violation_var_small_x: float
     max_violation_var_large_x: float
     nodes_checked: int
-    ok: bool
 
 
-def hb_kernel_bound_checks(mu_grid, s_grid, t_grid,
-                        tol: float = 1e-10) -> KernelBoundReport:
+def hb_kernel_bound_checks(mu_grid, s_grid, t_grid) -> KernelBoundReport:
     """Check the two pointwise kernel inequalities on every admissible node.
 
     With a = t sqrt(mu), b = t sqrt(s-mu), x = t sqrt(s), kappa = s/mu:
@@ -510,12 +487,10 @@ def hb_kernel_bound_checks(mu_grid, s_grid, t_grid,
     rhs_var = (1.0 + (x / root_kappa + 1.0) * np.exp(-x / root_kappa)) ** 2
     viol_large = float(np.maximum(comp_sq - rhs_var, 0.0)[large].max()) \
         if large.any() else 0.0
-    ok = max(viol_bias, viol_small, viol_large) <= tol
     return KernelBoundReport(max_violation_bias=viol_bias,
                              max_violation_var_small_x=viol_small,
                              max_violation_var_large_x=viol_large,
-                             nodes_checked=int(mask.sum()),
-                             ok=ok)
+                             nodes_checked=int(mask.sum()))
 
 
 def bias_ratio_unbounded_witness(x_points) -> list[tuple[float, float]]:
@@ -546,3 +521,73 @@ def bias_ratio_unbounded_witness(x_points) -> list[tuple[float, float]]:
         ratio = float(j1_ratio(u) ** 2 * (1.0 + x) ** 2)
         out.append((float(x), ratio))
     return out
+
+
+def within(value, paper_value, tolerance, mode) -> bool:
+    """The pass rule: |value - paper| <= tol ("eq") or value <= paper + tol ("le")."""
+    return bool(abs(value - paper_value) <= tolerance if mode == "eq"
+                else value <= paper_value + tolerance)
+
+
+@dataclass(frozen=True, eq=False)
+class Check:
+    """A row of CHECKS: value_of(certifier(*args)) against paper_value."""
+
+    name: str
+    certifier: str               # a function of this module, found at run time
+    value_of: Callable
+    paper_value: float
+    tolerance: float
+    mode: str = "eq"
+    overridable: bool = False    # verify-constants --tol replaces tolerance
+    args: tuple = ()
+
+    def passes(self, value) -> bool:
+        return within(value, self.paper_value, self.tolerance, self.mode)
+
+
+_HB_GRIDS = (np.logspace(-3, 1, 50), np.logspace(-3, 1, 50),
+             np.logspace(-3, 2, 50))
+
+# name -> row, in report order
+CHECKS = {c.name: c for c in (
+    Check("gradient_flow_inflation", "gf_inflation_constant",
+          attrgetter("value"), 1.0786, 1e-3, overridable=True),
+    Check("accelerated_inflation", "nest_inflation_constant",
+          attrgetter("value"), 1.5991, 1e-3, overridable=True),
+    Check("accelerated_param_error", "nest_param_error_constant",
+          itemgetter(0), 49.0 / 64.0, 1e-4, overridable=True),
+    Check("heavy_ball_f_sq", "hb_param_error_check", attrgetter("max_f_sq"),
+          16.0, 1e-6, "le", args=_HB_GRIDS),
+    Check("heavy_ball_param_error", "hb_param_error_check",
+          attrgetter("max_fm1_sq"), 25.0, 1e-6, "le", args=_HB_GRIDS),
+    Check("crossover_z", "tilde_h_crossover", attrgetter("z_star"), 0.907,
+          1e-3, overridable=True),
+    Check("crossover_case_structure", "tilde_h_crossover",
+          lambda r: float(all(c.structure_ok for c in r.cases)), 1.0, 0.0),
+    Check("h_recomposition", "hb_variance_bound_check",
+          attrgetter("max_recomposition_error"), 0.0, 1e-10, "le"),
+    Check("h_at_kappa_1", "h_kappa", float, float(8.0 + 8.0 * np.exp(-2.0)),
+          1e-12, args=(1.0,)),
+    Check("kernel_inequalities", "hb_kernel_bound_checks",
+          lambda r: max(r.max_violation_bias, r.max_violation_var_small_x,
+                        r.max_violation_var_large_x), 0.0, 1e-10, "le",
+          args=(np.logspace(-3, 1, 40), np.logspace(-3, 1, 40),
+                np.logspace(-3, 2, 40))),
+)}
+
+
+def run_checks(names=None) -> list[tuple]:
+    """(check, result, value, runtime_ms) per row of CHECKS, or per named row.
+
+    Each certifier runs once: a row with the certifier of the row before it
+    shares that call (and its args) and reports 0 ms.
+    """
+    runs = []
+    for check in CHECKS.values() if names is None else (CHECKS[n] for n in names):
+        shared = bool(runs) and runs[-1][0].certifier == check.certifier
+        t0 = time.perf_counter()
+        result = runs[-1][1] if shared else globals()[check.certifier](*check.args)
+        ms = 0.0 if shared else (time.perf_counter() - t0) * 1e3
+        runs.append((check, result, check.value_of(result), ms))
+    return runs

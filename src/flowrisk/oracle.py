@@ -60,6 +60,9 @@ _ACCEL_T0 = 1e-6
 # _SCAN_DOUBLES // p steps, so the scan's temporaries stay at a few megabytes
 # whatever the horizon and p.
 _SCAN_DOUBLES = 1 << 12
+# Most doubles in one (steps x coordinates) array of a Trajectory (512 MiB);
+# integrate_flow refuses longer records before allocating anything.
+_MAX_TRAJECTORY_DOUBLES = 1 << 26
 _FLOWS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
           FlowKind.HEAVY_BALL_FLOW)
 
@@ -110,6 +113,10 @@ def _validate_flow_inputs(kind, spectrum, forcing, t_end, step):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
+    steps = np.ceil(t_end / step)
+    if (steps + 1) * spectrum.p > _MAX_TRAJECTORY_DOUBLES:
+        raise ValueError(f"t_end / step = {steps:.3g} steps x {spectrum.p} "
+                         f"coordinates exceeds {_MAX_TRAJECTORY_DOUBLES} doubles")
     if kind is FlowKind.HEAVY_BALL_FLOW and spectrum.mu <= 0:
         raise ValueError("heavy-ball flow requires mu > 0")
     return c
@@ -206,24 +213,18 @@ def integrate_flow(kind: FlowKind, spectrum: Spectrum, forcing, t_end: float,
     """
     c = _validate_flow_inputs(kind, spectrum, forcing, t_end, step)
     s = spectrum.eigenvalues
-    if kind is FlowKind.ACCELERATED_FLOW:
-        t0 = min(_ACCEL_T0, t_end) if t_end > 0 else 0.0
-        m = max(int(np.ceil((t_end - t0) / step)), 0)
-        times = t0 + step * np.arange(m + 1)
-        u0 = c * t0 * t0 / 8.0
-        v0 = c * t0 / 4.0
+    accelerated = kind is FlowKind.ACCELERATED_FLOW
+    t0 = min(_ACCEL_T0, t_end) if accelerated and t_end > 0 else 0.0
+    times = t0 + step * np.arange(max(int(np.ceil((t_end - t0) / step)), 0) + 1)
+    if accelerated:
         pos, vel = _rk4_scan(_damped_step(lambda t: 3.0 / t), s, c, times,
-                             (u0, v0))
+                             (c * t0 * t0 / 8.0, c * t0 / 4.0))
     elif kind is FlowKind.HEAVY_BALL_FLOW:
-        m = max(int(np.ceil(t_end / step)), 0)
-        times = step * np.arange(m + 1)
         zero = np.zeros_like(c)
         rate = 2.0 * np.sqrt(spectrum.mu)
         pos, vel = _rk4_scan(_damped_step(lambda t: rate), s, c, times,
                              (zero, zero))
     else:
-        m = max(int(np.ceil(t_end / step)), 0)
-        times = step * np.arange(m + 1)
         (pos,) = _rk4_scan(_gf_step, s, c, times, (np.zeros_like(c),))
         vel = c - s * pos
     return Trajectory(kind=kind, times=times, positions=pos, velocities=vel)

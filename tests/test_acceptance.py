@@ -1,14 +1,15 @@
 """Acceptance gate: every certified value, bound, and qualitative claim.
 
 Each test prints one PASS/FAIL line (run with `pytest -s` to see them) and
-enforces its runtime budget.  Tolerances are pinned here and nowhere else.
+enforces its runtime budget.  Criteria 01-06 and 11 run rows of the
+certification table `bounds.CHECKS`, which holds their paper values,
+tolerances and scan grids; the other criteria pin their tolerances here.
 """
 
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from flowrisk import bounds
 from flowrisk.estimators import coupling_gap
@@ -40,54 +41,49 @@ def criterion(name: str, budget_s: float):
     assert elapsed <= budget_s, f"{name} exceeded its runtime budget"
 
 
+def _certified(*names):
+    """Run the named rows of bounds.CHECKS, assert each passes, return results."""
+    runs = bounds.run_checks(names)
+    assert not [(c.name, v) for c, _, v, _ in runs if not c.passes(v)]
+    return [result for _, result, _, _ in runs]
+
+
 def test_01_gradient_flow_inflation_constant():
     with criterion("01 gradient-flow inflation constant", 10.0):
-        result = bounds.gf_inflation_constant()
-        assert abs(result.value - 1.0786) <= 1e-3
+        _certified("gradient_flow_inflation")
 
 
 def test_02_accelerated_inflation_constant():
     with criterion("02 accelerated inflation constant", 30.0):
-        result = bounds.nest_inflation_constant()
-        assert abs(result.value - 1.5991) <= 1e-3
+        _certified("accelerated_inflation")
 
 
 def test_03_accelerated_parameter_error_constant():
     with criterion("03 accelerated parameter-error constant", 5.0):
-        sup, x_star = bounds.nest_param_error_constant()
-        assert abs(sup - 0.765625) <= 1e-4
+        [(_sup, x_star)] = _certified("accelerated_param_error")
         assert x_star <= 1e-6  # supremum approached as x -> 0+
         from flowrisk.special import j1_ratio_complement
         x = 1e-6
         f = j1_ratio_complement(x) * (x * x + 1.0) / (x * x)
-        assert abs((f - 1.0) ** 2 - 0.765625) <= 1e-6
+        paper = bounds.CHECKS["accelerated_param_error"].paper_value
+        assert abs((f - 1.0) ** 2 - paper) <= 1e-6
 
 
 def test_04_heavy_ball_parameter_error_bounds():
     with criterion("04 heavy-ball parameter-error bounds", 20.0):
-        report = bounds.hb_param_error_check(
-            np.logspace(-3, 1, 50), np.logspace(-3, 1, 50),
-            np.logspace(-3, 2, 50))
-        assert report.max_f_sq <= 16.0 + 1e-6
-        assert report.max_fm1_sq <= 25.0 + 1e-6
+        _certified("heavy_ball_f_sq", "heavy_ball_param_error")
 
 
 def test_05_crossover_certification():
     with criterion("05 bias-envelope crossover", 5.0):
-        result = bounds.tilde_h_crossover(sample_z=(0.5, 0.95, 2.0))
-        assert abs(result.z_star - 0.907) <= 1e-3
-        assert all(case.structure_ok for case in result.cases)
+        result, _ = _certified("crossover_z", "crossover_case_structure")
         assert [case.case_index for case in result.cases] == [1, 2, 3]
 
 
 def test_06_h_kappa_recomposition():
     with criterion("06 heavy-ball envelope recomposition", 1.0):
-        for kappa in (1.0, 8.0, 1000.0):
-            z = kappa ** (1.0 / 3.0)
-            recomposed = float(bounds.tilde_h(bounds.tilde_h_maximizer(z), z)) \
-                + 8.0 * kappa ** (2.0 / 3.0)
-            assert abs(recomposed - bounds.h_kappa(kappa)) <= 1e-10
-        assert abs(bounds.h_kappa(1.0) - (8.0 + 8.0 * np.exp(-2.0))) <= 1e-12
+        # the recomposition kappa grid includes 1, 8 and 1000
+        _certified("h_recomposition", "h_at_kappa_1")
 
 
 def test_07_oracle_equivalence():
@@ -137,8 +133,9 @@ def test_08_coupling_bounds_per_realization():
                                           float(t))
                 worst_nest = max(worst_nest, r_nest)
                 worst_hb = max(worst_hb, r_hb)
-        assert worst_nest <= 0.765625 + 1e-9
-        assert worst_hb <= 25.0 + 1e-9
+        paper = {name: c.paper_value for name, c in bounds.CHECKS.items()}
+        assert worst_nest <= paper["accelerated_param_error"] + 1e-9
+        assert worst_hb <= paper["heavy_ball_param_error"] + 1e-9
 
 
 def _standard_design_specs():
@@ -215,12 +212,7 @@ def test_10_power_law_sweep_qualitative_claims():
 
 def test_11_helper_inequality_suite():
     with criterion("11 kernel inequalities on a dense grid", 10.0):
-        report = bounds.hb_kernel_bound_checks(
-            np.logspace(-3, 1, 40), np.logspace(-3, 1, 40),
-            np.logspace(-3, 2, 40))
-        assert report.max_violation_bias <= 1e-10
-        assert report.max_violation_var_small_x <= 1e-10
-        assert report.max_violation_var_large_x <= 1e-10
+        _certified("kernel_inequalities")
 
 
 def test_12_bessel_quality_gate():

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from flowrisk.bounds import (
-    CROSSOVER_Z,
-    GF_INFLATION,
+    CHECKS,
     GridSpec,
-    HB_F_SQ_BOUND,
-    HB_PARAM_ERROR,
-    NEST_INFLATION,
-    NEST_PARAM_ERROR,
     bias_ratio_unbounded_witness,
     gf_inflation_constant,
     gf_inflation_objective,
@@ -34,7 +29,7 @@ from flowrisk.shrinkage import hb_kernel_complement
 class TestInflationConstants:
     def test_gradient_flow_value(self):
         result = gf_inflation_constant()
-        assert result.value == pytest.approx(GF_INFLATION, abs=1e-3)
+        assert CHECKS["gradient_flow_inflation"].passes(result.value)
         assert result.value >= 1.0
 
     def test_inner_max_dominates_single_point(self):
@@ -52,7 +47,7 @@ class TestInflationConstants:
 
     def test_accelerated_value(self):
         result = nest_inflation_constant()
-        assert result.value == pytest.approx(NEST_INFLATION, abs=1e-3)
+        assert CHECKS["accelerated_inflation"].passes(result.value)
 
     def test_ordering(self):
         assert gf_inflation_constant().value < nest_inflation_constant().value
@@ -79,14 +74,15 @@ class TestInflationConstants:
 class TestNestParamError:
     def test_certified_value(self):
         sup, x_star = nest_param_error_constant()
-        assert sup == pytest.approx(NEST_PARAM_ERROR, abs=1e-4)
+        assert CHECKS["accelerated_param_error"].passes(sup)
         assert x_star <= 1e-6  # supremum approached at the left end
 
     def test_limit_monitor_near_zero(self):
         from flowrisk.special import j1_ratio_complement
         x = 1e-6
         f = j1_ratio_complement(x) * (x * x + 1.0) / (x * x)
-        assert (f - 1.0) ** 2 == pytest.approx(NEST_PARAM_ERROR, abs=1e-6)
+        paper = CHECKS["accelerated_param_error"].paper_value
+        assert (f - 1.0) ** 2 == pytest.approx(paper, abs=1e-6)
 
     def test_decay_at_large_arguments(self):
         from flowrisk.special import j1_ratio_complement
@@ -96,14 +92,10 @@ class TestNestParamError:
 
 
 class TestHbParamError:
-    GRIDS = (np.logspace(-3, 1, 50), np.logspace(-3, 1, 50),
-             np.logspace(-3, 2, 50))
-
     def test_grid_maxima_within_bounds(self):
-        rep = hb_param_error_check(*self.GRIDS)
-        assert rep.max_f_sq <= HB_F_SQ_BOUND + 1e-6
-        assert rep.max_fm1_sq <= HB_PARAM_ERROR + 1e-6
-        assert rep.f_sq_ok and rep.fm1_sq_ok
+        f_sq, fm1_sq = CHECKS["heavy_ball_f_sq"], CHECKS["heavy_ball_param_error"]
+        rep = hb_param_error_check(*f_sq.args)
+        assert f_sq.passes(rep.max_f_sq) and fm1_sq.passes(rep.max_fm1_sq)
         assert rep.nodes_checked > 0
 
     def test_degenerate_slice_uses_limit_kernel(self):
@@ -130,8 +122,8 @@ class TestHbParamError:
 
 class TestHKappa:
     def test_anchor_at_one(self):
-        assert h_kappa(1.0) == pytest.approx(8.0 + 8.0 * math.exp(-2.0),
-                                             abs=1e-14)
+        assert h_kappa(1.0) == pytest.approx(
+            CHECKS["h_at_kappa_1"].paper_value, abs=1e-14)
 
     def test_monotone_on_grid(self):
         ks = np.linspace(1.0, 100.0, 400)
@@ -156,7 +148,7 @@ class TestHKappa:
 class TestCrossover:
     def test_z_star(self):
         result = tilde_h_crossover()
-        assert result.z_star == pytest.approx(CROSSOVER_Z, abs=1e-3)
+        assert CHECKS["crossover_z"].passes(result.z_star)
         assert tilde_h(tilde_h_maximizer(result.z_star), result.z_star) == \
             pytest.approx(1.0, abs=1e-9)
 
@@ -180,9 +172,10 @@ class TestCrossover:
 class TestVarianceBound:
     def test_report_ok(self):
         rep = hb_variance_bound_check()
-        assert rep.ok
-        assert rep.max_recomposition_error <= 1e-10
+        assert CHECKS["h_recomposition"].passes(rep.max_recomposition_error)
         assert rep.max_branch_gap <= 0.0
+        # 8 tau^4 = 8 kappa^{2/3} to 1e-10 relative to the largest, 8 * 1e4^{2/3}
+        assert rep.max_equality_error <= 1e-10 * 8.0 * 1e4 ** (2.0 / 3.0)
 
     def test_kappa_one_branch_values(self):
         # 8 tau^4 = 8 dominates 2 (1 + 2/e)^2 ~ 6.03
@@ -201,7 +194,7 @@ class TestVarianceBound:
             z = kappa ** (1.0 / 3.0)
             recomp = float(tilde_h(tilde_h_maximizer(z), z)) \
                 + 8.0 * kappa ** (2.0 / 3.0)
-            assert abs(recomp - h_kappa(kappa)) <= 1e-10
+            assert CHECKS["h_recomposition"].passes(abs(recomp - h_kappa(kappa)))
 
 
 class TestHbInflation:
@@ -235,15 +228,9 @@ class TestHbInflation:
 
 
 class TestKernelBounds:
-    GRIDS = (np.logspace(-3, 1, 40), np.logspace(-3, 1, 40),
-             np.logspace(-3, 2, 40))
-
     def test_zero_violations_dense_grid(self):
-        rep = hb_kernel_bound_checks(*self.GRIDS)
-        assert rep.ok
-        assert rep.max_violation_bias <= 1e-10
-        assert rep.max_violation_var_small_x <= 1e-10
-        assert rep.max_violation_var_large_x <= 1e-10
+        kernel = CHECKS["kernel_inequalities"]  # worst of the three violations
+        assert kernel.passes(kernel.value_of(hb_kernel_bound_checks(*kernel.args)))
 
     def test_degenerate_slice_is_equality(self):
         # s = mu makes the bias inequality an identity
@@ -254,7 +241,8 @@ class TestKernelBounds:
     def test_time_zero_slice(self):
         rep = hb_kernel_bound_checks(np.array([0.5]), np.array([1.0]),
                                   np.array([0.0]))
-        assert rep.ok
+        kernel = CHECKS["kernel_inequalities"]
+        assert kernel.passes(kernel.value_of(rep))
 
 
 class TestBiasRatioWitness:

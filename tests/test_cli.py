@@ -101,6 +101,7 @@ def test_oracle_check_passes_tolerance(capsys):
     ("--t-end", "inf", "t_grid must be finite"),
     ("--t-end", "nan", "t_grid must be finite"),
     ("--step", "nan", "step must be finite"),
+    ("--t-end", "1e15", "t_end / step = 1e+18 steps x 5 coordinates exceeds"),
 ])
 def test_oracle_check_rejects_non_finite_input(capsys, flag, value, message):
     assert run(["oracle-check", "--kind", "gf", flag, value]) == 2
@@ -243,3 +244,49 @@ def test_verify_constants_cli(tmp_path, capsys):
     assert all(c["pass"] for c in report["checks"])
     saved = json.loads((tmp_path / "constants.json").read_text())
     assert saved == report
+
+
+def test_verify_constants_tol_overrides_only_the_equality_rows(capsys):
+    overridable = {"gradient_flow_inflation", "accelerated_inflation",
+                   "accelerated_param_error", "crossover_z"}
+    assert run(["verify-constants"]) == 0
+    own = {c["name"]: c["tolerance"]
+           for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert run(["verify-constants", "--tol", "1e-9"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 10
+    for c in checks:
+        if c["name"] in overridable:
+            assert c["tolerance"] == 1e-9
+            assert c["pass"] is (c["name"] == "accelerated_param_error")
+        else:
+            assert c["tolerance"] == own[c["name"]]
+            assert c["pass"] is True
+    assert run(["verify-constants", "--tol", "0.5"]) == 0
+
+
+def test_verify_constants_calls_each_certifier_once(monkeypatch, capsys):
+    # only outermost calls count: hb_variance_bound_check calls h_kappa too
+    from flowrisk import bounds
+    names = ("gf_inflation_constant", "nest_inflation_constant",
+             "nest_param_error_constant", "hb_param_error_check",
+             "tilde_h_crossover", "hb_variance_bound_check", "h_kappa",
+             "hb_kernel_bound_checks")
+    calls = dict.fromkeys(names, 0)
+    depth = [0]
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+    assert run(["verify-constants"]) == 0
+    capsys.readouterr()
+    assert calls == dict.fromkeys(names, 1)
