@@ -51,6 +51,7 @@ from .oracle import (
     integrate_flow,
 )
 from .risk import (
+    RiskCurve,
     RiskDecomposition,
     SignalModel,
     bayes_risk,

@@ -113,7 +113,10 @@ class GridSpec:
 
 
 DEFAULT_TAU_GRID = GridSpec(1e-3, 10.0, 200, "log")
-DEFAULT_X_GRID = GridSpec(1e-8, 1e6, 2000, "log")
+# The x tail beyond this is bounded analytically (module docstring), so a
+# min-max x grid must reach it.
+_X_TAIL = 1e6
+DEFAULT_X_GRID = GridSpec(1e-8, _X_TAIL, 2000, "log")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +151,9 @@ def _inner_max(objective, tau, x_coarse, zoom_rounds=3, zoom_points=240):
 
 def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
                        x_spec=DEFAULT_X_GRID, refinement_depth=3) -> MinMaxResult:
+    if x_spec.hi < _X_TAIL:
+        raise ValueError(f"x grid ends at {x_spec.hi:g}, below the tail "
+                         "threshold x = 1e6 that the certificate assumes")
     x_coarse = x_spec.points()
     taus = tau_spec.points()
     coarse = np.array([_inner_max(objective, t, x_coarse, zoom_rounds=1)[0]
@@ -445,7 +451,7 @@ def hb_inflation_check(spectrum: Spectrum, prior: SignalModel,
     ridge_opt, _ = optimal_ridge_bayes_risk(spectrum, prior)
     t_grid = np.asarray(t_grid, dtype=float)
     curve = risk_curve(spectrum, prior, FlowKind.HEAVY_BALL_FLOW, t_grid)
-    risks = np.array([dec.risk for _, dec in curve])
+    risks = curve.risk
     k = int(np.argmin(risks))
     ratio = float(risks[k]) / ridge_opt
     bound = h_kappa(spectrum.kappa)

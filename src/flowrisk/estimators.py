@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SpectralDesign
-from .shrinkage import FlowKind, profile
+from .shrinkage import FlowKind, factor_block, profile
 
 __all__ = ["CoefficientPathPoint", "flow_estimate", "ridge_estimate",
            "coefficient_path", "coupling_gap"]
@@ -94,23 +94,35 @@ def coefficient_path(design: SpectralDesign, kind: FlowKind,
     return out
 
 
-def coupling_gap(design: SpectralDesign, kind: FlowKind,
-                 t: float) -> tuple[float, float, float]:
+def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     """Squared distance between a flow at t and ridge at 1/t^2.
 
     Returns (gap, ridge_norm_sq, ratio) for one realized response; ratio is
     defined as 0 when the ridge vector vanishes (the flow vector then
-    vanishes too).
+    vanishes too).  A scalar t gives three floats, a 1-D grid of t three
+    arrays of its length.  Both vectors are compared in spectral
+    coordinates, which V, being orthogonal, leaves the norms of unchanged.
     """
     if kind not in (FlowKind.ACCELERATED_FLOW, FlowKind.HEAVY_BALL_FLOW):
         raise ValueError("coupling_gap is defined for the accelerated and "
                          "heavy-ball flows")
-    t = float(t)
-    if t <= 0:
+    t_arr = np.asarray(t, dtype=float)
+    if (t_arr <= 0).any():
         raise ValueError("t must be > 0")
-    beta_flow = flow_estimate(design, kind, t)
-    beta_ridge = ridge_estimate(design, 1.0 / (t * t))
-    gap = float(np.sum((beta_flow - beta_ridge) ** 2))
-    ridge_norm_sq = float(np.sum(beta_ridge ** 2))
-    ratio = gap / ridge_norm_sq if ridge_norm_sq > 0 else 0.0
+    c = _require_response(design)
+    s = design.spectrum.eigenvalues
+    times = np.atleast_1d(t_arr)
+    g = factor_block(kind, s, times, design.spectrum.mu)
+    # g = 1 on null directions in every family, so the flow stays 0 there
+    flow = (1.0 - g) * c / np.where(s > 0, s, 1.0)
+    # (1/t)^2 underflows to lambda = 0 for huge t, the intended limit
+    ridge = c / (s + ((1.0 / times) ** 2)[:, None])
+    diff = flow - ridge
+    gap = (diff * diff).sum(axis=1)
+    ridge_norm_sq = (ridge * ridge).sum(axis=1)
+    if t_arr.ndim == 0:
+        gap, norm_sq = float(gap[0]), float(ridge_norm_sq[0])
+        return gap, norm_sq, gap / norm_sq if norm_sq > 0 else 0.0
+    ratio = np.divide(gap, ridge_norm_sq, out=np.zeros_like(gap),
+                      where=ridge_norm_sq > 0)
     return gap, ridge_norm_sq, ratio

@@ -20,12 +20,16 @@ at lambda = 1/alpha, is the floor every family is compared against.
 
 Curves are computed directly from the spectrum, a block of grid points at
 a time, through the single reduction bias_variance; they never form
-estimator vectors.  The estimators module plus Monte Carlo provides the
+estimator vectors.  A curve is a RiskCurve: the grid plus its bias^2 and
+variance arrays, which reads as a sequence of (param, RiskDecomposition)
+pairs built on access.  The estimators module plus Monte Carlo provides the
 independent cross-check of these formulas.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,7 @@ from .shrinkage import FlowKind, factor_block
 __all__ = [
     "SignalModel",
     "RiskDecomposition",
+    "RiskCurve",
     "OscillationReport",
     "bias_variance",
     "bias_variance_curve",
@@ -70,6 +75,49 @@ class RiskDecomposition:
     @property
     def risk(self) -> float:
         return self.bias_sq + self.variance
+
+
+@dataclass(frozen=True, eq=False)
+class RiskCurve(Sequence):
+    """Squared bias and variance along a grid, one array entry per point.
+
+    Reads as a sequence of (param, RiskDecomposition) pairs in grid order,
+    each built on access; risk is the elementwise sum, so curve.risk[k] is
+    the same double as curve[k][1].risk.  The arrays are read-only copies.
+    """
+
+    grid: np.ndarray
+    bias_sq: np.ndarray
+    variance: np.ndarray
+
+    def __post_init__(self):
+        for name in ("grid", "bias_sq", "variance"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if self.grid.ndim != 1 or not (
+                self.grid.shape == self.bias_sq.shape == self.variance.shape):
+            raise ValueError("curve arrays must be 1-D and of equal length")
+        # the RiskDecomposition rule: a NaN passes, a negative value does not
+        if (self.bias_sq < 0).any() or (self.variance < 0).any():
+            raise ValueError("bias_sq and variance must be nonnegative")
+
+    @property
+    def risk(self) -> np.ndarray:
+        return self.bias_sq + self.variance
+
+    def __len__(self) -> int:
+        return self.grid.size
+
+    def __getitem__(self, k) -> tuple[float, RiskDecomposition]:
+        k = range(self.grid.size)[operator.index(k)]
+        return float(self.grid[k]), RiskDecomposition(
+            bias_sq=float(self.bias_sq[k]), variance=float(self.variance[k]))
+
+    def __iter__(self):
+        for t, b, v in zip(self.grid.tolist(), self.bias_sq.tolist(),
+                           self.variance.tolist()):
+            yield t, RiskDecomposition(bias_sq=b, variance=v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +241,7 @@ def optimal_ridge_bayes_risk(spectrum: Spectrum,
 
 
 def risk_curve(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
-               grid) -> list[tuple[float, RiskDecomposition]]:
+               grid) -> RiskCurve:
     """Risk decomposition at every grid point, in grid order.
 
     The grid must be ascending and nonnegative.  Fixed signals weight the
@@ -213,8 +261,7 @@ def risk_curve(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
         weights = np.full(spectrum.p, signal.r_sq / spectrum.p)
     bias, variance = bias_variance_curve(spectrum, weights, signal.noise_scale,
                                          kind, grid)
-    return [(float(t), RiskDecomposition(bias_sq=float(b), variance=float(v)))
-            for t, b, v in zip(grid, bias, variance)]
+    return RiskCurve(grid=grid, bias_sq=bias, variance=variance)
 
 
 @dataclass(frozen=True)
@@ -251,16 +298,19 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def risk_csv_text(kind: FlowKind, curve) -> str:
-    """A curve as CSV text with the header kind,param,bias_sq,variance,risk."""
-    rows = [RISK_CSV_HEADER] + [
-        ",".join([kind.value, _fmt(param), _fmt(dec.bias_sq),
-                  _fmt(dec.variance), _fmt(dec.risk)])
-        for param, dec in curve]
-    return "\n".join(rows) + "\n"
+def risk_csv_text(kind: FlowKind, curve: RiskCurve) -> str:
+    """A curve as CSV text with the header kind,param,bias_sq,variance,risk.
+
+    Every value is written as _fmt writes it: "%.17g" of a Python float is
+    the same string as format(v, ".17g"), inf and nan included.
+    """
+    row = kind.value + ",%.17g,%.17g,%.17g,%.17g"
+    columns = (curve.grid.tolist(), curve.bias_sq.tolist(),
+               curve.variance.tolist(), curve.risk.tolist())
+    return "\n".join([RISK_CSV_HEADER] + [row % r for r in zip(*columns)]) + "\n"
 
 
-def write_risk_csv(path, kind: FlowKind, curve) -> None:
+def write_risk_csv(path, kind: FlowKind, curve: RiskCurve) -> None:
     """Write risk_csv_text(kind, curve) to path."""
     with open(path, "w") as fh:
         fh.write(risk_csv_text(kind, curve))

@@ -21,7 +21,7 @@ from flowrisk.experiments import (
 )
 from flowrisk.linalg import Spectrum, attach_response, design_decompose
 from flowrisk.oracle import compare_closed_form
-from flowrisk.risk import SignalModel, optimal_ridge_bayes_risk
+from flowrisk.risk import SignalModel, optimal_ridge_bayes_risk, risk_curve
 from flowrisk.shrinkage import FlowKind
 from flowrisk.special import bessel_j1, j1_ratio
 
@@ -126,13 +126,11 @@ def test_08_coupling_bounds_per_realization():
             y = x @ rng.standard_normal(p) + rng.standard_normal(n)
             design = attach_response(design_decompose(x), x, y)
             assert design.spectrum.mu > 0
-            for t in t_grid:
-                _, _, r_nest = coupling_gap(design, FlowKind.ACCELERATED_FLOW,
-                                            float(t))
-                _, _, r_hb = coupling_gap(design, FlowKind.HEAVY_BALL_FLOW,
-                                          float(t))
-                worst_nest = max(worst_nest, r_nest)
-                worst_hb = max(worst_hb, r_hb)
+            _, _, r_nest = coupling_gap(design, FlowKind.ACCELERATED_FLOW,
+                                        t_grid)
+            _, _, r_hb = coupling_gap(design, FlowKind.HEAVY_BALL_FLOW, t_grid)
+            worst_nest = max(worst_nest, float(r_nest.max()))
+            worst_hb = max(worst_hb, float(r_hb.max()))
         paper = {name: c.paper_value for name, c in bounds.CHECKS.items()}
         assert worst_nest <= paper["accelerated_param_error"] + 1e-9
         assert worst_hb <= paper["heavy_ball_param_error"] + 1e-9
@@ -154,22 +152,24 @@ def _standard_design_specs():
 
 def test_09_ridge_bayes_domination():
     with criterion("09 optimal ridge dominates every flow", 30.0):
-        from flowrisk.risk import bayes_risk
         t_grid = np.logspace(-2, 3, 400)
         ridge_grid = np.logspace(-6, 3, 400)
         for spec in _standard_design_specs():
             design = build_design(spec)
             prior = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=spec.n)
             floor, _ = optimal_ridge_bayes_risk(design.spectrum, prior)
-            ridge_best = min(bayes_risk(design.spectrum, prior, FlowKind.RIDGE,
-                                        float(g)).risk for g in ridge_grid)
+
+            def best(kind, grid):
+                return float(risk_curve(design.spectrum, prior, kind,
+                                        grid).risk.min())
+
+            ridge_best = best(FlowKind.RIDGE, ridge_grid)
             assert floor <= ridge_best + 1e-10, spec.label
             for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
                          FlowKind.HEAVY_BALL_FLOW):
-                best = min(bayes_risk(design.spectrum, prior, kind,
-                                      float(g)).risk for g in t_grid)
-                assert floor <= best + 1e-10, (spec.label, kind)
-                assert ridge_best <= best + 1e-10, (spec.label, kind)
+                flow_best = best(kind, t_grid)
+                assert floor <= flow_best + 1e-10, (spec.label, kind)
+                assert ridge_best <= flow_best + 1e-10, (spec.label, kind)
 
 
 def test_10_power_law_sweep_qualitative_claims():

@@ -63,6 +63,12 @@ class TestInflationConstants:
                                                  np.array([r.x_star]))[0])
         assert abs(at_star - r.value) <= 1e-10
 
+    def test_truncated_x_grid_is_refused(self):
+        # a grid stopping short of the analytic tail would certify ~1.0
+        for certifier in (gf_inflation_constant, nest_inflation_constant):
+            with pytest.raises(ValueError, match="threshold x = 1e6"):
+                certifier(x_spec=GridSpec(1e-8, 1e-2, 50))
+
     def test_sandwich_refinement_stability(self):
         base = gf_inflation_constant()
         dense = gf_inflation_constant(

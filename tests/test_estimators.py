@@ -140,6 +140,43 @@ class TestCouplingGap:
         with pytest.raises(ValueError):
             coupling_gap(design, FlowKind.GRADIENT_FLOW, 1.0)
 
+    def test_rejects_nonpositive_time_in_a_grid(self, small_instance):
+        design, _, _, _ = small_instance
+        with pytest.raises(ValueError, match="t must be > 0"):
+            coupling_gap(design, FlowKind.HEAVY_BALL_FLOW,
+                         np.array([0.5, 1.0, 0.0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_time_reaches_least_squares(self, small_instance):
+        # lambda = (1/t)^2 underflows to 0: ridge is least squares, and the
+        # flow has reached it
+        design, _, _, _ = small_instance
+        _, norm_sq, ratio = coupling_gap(design, FlowKind.ACCELERATED_FLOW,
+                                         1e200)
+        beta_ls = ridge_estimate(design, 0.0)
+        assert norm_sq == pytest.approx(np.sum(beta_ls ** 2), rel=1e-13)
+        assert ratio <= 1e-20
+
+    @pytest.mark.parametrize("kind", [FlowKind.ACCELERATED_FLOW,
+                                      FlowKind.HEAVY_BALL_FLOW])
+    def test_grid_matches_original_basis_reference(self, kind, small_instance):
+        # reference: both estimators rotated back through V, one t at a time;
+        # the spectral form differs from it only by rounding
+        design, _, _, _ = small_instance
+        t_grid = np.logspace(-2, 3, 40)
+        gap, norm_sq, ratio = coupling_gap(design, kind, t_grid)
+        assert gap.shape == norm_sq.shape == ratio.shape == (40,)
+        for k, t in enumerate(t_grid):
+            beta_ridge = ridge_estimate(design, 1.0 / (t * t))
+            want_norm = float(np.sum(beta_ridge ** 2))
+            want_gap = float(np.sum((flow_estimate(design, kind, t)
+                                     - beta_ridge) ** 2))
+            assert abs(gap[k] - want_gap) <= 1e-13 * want_norm
+            assert norm_sq[k] == pytest.approx(want_norm, rel=1e-13)
+            scalar = coupling_gap(design, kind, float(t))
+            assert all(type(v) is float for v in scalar)
+            assert scalar == (gap[k], norm_sq[k], ratio[k])
+
     def test_per_realization_bounds_small_sample(self):
         rng = np.random.default_rng(77)
         t_grid = np.logspace(-2, 3, 25)

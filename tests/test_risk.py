@@ -9,6 +9,7 @@ from flowrisk.linalg import Spectrum, attach_response, design_decompose
 from flowrisk.risk import (
     _BLOCK_DOUBLES,
     OscillationReport,
+    RiskCurve,
     RiskDecomposition,
     SignalModel,
     bayes_risk,
@@ -16,6 +17,7 @@ from flowrisk.risk import (
     fixed_risk,
     optimal_ridge_bayes_risk,
     oscillation_report,
+    risk_csv_text,
     risk_curve,
 )
 from flowrisk.shrinkage import FlowKind
@@ -132,8 +134,8 @@ class TestOptimalRidge:
         prior = SignalModel.prior(r_sq=0.8, sigma_sq=1.5, n=30)
         opt, lam_star = optimal_ridge_bayes_risk(spec, prior)
         lams = np.logspace(-4, 3, 20000)
-        grid_best = min(bayes_risk(spec, prior, FlowKind.RIDGE, lam).risk
-                        for lam in lams)
+        grid_best = float(risk_curve(spec, prior, FlowKind.RIDGE,
+                                     lams).risk.min())
         assert opt == pytest.approx(grid_best, rel=1e-6)
         assert opt <= grid_best + 1e-12
 
@@ -183,6 +185,96 @@ class TestRiskCurve:
         grid = np.array([0.1, 1.0, 10.0])
         curve = risk_curve(simple_spectrum, signal, FlowKind.RIDGE, grid)
         assert [p for p, _ in curve] == list(grid)
+
+    def test_sequence_protocol(self, simple_spectrum):
+        signal = SignalModel.fixed(np.array([1.0, -0.5, 2.0, 0.25]),
+                                   sigma_sq=1.0, n=10)
+        grid = np.logspace(-2, 2, 7)
+        curve = risk_curve(simple_spectrum, signal, FlowKind.ACCELERATED_FLOW,
+                           grid)
+        assert isinstance(curve, RiskCurve) and len(curve) == 7
+        pairs = list(curve)
+        assert [curve[k] for k in range(7)] == pairs
+        assert [curve[k - 7] for k in range(7)] == pairs
+        assert curve[np.int64(2)] == pairs[2]
+        for k in (7, -8):
+            with pytest.raises(IndexError):
+                curve[k]
+        with pytest.raises(TypeError):
+            curve[2:5]
+        for k, (t, dec) in enumerate(pairs):
+            assert type(t) is float and t == grid[k]
+            assert dec == RiskDecomposition(float(curve.bias_sq[k]),
+                                            float(curve.variance[k]))
+
+    def test_risk_array_is_the_per_point_sum_bit_for_bit(self, simple_spectrum):
+        prior = SignalModel.prior(r_sq=1.3, sigma_sq=0.7, n=9)
+        for kind in FlowKind:
+            curve = risk_curve(simple_spectrum, prior, kind,
+                               np.logspace(-3, 3, 301))
+            per_point = np.array([dec.risk for _, dec in curve])
+            assert np.array_equal(per_point.view(np.uint64),
+                                  curve.risk.view(np.uint64))
+            for k in (0, 150, -1):
+                assert curve[k][1].risk == curve.risk[k]
+
+    def test_nonnegativity_rule_matches_decomposition(self):
+        grid = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            RiskCurve(grid, np.array([1.0, -1e-300]), np.zeros(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            RiskCurve(grid, np.zeros(2), np.array([-1.0, 0.0]))
+        # NaN compares false against 0, as in RiskDecomposition
+        curve = RiskCurve(grid, np.array([np.nan, 1.0]), np.zeros(2))
+        assert np.isnan(curve[0][1].bias_sq)
+        assert np.isnan(RiskDecomposition(np.nan, 0.0).bias_sq)
+
+    def test_arrays_are_read_only_copies(self, simple_spectrum):
+        signal = SignalModel.fixed(np.ones(4), sigma_sq=1.0, n=5)
+        grid = np.array([0.1, 1.0, 10.0])
+        curve = risk_curve(simple_spectrum, signal, FlowKind.GRADIENT_FLOW, grid)
+        grid[0] = 5.0
+        assert curve.grid[0] == 0.1 and grid.flags.writeable
+        with pytest.raises(ValueError):
+            curve.bias_sq[0] = 0.0
+
+
+def test_csv_text_matches_per_value_format():
+    bias = np.array([0.0, 5e-324, 1.2345678901234567e298, 0.1])
+    variance = np.array([0.0, 2.5e-310, 7e297, 0.2])
+    curve = RiskCurve(np.array([0.0, 1e-5, 3.0, 1e300]), bias, variance)
+    want = ["kind,param,bias_sq,variance,risk"]
+    for t, dec in curve:
+        want.append(",".join(["nest"] + [format(v, ".17g") for v in
+                                         (t, dec.bias_sq, dec.variance,
+                                          dec.risk)]))
+    text = risk_csv_text(FlowKind.ACCELERATED_FLOW, curve)
+    assert text == "\n".join(want) + "\n"
+    assert ",4.9406564584124654e-324," in text  # the subnormal round-trips
+
+
+# Extreme but well-posed spectra: t or lambda up to 1e300, an eigenvalue of
+# 1e-300, and the heavy-ball damping level mu repeated (s = mu, b = 0).
+# Underflow to 0 is expected there; overflow, 0/0 and x/0 are not.
+EDGE_SPECTRA = {
+    "huge_param": [0.25, 0.5, 1.0, 2.0],
+    "tiny_eigenvalue": [1e-300, 0.5, 1.0, 2.0],
+    "repeated_mu": [0.3, 0.3, 0.3, 1.0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_SPECTRA))
+@pytest.mark.parametrize("kind", list(FlowKind))
+def test_edge_spectra_stay_finite_and_nonnegative(case, kind):
+    spec = Spectrum(np.array(EDGE_SPECTRA[case]))
+    grid = np.logspace(-2, 300, 61)
+    signals = (SignalModel.fixed(np.array([1.0, -2.0, 0.5, 3.0]), 1.0, 4),
+               SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=4))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for signal in signals:
+            curve = risk_curve(spec, signal, kind, grid)
+            for arr in (curve.bias_sq, curve.variance, curve.risk):
+                assert np.isfinite(arr).all() and (arr >= 0).all()
 
 
 class TestOscillationReport:
