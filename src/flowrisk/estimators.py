@@ -115,8 +115,12 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     g = factor_block(kind, s, times, design.spectrum.mu)
     # g = 1 on null directions in every family, so the flow stays 0 there
     flow = (1.0 - g) * c / np.where(s > 0, s, 1.0)
-    # (1/t)^2 underflows to lambda = 0 for huge t, the intended limit
-    ridge = c / (s + ((1.0 / times) ** 2)[:, None])
+    # (1/t)^2 underflows to lambda = 0 for huge t and overflows to
+    # lambda = inf for tiny t, where ridge is then exactly 0: both are the
+    # intended limits
+    with np.errstate(over="ignore"):
+        lam = (1.0 / times) ** 2
+    ridge = c / (s + lam[:, None])
     diff = flow - ridge
     gap = (diff * diff).sum(axis=1)
     ridge_norm_sq = (ridge * ridge).sum(axis=1)

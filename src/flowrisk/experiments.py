@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import GridSpec
-from .linalg import SpectralDesign, Spectrum, design_decompose
+from .linalg import MAX_DOUBLES, SpectralDesign, Spectrum, design_decompose
 from .risk import SignalModel, risk_curve, write_risk_csv
 from .rng import SeededStream, derive_seed
 from .shrinkage import FlowKind
@@ -92,6 +92,19 @@ class DesignSpec:
                 raise ConfigError("design.s must be > 0 for Orthogonal")
             if self.n < self.p:
                 raise ConfigError("design.n must be >= design.p for Orthogonal")
+        # what the generator materializes: the p x p eigenbasis every design
+        # carries, the n x p sampled entries, and for IidStudentT the
+        # n x p x df normals of its chi-square block
+        doubles = self.p * self.p
+        if self.family != "PowerLaw":
+            doubles += self.n * self.p
+        if self.family == "IidStudentT":
+            doubles += self.n * self.p * int(self.df)
+        if doubles > MAX_DOUBLES:
+            raise ConfigError(
+                f"design.n = {self.n}, design.p = {self.p}: the {self.family} "
+                f"design would hold {doubles:.3g} doubles, above the cap of "
+                f"{MAX_DOUBLES}")
 
     @property
     def label(self) -> str:

@@ -14,6 +14,7 @@ header.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,10 @@ ORTHOGONALITY_TOL = 1e-10
 # Roundoff negatives this far (relative to ||A||_F) below zero are clamped
 # to exactly 0 so null directions are detected exactly.
 _NEG_CLAMP_REL = 1e-12
+# Most doubles (512 MiB) that one requested array, or the arrays of one
+# generated design, may hold; oracle trajectories and experiment designs
+# above it are refused before anything is allocated.
+MAX_DOUBLES = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +144,9 @@ def sym_eig(a):
 
     Returns (w, q) with w ascending and q orthogonal.  Input asymmetry
     beyond 1e-10 entrywise is a contract error; within tolerance the matrix
-    is symmetrized before factorization.  Deterministic for fixed input.
+    is symmetrized before factorization.  An exactly symmetric matrix, such
+    as numpy's X'X, is factored as is: symmetrizing it would reproduce it
+    bit for bit.  Deterministic for fixed input.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -149,8 +156,9 @@ def sym_eig(a):
     asym = np.abs(a - a.T).max() if a.size else 0.0
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3g})")
-    w, q = np.linalg.eigh(0.5 * (a + a.T))
-    return w, q
+    if asym > 0.0:
+        a = 0.5 * (a + a.T)
+    return np.linalg.eigh(a)
 
 
 def design_decompose(x) -> SpectralDesign:
@@ -190,16 +198,27 @@ def attach_response(design: SpectralDesign, x, y) -> SpectralDesign:
     return replace(design, rotated_channel=channel)
 
 
+def _load_csv(path, ndmin: int) -> np.ndarray:
+    """np.loadtxt of headerless CSV; input with no data is a ValueError."""
+    with warnings.catch_warnings():
+        # numpy warns before returning an empty array; the refusal below
+        # says the same as an error instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        a = np.loadtxt(path, delimiter=",", ndmin=ndmin, dtype=float)
+    if a.size == 0:
+        raise ValueError(f"{path} contains no data")
+    return a
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a matrix from headerless comma-separated text, one row per line."""
-    a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    return a
+    return _load_csv(path, ndmin=2)
 
 
 def read_vector_csv(path) -> np.ndarray:
     """Read a vector (one value per line, or a single CSV row)."""
-    a = np.loadtxt(path, delimiter=",", dtype=float)
-    return np.atleast_1d(a).reshape(-1)
+    return _load_csv(path, ndmin=1).reshape(-1)
 
 
 def write_matrix_csv(path, a) -> None:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, design_decompose
+from .linalg import MAX_DOUBLES, Spectrum, design_decompose
 from .risk import bias_variance, bias_variance_curve
 from .shrinkage import FlowKind, factor_block
 
@@ -60,9 +60,6 @@ _ACCEL_T0 = 1e-6
 # _SCAN_DOUBLES // p steps, so the scan's temporaries stay at a few megabytes
 # whatever the horizon and p.
 _SCAN_DOUBLES = 1 << 12
-# Most doubles in one (steps x coordinates) array of a Trajectory (512 MiB);
-# integrate_flow refuses longer records before allocating anything.
-_MAX_TRAJECTORY_DOUBLES = 1 << 26
 _FLOWS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
           FlowKind.HEAVY_BALL_FLOW)
 
@@ -114,9 +111,10 @@ def _validate_flow_inputs(kind, spectrum, forcing, t_end, step):
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     steps = np.ceil(t_end / step)
-    if (steps + 1) * spectrum.p > _MAX_TRAJECTORY_DOUBLES:
+    # one (steps x coordinates) array of the Trajectory
+    if (steps + 1) * spectrum.p > MAX_DOUBLES:
         raise ValueError(f"t_end / step = {steps:.3g} steps x {spectrum.p} "
-                         f"coordinates exceeds {_MAX_TRAJECTORY_DOUBLES} doubles")
+                         f"coordinates exceeds {MAX_DOUBLES} doubles")
     if kind is FlowKind.HEAVY_BALL_FLOW and spectrum.mu <= 0:
         raise ValueError("heavy-ball flow requires mu > 0")
     return c

@@ -184,9 +184,13 @@ def bias_variance(factors, s: np.ndarray, weights: np.ndarray,
     overflowing to an infinite weight.
     """
     live = s > 0
-    bias = (factors * factors) @ weights
-    resid_sq = (1.0 - factors) ** 2 / np.where(live, s, 1.0)
-    return bias, noise_scale * (resid_sq @ live.astype(float))
+    sq = factors * factors
+    bias = sq @ weights
+    # (1 - G)^2 / s in the same buffer
+    np.subtract(1.0, factors, out=sq)
+    np.square(sq, out=sq)
+    sq /= np.where(live, s, 1.0)
+    return bias, noise_scale * (sq @ live.astype(float))
 
 
 def bias_variance_curve(spectrum: Spectrum, weights: np.ndarray,

@@ -20,6 +20,13 @@ normals is drawn first and the chi-square block second.
 Any implementation of this recipe, in any language, reproduces the streams
 bit for bit, which is the point: simulation outputs are keyed to the seed
 alone, not to a library version.
+
+The implementation streams the recipe rather than materializing it: the
+mixing runs in place over one value buffer and one shift buffer, and
+normals draws its uniforms one chunk of at most _CHUNK_PAIRS pairs at a
+time, so a request for millions of deviates keeps its temporaries at a
+few hundred kilobytes.  The chunking is invisible in the output: every
+stream, and the counter after every call, is the pair-at-a-time recipe's.
 """
 
 from __future__ import annotations
@@ -32,14 +39,23 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = float(2.0 ** -53)
+# Uniform pairs per normals chunk: 32768 pairs are 512 KiB of uniforms, small
+# enough to stay in cache, large enough to amortize the per-chunk overhead.
+_CHUNK_PAIRS = 1 << 15
+# Expected pairs drawn per accepted pair: the acceptance rate is pi/4.
+_PAIRS_PER_ACCEPT = 4.0 / np.pi
 
 
 def _mix(v: np.ndarray) -> np.ndarray:
-    v = v ^ (v >> np.uint64(30))
-    v = v * _MIX1
-    v = v ^ (v >> np.uint64(27))
-    v = v * _MIX2
-    return v ^ (v >> np.uint64(31))
+    """SplitMix64's output mix, applied to v in place; returns v."""
+    shifted = np.empty_like(v)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(v, np.uint64(shift), out=shifted)
+        v ^= shifted
+        v *= mult
+    np.right_shift(v, np.uint64(31), out=shifted)
+    v ^= shifted
+    return v
 
 
 def derive_seed(seed: int, stream_index: int) -> int:
@@ -56,50 +72,61 @@ class SeededStream:
         self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
-    def _raw(self, count: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + count + 1,
-                        dtype=np.uint64)
-        self._counter += count
-        with np.errstate(over="ignore"):  # modular wrap is the algorithm
-            return _mix(self._seed + idx * _GAMMA)
-
     def uniforms(self, count: int) -> np.ndarray:
         """count doubles uniform on [0, 1)."""
-        return (self._raw(count) >> np.uint64(11)).astype(np.float64) * _U53
+        v = np.arange(self._counter + 1, self._counter + count + 1,
+                      dtype=np.uint64)
+        self._counter += count
+        with np.errstate(over="ignore"):  # modular wrap is the algorithm
+            v *= _GAMMA
+            v += self._seed
+            _mix(v)
+        v >>= np.uint64(11)
+        out = v.astype(np.float64)
+        out *= _U53
+        return out
 
     def normals(self, count: int) -> np.ndarray:
         """count standard normal deviates via the polar method.
 
         The stream consumes uniform pairs one at a time and stops at the
         first pair that completes the request; an odd count discards the
-        trailing deviate of that final pair.  The batched implementation
-        below rewinds the counter to exactly that point, so it is
-        indistinguishable from the scalar pair-at-a-time recipe.
+        trailing deviate of that final pair.  The pairs are drawn a chunk
+        at a time, each chunk sized to what the rest of the request needs,
+        and the counter is rewound to the end of the completing pair, so
+        the result is indistinguishable from the scalar pair-at-a-time
+        recipe.
         """
         out = np.empty(count)
         filled = 0
         while filled < count:
+            wanted = (count - filled + 1) // 2
+            # the expected draws for the pairs still wanted, plus three
+            # standard deviations and some slack; a shortfall costs one
+            # more, smaller chunk
+            chunk = min(_CHUNK_PAIRS, int(_PAIRS_PER_ACCEPT * wanted
+                                          + 3.0 * np.sqrt(wanted)) + 16)
             start = self._counter
-            batch_pairs = max((count - filled + 1) // 2 + 8, 16)
-            u = self.uniforms(2 * batch_pairs)
-            w1 = 2.0 * u[0::2] - 1.0
-            w2 = 2.0 * u[1::2] - 1.0
-            q = w1 * w1 + w2 * w2
-            keep = (q > 0.0) & (q < 1.0)
-            produced = 2 * np.cumsum(keep)
-            reached = np.flatnonzero(produced >= count - filled)
-            pairs_used = int(reached[0]) + 1 if reached.size else batch_pairs
-            self._counter = start + 2 * pairs_used
-            sel = keep[:pairs_used]
-            if not sel.any():
+            w = self.uniforms(2 * chunk)
+            w *= 2.0
+            w -= 1.0
+            w = w.reshape(chunk, 2)
+            q = w[:, 0] * w[:, 0]
+            q += w[:, 1] * w[:, 1]
+            accepted = np.flatnonzero((q > 0.0) & (q < 1.0))[:wanted]
+            if accepted.size == wanted:
+                self._counter = start + 2 * (int(accepted[-1]) + 1)
+            if not accepted.size:
                 continue
-            qs = q[:pairs_used][sel]
-            factor = np.sqrt(-2.0 * np.log(qs) / qs)
-            pairs = np.empty(2 * int(sel.sum()))
-            pairs[0::2] = w1[:pairs_used][sel] * factor
-            pairs[1::2] = w2[:pairs_used][sel] * factor
+            qs = q[accepted]
+            factor = np.log(qs)
+            factor *= -2.0
+            factor /= qs
+            np.sqrt(factor, out=factor)
+            pairs = w[accepted]
+            pairs *= factor[:, None]
             take = min(pairs.size, count - filled)
-            out[filled:filled + take] = pairs[:take]
+            out[filled:filled + take] = pairs.reshape(-1)[:take]
             filled += take
         return out
 

@@ -95,12 +95,13 @@ def _sinc(u):
     """sin(u)/u with the series 1 - u^2/6 + u^4/120 below the cutoff."""
     u = np.asarray(u, dtype=float)
     vec = np.atleast_1d(u)
-    out = np.empty_like(vec)
+    out = np.sin(vec)
+    with np.errstate(invalid="ignore"):  # 0/0 at u = 0, overwritten below
+        out /= vec
     small = np.abs(vec) < _SINC_CUTOFF
-    us = vec[small]
-    out[small] = 1.0 - us * us / 6.0 + us ** 4 / 120.0
-    ub = vec[~small]
-    out[~small] = np.sin(ub) / ub
+    if small.any():
+        us = vec[small]
+        out[small] = 1.0 - us * us / 6.0 + us ** 4 / 120.0
     return out.reshape(u.shape)
 
 
@@ -112,7 +113,9 @@ def hb_kernel(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.exp(-a) * (np.cos(b) + a * _sinc(b))
+    out = a * _sinc(b)  # already the broadcast shape; the rest is in place
+    out += np.cos(b)
+    out *= np.exp(-a)
     return _scalar_or_array(out, a, b)
 
 
@@ -127,7 +130,11 @@ def hb_kernel_complement(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = -np.expm1(-a) + np.exp(-a) * (2.0 * np.sin(b / 2.0) ** 2 - a * _sinc(b))
+    # the broadcast shape already; asarray keeps two 0-d inputs an array
+    out = np.asarray(a * _sinc(b))
+    np.subtract(2.0 * np.sin(b / 2.0) ** 2, out, out=out)
+    out *= np.exp(-a)
+    out -= np.expm1(-a)
     return _scalar_or_array(out, a, b)
 
 

@@ -33,6 +33,19 @@ def _as_array(x, name):
     return arr
 
 
+def _two_j1_over_x(vec):
+    """2*J1(x)/x over a whole array, computed in place in one buffer.
+
+    The 0/0 at x = 0 gives NaN without a warning; callers overwrite it
+    (and every other entry below their cutoff) with their series.
+    """
+    out = _cephes_j1(vec)
+    out *= 2.0
+    with np.errstate(invalid="ignore"):
+        out /= vec
+    return out
+
+
 def bessel_j1(x):
     """Bessel function of the first kind of order one.
 
@@ -55,12 +68,11 @@ def j1_ratio(x):
     if (arr < 0).any():
         raise ValueError("j1_ratio is defined for x >= 0")
     vec = np.atleast_1d(arr)
-    out = np.empty_like(vec)
+    out = _two_j1_over_x(vec)
     small = vec < _RATIO_CUTOFF
-    x2 = vec[small] ** 2
-    out[small] = 1.0 - x2 / 8.0 + x2 * x2 / 192.0 - x2 * x2 * x2 / 9216.0
-    big = vec[~small]
-    out[~small] = 2.0 * _cephes_j1(big) / big
+    if small.any():
+        x2 = vec[small] ** 2
+        out[small] = 1.0 - x2 / 8.0 + x2 * x2 / 192.0 - x2 * x2 * x2 / 9216.0
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -77,10 +89,10 @@ def j1_ratio_complement(x):
     if (arr < 0).any():
         raise ValueError("j1_ratio_complement is defined for x >= 0")
     vec = np.atleast_1d(arr)
-    out = np.empty_like(vec)
+    out = _two_j1_over_x(vec)
+    np.subtract(1.0, out, out=out)
     small = vec < _COMPLEMENT_CUTOFF
-    x2 = vec[small] ** 2
-    out[small] = x2 / 8.0 - x2 * x2 / 192.0 + x2 * x2 * x2 / 9216.0
-    big = vec[~small]
-    out[~small] = 1.0 - 2.0 * _cephes_j1(big) / big
+    if small.any():
+        x2 = vec[small] ** 2
+        out[small] = x2 / 8.0 - x2 * x2 / 192.0 + x2 * x2 * x2 / 9216.0
     return float(out[0]) if arr.ndim == 0 else out

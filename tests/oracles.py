@@ -4,6 +4,11 @@ Everything here deliberately avoids the code paths under test: the Bessel
 series uses explicit factorial terms, the eigenvalue oracle is power
 iteration with deflation, and the linear solver is textbook Gaussian
 elimination.  Slow is fine; independent is the point.
+
+The RK4 step loops, the whole-request batched polar normals and the masked
+kernel formulas are the library's earlier implementations, kept as
+references for the faster forms that replaced them: the RK4 scan agrees
+with its loop to rounding, and the rest agree bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.special
 
 
 def j1_series(x: float, terms: int = 30) -> float:
@@ -143,3 +149,108 @@ def rk4_second_order(s, c, damping, times, u0, v0):
         v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         pos[k + 1], vel[k + 1] = u, v
     return pos, vel
+
+
+def recipe_uniforms(seed: int, first: int, count: int) -> np.ndarray:
+    """Draws first+1 .. first+count of the documented SplitMix64 recipe,
+    one Python integer at a time."""
+    mask = (1 << 64) - 1
+    out = []
+    for k in range(first + 1, first + count + 1):
+        v = (seed + k * 0x9E3779B97F4A7C15) & mask
+        v ^= v >> 30
+        v = (v * 0xBF58476D1CE4E5B9) & mask
+        v ^= v >> 27
+        v = (v * 0x94D049BB133111EB) & mask
+        v ^= v >> 31
+        out.append((v >> 11) * 2.0 ** -53)
+    return np.array(out, dtype=float)
+
+
+def batched_normals(stream, count: int) -> np.ndarray:
+    """Polar normals drawn from stream in whole-request batches.
+
+    The batch covers the rest of the request plus a little slack, and the
+    counter is rewound to the end of the pair that completes the request;
+    every full-size temporary is materialized at once.
+    """
+    out = np.empty(count)
+    filled = 0
+    while filled < count:
+        start = stream._counter
+        batch_pairs = max((count - filled + 1) // 2 + 8, 16)
+        u = stream.uniforms(2 * batch_pairs)
+        w1 = 2.0 * u[0::2] - 1.0
+        w2 = 2.0 * u[1::2] - 1.0
+        q = w1 * w1 + w2 * w2
+        keep = (q > 0.0) & (q < 1.0)
+        produced = 2 * np.cumsum(keep)
+        reached = np.flatnonzero(produced >= count - filled)
+        pairs_used = int(reached[0]) + 1 if reached.size else batch_pairs
+        stream._counter = start + 2 * pairs_used
+        sel = keep[:pairs_used]
+        if not sel.any():
+            continue
+        qs = q[:pairs_used][sel]
+        factor = np.sqrt(-2.0 * np.log(qs) / qs)
+        pairs = np.empty(2 * int(sel.sum()))
+        pairs[0::2] = w1[:pairs_used][sel] * factor
+        pairs[1::2] = w2[:pairs_used][sel] * factor
+        take = min(pairs.size, count - filled)
+        out[filled:filled + take] = pairs[:take]
+        filled += take
+    return out
+
+
+def masked_j1_ratio(x):
+    """2 J1(x)/x, each side of the 1e-4 cutoff gathered by a boolean mask."""
+    arr = np.asarray(x, dtype=float)
+    vec = np.atleast_1d(arr)
+    out = np.empty_like(vec)
+    small = vec < 1e-4
+    x2 = vec[small] ** 2
+    out[small] = 1.0 - x2 / 8.0 + x2 * x2 / 192.0 - x2 * x2 * x2 / 9216.0
+    big = vec[~small]
+    out[~small] = 2.0 * scipy.special.j1(big) / big
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def masked_j1_ratio_complement(x):
+    """1 - 2 J1(x)/x, each side of the 1e-2 cutoff gathered by a mask."""
+    arr = np.asarray(x, dtype=float)
+    vec = np.atleast_1d(arr)
+    out = np.empty_like(vec)
+    small = vec < 1e-2
+    x2 = vec[small] ** 2
+    out[small] = x2 / 8.0 - x2 * x2 / 192.0 + x2 * x2 * x2 / 9216.0
+    big = vec[~small]
+    out[~small] = 1.0 - 2.0 * scipy.special.j1(big) / big
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def masked_sinc(u):
+    """sin(u)/u, each side of the 1e-6 cutoff gathered by a boolean mask."""
+    u = np.asarray(u, dtype=float)
+    vec = np.atleast_1d(u)
+    out = np.empty_like(vec)
+    small = np.abs(vec) < 1e-6
+    us = vec[small]
+    out[small] = 1.0 - us * us / 6.0 + us ** 4 / 120.0
+    ub = vec[~small]
+    out[~small] = np.sin(ub) / ub
+    return out.reshape(u.shape)
+
+
+def masked_hb_kernel(a, b):
+    """exp(-a) (cos b + a sin(b)/b) as one expression over masked_sinc."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.exp(-a) * (np.cos(b) + a * masked_sinc(b))
+
+
+def masked_hb_kernel_complement(a, b):
+    """-expm1(-a) + exp(-a) (2 sin^2(b/2) - a sin(b)/b) as one expression."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return -np.expm1(-a) + np.exp(-a) * (2.0 * np.sin(b / 2.0) ** 2
+                                         - a * masked_sinc(b))

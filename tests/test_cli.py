@@ -89,6 +89,51 @@ def test_risk_curve_bayes_requires_r2(instance_files, capsys):
     assert "r2" in capsys.readouterr().err
 
 
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("empty", ["design", "beta0", "response"])
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_empty_csv_input_exits_2_without_warning(tmp_path, instance_files,
+                                                 capsys, empty, text):
+    xp, yp, bp = instance_files
+    blank = tmp_path / "blank.csv"
+    blank.write_text(text)
+    files = {"design": xp, "beta0": bp, "response": yp}
+    files[empty] = blank
+    if empty == "response":
+        argv = ["estimate", "--design", str(files["design"]), "--response",
+                str(files["response"]), "--kind", "ridge", "--t", "0.5"]
+    else:
+        argv = ["risk-curve", "--design", str(files["design"]), "--kind", "gf",
+                "--grid", "0.1,1,3", "--beta0", str(files["beta0"])]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "contains no data" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_refuses_an_oversized_design_before_allocating(tmp_path, capsys):
+    config = {
+        "design": [{"family": "IidGaussian", "n": 10 ** 6, "p": 10 ** 6,
+                    "seed": 0}],
+        "snr": 1.0,
+        "flows": ["gf"],
+        "t_grid": {"lo": 0.01, "hi": 100.0, "count": 20, "log": True},
+        "ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 20, "log": True},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "design.n" in err and "design.p" in err
+    assert not out.exists()
+
+
 def test_oracle_check_passes_tolerance(capsys):
     code = run(["oracle-check", "--kind", "nest", "--p", "4", "--seed", "3",
                 "--step", "0.005", "--t-end", "10", "--tol", "1e-6"])

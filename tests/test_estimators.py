@@ -157,6 +157,17 @@ class TestCouplingGap:
         assert norm_sq == pytest.approx(np.sum(beta_ls ** 2), rel=1e-13)
         assert ratio <= 1e-20
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [FlowKind.ACCELERATED_FLOW,
+                                      FlowKind.HEAVY_BALL_FLOW])
+    def test_tiny_time_reaches_the_start_silently(self, kind, small_instance):
+        # lambda = (1/t)^2 overflows to inf: ridge is exactly 0, and the
+        # flow has not left its rest start
+        design, _, _, _ = small_instance
+        assert coupling_gap(design, kind, 1e-200) == (0.0, 0.0, 0.0)
+        for out in coupling_gap(design, kind, np.array([5e-324, 1e-200])):
+            assert np.array_equal(out, [0.0, 0.0])
+
     @pytest.mark.parametrize("kind", [FlowKind.ACCELERATED_FLOW,
                                       FlowKind.HEAVY_BALL_FLOW])
     def test_grid_matches_original_basis_reference(self, kind, small_instance):

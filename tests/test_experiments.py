@@ -84,6 +84,24 @@ class TestOrthogonal:
             DesignSpec(family="Orthogonal", n=5, p=10, seed=0, s=1.0)
 
 
+class TestDesignSize:
+    # the largest n at each p whose design holds exactly 2^26 doubles:
+    # p^2 for the basis, plus n p for sampled entries, plus n p df for the
+    # chi-square block of IidStudentT
+    @pytest.mark.parametrize("family, extra, p, n_max", [
+        ("IidGaussian", {}, 1024, 64512),
+        ("Orthogonal", {"s": 1.0}, 1024, 64512),
+        ("IidStudentT", {"df": 5.0}, 1024, 10752),
+        ("PowerLaw", {"nu": 1.0}, 8192, 10 ** 12),
+    ])
+    def test_cap_counts_every_materialized_double(self, family, extra, p, n_max):
+        DesignSpec(family=family, n=n_max, p=p, seed=0, **extra)
+        bigger = {"n": n_max + 1, "p": p} if family != "PowerLaw" else \
+            {"n": n_max, "p": p + 1}
+        with pytest.raises(ConfigError, match="design.n = .*design.p = .*cap"):
+            DesignSpec(family=family, seed=0, **bigger, **extra)
+
+
 class TestSignal:
     def test_exact_snr(self):
         beta, sigma_sq = gen_signal(p=50, snr=1.0, sigma_sq=1.0, seed=7)

@@ -53,6 +53,25 @@ class TestSymEig:
         w2, q2 = sym_eig(a)
         assert np.array_equal(w1, w2) and np.array_equal(q1, q2)
 
+    def test_symmetric_input_factored_as_is(self):
+        # an exactly symmetric matrix such as X'X gives the eigenpairs of
+        # its symmetrized copy bit for bit
+        x = np.random.default_rng(8).standard_normal((60, 30))
+        a = x.T @ x / 60
+        assert np.array_equal(a, a.T)
+        w, q = sym_eig(a)
+        w_ref, q_ref = np.linalg.eigh(0.5 * (a + a.T))
+        assert np.array_equal(w, w_ref) and np.array_equal(q, q_ref)
+
+    def test_asymmetry_within_tolerance_is_symmetrized(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((12, 12))
+        a = a + a.T
+        a[0, 5] += 4e-11
+        w, q = sym_eig(a)
+        w_ref, q_ref = np.linalg.eigh(0.5 * (a + a.T))
+        assert np.array_equal(w, w_ref) and np.array_equal(q, q_ref)
+
 
 class TestSpectrum:
     def test_properties(self, simple_spectrum):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from flowrisk.rng import _CHUNK_PAIRS as _CHUNK
 from flowrisk.rng import SeededStream, derive_seed
+
+from oracles import batched_normals, recipe_uniforms
 
 
 def test_replay_is_identical():
@@ -116,3 +119,40 @@ def test_polar_method_scalar_reference():
             out.extend([w1 * f, w2 * f])
     assert np.array_equal(SeededStream(seed).normals(wanted),
                           np.array(out[:wanted]))
+
+
+# The chunked normals against the whole-request batched implementation they
+# replaced: equal streams and equal counters after every call.
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   2 * _CHUNK + 1])
+def test_normals_match_batched_reference(seed, count):
+    stream, ref = SeededStream(seed), SeededStream(seed)
+    for n in (count, 3, count):
+        assert np.array_equal(stream.normals(n), batched_normals(ref, n))
+        assert stream._counter == ref._counter
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_interleaved_uniforms_and_normals_match_reference(seed):
+    stream, ref = SeededStream(seed), SeededStream(seed)
+    for n in (1, 7, _CHUNK + 1, 0, 5):
+        expected = recipe_uniforms(seed, ref._counter, n)
+        ref._counter += n
+        assert np.array_equal(stream.uniforms(n), expected)
+        assert np.array_equal(stream.normals(n), batched_normals(ref, n))
+        assert stream._counter == ref._counter
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_chi_square_and_student_t_match_reference(seed):
+    count, df = 1001, 5
+    stream, ref = SeededStream(seed), SeededStream(seed)
+    z = batched_normals(ref, count * df).reshape(count, df)
+    assert np.array_equal(stream.chi_square(count, df), (z * z).sum(axis=1))
+    assert stream._counter == ref._counter
+    z = batched_normals(ref, count)
+    w = batched_normals(ref, count * df).reshape(count, df)
+    expected = z / np.sqrt((w * w).sum(axis=1) / df)
+    assert np.array_equal(stream.student_t(count, df), expected)
+    assert stream._counter == ref._counter

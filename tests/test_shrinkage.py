@@ -7,6 +7,7 @@ import pytest
 from flowrisk.linalg import Spectrum
 from flowrisk.shrinkage import (
     FlowKind,
+    _sinc,
     gf_shrink,
     hb_kernel,
     hb_kernel_complement,
@@ -16,7 +17,12 @@ from flowrisk.shrinkage import (
     ridge_shrink,
 )
 
-from oracles import j1_series
+from oracles import (
+    j1_series,
+    masked_hb_kernel,
+    masked_hb_kernel_complement,
+    masked_sinc,
+)
 
 mpmath.mp.dps = 40
 
@@ -137,6 +143,45 @@ class TestHbKernelComplement:
                            + (mpmath.mpf(a) * mpmath.sinc(mpmath.mpf(b)))))
             got = hb_kernel_complement(a, b)
             assert abs(got - ref) <= 1e-15 * (a + b * b) + 1e-300
+
+
+class TestInPlaceKernels:
+    """The in-place kernels against the masked formulas they replaced."""
+
+    @staticmethod
+    def _args():
+        near = [0.0, 5e-324]
+        for c in (1e-6, 1e-4, 1e-2):
+            near += [np.nextafter(c, 0.0), c, np.nextafter(c, np.inf)]
+        return np.concatenate([near, np.linspace(0.0, 40.0, 801)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_sinc_bit_for_bit(self):
+        u = self._args()
+        for arg in (u, -u, u.reshape(-1, 4)):
+            assert np.array_equal(_sinc(arg), masked_sinc(arg))
+        for x in u[:11]:
+            got = _sinc(x)
+            assert got.shape == () and got == masked_sinc(x)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn, ref", [
+        (hb_kernel, masked_hb_kernel),
+        (hb_kernel_complement, masked_hb_kernel_complement)])
+    def test_hb_kernels_bit_for_bit(self, fn, ref):
+        v = self._args()
+        grids = [(v[:, None], v[None, ::7]), (v[None, ::7], v[:, None])]
+        for scalar in (0.0, 1e-6, 0.3, 7.0):
+            grids += [(scalar, v), (v, scalar), (np.array(scalar), v),
+                      (v, np.array(scalar))]
+        for a, b in grids:
+            got = fn(a, b)
+            assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+            assert np.array_equal(got, ref(a, b))
+        for a, b in [(0.0, 0.0), (1e-6, 1e-6), (0.3, 2.0)]:
+            for args in ((a, b), (np.array(a), np.array(b))):
+                got = fn(*args)
+                assert isinstance(got, float) and got == ref(*args)
 
 
 class TestProfile:

@@ -4,7 +4,13 @@ import pytest
 
 from flowrisk.special import bessel_j1, j1_ratio, j1_ratio_complement
 
-from oracles import J1_ROOTS_BELOW_8, bisect_root, j1_series
+from oracles import (
+    J1_ROOTS_BELOW_8,
+    bisect_root,
+    j1_series,
+    masked_j1_ratio,
+    masked_j1_ratio_complement,
+)
 
 mpmath.mp.dps = 40
 
@@ -134,3 +140,27 @@ def test_scalar_and_array_shapes():
     assert bessel_j1(np.ones(3)).shape == (3,)
     assert isinstance(j1_ratio(1.0), float)
     assert j1_ratio(np.ones((2, 2))).shape == (2, 2)
+
+
+def _around(*cutoffs):
+    """0, each cutoff and its neighbours one ulp away, and a spread grid."""
+    near = [0.0, 5e-324]
+    for c in cutoffs:
+        near += [np.nextafter(c, 0.0), c, np.nextafter(c, np.inf)]
+    return np.concatenate([near, np.logspace(-9, 4, 2001)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, ref", [(j1_ratio, masked_j1_ratio),
+                                     (j1_ratio_complement,
+                                      masked_j1_ratio_complement)])
+def test_ratios_equal_the_masked_formulas_bit_for_bit(fn, ref):
+    # the whole-array formula, with the series written over the entries
+    # below the cutoff, is the two masked branches exactly
+    xs = _around(1e-4, 1e-2)
+    assert np.array_equal(fn(xs), ref(xs))
+    assert np.array_equal(fn(xs.reshape(-1, 1)), ref(xs.reshape(-1, 1)))
+    for x in xs[:8]:
+        for arg in (float(x), np.array(x)):
+            got = fn(arg)
+            assert isinstance(got, float) and got == ref(arg)
