@@ -14,7 +14,6 @@ from flowrisk import (
     DesignSpec,
     FlowKind,
     SignalModel,
-    bayes_risk,
     gen_power_law_design,
     optimal_ridge_bayes_risk,
     oscillation_report,
@@ -33,12 +32,14 @@ ridge_grid = np.logspace(-6, 3, 400)
 
 print("\nBayes risk along the path (prior signal energy r^2 = 1):")
 print(f"{'':>10} {'gf':>10} {'nest':>10} {'hb':>10} {'ridge':>10}")
-for t in (0.1, 1.0, 10.0, 100.0, 1000.0):
-    row = []
-    for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
-                 FlowKind.HEAVY_BALL_FLOW):
-        row.append(bayes_risk(spectrum, prior, kind, t).risk)
-    row.append(bayes_risk(spectrum, prior, FlowKind.RIDGE, 1.0 / t ** 2).risk)
+times = np.array([0.1, 1.0, 10.0, 100.0, 1000.0])
+columns = [risk_curve(spectrum, prior, kind, times).risk
+           for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
+                        FlowKind.HEAVY_BALL_FLOW)]
+# ridge at lambda = 1/t^2, on its ascending penalty grid
+columns.append(risk_curve(spectrum, prior, FlowKind.RIDGE,
+                          1.0 / times[::-1] ** 2).risk[::-1])
+for t, row in zip(times, np.column_stack(columns)):
     print(f"t={t:>8g} " + " ".join(f"{r:10.4f}" for r in row))
 
 floor, lam_star = optimal_ridge_bayes_risk(spectrum, prior)

@@ -19,13 +19,7 @@ from .bounds import (
     tilde_h_crossover,
     tilde_h_maximizer,
 )
-from .estimators import (
-    CoefficientPathPoint,
-    coefficient_path,
-    coupling_gap,
-    flow_estimate,
-    ridge_estimate,
-)
+from .estimators import coupling_gap, estimate
 from .experiments import (
     ConfigError,
     DesignSpec,
@@ -54,22 +48,12 @@ from .risk import (
     RiskCurve,
     RiskDecomposition,
     SignalModel,
-    bayes_risk,
-    fixed_risk,
     optimal_ridge_bayes_risk,
     oscillation_report,
     risk_curve,
 )
 from .rng import SeededStream, derive_seed
-from .shrinkage import (
-    FlowKind,
-    ShrinkageProfile,
-    gf_shrink,
-    hb_shrink,
-    nest_shrink,
-    profile,
-    ridge_shrink,
-)
+from .shrinkage import FlowKind
 from .special import bessel_j1, j1_ratio, j1_ratio_complement
 
 __version__ = "0.1.0"

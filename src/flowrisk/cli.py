@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bounds
-from .estimators import flow_estimate, ridge_estimate
+from .estimators import estimate
 from .experiments import ConfigError, ExperimentConfig, figure_sweep
 from .linalg import (Spectrum, attach_response, design_decompose,
                      read_matrix_csv, read_vector_csv)
@@ -106,12 +106,7 @@ def _cmd_estimate(args) -> int:
     x = read_matrix_csv(args.design)
     y = read_vector_csv(args.response)
     design = attach_response(design_decompose(x), x, y)
-    kind = FlowKind.parse(args.kind)
-    if kind is FlowKind.RIDGE:
-        beta = ridge_estimate(design, args.t)
-    else:
-        beta = flow_estimate(design, kind, args.t)
-    for v in beta:
+    for v in estimate(design, FlowKind.parse(args.kind), args.t)[0]:
         print(_fmt(v))
     return 0
 

@@ -8,7 +8,10 @@ In spectral coordinates the path of every family is
 with c_i = v_i' X' y / n the rotated response channel, mapped back through
 V.  The zero on null directions is the pseudo-inverse convention: those
 coordinates start at zero and the dynamics never move them.  Ridge replaces
-(1 - g_i)/s_i by 1/(s_i + lambda), which agrees with its shrinkage factor.
+(1 - g_i)/s_i by 1/(s_i + lambda), which agrees with its shrinkage factor,
+and keeps the same zero: on a null direction c_i is only rounding noise,
+which c_i / lambda would blow up for small lambda.  estimate evaluates a
+whole parameter grid at once and rotates back with one matmul by V.
 
 The coupling gap compares a flow at time t with ridge at lambda = 1/t^2 on
 the same realized data.  Per coordinate the discrepancy is a bounded
@@ -20,30 +23,12 @@ just in expectation, and the bounds module certifies the two constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import SpectralDesign
-from .shrinkage import FlowKind, factor_block, profile
+from .shrinkage import FlowKind, _path_params, factor_block
 
-__all__ = ["CoefficientPathPoint", "flow_estimate", "ridge_estimate",
-           "coefficient_path", "coupling_gap"]
-
-_FLOW_KINDS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
-               FlowKind.HEAVY_BALL_FLOW)
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientPathPoint:
-    """One sampled point of a coefficient path.
-
-    Every flow starts from rest, so beta_hat is exactly the zero vector at
-    param = 0.
-    """
-
-    param: float
-    beta_hat: np.ndarray
+__all__ = ["estimate", "coupling_gap"]
 
 
 def _require_response(design: SpectralDesign) -> np.ndarray:
@@ -52,46 +37,39 @@ def _require_response(design: SpectralDesign) -> np.ndarray:
     return design.rotated_channel
 
 
-def flow_estimate(design: SpectralDesign, kind: FlowKind, t: float) -> np.ndarray:
-    """Coefficient vector of a flow at time t, in the original basis."""
-    if kind not in _FLOW_KINDS:
-        raise ValueError("flow_estimate covers the three flows; use ridge_estimate")
+def _spectral_rows(design: SpectralDesign, kind: FlowKind,
+                   params: np.ndarray) -> np.ndarray:
+    """Spectral coordinates of a family, one row per parameter.
+
+    A flow row is (1 - g) c / s with g from one factor_block call, a ridge
+    row c / (s + lambda); both are exactly 0 wherever s = 0, where c is
+    rounding noise that c / lambda would otherwise amplify.  params are not
+    validated here: ridge may get lambda = 0 or inf, its intended limits.
+    """
     c = _require_response(design)
-    t = float(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
     s = design.spectrum.eigenvalues
-    g = profile(design.spectrum, kind, t).factors
-    coords = np.zeros_like(c)
-    live = s > 0
-    coords[live] = (1.0 - g[live]) * c[live] / s[live]
-    return design.v_basis @ coords
+    if kind is FlowKind.RIDGE:
+        num, den = c, s + params[:, None]
+    else:
+        num = (1.0 - factor_block(kind, s, params, design.spectrum.mu)) * c
+        den = s
+    return np.divide(num, den, out=np.zeros((params.size, s.size)),
+                     where=s > 0)
 
 
-def ridge_estimate(design: SpectralDesign, lam: float) -> np.ndarray:
-    """Ridge coefficient vector at penalty lambda, in the original basis."""
-    c = _require_response(design)
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    s = design.spectrum.eigenvalues
-    if lam == 0.0 and design.spectrum.mu == 0.0:
+def estimate(design: SpectralDesign, kind: FlowKind, params) -> np.ndarray:
+    """Coefficient vectors of a family, one row per parameter.
+
+    params are times for the flows and penalties for ridge, each finite and
+    >= 0; ridge at lambda = 0 also needs a full-rank spectrum.  Returns a
+    (len(params), p) array in the original basis; every flow row at t = 0
+    is exactly zero.
+    """
+    params = _path_params(params)
+    if (kind is FlowKind.RIDGE and (params == 0.0).any()
+            and design.spectrum.mu == 0.0):
         raise ValueError("lambda = 0 requires a full-rank spectrum")
-    coords = c / (s + lam)
-    return design.v_basis @ coords
-
-
-def coefficient_path(design: SpectralDesign, kind: FlowKind,
-                     params) -> list[CoefficientPathPoint]:
-    """Sample a family's coefficient path at several parameter values."""
-    out = []
-    for p in np.asarray(params, dtype=float):
-        if kind is FlowKind.RIDGE:
-            beta = ridge_estimate(design, float(p))
-        else:
-            beta = flow_estimate(design, kind, float(p))
-        out.append(CoefficientPathPoint(param=float(p), beta_hat=beta))
-    return out
+    return (design.v_basis @ _spectral_rows(design, kind, params).T).T
 
 
 def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
@@ -109,18 +87,14 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     t_arr = np.asarray(t, dtype=float)
     if (t_arr <= 0).any():
         raise ValueError("t must be > 0")
-    c = _require_response(design)
-    s = design.spectrum.eigenvalues
     times = np.atleast_1d(t_arr)
-    g = factor_block(kind, s, times, design.spectrum.mu)
-    # g = 1 on null directions in every family, so the flow stays 0 there
-    flow = (1.0 - g) * c / np.where(s > 0, s, 1.0)
+    flow = _spectral_rows(design, kind, times)
     # (1/t)^2 underflows to lambda = 0 for huge t and overflows to
     # lambda = inf for tiny t, where ridge is then exactly 0: both are the
     # intended limits
     with np.errstate(over="ignore"):
         lam = (1.0 / times) ** 2
-    ridge = c / (s + lam[:, None])
+    ridge = _spectral_rows(design, FlowKind.RIDGE, lam)
     diff = flow - ridge
     gap = (diff * diff).sum(axis=1)
     ridge_norm_sq = (ridge * ridge).sum(axis=1)

@@ -36,8 +36,8 @@ ORTHOGONALITY_TOL = 1e-10
 # to exactly 0 so null directions are detected exactly.
 _NEG_CLAMP_REL = 1e-12
 # Most doubles (512 MiB) that one requested array, or the arrays of one
-# generated design, may hold; oracle trajectories and experiment designs
-# above it are refused before anything is allocated.
+# generated design, may hold; oracle trajectories, experiment designs and
+# scan grids above it are refused before anything is allocated.
 MAX_DOUBLES = 1 << 26
 
 

@@ -18,12 +18,13 @@ effective signal strength alpha = r^2 n / (sigma^2 p).  The optimally
 tuned ridge Bayes risk (sigma^2/n) sum_i alpha/(alpha s_i + 1), attained
 at lambda = 1/alpha, is the floor every family is compared against.
 
-Curves are computed directly from the spectrum, a block of grid points at
-a time, through the single reduction bias_variance; they never form
-estimator vectors.  A curve is a RiskCurve: the grid plus its bias^2 and
-variance arrays, which reads as a sequence of (param, RiskDecomposition)
-pairs built on access.  The estimators module plus Monte Carlo provides the
-independent cross-check of these formulas.
+risk_curve is the one evaluator, for both signal models and any grid: a
+single point is a one-point grid.  Curves are computed directly from the
+spectrum, a block of grid points at a time, through the single reduction
+bias_variance; they never form estimator vectors.  A curve is a RiskCurve:
+the grid plus its bias^2 and variance arrays, which reads as a sequence of
+(param, RiskDecomposition) pairs built on access.  The estimators module
+plus Monte Carlo provides the independent cross-check of these formulas.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ __all__ = [
     "OscillationReport",
     "bias_variance",
     "bias_variance_curve",
-    "fixed_risk",
-    "bayes_risk",
     "optimal_ridge_bayes_risk",
     "risk_curve",
     "oscillation_report",
@@ -213,22 +212,6 @@ def bias_variance_curve(spectrum: Spectrum, weights: np.ndarray,
     return bias, variance
 
 
-def fixed_risk(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
-               param: float) -> RiskDecomposition:
-    """Risk decomposition for a fixed true coefficient vector."""
-    if signal.mode != "fixed":
-        raise ValueError("fixed_risk requires a fixed-mode signal")
-    return risk_curve(spectrum, signal, kind, [param])[0][1]
-
-
-def bayes_risk(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
-               param: float) -> RiskDecomposition:
-    """Bayes risk decomposition: fixed_risk with (v_i' b0)^2 -> r^2/p."""
-    if signal.mode != "prior":
-        raise ValueError("bayes_risk requires a prior-mode signal")
-    return risk_curve(spectrum, signal, kind, [param])[0][1]
-
-
 def optimal_ridge_bayes_risk(spectrum: Spectrum,
                              signal: SignalModel) -> tuple[float, float]:
     """Optimally tuned ridge Bayes risk and its tuning parameter.
@@ -276,16 +259,16 @@ class OscillationReport:
     max_rebound: float
 
 
-def oscillation_report(curve) -> OscillationReport:
-    """Locate risk oscillations along a curve from risk_curve.
+def oscillation_report(curve: RiskCurve) -> OscillationReport:
+    """Locate risk oscillations along a RiskCurve.
 
     A local maximum is a strict interior peak r[k-1] < r[k] > r[k+1]; the
     rebound of a peak is its height above the lowest point since the
     previous peak (or since the start).  Monotone curves report (0, 0).
     """
-    if len(curve) < 3:
+    r = curve.risk
+    if r.size < 3:
         raise ValueError("oscillation_report requires at least 3 points")
-    r = np.array([dec.risk for _, dec in curve], dtype=float)
     interior = np.flatnonzero((r[1:-1] > r[:-2]) & (r[1:-1] > r[2:])) + 1
     max_rebound = 0.0
     prev = 0

@@ -17,33 +17,24 @@ smallest covariance eigenvalue) as an explicit argument so grid scans over
 removable sin(t b)/b singularity at s = mu is evaluated by series.
 
 factor_block is the one evaluator: it validates its input and looks the
-family up in a single formula table.  profile and the *_shrink helpers are
-views of it; a helper returns one factor per (parameter, eigenvalue) pair,
-shaped param.shape + s.shape, and a float for two scalars.  Everything
-here is pure and stateless.
+family up in a single formula table, returning one row of factors per path
+parameter and one column per eigenvalue; a single factor is the [0, 0]
+entry of a one-by-one block.  Everything here is pure and stateless.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linalg import Spectrum
 from .special import j1_ratio
 
 __all__ = [
     "FlowKind",
-    "ShrinkageProfile",
-    "gf_shrink",
-    "nest_shrink",
-    "hb_shrink",
-    "ridge_shrink",
     "factor_block",
     "hb_kernel",
     "hb_kernel_complement",
-    "profile",
 ]
 
 # sin(u)/u switches to its series below this; the design keeps the branch
@@ -74,15 +65,6 @@ class FlowKind(Enum):
         if key not in aliases:
             raise ValueError(f"unknown flow kind {token!r}")
         return aliases[key]
-
-
-@dataclass(frozen=True, eq=False)
-class ShrinkageProfile:
-    """Shrinkage factors of one family across a whole spectrum."""
-
-    kind: FlowKind
-    t_or_lambda: float
-    factors: np.ndarray
 
 
 def _scalar_or_array(out, *inputs):
@@ -149,6 +131,20 @@ _FORMULAS = {
 }
 
 
+def _path_params(params) -> np.ndarray:
+    """params as a 1-D float array (a scalar counts as length 1).
+
+    The one rule for times and penalties of every family: ValueError unless
+    each is finite and >= 0.
+    """
+    params = np.atleast_1d(np.asarray(params, dtype=float))
+    if params.ndim != 1:
+        raise ValueError("path parameters must be 1-D")
+    if not np.isfinite(params).all() or (params < 0).any():
+        raise ValueError("path parameter must be finite and >= 0")
+    return params
+
+
 def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
     """Shrinkage factors, one row per path parameter, one column per eigenvalue.
 
@@ -159,11 +155,9 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
     s = lambda = 0 (naming the eigenvalue index).
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    params = np.atleast_1d(np.asarray(params, dtype=float))
-    if s.ndim != 1 or params.ndim != 1:
-        raise ValueError("eigenvalues and path parameters must be 1-D")
-    if not np.isfinite(params).all() or (params < 0).any():
-        raise ValueError("path parameter must be finite and >= 0")
+    params = _path_params(params)
+    if s.ndim != 1:
+        raise ValueError("eigenvalues must be 1-D")
     if not np.isfinite(s).all() or (s < 0).any():
         raise ValueError("eigenvalues must be finite and >= 0")
     if kind is FlowKind.HEAVY_BALL_FLOW:
@@ -177,47 +171,3 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
             raise ValueError(f"ridge factor undefined at eigenvalue index {zero[0]}: "
                              "s = 0 and lambda = 0")
     return _FORMULAS[kind](s[None, :], params[:, None], mu)
-
-
-def _pointwise(kind, s, param, mu=None):
-    out = factor_block(kind, np.ravel(s), np.ravel(param), mu)
-    return _scalar_or_array(out.reshape(np.shape(param) + np.shape(s)), s, param)
-
-
-def gf_shrink(s, t):
-    """Gradient-flow factor exp(-t s); in [0, 1] for s, t >= 0."""
-    return _pointwise(FlowKind.GRADIENT_FLOW, s, t)
-
-
-def nest_shrink(s, t):
-    """Accelerated-flow factor 2 J1(t sqrt(s)) / (t sqrt(s)).
-
-    Equals 1 whenever t*sqrt(s) = 0, which covers both the start of the
-    path and null directions.
-    """
-    return _pointwise(FlowKind.ACCELERATED_FLOW, s, t)
-
-
-def hb_shrink(s, mu, t):
-    """Heavy-ball factor exp(-sqrt(mu) t)(cos(t b) + sqrt(mu) sin(t b)/b).
-
-    Requires 0 < mu <= s and t >= 0.  At s = mu the factor continues to
-    (1 + sqrt(mu) t) exp(-sqrt(mu) t).  Hypothetical s < mu (a hyperbolic
-    branch) is rejected rather than extended.
-    """
-    return _pointwise(FlowKind.HEAVY_BALL_FLOW, s, t, float(mu))
-
-
-def ridge_shrink(s, lam):
-    """Ridge factor lambda / (s + lambda); 1 at s = 0 when lambda > 0.
-
-    The corner s = lambda = 0 is an undefined 0/0 and is rejected.
-    """
-    return _pointwise(FlowKind.RIDGE, s, lam)
-
-
-def profile(spectrum: Spectrum, kind: FlowKind, t_or_lambda: float) -> ShrinkageProfile:
-    """Shrinkage factors of one family on every eigenvalue of a spectrum."""
-    param = float(t_or_lambda)
-    factors = factor_block(kind, spectrum.eigenvalues, param, spectrum.mu)[0]
-    return ShrinkageProfile(kind=kind, t_or_lambda=param, factors=factors)

@@ -5,7 +5,7 @@ import pytest
 
 from flowrisk.cli import run
 from flowrisk.plotting import load_plot_series, render_line_plot
-from flowrisk.shrinkage import nest_shrink
+from flowrisk.shrinkage import FlowKind, factor_block
 from flowrisk.special import bessel_j1
 
 
@@ -27,7 +27,7 @@ def instance_files(tmp_path):
 def test_shrink_subcommand(capsys):
     assert run(["shrink", "--kind", "nest", "--s", "1.0", "--t", "2.0"]) == 0
     out = capsys.readouterr().out.strip()
-    assert float(out) == nest_shrink(1.0, 2.0)
+    assert float(out) == factor_block(FlowKind.ACCELERATED_FLOW, 1.0, 2.0)[0, 0]
 
 
 def test_shrink_heavy_ball_needs_mu(capsys):
@@ -45,16 +45,41 @@ def test_special_eval_unknown_function(capsys):
 
 
 def test_estimate_matches_library(capsys, instance_files):
-    xp, yp, _ = instance_files
-    assert run(["estimate", "--kind", "ridge", "--t", "0.3",
-                "--design", str(xp), "--response", str(yp)]) == 0
-    printed = np.array([float(v) for v in capsys.readouterr().out.split()])
-    from flowrisk.estimators import ridge_estimate
+    from flowrisk.estimators import estimate
     from flowrisk.linalg import attach_response, design_decompose
+    xp, yp, _ = instance_files
     x = np.loadtxt(xp, delimiter=",")
     y = np.loadtxt(yp, delimiter=",")
     d = attach_response(design_decompose(x), x, y)
-    assert np.array_equal(printed, ridge_estimate(d, 0.3))
+    for kind in FlowKind:
+        assert run(["estimate", "--kind", kind.value, "--t", "0.3",
+                    "--design", str(xp), "--response", str(yp)]) == 0
+        printed = np.array([float(v) for v in capsys.readouterr().out.split()])
+        assert np.array_equal(printed, estimate(d, kind, [0.3])[0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["gf", "nest", "hb", "ridge"])
+def test_estimate_refuses_a_nan_parameter_for_every_family(
+        capsys, instance_files, kind):
+    xp, yp, _ = instance_files
+    assert run(["estimate", "--kind", kind, "--t", "nan", "--design", str(xp),
+                "--response", str(yp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+    assert "error: path parameter must be finite and >= 0" in captured.err
+
+
+def test_estimate_ridge_at_zero_penalty_needs_full_rank(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    xp, yp = tmp_path / "X.csv", tmp_path / "y.csv"
+    np.savetxt(xp, rng.standard_normal((3, 5)), delimiter=",")
+    np.savetxt(yp, rng.standard_normal((3, 1)), delimiter=",")
+    assert run(["estimate", "--kind", "ridge", "--t", "0", "--design", str(xp),
+                "--response", str(yp)]) == 2
+    assert "error: lambda = 0 requires a full-rank spectrum" in \
+        capsys.readouterr().err
 
 
 def test_risk_curve_schema_and_roundtrip(tmp_path, instance_files, capsys):
@@ -113,6 +138,35 @@ def test_empty_csv_input_exits_2_without_warning(tmp_path, instance_files,
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert _one_error_line(err) and "contains no data" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_risk_curve_refuses_an_oversized_grid_before_allocating(instance_files,
+                                                               capsys):
+    xp, _, bp = instance_files
+    assert run(["risk-curve", "--design", str(xp), "--kind", "gf", "--grid",
+                "0.1,1,100000000000", "--beta0", str(bp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "grid of 100000000000 points exceeds 67108864 doubles" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_refuses_an_oversized_grid_before_allocating(tmp_path, capsys):
+    config = {
+        "design": [{"family": "IidGaussian", "n": 20, "p": 4, "seed": 0}],
+        "snr": 1.0,
+        "flows": ["gf"],
+        "t_grid": {"lo": 0.01, "hi": 100.0, "count": 10 ** 11, "log": True},
+        "ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 20, "log": True},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "t_grid is invalid" in err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

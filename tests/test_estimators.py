@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from flowrisk.estimators import (
-    coefficient_path,
-    coupling_gap,
-    flow_estimate,
-    ridge_estimate,
-)
+from flowrisk.estimators import coupling_gap, estimate
 from flowrisk.linalg import attach_response, design_decompose
 from flowrisk.oracle import integrate_flow
 from flowrisk.shrinkage import FlowKind
@@ -17,29 +12,36 @@ FLOWS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
          FlowKind.HEAVY_BALL_FLOW)
 
 
+def one(design, kind, param):
+    """The coefficient vector of a one-point grid."""
+    beta = estimate(design, kind, [param])
+    assert beta.shape == (1, design.p)
+    return beta[0]
+
+
 @pytest.mark.parametrize("kind", FLOWS)
 def test_paths_start_at_zero(kind, small_instance):
     design, _, _, _ = small_instance
-    assert np.array_equal(flow_estimate(design, kind, 0.0), np.zeros(6))
+    assert np.array_equal(one(design, kind, 0.0), np.zeros(6))
 
 
 def test_gradient_flow_reaches_least_squares(small_instance):
     design, x, y, _ = small_instance
     ols = np.linalg.lstsq(x, y, rcond=None)[0]
-    bhat = flow_estimate(design, FlowKind.GRADIENT_FLOW, 1e6)
+    bhat = one(design, FlowKind.GRADIENT_FLOW, 1e6)
     assert np.abs(bhat - ols).max() <= 1e-6 * np.abs(ols).max()
 
 
 def test_ridge_zero_penalty_is_least_squares(small_instance):
     design, x, y, _ = small_instance
     ols = np.linalg.lstsq(x, y, rcond=None)[0]
-    assert np.allclose(ridge_estimate(design, 0.0), ols, atol=1e-10)
+    assert np.allclose(one(design, FlowKind.RIDGE, 0.0), ols, atol=1e-10)
 
 
 def test_ridge_huge_penalty_kills_coefficients(small_instance):
     design, x, y, _ = small_instance
     ols = np.linalg.lstsq(x, y, rcond=None)[0]
-    bhat = ridge_estimate(design, 1e12)
+    bhat = one(design, FlowKind.RIDGE, 1e12)
     assert np.linalg.norm(bhat) <= 1e-10 * np.linalg.norm(ols)
 
 
@@ -47,7 +49,7 @@ def test_ridge_matches_gaussian_elimination_oracle(small_instance):
     design, x, y, _ = small_instance
     lam = 0.3
     direct = gauss_solve(x.T @ x / 40 + lam * np.eye(6), x.T @ y / 40)
-    assert np.abs(ridge_estimate(design, lam) - direct).max() <= 1e-10
+    assert np.abs(one(design, FlowKind.RIDGE, lam) - direct).max() <= 1e-10
 
 
 def test_ridge_zero_penalty_rejected_when_rank_deficient():
@@ -56,7 +58,7 @@ def test_ridge_zero_penalty_rejected_when_rank_deficient():
     y = rng.standard_normal(3)
     design = attach_response(design_decompose(x), x, y)
     with pytest.raises(ValueError, match="full-rank"):
-        ridge_estimate(design, 0.0)
+        one(design, FlowKind.RIDGE, 0.0)
 
 
 def test_accelerated_path_matches_rk4_trajectory():
@@ -68,7 +70,7 @@ def test_accelerated_path_matches_rk4_trajectory():
     traj = integrate_flow(FlowKind.ACCELERATED_FLOW, design.spectrum,
                           design.rotated_channel, 20.0, step=2e-3)
     for t in (1.0, 5.0, 20.0):
-        bhat = flow_estimate(design, FlowKind.ACCELERATED_FLOW, t)
+        bhat = one(design, FlowKind.ACCELERATED_FLOW, t)
         k = int(np.argmin(np.abs(traj.times - t)))
         rk4 = design.v_basis @ traj.positions[k]
         assert np.abs(bhat - rk4).max() <= 1e-6
@@ -87,9 +89,9 @@ def test_null_space_components_exactly_zero():
     assert design.spectrum.eigenvalues[0] == 0.0
     for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW):
         for t in (0.5, 3.0, 100.0):
-            beta = flow_estimate(design, kind, t)
+            beta = one(design, kind, t)
             assert beta[np.argmax(np.abs(design.v_basis[:, 0]))] == 0.0
-    assert flow_estimate(design, FlowKind.GRADIENT_FLOW, 1.0)[0] == 0.0
+    assert one(design, FlowKind.GRADIENT_FLOW, 1.0)[0] == 0.0
 
 
 def test_heavy_ball_requires_positive_mu():
@@ -98,29 +100,43 @@ def test_heavy_ball_requires_positive_mu():
     y = rng.standard_normal(3)
     design = attach_response(design_decompose(x), x, y)
     with pytest.raises(ValueError, match="mu > 0"):
-        flow_estimate(design, FlowKind.HEAVY_BALL_FLOW, 1.0)
+        one(design, FlowKind.HEAVY_BALL_FLOW, 1.0)
 
 
 def test_response_required():
     rng = np.random.default_rng(5)
     design = design_decompose(rng.standard_normal((10, 3)))
     with pytest.raises(ValueError, match="response"):
-        flow_estimate(design, FlowKind.GRADIENT_FLOW, 1.0)
+        one(design, FlowKind.GRADIENT_FLOW, 1.0)
 
 
 @pytest.mark.parametrize("kind", FLOWS)
 def test_coefficient_path_starts_at_exact_zero(kind, small_instance):
     design, _, _, _ = small_instance
-    path = coefficient_path(design, kind, [0.0, 0.5, 2.0])
-    assert [pt.param for pt in path] == [0.0, 0.5, 2.0]
-    assert np.array_equal(path[0].beta_hat, np.zeros(6))
-    assert np.abs(path[2].beta_hat).max() > 0
+    path = estimate(design, kind, [0.0, 0.5, 2.0])
+    assert path.shape == (3, 6)
+    assert np.array_equal(path[0], np.zeros(6))
+    assert np.abs(path[2]).max() > 0
+    for k, t in enumerate([0.0, 0.5, 2.0]):
+        assert np.allclose(path[k], one(design, kind, t), rtol=1e-14, atol=0)
 
 
 def test_coefficient_path_ridge_uses_penalty(small_instance):
     design, _, _, _ = small_instance
-    path = coefficient_path(design, FlowKind.RIDGE, [0.3])
-    assert np.array_equal(path[0].beta_hat, ridge_estimate(design, 0.3))
+    lams = np.array([0.3, 2.0])
+    path = estimate(design, FlowKind.RIDGE, lams)
+    # a larger penalty shrinks the whole vector
+    assert np.linalg.norm(path[1]) < np.linalg.norm(path[0])
+    assert np.allclose(path[0], one(design, FlowKind.RIDGE, 0.3), rtol=1e-14,
+                       atol=0)
+
+
+@pytest.mark.parametrize("kind", list(FlowKind))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_every_family_refuses_a_bad_parameter(kind, bad, small_instance):
+    design, _, _, _ = small_instance
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        estimate(design, kind, [1.0, bad])
 
 
 class TestCouplingGap:
@@ -153,7 +169,7 @@ class TestCouplingGap:
         design, _, _, _ = small_instance
         _, norm_sq, ratio = coupling_gap(design, FlowKind.ACCELERATED_FLOW,
                                          1e200)
-        beta_ls = ridge_estimate(design, 0.0)
+        beta_ls = one(design, FlowKind.RIDGE, 0.0)
         assert norm_sq == pytest.approx(np.sum(beta_ls ** 2), rel=1e-13)
         assert ratio <= 1e-20
 
@@ -178,9 +194,9 @@ class TestCouplingGap:
         gap, norm_sq, ratio = coupling_gap(design, kind, t_grid)
         assert gap.shape == norm_sq.shape == ratio.shape == (40,)
         for k, t in enumerate(t_grid):
-            beta_ridge = ridge_estimate(design, 1.0 / (t * t))
+            beta_ridge = one(design, FlowKind.RIDGE, 1.0 / (t * t))
             want_norm = float(np.sum(beta_ridge ** 2))
-            want_gap = float(np.sum((flow_estimate(design, kind, t)
+            want_gap = float(np.sum((one(design, kind, t)
                                      - beta_ridge) ** 2))
             assert abs(gap[k] - want_gap) <= 1e-13 * want_norm
             assert norm_sq[k] == pytest.approx(want_norm, rel=1e-13)
@@ -206,11 +222,20 @@ class TestCouplingGap:
                                               FlowKind.HEAVY_BALL_FLOW, t)
                     assert r_hb <= 25.0 + 1e-9
 
+    @pytest.mark.filterwarnings("error")
     def test_rank_deficient_instance_stays_bounded(self):
+        # rotated_channel on the three null directions is rounding noise;
+        # ridge must leave it at 0 instead of dividing it by a tiny lambda
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 7))
         y = rng.standard_normal(4)
         design = attach_response(design_decompose(x), x, y)
-        for t in np.logspace(-2, 3, 30):
+        assert (design.spectrum.eigenvalues == 0.0).sum() == 3
+        t_grid = np.append(np.logspace(-2, 12, 57), 1e200)
+        gaps, norms_sq, ratios = coupling_gap(design, FlowKind.ACCELERATED_FLOW,
+                                              t_grid)
+        assert np.isfinite(gaps).all() and np.isfinite(norms_sq).all()
+        assert (ratios <= 49.0 / 64.0).all()
+        for k, t in enumerate(t_grid):
             _, _, ratio = coupling_gap(design, FlowKind.ACCELERATED_FLOW, t)
-            assert ratio <= 49.0 / 64.0 + 1e-9
+            assert ratio == ratios[k]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import j1
 
-from flowrisk.estimators import flow_estimate, ridge_estimate
+from flowrisk.estimators import estimate
 from flowrisk.linalg import Spectrum, attach_response, design_decompose
 from flowrisk.risk import (
     _BLOCK_DOUBLES,
@@ -12,9 +12,7 @@ from flowrisk.risk import (
     RiskCurve,
     RiskDecomposition,
     SignalModel,
-    bayes_risk,
     bias_variance_curve,
-    fixed_risk,
     optimal_ridge_bayes_risk,
     oscillation_report,
     risk_csv_text,
@@ -30,6 +28,11 @@ FIXED_UNIT = SignalModel.fixed(np.array([1.0]), sigma_sq=1.0, n=1)
 PRIOR_UNIT = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=1)  # alpha = 1 at p = 1
 
 
+def point_risk(spectrum, signal, kind, param):
+    """The decomposition of a one-point risk_curve (fixed or Bayes)."""
+    return risk_curve(spectrum, signal, kind, [param])[0][1]
+
+
 class TestFixedRisk:
     @pytest.mark.parametrize("kind", [FlowKind.GRADIENT_FLOW,
                                       FlowKind.ACCELERATED_FLOW,
@@ -37,19 +40,19 @@ class TestFixedRisk:
     def test_start_of_path(self, kind, simple_spectrum):
         signal = SignalModel.fixed(np.array([1.0, -2.0, 0.5, 3.0]),
                                    sigma_sq=2.0, n=10)
-        dec = fixed_risk(simple_spectrum, signal, kind, 0.0)
+        dec = point_risk(simple_spectrum, signal, kind, 0.0)
         assert dec.bias_sq == pytest.approx(1 + 4 + 0.25 + 9, rel=1e-15)
         assert dec.variance == 0.0
 
     def test_ridge_scalar_substitution(self):
-        dec = fixed_risk(UNIT, FIXED_UNIT, FlowKind.RIDGE, 1.0)
+        dec = point_risk(UNIT, FIXED_UNIT, FlowKind.RIDGE, 1.0)
         assert dec.bias_sq == pytest.approx(0.25, abs=1e-15)
         assert dec.variance == pytest.approx(0.25, abs=1e-15)
         assert dec.risk == pytest.approx(0.5, abs=1e-15)
 
     def test_accelerated_scalar_via_series_oracle(self):
         g = j1_series(2.0)  # shrinkage factor at s = 1, t = 2
-        dec = fixed_risk(UNIT, FIXED_UNIT, FlowKind.ACCELERATED_FLOW, 2.0)
+        dec = point_risk(UNIT, FIXED_UNIT, FlowKind.ACCELERATED_FLOW, 2.0)
         assert dec.bias_sq == pytest.approx(g * g, abs=1e-9)
         assert dec.variance == pytest.approx((1 - g) ** 2, abs=1e-9)
         assert dec.bias_sq == pytest.approx(0.33261, abs=1e-4)
@@ -60,25 +63,29 @@ class TestFixedRisk:
         signal = SignalModel.fixed(np.array([2.0, -1.0, 0.3]), sigma_sq=1.0, n=4)
         for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW):
             for t in (0.5, 3.0, 50.0):
-                dec = fixed_risk(spec, signal, kind, t)
-                live = fixed_risk(Spectrum(np.array([1.0])),
+                dec = point_risk(spec, signal, kind, t)
+                live = point_risk(Spectrum(np.array([1.0])),
                                   SignalModel.fixed(np.array([0.3]),
                                                     sigma_sq=1.0, n=4),
                                   kind, t)
                 assert dec.bias_sq == pytest.approx(4 + 1 + live.bias_sq,
                                                     rel=1e-14)
                 assert dec.variance == pytest.approx(live.variance, rel=1e-14)
-        dec = fixed_risk(spec, signal, FlowKind.RIDGE, 2.0)
+        dec = point_risk(spec, signal, FlowKind.RIDGE, 2.0)
         assert dec.bias_sq >= 5.0
 
     def test_mode_mismatch(self, simple_spectrum):
-        with pytest.raises(ValueError, match="fixed"):
-            fixed_risk(simple_spectrum, PRIOR_UNIT, FlowKind.GRADIENT_FLOW, 1.0)
+        # the prior-only quantities refuse a fixed signal
+        signal = SignalModel.fixed(np.ones(4), sigma_sq=1.0, n=5)
+        with pytest.raises(ValueError, match="prior"):
+            optimal_ridge_bayes_risk(simple_spectrum, signal)
+        with pytest.raises(ValueError, match="prior"):
+            signal.alpha(simple_spectrum.p)
 
 
 class TestBayesRisk:
     def test_gradient_flow_scalar(self):
-        dec = bayes_risk(UNIT, PRIOR_UNIT, FlowKind.GRADIENT_FLOW, 1.0)
+        dec = point_risk(UNIT, PRIOR_UNIT, FlowKind.GRADIENT_FLOW, 1.0)
         expected = math.exp(-2.0) + (1 - math.exp(-1.0)) ** 2
         assert dec.risk == pytest.approx(expected, abs=1e-8)
         assert expected == pytest.approx(0.53492, abs=1e-5)
@@ -88,12 +95,12 @@ class TestBayesRisk:
                                       FlowKind.HEAVY_BALL_FLOW])
     def test_prior_energy_at_start(self, kind, simple_spectrum):
         prior = SignalModel.prior(r_sq=2.5, sigma_sq=1.0, n=20)
-        dec = bayes_risk(simple_spectrum, prior, kind, 0.0)
+        dec = point_risk(simple_spectrum, prior, kind, 0.0)
         assert dec.risk == pytest.approx(2.5, rel=1e-14)
 
     def test_accelerated_scalar(self):
         g = j1_series(2.0)
-        dec = bayes_risk(UNIT, PRIOR_UNIT, FlowKind.ACCELERATED_FLOW, 2.0)
+        dec = point_risk(UNIT, PRIOR_UNIT, FlowKind.ACCELERATED_FLOW, 2.0)
         assert dec.risk == pytest.approx(g * g + (1 - g) ** 2, abs=1e-6)
         assert dec.risk == pytest.approx(0.51177, abs=1e-5)
 
@@ -107,12 +114,12 @@ class TestBayesRisk:
                             (FlowKind.ACCELERATED_FLOW, 2.0),
                             (FlowKind.RIDGE, 0.4)]:
             risks = np.array([
-                fixed_risk(simple_spectrum,
+                point_risk(simple_spectrum,
                            SignalModel.fixed(b, sigma_sq=1.0, n=25),
                            kind, param).risk
                 for b in draws])
             se = risks.std(ddof=1) / np.sqrt(m)
-            target = bayes_risk(simple_spectrum, prior, kind, param).risk
+            target = point_risk(simple_spectrum, prior, kind, param).risk
             assert abs(risks.mean() - target) <= 3 * se
 
 
@@ -144,7 +151,7 @@ class TestOptimalRidge:
         floor, _ = optimal_ridge_bayes_risk(simple_spectrum, prior)
         for kind in FlowKind:
             for param in np.logspace(-2, 2, 60):
-                assert bayes_risk(simple_spectrum, prior, kind,
+                assert point_risk(simple_spectrum, prior, kind,
                                   param).risk >= floor - 1e-10
 
 
@@ -280,8 +287,9 @@ def test_edge_spectra_stay_finite_and_nonnegative(case, kind):
 class TestOscillationReport:
     @staticmethod
     def _fake_curve(risks):
-        return [(float(i), RiskDecomposition(bias_sq=r, variance=0.0))
-                for i, r in enumerate(risks)]
+        return RiskCurve(grid=np.arange(len(risks), dtype=float),
+                         bias_sq=np.array(risks, dtype=float),
+                         variance=np.zeros(len(risks)))
 
     def test_monotone_curve(self):
         rep = oscillation_report(self._fake_curve([5, 4, 3, 2, 1]))
@@ -308,7 +316,7 @@ def test_decomposition_identity_everywhere(simple_spectrum):
                                sigma_sq=2.0, n=8)
     for kind in FlowKind:
         for param in (0.05, 0.9, 12.0):
-            dec = fixed_risk(simple_spectrum, signal, kind, param)
+            dec = point_risk(simple_spectrum, signal, kind, param)
             assert dec.risk == dec.bias_sq + dec.variance
 
 
@@ -331,13 +339,10 @@ def test_closed_forms_match_monte_carlo_estimators():
         for i in range(m):
             y = x @ beta0 + noise[i]
             d = attach_response(base, x, y)
-            if kind is FlowKind.RIDGE:
-                bhat = ridge_estimate(d, param)
-            else:
-                bhat = flow_estimate(d, kind, param)
+            bhat = estimate(d, kind, [param])[0]
             sq_errors[i] = np.sum((bhat - beta0) ** 2)
         se = sq_errors.std(ddof=1) / np.sqrt(m)
-        target = fixed_risk(base.spectrum, signal, kind, param).risk
+        target = point_risk(base.spectrum, signal, kind, param).risk
         assert abs(sq_errors.mean() - target) <= 3 * se
 
 

@@ -4,17 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from flowrisk.linalg import Spectrum
 from flowrisk.shrinkage import (
     FlowKind,
     _sinc,
-    gf_shrink,
+    factor_block,
     hb_kernel,
     hb_kernel_complement,
-    hb_shrink,
-    nest_shrink,
-    profile,
-    ridge_shrink,
 )
 
 from oracles import (
@@ -26,47 +21,55 @@ from oracles import (
 
 mpmath.mp.dps = 40
 
+GF, NEST, HB, RIDGE = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
+                       FlowKind.HEAVY_BALL_FLOW, FlowKind.RIDGE)
+
+
+def g(kind, s, param, mu=None):
+    """The single factor of a one-by-one factor_block."""
+    return float(factor_block(kind, s, param, mu)[0, 0])
+
 
 class TestGfShrink:
     def test_time_zero(self):
-        assert gf_shrink(1.0, 0.0) == 1.0
+        assert g(GF, 1.0, 0.0) == 1.0
 
     def test_unit_point(self):
-        assert gf_shrink(1.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert g(GF, 1.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_null_direction(self):
-        assert gf_shrink(0.0, 5.0) == 1.0
+        assert g(GF, 0.0, 5.0) == 1.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            gf_shrink(-1.0, 1.0)
+            g(GF, -1.0, 1.0)
         with pytest.raises(ValueError):
-            gf_shrink(1.0, -1.0)
+            g(GF, 1.0, -1.0)
 
     def test_monotone_in_time(self):
         t = np.linspace(0, 20, 200)
-        vals = gf_shrink(0.7, t)
+        vals = factor_block(GF, 0.7, t)[:, 0]
         assert (np.diff(vals) <= 0).all()
 
 
 class TestNestShrink:
     def test_time_zero_any_eigenvalue(self):
         for s in (0.0, 0.3, 5.0):
-            assert nest_shrink(s, 0.0) == 1.0
+            assert g(NEST, s, 0.0) == 1.0
 
     def test_null_direction_any_time(self):
         for t in (0.0, 1.0, 100.0):
-            assert nest_shrink(0.0, t) == 1.0
+            assert g(NEST, 0.0, t) == 1.0
 
     def test_unit_eigenvalue_t_two(self):
-        assert nest_shrink(1.0, 2.0) == pytest.approx(j1_series(2.0), abs=1e-9)
+        assert g(NEST, 1.0, 2.0) == pytest.approx(j1_series(2.0), abs=1e-9)
 
     def test_small_time_taylor(self):
         # |g - (1 - t^2 s / 8)| <= 1e-6 * t^2 s when t sqrt(s) <= 1e-2
         for s, t in [(1e-4, 1.0), (1.0, 1e-2), (1e-2, 0.05)]:
             u2 = t * t * s
             assert u2 <= 1e-4 + 1e-12
-            assert abs(nest_shrink(s, t) - (1.0 - u2 / 8.0)) <= 1e-6 * u2
+            assert abs(g(NEST, s, t) - (1.0 - u2 / 8.0)) <= 1e-6 * u2
 
     def test_dominated_by_gf_in_ill_conditioned_tail(self):
         # for s <= 1e-3, t >= 100 with t sqrt(s) >= 20 the Bessel kernel is
@@ -75,54 +78,54 @@ class TestNestShrink:
             for t in (650.0, 900.0, 1500.0):
                 if t * math.sqrt(s) < 20 or t < 100:
                     continue
-                assert abs(nest_shrink(s, t)) < gf_shrink(s, t)
+                assert abs(g(NEST, s, t)) < g(GF, s, t)
 
     def test_decay_envelope(self):
         u = np.linspace(10.0, 2000.0, 4000)
-        vals = np.abs(nest_shrink(1.0, u))  # t sqrt(s) = u
+        vals = np.abs(factor_block(NEST, 1.0, u)[:, 0])  # t sqrt(s) = u
         assert (vals <= 2.0 * u ** -1.5).all()
 
 
 class TestHbShrink:
     def test_degenerate_eigenvalue_limit(self):
-        assert hb_shrink(1.0, 1.0, 1.0) == pytest.approx(2.0 / math.e, abs=1e-10)
+        assert g(HB, 1.0, 1.0, 1.0) == pytest.approx(2.0 / math.e, abs=1e-10)
 
     def test_time_zero(self):
         for s, mu in [(1.0, 1.0), (2.0, 0.5), (10.0, 1e-3)]:
-            assert hb_shrink(s, mu, 0.0) == 1.0
+            assert g(HB, s, 0.0, mu) == 1.0
 
     def test_direct_value(self):
         expected = math.exp(-1.0) * (math.cos(1.0) + math.sin(1.0))
-        assert hb_shrink(2.0, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert g(HB, 2.0, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.508326, abs=1e-5)
 
     def test_continuity_at_degenerate_eigenvalue(self):
-        base = hb_shrink(1.0, 1.0, 3.0)
-        gaps = [abs(hb_shrink(1.0 + d, 1.0, 3.0) - base)
+        base = g(HB, 1.0, 3.0, 1.0)
+        gaps = [abs(g(HB, 1.0 + d, 3.0, 1.0) - base)
                 for d in (1e-4, 1e-6, 1e-8)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-8
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="mu > 0"):
-            hb_shrink(1.0, 0.0, 1.0)
+            g(HB, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="s >= mu"):
-            hb_shrink(0.5, 1.0, 1.0)
+            g(HB, 0.5, 1.0, 1.0)
 
 
 class TestRidgeShrink:
     def test_examples(self):
-        assert ridge_shrink(1.0, 1.0) == 0.5
-        assert ridge_shrink(1.0, 0.0) == 0.0
-        assert ridge_shrink(0.0, 3.0) == 1.0
+        assert g(RIDGE, 1.0, 1.0) == 0.5
+        assert g(RIDGE, 1.0, 0.0) == 0.0
+        assert g(RIDGE, 0.0, 3.0) == 1.0
 
     def test_double_zero_rejected(self):
         with pytest.raises(ValueError):
-            ridge_shrink(0.0, 0.0)
+            g(RIDGE, 0.0, 0.0)
 
     def test_monotone_in_lambda(self):
         lam = np.linspace(0.0, 50.0, 300)
-        vals = ridge_shrink(1.3, lam)
+        vals = factor_block(RIDGE, 1.3, lam)[:, 0]
         assert (np.diff(vals) >= 0).all()
 
 
@@ -185,47 +188,46 @@ class TestInPlaceKernels:
 
 
 class TestProfile:
+    """factor_block over a whole spectrum: one row per parameter."""
+
     def test_all_ones_at_zero(self, simple_spectrum):
         for kind in FlowKind:
             if kind is FlowKind.RIDGE:
                 continue  # lambda = 0 is the unregularized limit, not a start
-            prof = profile(simple_spectrum, kind, 0.0)
-            assert np.array_equal(prof.factors, np.ones(4))
+            factors = factor_block(kind, simple_spectrum.eigenvalues, 0.0,
+                                   simple_spectrum.mu)
+            assert np.array_equal(factors, np.ones((1, 4)))
 
     def test_componentwise_gf(self):
-        spec = Spectrum(np.array([0.0, 1.0]))
-        prof = profile(spec, FlowKind.GRADIENT_FLOW, 1.0)
-        assert prof.factors[0] == 1.0
-        assert prof.factors[1] == pytest.approx(math.exp(-1.0), abs=1e-12)
+        factors = factor_block(GF, [0.0, 1.0], 1.0)[0]
+        assert factors[0] == 1.0
+        assert factors[1] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_componentwise_nest_series_oracle(self):
-        spec = Spectrum(np.array([1.0, 4.0]))
-        prof = profile(spec, FlowKind.ACCELERATED_FLOW, 2.0)
-        assert prof.factors[0] == pytest.approx(j1_series(2.0), abs=1e-9)
-        assert prof.factors[1] == pytest.approx(2 * j1_series(4.0) / 4.0, abs=1e-9)
+        factors = factor_block(NEST, [1.0, 4.0], 2.0)[0]
+        assert factors[0] == pytest.approx(j1_series(2.0), abs=1e-9)
+        assert factors[1] == pytest.approx(2 * j1_series(4.0) / 4.0, abs=1e-9)
 
     def test_unit_factor_exactly_at_null_directions(self):
-        spec = Spectrum(np.array([0.0, 0.5]))
-        for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW):
-            assert profile(spec, kind, 7.5).factors[0] == 1.0
-        assert profile(spec, FlowKind.RIDGE, 2.0).factors[0] == 1.0
+        s = [0.0, 0.5]
+        for kind in (GF, NEST):
+            assert factor_block(kind, s, 7.5)[0, 0] == 1.0
+        assert factor_block(RIDGE, s, 2.0)[0, 0] == 1.0
 
     def test_bounded_factors(self, simple_spectrum):
-        for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
-                     FlowKind.RIDGE):
-            for param in (0.1, 1.0, 10.0, 500.0):
-                factors = profile(simple_spectrum, kind, param).factors
-                assert (np.abs(factors) <= 1.0 + 1e-12).all()
+        for kind in (GF, NEST, RIDGE):
+            factors = factor_block(kind, simple_spectrum.eigenvalues,
+                                   [0.1, 1.0, 10.0, 500.0])
+            assert factors.shape == (4, 4)
+            assert (np.abs(factors) <= 1.0 + 1e-12).all()
 
     def test_ridge_zero_lambda_error_names_index(self):
-        spec = Spectrum(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="index 0"):
-            profile(spec, FlowKind.RIDGE, 0.0)
+            factor_block(RIDGE, [0.0, 1.0], 0.0)
 
     def test_heavy_ball_requires_positive_mu(self):
-        spec = Spectrum(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="mu > 0"):
-            profile(spec, FlowKind.HEAVY_BALL_FLOW, 1.0)
+            factor_block(HB, [0.0, 1.0], 1.0, 0.0)
 
     def test_kind_parse_tokens(self):
         assert FlowKind.parse("gf") is FlowKind.GRADIENT_FLOW
