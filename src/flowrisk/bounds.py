@@ -35,7 +35,12 @@ its bracket by 10x.  The x tail beyond 1e6 cannot host the inner maximum at
 the minimizing tau: both objectives there are 1 + O(1/sqrt(x)) +
 O(1/(tau^3 sqrt(x))), below the certified values, while at tiny tau the
 grid already sees inner maxima far above them, steering the outer minimum
-away.  Smallest-tau tie-breaking keeps results deterministic.
+away.  Smallest-tau tie-breaking keeps results deterministic.  The scans
+are blocked: the coarse stage evaluates all 200 taus (the x scan and the
+first zoom) a few rows per objective call, and long scans go in column
+chunks.  Every point is evaluated exactly as in a one-tau scan, and each
+row keeps its first argmax, so values, optimizers and tie-breaks are those
+of a one-tau-at-a-time scan.
 
 The certifiers report values.  CHECKS, the certification table, holds their
 paper values, tolerances and scan grids and alone decides pass or fail.
@@ -53,7 +58,7 @@ import numpy as np
 from .linalg import MAX_DOUBLES, Spectrum
 from .risk import SignalModel, optimal_ridge_bayes_risk, risk_curve
 from .shrinkage import FlowKind, hb_kernel, hb_kernel_complement
-from .special import j1_ratio, j1_ratio_complement
+from .special import _complement_series, j1_ratio, j1_ratio_complement
 
 __all__ = [
     "Check",
@@ -131,23 +136,62 @@ class MinMaxResult:
     x_star: float
 
 
-def _inner_max(objective, tau, x_coarse, zoom_rounds=3, zoom_points=240):
-    """Max over x of objective(tau, .): coarse scan plus local dense zooms."""
-    vals = objective(tau, x_coarse)
-    k = int(np.argmax(vals))
-    best_v = float(vals[k])
-    best_x = float(x_coarse[k])
-    lo = float(x_coarse[max(k - 1, 0)])
-    hi = float(x_coarse[min(k + 1, x_coarse.size - 1)])
+# doubles per objective call in _scan_max: a block stays in cache
+_SCAN_BLOCK = 1 << 14
+
+
+def _scan_max(objective, taus, xs):
+    """Per tau, the max of objective(tau, x) over its x row and the first argmax.
+
+    xs is one 1-D grid shared by every tau, or a 2-D array with one row per
+    tau.  The objective is called on blocks of about _SCAN_BLOCK doubles,
+    objective(taus[rows, None], xs[rows or None, cols]): as many whole rows
+    as fit, or column chunks of a longer row.  Every point is evaluated exactly as in
+    a one-row call, and a tie (or a NaN) resolves to the first index, as in
+    np.argmax over the whole row.
+    """
+    n_rows, n_cols = taus.size, xs.shape[-1]
+    row_step = max(1, _SCAN_BLOCK // n_cols)
+    col_step = min(n_cols, _SCAN_BLOCK)
+    best = np.empty(n_rows)
+    arg = np.empty(n_rows, dtype=np.intp)
+    for r in range(0, n_rows, row_step):
+        rows = slice(r, r + row_step)
+        t = taus[rows, None]
+        for c in range(0, n_cols, col_step):
+            x = xs[None, c:c + col_step] if xs.ndim == 1 else xs[rows, c:c + col_step]
+            vals = objective(t, x)
+            k = np.argmax(vals, axis=1)
+            v = vals[np.arange(k.size), k]
+            if c == 0:
+                best[rows], arg[rows] = v, k
+                continue
+            cur = best[rows]
+            better = (v > cur) | (np.isnan(v) & ~np.isnan(cur))
+            best[rows] = np.where(better, v, cur)
+            arg[rows] = np.where(better, k + c, arg[rows])
+    return best, arg
+
+
+def _inner_max(objective, taus, x_coarse, zoom_rounds=3, zoom_points=240):
+    """Max over x of objective(tau, .) per tau: coarse scan plus dense zooms.
+
+    Returns (values, maximizers), one entry per tau.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    best_v, k = _scan_max(objective, taus, x_coarse)
+    best_x = x_coarse[k]
+    lo = x_coarse[np.maximum(k - 1, 0)]
+    hi = x_coarse[np.minimum(k + 1, x_coarse.size - 1)]
     for _ in range(zoom_rounds):
-        xs = np.linspace(lo, hi, zoom_points)
-        vv = objective(tau, xs)
-        kk = int(np.argmax(vv))
-        if vv[kk] > best_v:
-            best_v = float(vv[kk])
-            best_x = float(xs[kk])
+        # rows equal to np.linspace(lo[i], hi[i], zoom_points), each contiguous
+        xs = np.ascontiguousarray(np.linspace(lo, hi, zoom_points, axis=1))
+        vv, kk = _scan_max(objective, taus, xs)
+        better = vv > best_v
+        best_v = np.where(better, vv, best_v)
+        best_x = np.where(better, xs[np.arange(taus.size), kk], best_x)
         width = (hi - lo) / 10.0
-        lo = max(best_x - width, float(x_coarse[0]))
+        lo = np.maximum(best_x - width, x_coarse[0])
         hi = best_x + width
     return best_v, best_x
 
@@ -159,15 +203,14 @@ def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
                          "threshold x = 1e6 that the certificate assumes")
     x_coarse = x_spec.points()
     taus = tau_spec.points()
-    coarse = np.array([_inner_max(objective, t, x_coarse, zoom_rounds=1)[0]
-                       for t in taus])
+    coarse, _ = _inner_max(objective, taus, x_coarse, zoom_rounds=1)
     vmin = float(coarse.min())
     i = int(np.flatnonzero(coarse <= vmin + 1e-12)[0])  # smallest-tau tie-break
     lo = float(taus[max(i - 1, 0)])
     hi = float(taus[min(i + 1, taus.size - 1)])
 
     def outer(tau):
-        return _inner_max(objective, tau, x_coarse)[0]
+        return float(_inner_max(objective, tau, x_coarse)[0][0])
 
     for _ in range(refinement_depth):
         target = (hi - lo) / 10.0
@@ -186,7 +229,7 @@ def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
                 d = lo + (hi - lo) * _GOLDEN
                 f_d = outer(d)
     tau_star = float(0.5 * (lo + hi))
-    value, x_star = _inner_max(objective, tau_star, x_coarse)
+    value, x_star = (float(v[0]) for v in _inner_max(objective, tau_star, x_coarse))
     if not (x_coarse[1] < x_star < x_coarse[-2]):
         raise RuntimeError(
             f"inner maximizer x* = {x_star:.3g} landed at the scan boundary; "
@@ -204,9 +247,9 @@ def gf_inflation_objective(tau, x):
 def nest_inflation_objective(tau, x):
     """Tuned accelerated/ridge risk ratio: (1+x)(R^2 + (1-R)^2/x)."""
     x = np.asarray(x, dtype=float)
-    u = tau * np.sqrt(x)
+    u = np.asarray(tau * np.sqrt(x))
     ratio = j1_ratio(u)
-    resid = j1_ratio_complement(u)
+    resid = _complement_series(u, np.asarray(1.0 - ratio))  # one J1 per point
     return (1.0 + x) * (ratio * ratio + resid * resid / x)
 
 
@@ -241,7 +284,7 @@ def nest_param_error_constant(x_spec=GridSpec(1e-8, 1e4, 200000, "log"),
         return (j1_ratio_complement(x) * (x * x + 1.0) / (x * x) - 1.0) ** 2
 
     value, x_star = _inner_max(objective, 0.0, xs, zoom_rounds=zoom_rounds)
-    return float(value), float(x_star)
+    return float(value[0]), float(x_star[0])
 
 
 def _hb_scan(mu_grid, s_grid, t_grid, t_positive: bool):
@@ -324,12 +367,14 @@ def tilde_h(x, z):
     return (1.0 + x * x) * (x / z + 1.0) ** 2 * np.exp(-2.0 * x / z)
 
 
-def tilde_h_maximizer(z: float) -> float:
+def tilde_h_maximizer(z):
     """Interior critical point x* = (z + sqrt(5 z^2 - 4))/2 (needs z >= 2/sqrt(5))."""
+    z = np.asarray(z, dtype=float)
     disc = 5.0 * z * z - 4.0
-    if disc < 0:
+    if (disc < 0).any():
         raise ValueError("x* exists only for z >= 2/sqrt(5)")
-    return (z + np.sqrt(disc)) / 2.0
+    out = (z + np.sqrt(disc)) / 2.0
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -352,8 +397,8 @@ class CrossoverResult:
 def _classify_tilde_h(z: float) -> CrossoverCase:
     hi = 6.0 * max(z, 1.0)
     xs = np.linspace(0.0, hi, 240001)
-    vals = tilde_h(xs, z)
-    argmax = float(xs[int(np.argmax(vals))])
+    _, k = _scan_max(lambda zz, x: tilde_h(x, zz), np.array([z]), xs)
+    argmax = float(xs[k[0]])
     disc = 5.0 * z * z - 4.0
     if disc <= 0:
         return CrossoverCase(z=z, case_index=1, argmax_x=argmax, x_star=None,
@@ -394,7 +439,7 @@ def tilde_h_crossover(sample_z=(0.5, 0.95, 2.0), tol: float = 1e-10) -> Crossove
             lo = mid
         else:
             hi = mid
-    z_star = 0.5 * (lo + hi)
+    z_star = float(0.5 * (lo + hi))
     cases = tuple(_classify_tilde_h(float(z)) for z in sample_z)
     return CrossoverResult(z_star=z_star, cases=cases)
 
@@ -427,7 +472,7 @@ def hb_variance_bound_check(kappas=None) -> VarianceBoundReport:
     equality_err = float(np.abs(branch1 - target).max())
     branch_gap = float((branch2 - target).max())
     z = np.cbrt(kappas)
-    recomp = np.array([float(tilde_h(tilde_h_maximizer(zz), zz)) for zz in z])
+    recomp = tilde_h(tilde_h_maximizer(z), z)
     recomp_err = float(np.abs(recomp + target - h_kappa(kappas)).max())
     return VarianceBoundReport(max_branch_gap=branch_gap,
                                max_equality_error=equality_err,

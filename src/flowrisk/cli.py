@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds
 from .estimators import estimate
 from .experiments import ConfigError, ExperimentConfig, figure_sweep
-from .linalg import (Spectrum, attach_response, design_decompose,
+from .linalg import (MAX_DOUBLES, Spectrum, attach_response, design_decompose,
                      read_matrix_csv, read_vector_csv)
 from .oracle import compare_closed_form
 from .plotting import load_plot_series, render_line_plot
@@ -115,6 +115,9 @@ def _cmd_oracle_check(args) -> int:
     kind = FlowKind.parse(args.kind)
     if kind is FlowKind.RIDGE:
         raise ConfigError("oracle-check covers the three flows")
+    if args.grid_count > MAX_DOUBLES:
+        raise ConfigError(f"--grid-count {args.grid_count} exceeds "
+                          f"{MAX_DOUBLES} doubles")
     stream = SeededStream(args.seed)
     eigs = np.sort(0.05 + 2.95 * stream.uniforms(args.p))
     spectrum = Spectrum(eigs)

@@ -91,8 +91,20 @@ def j1_ratio_complement(x):
     vec = np.atleast_1d(arr)
     out = _two_j1_over_x(vec)
     np.subtract(1.0, out, out=out)
-    small = vec < _COMPLEMENT_CUTOFF
-    if small.any():
-        x2 = vec[small] ** 2
-        out[small] = x2 / 8.0 - x2 * x2 / 192.0 + x2 * x2 * x2 / 9216.0
+    _complement_series(vec, out)
     return float(out[0]) if arr.ndim == 0 else out
+
+
+def _complement_series(x, out):
+    """Overwrite out with the complement series wherever x < 1e-2.
+
+    At and above the cutoff j1_ratio_complement is plain 1 - j1_ratio, so a
+    caller holding j1_ratio(x) passes out = 1 - j1_ratio(x) and gets
+    j1_ratio_complement(x) without a second J1 evaluation.  x and out are
+    arrays of one shape (0-d allowed); returns out.
+    """
+    small = x < _COMPLEMENT_CUTOFF
+    if small.any():
+        x2 = x[small] ** 2
+        out[small] = x2 / 8.0 - x2 * x2 / 192.0 + x2 * x2 * x2 / 9216.0
+    return out

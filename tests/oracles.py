@@ -5,10 +5,11 @@ series uses explicit factorial terms, the eigenvalue oracle is power
 iteration with deflation, and the linear solver is textbook Gaussian
 elimination.  Slow is fine; independent is the point.
 
-The RK4 step loops, the whole-request batched polar normals and the masked
-kernel formulas are the library's earlier implementations, kept as
-references for the faster forms that replaced them: the RK4 scan agrees
-with its loop to rounding, and the rest agree bit for bit.
+The RK4 step loops, the whole-request batched polar normals, the masked
+kernel formulas and the one-tau-at-a-time min-max scans are the library's
+earlier implementations, kept as references for the faster forms that
+replaced them: the RK4 scan agrees with its loop to rounding, and the rest
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -254,3 +255,61 @@ def masked_hb_kernel_complement(a, b):
     b = np.asarray(b, dtype=float)
     return -np.expm1(-a) + np.exp(-a) * (2.0 * np.sin(b / 2.0) ** 2
                                          - a * masked_sinc(b))
+
+
+def inner_max_loop(objective, tau, x_coarse, zoom_rounds=3, zoom_points=240):
+    """Max over x of objective(tau, .) at one tau: coarse scan, then zooms."""
+    vals = objective(tau, x_coarse)
+    k = int(np.argmax(vals))
+    best_v = float(vals[k])
+    best_x = float(x_coarse[k])
+    lo = float(x_coarse[max(k - 1, 0)])
+    hi = float(x_coarse[min(k + 1, x_coarse.size - 1)])
+    for _ in range(zoom_rounds):
+        xs = np.linspace(lo, hi, zoom_points)
+        vv = objective(tau, xs)
+        kk = int(np.argmax(vv))
+        if vv[kk] > best_v:
+            best_v = float(vv[kk])
+            best_x = float(xs[kk])
+        width = (hi - lo) / 10.0
+        lo = max(best_x - width, float(x_coarse[0]))
+        hi = best_x + width
+    return best_v, best_x
+
+
+def minimax_loop(objective, taus, x_coarse, refinement_depth=3):
+    """(value, tau*, x*) of min over tau of max over x, one tau per scan.
+
+    The coarse stage calls inner_max_loop once per tau; golden-section
+    refinement on tau then shrinks the bracket 10x per round.
+    """
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    coarse = np.array([inner_max_loop(objective, t, x_coarse, zoom_rounds=1)[0]
+                       for t in taus])
+    i = int(np.flatnonzero(coarse <= float(coarse.min()) + 1e-12)[0])
+    lo = float(taus[max(i - 1, 0)])
+    hi = float(taus[min(i + 1, taus.size - 1)])
+
+    def outer(tau):
+        return inner_max_loop(objective, tau, x_coarse)[0]
+
+    for _ in range(refinement_depth):
+        target = (hi - lo) / 10.0
+        c = hi - (hi - lo) * golden
+        d = lo + (hi - lo) * golden
+        f_c, f_d = outer(c), outer(d)
+        while hi - lo > target:
+            if f_c < f_d:
+                hi = d
+                d, f_d = c, f_c
+                c = hi - (hi - lo) * golden
+                f_c = outer(c)
+            else:
+                lo = c
+                c, f_c = d, f_d
+                d = lo + (hi - lo) * golden
+                f_d = outer(d)
+    tau_star = float(0.5 * (lo + hi))
+    value, x_star = inner_max_loop(objective, tau_star, x_coarse)
+    return value, tau_star, x_star

@@ -1,10 +1,14 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from flowrisk import bounds
 from flowrisk.bounds import (
     CHECKS,
+    DEFAULT_TAU_GRID,
+    DEFAULT_X_GRID,
     GridSpec,
     bias_ratio_unbounded_witness,
     gf_inflation_constant,
@@ -17,6 +21,7 @@ from flowrisk.bounds import (
     nest_inflation_constant,
     nest_inflation_objective,
     nest_param_error_constant,
+    run_checks,
     tilde_h,
     tilde_h_crossover,
     tilde_h_maximizer,
@@ -25,6 +30,7 @@ from flowrisk.bounds import (
 from flowrisk.linalg import MAX_DOUBLES, Spectrum
 from flowrisk.risk import SignalModel
 from flowrisk.shrinkage import hb_kernel_complement
+from oracles import inner_max_loop, minimax_loop
 
 
 def test_grid_count_is_capped_before_allocating():
@@ -83,6 +89,119 @@ class TestInflationConstants:
             tau_spec=GridSpec(1e-3, 10.0, 800, "log"),
             x_spec=GridSpec(1e-8, 1e6, 8000, "log"))
         assert abs(base.value - dense.value) < 1e-3
+
+
+def _counting(monkeypatch, name):
+    """Wrap bounds.<name> so that its calls and evaluated points are counted."""
+    fn = getattr(bounds, name)
+    seen = {"calls": 0, "points": 0}
+
+    def wrapper(tau, x):
+        out = fn(tau, x)
+        seen["calls"] += 1
+        seen["points"] += np.size(out)
+        return out
+
+    monkeypatch.setattr(bounds, name, wrapper)
+    return seen
+
+
+def _whole_row_scan(objective, taus, xs):
+    """Row max and first argmax of the unblocked objective matrix."""
+    vals = objective(taus[:, None], xs if xs.ndim == 2 else xs[None, :])
+    k = np.argmax(vals, axis=1)
+    return vals[np.arange(taus.size), k], k
+
+
+def _spikes(*at):
+    """An objective that is 1 at the listed x indices and 0 elsewhere."""
+    return lambda tau, x: np.isin(x, at).astype(float) + 0.0 * tau
+
+
+class TestBlockedScan:
+    BLOCK = bounds._SCAN_BLOCK
+
+    @pytest.mark.parametrize("objective",
+                             [gf_inflation_objective, nest_inflation_objective])
+    def test_coarse_stage_matches_the_per_tau_loop(self, objective):
+        taus, xs = DEFAULT_TAU_GRID.points(), DEFAULT_X_GRID.points()
+        values, maximizers = bounds._inner_max(objective, taus, xs,
+                                               zoom_rounds=1)
+        loop = [inner_max_loop(objective, t, xs, zoom_rounds=1) for t in taus]
+        assert values.tolist() == [v for v, _ in loop]       # bit for bit
+        assert maximizers.tolist() == [x for _, x in loop]
+
+    @pytest.mark.parametrize("certifier, objective", [
+        (gf_inflation_constant, gf_inflation_objective),
+        (nest_inflation_constant, nest_inflation_objective)])
+    def test_constants_match_the_loop_minimax(self, certifier, objective):
+        r = certifier()
+        assert (r.value, r.tau_star, r.x_star) == minimax_loop(
+            objective, DEFAULT_TAU_GRID.points(), DEFAULT_X_GRID.points())
+
+    def test_first_of_equal_maxima_wins_inside_a_block(self):
+        xs = np.arange(100.0)
+        best, arg = bounds._scan_max(_spikes(7.0, 3.0, 90.0), np.ones(4), xs)
+        assert best.tolist() == [1.0] * 4 and arg.tolist() == [3] * 4
+
+    def test_first_of_equal_maxima_wins_across_a_block_boundary(self):
+        xs = np.arange(3.0 * self.BLOCK)
+        for at in ([5.0, self.BLOCK + 5.0], [self.BLOCK - 1.0, self.BLOCK],
+                   [self.BLOCK + 2.0, 2 * self.BLOCK + 1.0]):
+            best, arg = bounds._scan_max(_spikes(*at), np.ones(1), xs)
+            assert best[0] == 1.0 and arg[0] == int(at[0])
+
+    def test_first_nan_wins_as_in_argmax(self):
+        xs = np.arange(2.0 * self.BLOCK + 10)
+
+        def objective(tau, x):
+            return np.where(np.isin(x, [self.BLOCK + 3.0, 2 * self.BLOCK]),
+                            np.nan, x) + 0.0 * tau
+
+        best, arg = bounds._scan_max(objective, np.ones(1), xs)
+        assert np.isnan(best[0]) and arg[0] == self.BLOCK + 3
+
+    @pytest.mark.parametrize("n_taus, n_x", [
+        (1, 50),                  # a single row in a single block
+        (13, 3000),               # 5 rows per block, the last block partial
+        (3, 2 * 16384 + 123),     # rows longer than a block, a partial chunk
+    ])
+    def test_matches_the_whole_row_scan(self, n_taus, n_x):
+        taus = np.logspace(-2, 1, n_taus)
+        xs = np.logspace(-8, 6, n_x)
+        for objective in (gf_inflation_objective, nest_inflation_objective):
+            best, arg = bounds._scan_max(objective, taus, xs)
+            ref_best, ref_arg = _whole_row_scan(objective, taus, xs)
+            assert best.tolist() == ref_best.tolist()
+            assert arg.tolist() == ref_arg.tolist()
+
+    def test_per_row_grids_match_the_whole_row_scan(self):
+        taus = np.array([0.3, 1.0, 3.0])
+        xs = np.ascontiguousarray(np.linspace([1e-3, 1.0, 10.0],
+                                              [1.0, 10.0, 1e3], 500, axis=1))
+        best, arg = bounds._scan_max(gf_inflation_objective, taus, xs)
+        ref_best, ref_arg = _whole_row_scan(gf_inflation_objective, taus, xs)
+        assert best.tolist() == ref_best.tolist()
+        assert arg.tolist() == ref_arg.tolist()
+
+    def test_one_constant_is_few_calls_on_the_same_points(self, monkeypatch):
+        seen = _counting(monkeypatch, "gf_inflation_objective")
+        gf_inflation_constant()
+        assert seen["calls"] <= 150
+        assert seen["points"] == 507_840
+
+
+def test_certifier_results_are_plain_floats():
+    values = [value for _, _, value, _ in run_checks()]
+    assert values and all(type(v) is float for v in values)
+    for r in (gf_inflation_constant(), nest_inflation_constant()):
+        assert all(type(getattr(r, f.name)) is float for f in fields(r))
+    crossover = tilde_h_crossover()
+    assert type(crossover.z_star) is float
+    for case in crossover.cases:
+        assert type(case.z) is float and type(case.argmax_x) is float
+        assert case.x_star is None or type(case.x_star) is float
+        assert type(case.structure_ok) is bool
 
 
 class TestNestParamError:

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from flowrisk.cli import run
+from flowrisk.linalg import MAX_DOUBLES
 from flowrisk.plotting import load_plot_series, render_line_plot
 from flowrisk.shrinkage import FlowKind, factor_block
 from flowrisk.special import bessel_j1
@@ -207,6 +209,22 @@ def test_oracle_check_rejects_non_finite_input(capsys, flag, value, message):
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_check_refuses_an_oversized_grid_count_before_allocating(capsys):
+    count = MAX_DOUBLES + 1
+    tracemalloc.start()
+    try:
+        code = run(["oracle-check", "--kind", "gf", "--grid-count", str(count)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert f"--grid-count {count} exceeds {MAX_DOUBLES} doubles" in captured.err
+    assert peak < 1 << 20    # the 512 MiB grid was never built
 
 
 def test_simulate_heavy_ball_skip_warning_on_stderr(tmp_path, capsys):
