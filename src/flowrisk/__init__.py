@@ -10,9 +10,9 @@ from .bounds import (
     gf_inflation_constant,
     h_kappa,
     hb_inflation_check,
-    hb_param_error_check,
+    hb_kernel_slack,
+    hb_param_error_sup,
     hb_variance_bound_check,
-    hb_kernel_bound_checks,
     nest_inflation_constant,
     nest_param_error_constant,
     tilde_h,

@@ -13,7 +13,7 @@ The certified quantities:
 * the relative parameter-error constants: the accelerated coupling factor
   f(x) = (1 - 2J1(x)/x)(x^2+1)/x^2 has sup (f-1)^2 = 49/64, approached as
   x -> 0+, and the heavy-ball coupling factor satisfies f^2 <= 16 and
-  (f-1)^2 <= 25 on all admissible (mu, s, t);
+  (f-1)^2 <= 25 over the whole quarter-plane a, b >= 0 (below);
 
 * the heavy-ball inflation envelope h(kappa), its bias piece
   h~(x) = (1+x^2)(x/z+1)^2 e^{-2x/z} maximized at x* = (z+sqrt(5z^2-4))/2,
@@ -22,7 +22,7 @@ The certified quantities:
   = 8 kappa^{2/3} at tau = kappa^{1/6};
 
 * the two pointwise kernel inequalities behind the heavy-ball bounds,
-  checked on dense grids;
+  checked on the same quarter-plane grid;
 
 * the witness that no constant can couple the accelerated bias to the
   ridge bias uniformly: along the J1 envelope peaks the bias ratio grows
@@ -42,8 +42,20 @@ chunks.  Every point is evaluated exactly as in a one-tau scan, and each
 row keeps its first argmax, so values, optimizers and tie-breaks are those
 of a one-tau-at-a-time scan.
 
+Heavy-ball scans.  Every heavy-ball quantity certified here depends on
+(mu, s, t) only through a = t sqrt(mu) and b = t sqrt(s - mu), because
+x^2 = t^2 s = a^2 + b^2 and x/sqrt(kappa) = a.  So the scans run over the
+closed quarter-plane a, b >= 0 on a polar grid, a = x sin(theta) and
+b = x cos(theta), with theta in [0, pi/2] including both edges (a = 0 is
+the undamped edge, b = 0 the s = mu edge) and x in [1e-5, 10^2.5].  A
+bounded x range suffices: |kernel| <= (1 + a) e^{-a} <= 1, so
+0 <= f <= 2(1 + 1/x^2), which keeps f^2 < 4.09 and (f-1)^2 < 1.05 for
+x >= 10, below the values the scan finds; and f -> 1/2 as x -> 0.  The
+f^2 and (f-1)^2 scans reuse the min-max scanner with theta as the row
+variable (coarse x scan plus zooms per theta) and take the max over rows.
+
 The certifiers report values.  CHECKS, the certification table, holds their
-paper values, tolerances and scan grids and alone decides pass or fail.
+paper values and tolerances and alone decides pass or fail.
 """
 
 from __future__ import annotations
@@ -78,14 +90,14 @@ __all__ = [
     "gf_inflation_constant",
     "nest_inflation_constant",
     "nest_param_error_constant",
-    "hb_param_error_check",
+    "hb_param_error_sup",
     "h_kappa",
     "tilde_h",
     "tilde_h_maximizer",
     "tilde_h_crossover",
     "hb_variance_bound_check",
     "hb_inflation_check",
-    "hb_kernel_bound_checks",
+    "hb_kernel_slack",
     "bias_ratio_unbounded_witness",
 ]
 
@@ -270,76 +282,57 @@ def nest_inflation_constant(tau_spec=DEFAULT_TAU_GRID, x_spec=DEFAULT_X_GRID,
                               refinement_depth)
 
 
-def nest_param_error_constant(x_spec=GridSpec(1e-8, 1e4, 200000, "log"),
-                              zoom_rounds=3) -> tuple[float, float]:
+_NEST_PARAM_X_GRID = GridSpec(1e-8, 1e4, 200000, "log")
+
+
+def nest_param_error_constant() -> tuple[float, float]:
     """Sup over x > 0 of (f(x)-1)^2 for the accelerated coupling factor.
 
     f(x) = (1 - 2J1(x)/x)(x^2+1)/x^2 tends to 1/8 as x -> 0+, so the sup
     49/64 = 0.765625 is approached (not attained) at the left end.  Returns
     (sup_value, x_at_sup).
     """
-    xs = x_spec.points()
-
     def objective(_tau, x):
         return (j1_ratio_complement(x) * (x * x + 1.0) / (x * x) - 1.0) ** 2
 
-    value, x_star = _inner_max(objective, 0.0, xs, zoom_rounds=zoom_rounds)
+    value, x_star = _inner_max(objective, 0.0, _NEST_PARAM_X_GRID.points())
     return float(value[0]), float(x_star[0])
 
 
-def _hb_scan(mu_grid, s_grid, t_grid, t_positive: bool):
-    """Validated (mu, s, t) meshgrid for the heavy-ball scans.
+# the heavy-ball polar grid (module docstring): theta rows, x columns
+_HB_THETAS = np.linspace(0.0, np.pi / 2.0, 64)
+_HB_XS = np.logspace(-5.0, 2.5, 400)
 
-    Returns the admissible-node mask s >= mu and, per node, the kernel
-    arguments a = t sqrt(mu), b = t sqrt(s - mu), x = t sqrt(s) and
-    sqrt(kappa) = sqrt(s/mu).  t_positive rejects t = 0, which the
-    parameter-error scan needs because it divides by x^2.
-    """
-    mu = np.asarray(mu_grid, dtype=float)
-    s = np.asarray(s_grid, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
-    if (mu <= 0).any():
-        raise ValueError("mu grid must be positive")
-    if t_positive and (t <= 0).any():
-        raise ValueError("t grid must be positive")
-    if (t < 0).any():
-        raise ValueError("t grid must be nonnegative")
-    if (s <= 0).any():
-        raise ValueError("s grid must be positive")
-    big_mu, big_s, big_t = np.meshgrid(mu, s, t, indexing="ij")
-    mask = big_s >= big_mu
-    if not mask.any():
-        raise ValueError("grid has no nodes with s >= mu")
-    a = big_t * np.sqrt(big_mu)
-    b = big_t * np.sqrt(np.where(mask, big_s - big_mu, 0.0))
-    x = big_t * np.sqrt(big_s)
-    return mask, a, b, x, np.sqrt(big_s / big_mu)
+
+def _hb_factor(a, b):
+    """Heavy-ball coupling factor (1 - kernel(a, b))(x^2+1)/x^2, x^2 = a^2+b^2."""
+    x_sq = a * a + b * b
+    return hb_kernel_complement(a, b) * (x_sq + 1.0) / x_sq
 
 
 @dataclass(frozen=True)
 class HbParamErrorReport:
-    """Grid maxima of f^2 and (f-1)^2 for the heavy-ball coupling factor."""
+    """Sup of f^2 and (f-1)^2 for the heavy-ball coupling factor."""
 
     max_f_sq: float
     max_fm1_sq: float
-    nodes_checked: int
+    nodes_checked: int           # polar grid nodes per scan, before the x zooms
 
 
-def hb_param_error_check(mu_grid, s_grid, t_grid) -> HbParamErrorReport:
-    """Scan f(x) = (1 - kernel)(x^2+1)/x^2 over an admissible (mu, s, t) grid.
+def hb_param_error_sup() -> HbParamErrorReport:
+    """Scan f^2 and (f-1)^2 over the (a, b) quarter-plane (module docstring).
 
-    kernel is the damped cosine at a = t sqrt(mu), b = t sqrt(s - mu), and
-    x = t sqrt(s).  Nodes with s < mu are skipped; the remaining maxima are
-    the values CHECKS certifies against f^2 <= 16 and (f-1)^2 <= 25.
+    These are the values CHECKS certifies against f^2 <= 16 and
+    (f-1)^2 <= 25; both sups sit on the undamped edge a = 0.
     """
-    mask, a, b, x, _ = _hb_scan(mu_grid, s_grid, t_grid, t_positive=True)
-    comp = hb_kernel_complement(a, b)
-    f = comp * (x * x + 1.0) / (x * x)
-    return HbParamErrorReport(
-        max_f_sq=float((f * f)[mask].max()),
-        max_fm1_sq=float(((f - 1.0) ** 2)[mask].max()),
-        nodes_checked=int(mask.sum()),
-    )
+    def sup(g):
+        def objective(theta, x):
+            return g(_hb_factor(x * np.sin(theta), x * np.cos(theta)))
+        return float(_inner_max(objective, _HB_THETAS, _HB_XS)[0].max())
+
+    return HbParamErrorReport(max_f_sq=sup(np.square),
+                              max_fm1_sq=sup(lambda f: (f - 1.0) ** 2),
+                              nodes_checked=_HB_THETAS.size * _HB_XS.size)
 
 
 def h_kappa(kappa):
@@ -418,7 +411,10 @@ def _classify_tilde_h(z: float) -> CrossoverCase:
                          structure_ok=ok)
 
 
-def tilde_h_crossover(sample_z=(0.5, 0.95, 2.0), tol: float = 1e-10) -> CrossoverResult:
+_CROSSOVER_SAMPLE_Z = (0.5, 0.95, 2.0)    # one z per case of the structure
+
+
+def tilde_h_crossover() -> CrossoverResult:
     """Locate z* where tilde_h(x*) first reaches tilde_h(0) = 1.
 
     Bisection on z in (2/sqrt(5), 1); below z* the global maximum of
@@ -433,14 +429,14 @@ def tilde_h_crossover(sample_z=(0.5, 0.95, 2.0), tol: float = 1e-10) -> Crossove
 
     if gap(lo) >= 0 or gap(hi) <= 0:
         raise RuntimeError("crossover bracket failed")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if gap(mid) < 0:
             lo = mid
         else:
             hi = mid
     z_star = float(0.5 * (lo + hi))
-    cases = tuple(_classify_tilde_h(float(z)) for z in sample_z)
+    cases = tuple(_classify_tilde_h(float(z)) for z in _CROSSOVER_SAMPLE_Z)
     return CrossoverResult(z_star=z_star, cases=cases)
 
 
@@ -453,17 +449,18 @@ class VarianceBoundReport:
     max_recomposition_error: float
 
 
-def hb_variance_bound_check(kappas=None) -> VarianceBoundReport:
+_RECOMPOSITION_KAPPAS = np.unique(np.concatenate([
+    np.logspace(0.0, 4.0, 81), [1.0, 8.0, 1000.0]]))
+
+
+def hb_variance_bound_check() -> VarianceBoundReport:
     """At tau = kappa^{1/6}, the variance bound collapses to 8 kappa^{2/3}.
 
     Checks that 8 tau^4 equals 8 kappa^{2/3} and dominates the second
     branch 2(1+(tau/sqrt(kappa)+1)e^{-tau/sqrt(kappa)})^2, and that
     tilde_h(x*) + 8 kappa^{2/3} recomposes h(kappa) exactly.
     """
-    if kappas is None:
-        kappas = np.unique(np.concatenate([
-            np.logspace(0.0, 4.0, 81), [1.0, 8.0, 1000.0]]))
-    kappas = np.asarray(kappas, dtype=float)
+    kappas = _RECOMPOSITION_KAPPAS
     tau = kappas ** (1.0 / 6.0)
     target = 8.0 * kappas ** (2.0 / 3.0)
     branch1 = 8.0 * tau ** 4
@@ -488,24 +485,23 @@ class HbInflationResult:
     t_star: float
 
 
-def hb_inflation_check(spectrum: Spectrum, prior: SignalModel,
-                       t_grid=None) -> HbInflationResult:
+_HB_T_GRID = np.logspace(-2, 3, 2000)
+
+
+def hb_inflation_check(spectrum: Spectrum, prior: SignalModel) -> HbInflationResult:
     """inf_t hb Bayes risk / optimal ridge Bayes risk, with its bound h(kappa).
 
     The claim 1 <= ratio <= bound is checked by the caller through within.
     """
     if spectrum.mu <= 0:
         raise ValueError("heavy-ball inflation requires mu > 0")
-    if t_grid is None:
-        t_grid = np.logspace(-2, 3, 2000)
     ridge_opt, _ = optimal_ridge_bayes_risk(spectrum, prior)
-    t_grid = np.asarray(t_grid, dtype=float)
-    curve = risk_curve(spectrum, prior, FlowKind.HEAVY_BALL_FLOW, t_grid)
+    curve = risk_curve(spectrum, prior, FlowKind.HEAVY_BALL_FLOW, _HB_T_GRID)
     risks = curve.risk
     k = int(np.argmin(risks))
     ratio = float(risks[k]) / ridge_opt
     return HbInflationResult(ratio=ratio, bound=h_kappa(spectrum.kappa),
-                             t_star=float(t_grid[k]))
+                             t_star=float(_HB_T_GRID[k]))
 
 
 @dataclass(frozen=True)
@@ -518,33 +514,34 @@ class KernelBoundReport:
     nodes_checked: int
 
 
-def hb_kernel_bound_checks(mu_grid, s_grid, t_grid) -> KernelBoundReport:
-    """Check the two pointwise kernel inequalities on every admissible node.
+def _hb_kernel_slacks(a, b):
+    """lhs - rhs of the three kernel inequalities at (a, b), x^2 = a^2 + b^2:
 
-    With a = t sqrt(mu), b = t sqrt(s-mu), x = t sqrt(s), kappa = s/mu:
+      bias:  kernel(a,b)^2      <= (a+1)^2 e^{-2a}
+      var:   (1-kernel(a,b))^2  <= 4 x^4                     for x <= 1
+             (1-kernel(a,b))^2  <= (1+(a+1)e^{-a})^2         for x >  1
 
-      bias:  kernel(a,b)^2            <= (x/sqrt(kappa)+1)^2 e^{-2x/sqrt(kappa)}
-      var:   (1-kernel(a,b))^2        <= 4 x^4                    for x <= 1
-             (1-kernel(a,b))^2        <= (1+(x/sqrt(kappa)+1)e^{-x/sqrt(kappa)})^2
-                                                                  for x >  1
+    Each slack is returned at every point; the caller applies the x ranges.
     """
-    mask, a, b, x, root_kappa = _hb_scan(mu_grid, s_grid, t_grid,
-                                         t_positive=False)
+    x_sq = a * a + b * b
     kernel = hb_kernel(a, b)
-    rhs_bias = (x / root_kappa + 1.0) ** 2 * np.exp(-2.0 * x / root_kappa)
-    viol_bias = float(np.maximum(kernel * kernel - rhs_bias, 0.0)[mask].max())
     comp_sq = hb_kernel_complement(a, b) ** 2
-    small = mask & (x <= 1.0)
-    large = mask & (x > 1.0)
-    viol_small = float(np.maximum(comp_sq - 4.0 * x ** 4, 0.0)[small].max()) \
-        if small.any() else 0.0
-    rhs_var = (1.0 + (x / root_kappa + 1.0) * np.exp(-x / root_kappa)) ** 2
-    viol_large = float(np.maximum(comp_sq - rhs_var, 0.0)[large].max()) \
-        if large.any() else 0.0
-    return KernelBoundReport(max_violation_bias=viol_bias,
-                             max_violation_var_small_x=viol_small,
-                             max_violation_var_large_x=viol_large,
-                             nodes_checked=int(mask.sum()))
+    return (kernel * kernel - (a + 1.0) ** 2 * np.exp(-2.0 * a),
+            comp_sq - 4.0 * x_sq * x_sq,
+            comp_sq - (1.0 + (a + 1.0) * np.exp(-a)) ** 2)
+
+
+def hb_kernel_slack() -> KernelBoundReport:
+    """Worst slack of the kernel inequalities on the heavy-ball polar grid."""
+    theta = _HB_THETAS[:, None]
+    bias, var_small, var_large = _hb_kernel_slacks(_HB_XS * np.sin(theta),
+                                                   _HB_XS * np.cos(theta))
+    small = _HB_XS <= 1.0
+    return KernelBoundReport(
+        max_violation_bias=max(float(bias.max()), 0.0),
+        max_violation_var_small_x=max(float(var_small[:, small].max()), 0.0),
+        max_violation_var_large_x=max(float(var_large[:, ~small].max()), 0.0),
+        nodes_checked=bias.size)
 
 
 def bias_ratio_unbounded_witness(x_points) -> list[tuple[float, float]]:
@@ -600,9 +597,6 @@ class Check:
         return within(value, self.paper_value, self.tolerance, self.mode)
 
 
-_HB_GRIDS = (np.logspace(-3, 1, 50), np.logspace(-3, 1, 50),
-             np.logspace(-3, 2, 50))
-
 # name -> row, in report order
 CHECKS = {c.name: c for c in (
     Check("gradient_flow_inflation", "gf_inflation_constant",
@@ -611,10 +605,10 @@ CHECKS = {c.name: c for c in (
           attrgetter("value"), 1.5991, 1e-3, overridable=True),
     Check("accelerated_param_error", "nest_param_error_constant",
           itemgetter(0), 49.0 / 64.0, 1e-4, overridable=True),
-    Check("heavy_ball_f_sq", "hb_param_error_check", attrgetter("max_f_sq"),
-          16.0, 1e-6, "le", args=_HB_GRIDS),
-    Check("heavy_ball_param_error", "hb_param_error_check",
-          attrgetter("max_fm1_sq"), 25.0, 1e-6, "le", args=_HB_GRIDS),
+    Check("heavy_ball_f_sq", "hb_param_error_sup", attrgetter("max_f_sq"),
+          16.0, 1e-6, "le"),
+    Check("heavy_ball_param_error", "hb_param_error_sup",
+          attrgetter("max_fm1_sq"), 25.0, 1e-6, "le"),
     Check("crossover_z", "tilde_h_crossover", attrgetter("z_star"), 0.907,
           1e-3, overridable=True),
     Check("crossover_case_structure", "tilde_h_crossover",
@@ -623,11 +617,9 @@ CHECKS = {c.name: c for c in (
           attrgetter("max_recomposition_error"), 0.0, 1e-10, "le"),
     Check("h_at_kappa_1", "h_kappa", float, float(8.0 + 8.0 * np.exp(-2.0)),
           1e-12, args=(1.0,)),
-    Check("kernel_inequalities", "hb_kernel_bound_checks",
+    Check("kernel_inequalities", "hb_kernel_slack",
           lambda r: max(r.max_violation_bias, r.max_violation_var_small_x,
-                        r.max_violation_var_large_x), 0.0, 1e-10, "le",
-          args=(np.logspace(-3, 1, 40), np.logspace(-3, 1, 40),
-                np.logspace(-3, 2, 40))),
+                        r.max_violation_var_large_x), 0.0, 1e-10, "le"),
 )}
 
 

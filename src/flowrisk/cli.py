@@ -115,9 +115,9 @@ def _cmd_oracle_check(args) -> int:
     kind = FlowKind.parse(args.kind)
     if kind is FlowKind.RIDGE:
         raise ConfigError("oracle-check covers the three flows")
-    if args.grid_count > MAX_DOUBLES:
-        raise ConfigError(f"--grid-count {args.grid_count} exceeds "
-                          f"{MAX_DOUBLES} doubles")
+    for flag, count in (("--grid-count", args.grid_count), ("--p", args.p)):
+        if count > MAX_DOUBLES:
+            raise ConfigError(f"{flag} {count} exceeds {MAX_DOUBLES} doubles")
     stream = SeededStream(args.seed)
     eigs = np.sort(0.05 + 2.95 * stream.uniforms(args.p))
     spectrum = Spectrum(eigs)

@@ -11,10 +11,11 @@ times the unregularized target, where g is the family's shrinkage factor,
     ridge             g = lambda / (s + lambda)
 
 with g = 1 at s = 0 for every family: null directions are never moved.
-The heavy-ball map keeps mu (the global damping level, normally the
-smallest covariance eigenvalue) as an explicit argument so grid scans over
-(s, mu, t) stay possible; it is only defined for 0 < mu <= s, and the
-removable sin(t b)/b singularity at s = mu is evaluated by series.
+The heavy-ball map takes mu (the global damping level, normally the
+smallest covariance eigenvalue) as an explicit argument and is only defined
+for 0 < mu <= s.  Its kernels take a = t sqrt(mu) and b = t sqrt(s - mu),
+the two variables the heavy-ball certificates in bounds scan over, and the
+removable sin(b)/b singularity at b = 0 (s = mu) is evaluated by series.
 
 factor_block is the one evaluator: it validates its input and looks the
 family up in a single formula table, returning one row of factors per path

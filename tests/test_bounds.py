@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from flowrisk import bounds
 from flowrisk.bounds import (
@@ -15,9 +16,9 @@ from flowrisk.bounds import (
     gf_inflation_objective,
     h_kappa,
     hb_inflation_check,
-    hb_param_error_check,
+    hb_kernel_slack,
+    hb_param_error_sup,
     hb_variance_bound_check,
-    hb_kernel_bound_checks,
     nest_inflation_constant,
     nest_inflation_objective,
     nest_param_error_constant,
@@ -224,12 +225,47 @@ class TestNestParamError:
         assert (f - 1.0) ** 2 <= 1e-3
 
 
+def _old_hb_nodes(count):
+    """(a, b, x) at the admissible nodes s >= mu of the former (mu, s, t) grids."""
+    mu, s, t = np.meshgrid(np.logspace(-3, 1, count), np.logspace(-3, 1, count),
+                           np.logspace(-3, 2, count), indexing="ij")
+    keep = s >= mu
+    mu, s, t = mu[keep], s[keep], t[keep]
+    return t * np.sqrt(mu), t * np.sqrt(s - mu), t * np.sqrt(s)
+
+
+def _undamped_sup(objective):
+    """The max over b of objective((1 - cos b)(1 + 1/b^2)), the factor at a = 0."""
+    res = minimize_scalar(
+        lambda b: -objective((1.0 - np.cos(b)) * (1.0 + 1.0 / (b * b))),
+        bracket=(2.5, 3.0, 3.5), tol=1e-12)
+    return -res.fun
+
+
 class TestHbParamError:
     def test_grid_maxima_within_bounds(self):
         f_sq, fm1_sq = CHECKS["heavy_ball_f_sq"], CHECKS["heavy_ball_param_error"]
-        rep = hb_param_error_check(*f_sq.args)
+        rep = hb_param_error_sup()
         assert f_sq.passes(rep.max_f_sq) and fm1_sq.passes(rep.max_fm1_sq)
         assert rep.nodes_checked > 0
+
+    def test_old_nodes_are_reproduced(self):
+        # the former 50^3 (mu, s, t) scan, evaluated through (a, b)
+        a, b, _ = _old_hb_nodes(50)
+        f = bounds._hb_factor(a, b)
+        assert (f * f).max() == pytest.approx(4.7093730888261796, rel=1e-12)
+        assert ((f - 1.0) ** 2).max() == pytest.approx(1.3691550810177335,
+                                                       rel=1e-12)
+
+    def test_values_are_the_undamped_edge_suprema(self):
+        rep = hb_param_error_sup()
+        assert rep.max_f_sq == pytest.approx(_undamped_sup(lambda f: f * f),
+                                             rel=1e-9)
+        assert rep.max_fm1_sq == pytest.approx(
+            _undamped_sup(lambda f: (f - 1.0) ** 2), rel=1e-9)
+        # above the former grid maxima 4.709 and 1.369, which missed a = 0
+        assert rep.max_f_sq == pytest.approx(4.88918, abs=1e-5)
+        assert rep.max_fm1_sq == pytest.approx(1.46688, abs=1e-5)
 
     def test_degenerate_slice_uses_limit_kernel(self):
         # s = mu: kernel becomes (1 + a) e^{-a}
@@ -243,14 +279,6 @@ class TestHbParamError:
         a, b, x = t * math.sqrt(mu), t * math.sqrt(s - mu), t * math.sqrt(s)
         comp = hb_kernel_complement(a, b)
         assert comp ** 2 <= 4.0 * x ** 4 * (1 + 1e-9)
-
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            hb_param_error_check(np.array([0.0, 1.0]), np.array([1.0]),
-                                 np.array([1.0]))
-        with pytest.raises(ValueError):
-            hb_param_error_check(np.array([2.0]), np.array([1.0]),
-                                 np.array([1.0]))  # no s >= mu nodes
 
 
 class TestHKappa:
@@ -286,7 +314,7 @@ class TestCrossover:
             pytest.approx(1.0, abs=1e-9)
 
     def test_case_structure(self):
-        result = tilde_h_crossover(sample_z=(0.5, 0.95, 2.0))
+        result = tilde_h_crossover()
         by_z = {c.z: c for c in result.cases}
         assert by_z[0.5].case_index == 1
         assert by_z[0.5].argmax_x == 0.0
@@ -369,19 +397,28 @@ class TestHbInflation:
 class TestKernelBounds:
     def test_zero_violations_dense_grid(self):
         kernel = CHECKS["kernel_inequalities"]  # worst of the three violations
-        assert kernel.passes(kernel.value_of(hb_kernel_bound_checks(*kernel.args)))
+        assert kernel.passes(kernel.value_of(hb_kernel_slack()))
+
+    def test_old_nodes_are_reproduced(self):
+        # the former 40^3 (mu, s, t) scan: worst slacks 3.3e-16, 0 and 0
+        a, b, x = _old_hb_nodes(40)
+        bias, var_small, var_large = bounds._hb_kernel_slacks(a, b)
+        worst = [max(float(v.max()), 0.0)
+                 for v in (bias, var_small[x <= 1.0], var_large[x > 1.0])]
+        assert worst == pytest.approx([3.3306690738754696e-16, 0.0, 0.0],
+                                      rel=1e-12, abs=1e-16)
 
     def test_degenerate_slice_is_equality(self):
-        # s = mu makes the bias inequality an identity
-        rep = hb_kernel_bound_checks(np.array([0.8]), np.array([0.8]),
-                                  np.array([0.0, 0.5, 2.0]))
-        assert rep.max_violation_bias <= 1e-14
+        # s = mu (b = 0) makes the bias inequality an identity
+        a = math.sqrt(0.8) * np.array([0.0, 0.5, 2.0])
+        bias, _, _ = bounds._hb_kernel_slacks(a, np.zeros(3))
+        assert bias.max() <= 1e-14
 
     def test_time_zero_slice(self):
-        rep = hb_kernel_bound_checks(np.array([0.5]), np.array([1.0]),
-                                  np.array([0.0]))
+        # t = 0 is a = b = 0 (x <= 1): bias and small-x variance slacks
+        bias, var_small, _ = bounds._hb_kernel_slacks(0.0, 0.0)
         kernel = CHECKS["kernel_inequalities"]
-        assert kernel.passes(kernel.value_of(rep))
+        assert kernel.passes(max(bias, var_small, 0.0))
 
 
 class TestBiasRatioWitness:

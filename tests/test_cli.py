@@ -212,19 +212,20 @@ def test_oracle_check_rejects_non_finite_input(capsys, flag, value, message):
 
 
 @pytest.mark.filterwarnings("error")
-def test_oracle_check_refuses_an_oversized_grid_count_before_allocating(capsys):
+@pytest.mark.parametrize("flag", ["--grid-count", "--p"])
+def test_oracle_check_refuses_an_oversized_count_before_allocating(flag, capsys):
     count = MAX_DOUBLES + 1
     tracemalloc.start()
     try:
-        code = run(["oracle-check", "--kind", "gf", "--grid-count", str(count)])
+        code = run(["oracle-check", "--kind", "gf", flag, str(count)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and _one_error_line(captured.err)
-    assert f"--grid-count {count} exceeds {MAX_DOUBLES} doubles" in captured.err
-    assert peak < 1 << 20    # the 512 MiB grid was never built
+    assert f"{flag} {count} exceeds {MAX_DOUBLES} doubles" in captured.err
+    assert peak < 1 << 20    # the 512 MiB array was never built
 
 
 def test_simulate_heavy_ball_skip_warning_on_stderr(tmp_path, capsys):
@@ -351,6 +352,7 @@ def test_certifier_failure_exits_1_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_verify_constants_cli(tmp_path, capsys):
     assert run(["verify-constants", "--out", str(tmp_path)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -386,9 +388,9 @@ def test_verify_constants_calls_each_certifier_once(monkeypatch, capsys):
     # only outermost calls count: hb_variance_bound_check calls h_kappa too
     from flowrisk import bounds
     names = ("gf_inflation_constant", "nest_inflation_constant",
-             "nest_param_error_constant", "hb_param_error_check",
+             "nest_param_error_constant", "hb_param_error_sup",
              "tilde_h_crossover", "hb_variance_bound_check", "h_kappa",
-             "hb_kernel_bound_checks")
+             "hb_kernel_slack")
     calls = dict.fromkeys(names, 0)
     depth = [0]
 
