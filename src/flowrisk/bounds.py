@@ -35,12 +35,28 @@ its bracket by 10x.  The x tail beyond 1e6 cannot host the inner maximum at
 the minimizing tau: both objectives there are 1 + O(1/sqrt(x)) +
 O(1/(tau^3 sqrt(x))), below the certified values, while at tiny tau the
 grid already sees inner maxima far above them, steering the outer minimum
-away.  Smallest-tau tie-breaking keeps results deterministic.  The scans
-are blocked: the coarse stage evaluates all 200 taus (the x scan and the
-first zoom) a few rows per objective call, and long scans go in column
-chunks.  Every point is evaluated exactly as in a one-tau scan, and each
-row keeps its first argmax, so values, optimizers and tie-breaks are those
-of a one-tau-at-a-time scan.
+away.  Smallest-tau tie-breaking keeps results deterministic: the outer
+search starts at the first tau whose coarse value (x scan plus the first
+zoom) is within 1e-12 of the smallest.
+
+The coarse stage is pruned by witnesses.  Every tau is first scanned over
+every 16th coarse x point only; the max there is a lower bound of its
+coarse value, because those points are a subset of the coarse x grid, each
+is evaluated exactly as in the full scan, and the zoom never lowers a
+value.  The tau with the smallest bound gets a full coarse scan, whose
+value is a ceiling on the minimum; then only the taus whose bound is not
+above ceiling + 1e-12 are scanned in full.  A skipped tau lies above the
+minimum plus 1e-12, so it can be neither the minimum nor its tie-break,
+and the result is exactly that of scanning every tau (on the default grids
+one of 200 gradient-flow rows and five of 200 accelerated rows survive).
+A NaN bound or ceiling compares false, so it skips nothing; a NaN coarse
+value is an error naming its tau.  A tau whose witness points are finite
+but whose other points include a NaN may be skipped unseen.
+
+The scans are blocked: a few rows per objective call, and long scans go in
+column chunks.  Every point is evaluated exactly as in a one-tau scan, and
+each row keeps its first argmax, so values, optimizers and tie-breaks are
+those of a one-tau-at-a-time scan.
 
 Heavy-ball scans.  Every heavy-ball quantity certified here depends on
 (mu, s, t) only through a = t sqrt(mu) and b = t sqrt(s - mu), because
@@ -196,8 +212,11 @@ def _inner_max(objective, taus, x_coarse, zoom_rounds=3, zoom_points=240):
     lo = x_coarse[np.maximum(k - 1, 0)]
     hi = x_coarse[np.minimum(k + 1, x_coarse.size - 1)]
     for _ in range(zoom_rounds):
-        # rows equal to np.linspace(lo[i], hi[i], zoom_points), each contiguous
-        xs = np.ascontiguousarray(np.linspace(lo, hi, zoom_points, axis=1))
+        # rows equal to np.linspace(lo[i], hi[i], zoom_points) (same steps,
+        # same rounding, last point hi) unless a step underflows to 0
+        step = (hi - lo) / (zoom_points - 1)
+        xs = lo[:, None] + np.arange(zoom_points) * step[:, None]
+        xs[:, -1] = hi
         vv, kk = _scan_max(objective, taus, xs)
         better = vv > best_v
         best_v = np.where(better, vv, best_v)
@@ -208,6 +227,29 @@ def _inner_max(objective, taus, x_coarse, zoom_rounds=3, zoom_points=240):
     return best_v, best_x
 
 
+# every _WITNESS_STRIDE-th coarse x point is a witness (module docstring)
+_WITNESS_STRIDE = 16
+
+
+def _pruned_coarse(objective, taus, x_coarse):
+    """Per tau, the coarse max (x_coarse scan plus one zoom), or +inf.
+
+    A row is +inf only when its max over the witness points, a lower bound
+    of its coarse value, exceeds the coarse value of the row with the
+    smallest witness bound by more than the 1e-12 tie window; such a row
+    can be neither the minimum nor its smallest-tau tie-break.
+    """
+    witness = np.ascontiguousarray(x_coarse[::_WITNESS_STRIDE])
+    lower, _ = _scan_max(objective, taus, witness)
+    first = int(np.argmin(lower))          # a NaN bound is picked first
+    coarse = np.full(taus.size, np.inf)
+    coarse[first] = _inner_max(objective, taus[first], x_coarse, zoom_rounds=1)[0][0]
+    alive = ~(lower > coarse[first] + 1e-12)      # NaN on either side: alive
+    alive[first] = False
+    coarse[alive] = _inner_max(objective, taus[alive], x_coarse, zoom_rounds=1)[0]
+    return coarse
+
+
 def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
                        x_spec=DEFAULT_X_GRID, refinement_depth=3) -> MinMaxResult:
     if x_spec.hi < _X_TAIL:
@@ -215,7 +257,10 @@ def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
                          "threshold x = 1e6 that the certificate assumes")
     x_coarse = x_spec.points()
     taus = tau_spec.points()
-    coarse, _ = _inner_max(objective, taus, x_coarse, zoom_rounds=1)
+    coarse = _pruned_coarse(objective, taus, x_coarse)
+    nan = np.flatnonzero(np.isnan(coarse))
+    if nan.size:
+        raise RuntimeError(f"min-max objective is NaN at tau = {taus[nan[0]]:.6g}")
     vmin = float(coarse.min())
     i = int(np.flatnonzero(coarse <= vmin + 1e-12)[0])  # smallest-tau tie-break
     lo = float(taus[max(i - 1, 0)])
@@ -228,7 +273,7 @@ def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
         target = (hi - lo) / 10.0
         c = hi - (hi - lo) * _GOLDEN
         d = lo + (hi - lo) * _GOLDEN
-        f_c, f_d = outer(c), outer(d)
+        f_c, f_d = _inner_max(objective, np.array([c, d]), x_coarse)[0].tolist()
         while hi - lo > target:
             if f_c < f_d:
                 hi = d

@@ -46,13 +46,15 @@ class Spectrum:
     """Ascending nonnegative covariance eigenvalues.
 
     mu is the smallest eigenvalue, big_l the largest, kappa = big_l/mu the
-    condition number (defined only when mu > 0).
+    condition number (defined only when mu > 0).  eigenvalues is a
+    read-only copy, so the caller's array cannot change it after validation.
     """
 
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
+        vals = np.array(self.eigenvalues, dtype=float)
+        vals.flags.writeable = False
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("Spectrum requires a nonempty 1-D eigenvalue array")
         if not np.isfinite(vals).all():

@@ -186,10 +186,114 @@ class TestBlockedScan:
         assert arg.tolist() == ref_arg.tolist()
 
     def test_one_constant_is_few_calls_on_the_same_points(self, monkeypatch):
-        seen = _counting(monkeypatch, "gf_inflation_objective")
-        gf_inflation_constant()
-        assert seen["calls"] <= 150
-        assert seen["points"] == 507_840
+        # 25,000 witness points, 2240 per fully scanned coarse row (1 row for
+        # gf, 5 for nest), 59,840 in the golden-section stage
+        for certifier, name, points in (
+                (gf_inflation_constant, "gf_inflation_objective", 87_080),
+                (nest_inflation_constant, "nest_inflation_objective", 96_040)):
+            seen = _counting(monkeypatch, name)
+            certifier()
+            assert seen["calls"] <= 150
+            assert seen["points"] == points
+
+    @pytest.mark.parametrize("tau_spec, x_spec", [
+        (GridSpec(1e-3, 10.0, 50), DEFAULT_X_GRID),
+        (GridSpec(1e-3, 10.0, 400), DEFAULT_X_GRID),
+        (DEFAULT_TAU_GRID, GridSpec(1e-8, 1e7, 3000)),
+    ], ids=["50-taus", "400-taus", "3000-x-to-1e7"])
+    @pytest.mark.parametrize("certifier, objective", [
+        (gf_inflation_constant, gf_inflation_objective),
+        (nest_inflation_constant, nest_inflation_objective)])
+    def test_constants_match_the_loop_minimax_on_other_grids(
+            self, certifier, objective, tau_spec, x_spec):
+        r = certifier(tau_spec=tau_spec, x_spec=x_spec)
+        assert (r.value, r.tau_star, r.x_star) == minimax_loop(
+            objective, tau_spec.points(), x_spec.points())
+
+
+def _levels(levels, bump=True):
+    """objective(tau, x) = levels[nearest grid tau] times a bump in x.
+
+    The bump, exp(-(ln x - 1)^2), peaks at x = e, inside the default x grid,
+    and is missed by the witness points by about 2 %; bump=False makes each
+    row constant in x, so a row's witness bound is its coarse value.
+    """
+    taus = DEFAULT_TAU_GRID.points()
+    edges = np.sqrt(taus[1:] * taus[:-1])
+
+    def objective(tau, x):
+        shape = np.exp(-(np.log(x) - 1.0) ** 2) if bump else np.ones_like(x)
+        return levels[np.searchsorted(edges, tau)] * shape
+    return objective
+
+
+class TestPrunedCoarse:
+    TAUS, XS = DEFAULT_TAU_GRID.points(), DEFAULT_X_GRID.points()
+
+    def _coarse(self, objective):
+        return bounds._pruned_coarse(objective, self.TAUS, self.XS)
+
+    @pytest.mark.parametrize("objective",
+                             [gf_inflation_objective, nest_inflation_objective])
+    def test_only_rows_above_the_tie_window_are_pruned(self, objective):
+        coarse = self._coarse(objective)
+        full, _ = bounds._inner_max(objective, self.TAUS, self.XS, zoom_rounds=1)
+        kept = np.isfinite(coarse)
+        assert coarse[kept].tolist() == full[kept].tolist()     # bit for bit
+        assert (full[~kept] > full.min() + 1e-12).all()
+        assert (~kept).sum() >= 190
+
+    def _first_row_is_kept(self, levels, first):
+        objective = _levels(levels)
+        kept = np.isfinite(self._coarse(objective))
+        assert kept.sum() == 2                           # the rest are pruned
+        r = bounds._certified_minimax(objective)
+        assert (r.value, r.tau_star, r.x_star) == minimax_loop(
+            objective, self.TAUS, self.XS)
+        assert self.TAUS[first - 1] <= r.tau_star <= self.TAUS[first + 1]
+
+    def test_exact_tie_keeps_the_first_row(self):
+        levels = np.full(self.TAUS.size, 1.5)
+        levels[[60, 140]] = 1.0
+        self._first_row_is_kept(levels, 60)
+
+    def test_later_row_within_the_tie_window_keeps_the_first(self):
+        levels = np.full(self.TAUS.size, 1.5)
+        levels[60], levels[140] = 1.0, 1.0 - 5e-13
+        self._first_row_is_kept(levels, 60)
+
+    def test_witness_exactly_at_the_window_edge_stays_alive(self):
+        levels = np.full(self.TAUS.size, 2.0)
+        edge = 1.0 + 1e-12
+        levels[[30, 90, 150]] = 1.0, edge, np.nextafter(edge, np.inf)
+        kept = np.isfinite(self._coarse(_levels(levels, bump=False)))
+        assert np.flatnonzero(kept).tolist() == [30, 90]
+
+    def test_nan_witness_stays_alive(self):
+        levels = np.full(self.TAUS.size, 2.0)
+        levels[100] = 1.0
+        level_objective = _levels(levels)
+
+        def objective(tau, x):
+            # NaN at one witness point of the row of tau = TAUS[50]
+            nan = (tau == self.TAUS[50]) & (x == self.XS[16])
+            return np.where(nan, np.nan, level_objective(tau, x))
+
+        coarse = self._coarse(objective)
+        # the NaN bound is the smallest (argmin), so the NaN ceiling keeps
+        # every row alive: the coarse stage is the unpruned one
+        assert np.isnan(coarse[50]) and not np.isinf(coarse).any()
+        with pytest.raises(RuntimeError, match=f"tau = {self.TAUS[50]:.6g}$"):
+            bounds._certified_minimax(objective)
+
+    def test_nan_objective_names_the_first_nan_tau(self):
+        first = self.TAUS[self.TAUS > 0.5][0]
+
+        def objective(tau, x):
+            return np.where(tau > 0.5, np.nan, gf_inflation_objective(tau, x))
+
+        with pytest.raises(RuntimeError, match=f"NaN at tau = {first:.6g}$"):
+            bounds._certified_minimax(objective)
 
 
 def test_certifier_results_are_plain_floats():

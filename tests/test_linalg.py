@@ -95,6 +95,14 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum.from_eigenvalues(np.array([1.0, -1e-6]), clamp_scale=1.0)
 
+    def test_holds_a_read_only_copy(self):
+        a = np.array([0.5, 1.0, 2.0])
+        sp = Spectrum(a)
+        a[0] = -3.0
+        assert sp.mu == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            sp.eigenvalues[0] = -3.0
+
 
 class TestDesignDecompose:
     def test_scaled_identity(self):
