@@ -118,6 +118,8 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# golden-section rounds on tau, and points per dense x zoom (module docstring)
+_REFINEMENT_DEPTH, _ZOOM_POINTS = 3, 240
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,7 @@ def _scan_max(objective, taus, xs):
     return best, arg
 
 
-def _inner_max(objective, taus, x_coarse, zoom_rounds=3, zoom_points=240):
+def _inner_max(objective, taus, x_coarse, zoom_rounds=3):
     """Max over x of objective(tau, .) per tau: coarse scan plus dense zooms.
 
     Returns (values, maximizers), one entry per tau.
@@ -212,10 +214,10 @@ def _inner_max(objective, taus, x_coarse, zoom_rounds=3, zoom_points=240):
     lo = x_coarse[np.maximum(k - 1, 0)]
     hi = x_coarse[np.minimum(k + 1, x_coarse.size - 1)]
     for _ in range(zoom_rounds):
-        # rows equal to np.linspace(lo[i], hi[i], zoom_points) (same steps,
+        # rows equal to np.linspace(lo[i], hi[i], _ZOOM_POINTS) (same steps,
         # same rounding, last point hi) unless a step underflows to 0
-        step = (hi - lo) / (zoom_points - 1)
-        xs = lo[:, None] + np.arange(zoom_points) * step[:, None]
+        step = (hi - lo) / (_ZOOM_POINTS - 1)
+        xs = lo[:, None] + np.arange(_ZOOM_POINTS) * step[:, None]
         xs[:, -1] = hi
         vv, kk = _scan_max(objective, taus, xs)
         better = vv > best_v
@@ -251,7 +253,7 @@ def _pruned_coarse(objective, taus, x_coarse):
 
 
 def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
-                       x_spec=DEFAULT_X_GRID, refinement_depth=3) -> MinMaxResult:
+                       x_spec=DEFAULT_X_GRID) -> MinMaxResult:
     if x_spec.hi < _X_TAIL:
         raise ValueError(f"x grid ends at {x_spec.hi:g}, below the tail "
                          "threshold x = 1e6 that the certificate assumes")
@@ -269,7 +271,7 @@ def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
     def outer(tau):
         return float(_inner_max(objective, tau, x_coarse)[0][0])
 
-    for _ in range(refinement_depth):
+    for _ in range(_REFINEMENT_DEPTH):
         target = (hi - lo) / 10.0
         c = hi - (hi - lo) * _GOLDEN
         d = lo + (hi - lo) * _GOLDEN
@@ -310,21 +312,19 @@ def nest_inflation_objective(tau, x):
     return (1.0 + x) * (ratio * ratio + resid * resid / x)
 
 
-def gf_inflation_constant(tau_spec=DEFAULT_TAU_GRID, x_spec=DEFAULT_X_GRID,
-                          refinement_depth=3) -> MinMaxResult:
+def gf_inflation_constant(tau_spec=DEFAULT_TAU_GRID,
+                          x_spec=DEFAULT_X_GRID) -> MinMaxResult:
     """Certified gradient-flow inflation constant (1.0786 to within 1e-3)."""
-    return _certified_minimax(gf_inflation_objective, tau_spec, x_spec,
-                              refinement_depth)
+    return _certified_minimax(gf_inflation_objective, tau_spec, x_spec)
 
 
-def nest_inflation_constant(tau_spec=DEFAULT_TAU_GRID, x_spec=DEFAULT_X_GRID,
-                            refinement_depth=3) -> MinMaxResult:
+def nest_inflation_constant(tau_spec=DEFAULT_TAU_GRID,
+                            x_spec=DEFAULT_X_GRID) -> MinMaxResult:
     """Certified accelerated-flow inflation constant (1.5991 to within 1e-3).
 
     The tuning correspondence behind the objective is t = tau / sqrt(lambda).
     """
-    return _certified_minimax(nest_inflation_objective, tau_spec, x_spec,
-                              refinement_depth)
+    return _certified_minimax(nest_inflation_objective, tau_spec, x_spec)
 
 
 _NEST_PARAM_X_GRID = GridSpec(1e-8, 1e4, 200000, "log")

@@ -56,16 +56,14 @@ def _check(name, value, reference, tolerance, mode, runtime_ms):
     }
 
 
-def _run_constant_checks(tol_override=None):
+def _cmd_verify_constants(args) -> int:
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
     checks = []
     for c, _, value, ms in bounds.run_checks():
-        tol = c.tolerance if tol_override is None or not c.overridable else tol_override
-        checks.append(_check(c.name, value, c.paper_value, tol, c.mode, ms))
-    return checks
-
-
-def _cmd_verify_constants(args) -> int:
-    checks = _run_constant_checks(args.tol)
+        if args.tol is not None and c.overridable:
+            c = replace(c, tolerance=args.tol)
+        checks.append(_check(c.name, value, c.paper_value, c.tolerance, c.mode, ms))
     text = json.dumps({"checks": checks}, indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -164,13 +162,11 @@ def _cmd_shrink(args) -> int:
     return 0
 
 
+_SPECIAL = {"j1": bessel_j1, "j1-ratio": j1_ratio}
+
+
 def _cmd_special_eval(args) -> int:
-    if args.fn == "j1":
-        print(_fmt(bessel_j1(args.x)))
-    elif args.fn == "j1-ratio":
-        print(_fmt(j1_ratio(args.x)))
-    else:
-        raise ConfigError(f"unknown function {args.fn!r}")
+    print(_fmt(_SPECIAL[args.fn](args.x)))
     return 0
 
 
@@ -252,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_shrink)
 
     p = sub.add_parser("special-eval", help="evaluate a special function")
-    p.add_argument("--fn", required=True, help="j1 | j1-ratio")
+    p.add_argument("--fn", required=True, choices=tuple(_SPECIAL))
     p.add_argument("--x", type=float, required=True)
     p.set_defaults(handler=_cmd_special_eval)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,49 @@ FAMILIES = ("PowerLaw", "IidGaussian", "IidStudentT", "Orthogonal")
 
 class ConfigError(ValueError):
     """A malformed experiment configuration; the message names the key."""
+
+
+# One reader per JSON type.  Each takes a parsed value and its key path and
+# returns the Python value, or raises ConfigError naming the key.
+
+def _type_error(key: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{key} must be {what}, got {json.dumps(value, default=repr)}")
+
+
+def _json_float(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _type_error(key, "a number", value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is out of the range of a double") from None
+
+
+def _json_int(value, key: str) -> int:
+    """An integer, or an integral float such as 1e3."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise _type_error(key, "an integer", value)
+
+
+def _json_bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise _type_error(key, "true or false", value)
+    return value
+
+
+def _json_str(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise _type_error(key, "a string", value)
+    return value
+
+
+def _json_list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise _type_error(key, "a list", value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -128,11 +172,13 @@ class DesignSpec:
         unknown = set(obj) - known
         if unknown:
             raise ConfigError(f"design has unknown key {sorted(unknown)[0]!r}")
-        return cls(family=str(obj["family"]), n=int(obj["n"]), p=int(obj["p"]),
-                   seed=int(obj["seed"]), c=float(obj.get("C", 1.0)),
-                   nu=None if "nu" not in obj else float(obj["nu"]),
-                   df=None if "df" not in obj else float(obj["df"]),
-                   s=None if "s" not in obj else float(obj["s"]))
+        opt = {k: _json_float(obj[k], f"design.{k}")
+               for k in ("nu", "df", "s") if k in obj}
+        return cls(family=_json_str(obj["family"], "design.family"),
+                   n=_json_int(obj["n"], "design.n"),
+                   p=_json_int(obj["p"], "design.p"),
+                   seed=_json_int(obj["seed"], "design.seed"),
+                   c=_json_float(obj.get("C", 1.0), "design.C"), **opt)
 
     def to_json(self) -> dict:
         out = {"family": self.family, "n": self.n, "p": self.p, "seed": self.seed}
@@ -152,10 +198,13 @@ def _grid_from_json(obj, key) -> GridSpec:
     for sub in ("lo", "hi", "count"):
         if sub not in obj:
             raise ConfigError(f"{key}.{sub} is missing")
+    lo = _json_float(obj["lo"], f"{key}.lo")
+    hi = _json_float(obj["hi"], f"{key}.hi")
+    count = _json_int(obj["count"], f"{key}.count")
+    log = _json_bool(obj.get("log", True), f"{key}.log")
     try:
-        return GridSpec(lo=float(obj["lo"]), hi=float(obj["hi"]),
-                        count=int(obj["count"]),
-                        scale="log" if obj.get("log", True) else "linear")
+        return GridSpec(lo=lo, hi=hi, count=count,
+                        scale="log" if log else "linear")
     except ValueError as exc:
         raise ConfigError(f"{key} is invalid: {exc}") from exc
 
@@ -192,14 +241,18 @@ class ExperimentConfig:
         if not isinstance(raw_design, list):
             raise ConfigError("design must be an object or a list of objects")
         designs = tuple(DesignSpec.from_json(d) for d in raw_design)
+        tokens = [_json_str(tok, f"flows[{i}]")
+                  for i, tok in enumerate(_json_list(obj["flows"], "flows"))]
         try:
-            flows = tuple(FlowKind.parse(tok) for tok in obj["flows"])
+            flows = tuple(FlowKind.parse(tok) for tok in tokens)
         except ValueError as exc:
             raise ConfigError(f"flows: {exc}") from exc
-        return cls(design=designs, snr=float(obj["snr"]), flows=flows,
+        output_dir = obj.get("output_dir")
+        return cls(design=designs, snr=_json_float(obj["snr"], "snr"), flows=flows,
                    t_grid=_grid_from_json(obj["t_grid"], "t_grid"),
                    ridge_grid=_grid_from_json(obj["ridge_grid"], "ridge_grid"),
-                   output_dir=obj.get("output_dir"))
+                   output_dir=None if output_dir is None
+                   else _json_str(output_dir, "output_dir"))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -302,20 +355,6 @@ def _unique_labels(designs) -> list[str]:
     return labels
 
 
-def _sweep_one(design: SpectralDesign, spec: DesignSpec, config: ExperimentConfig,
-               kind: FlowKind, bayes: bool):
-    sigma_sq = SIGMA_SQ
-    if bayes:
-        signal = SignalModel.prior(r_sq=config.snr * sigma_sq,
-                                   sigma_sq=sigma_sq, n=spec.n)
-    else:
-        beta0, _ = gen_signal(spec.p, config.snr, sigma_sq,
-                              derive_seed(spec.seed, 1))
-        signal = SignalModel.fixed(design.v_basis.T @ beta0, sigma_sq, spec.n)
-    grid = config.ridge_grid if kind is FlowKind.RIDGE else config.t_grid
-    return risk_curve(design.spectrum, signal, kind, grid.points())
-
-
 def figure_sweep(config: ExperimentConfig, bayes: bool = False) -> dict:
     """Run every (design, family) sweep and return the curve dataset.
 
@@ -327,12 +366,20 @@ def figure_sweep(config: ExperimentConfig, bayes: bool = False) -> dict:
     dataset: dict = {}
     for label, spec in zip(_unique_labels(config.design), config.design):
         design = build_design(spec)
+        if bayes:
+            signal = SignalModel.prior(r_sq=config.snr * SIGMA_SQ,
+                                       sigma_sq=SIGMA_SQ, n=spec.n)
+        else:
+            beta0, _ = gen_signal(spec.p, config.snr, SIGMA_SQ,
+                                  derive_seed(spec.seed, 1))
+            signal = SignalModel.fixed(design.v_basis.T @ beta0, SIGMA_SQ, spec.n)
         for kind in config.flows:
             if kind is FlowKind.HEAVY_BALL_FLOW and design.spectrum.mu <= 0:
                 log.warning("skipping heavy ball on %s: smallest eigenvalue is 0",
                             label)
                 continue
-            curve = _sweep_one(design, spec, config, kind, bayes)
+            grid = config.ridge_grid if kind is FlowKind.RIDGE else config.t_grid
+            curve = risk_curve(design.spectrum, signal, kind, grid.points())
             dataset.setdefault(label, {})[kind.value] = curve
 
     if config.output_dir is not None:

@@ -27,7 +27,6 @@ __all__ = [
     "attach_response",
     "read_matrix_csv",
     "read_vector_csv",
-    "write_matrix_csv",
 ]
 
 SYMMETRY_TOL = 1e-10
@@ -222,10 +221,3 @@ def read_vector_csv(path) -> np.ndarray:
     """Read a vector (one value per line, or a single CSV row)."""
     return _load_csv(path, ndmin=1).reshape(-1)
 
-
-def write_matrix_csv(path, a) -> None:
-    """Write a matrix or vector as headerless CSV with 17 significant digits."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    with open(path, "w") as fh:
-        for row in a:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

@@ -120,31 +120,25 @@ def _validate_flow_inputs(kind, spectrum, forcing, t_end, step):
     return c
 
 
-def _gf_step(s, c, t, h, u):
-    """One RK4 step of a' = c - s a."""
-    d1 = c - s * u
-    d2 = c - s * (u + 0.5 * h * d1)
-    d3 = c - s * (u + 0.5 * h * d2)
-    d4 = c - s * (u + h * d3)
-    return (u + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4),)
+def _rk4_step(rhs, s, c, t, h, x):
+    """One classical RK4 step of x' = rhs(s, c, t, x) on a state tuple x."""
+    half = 0.5 * h
+    k1 = rhs(s, c, t, x)
+    k2 = rhs(s, c, t + half, tuple(xi + half * ki for xi, ki in zip(x, k1)))
+    k3 = rhs(s, c, t + half, tuple(xi + half * ki for xi, ki in zip(x, k2)))
+    k4 = rhs(s, c, t + h, tuple(xi + h * ki for xi, ki in zip(x, k3)))
+    return tuple(xi + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                 for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4))
 
 
-def _damped_step(damping):
-    """One RK4 step of u'' + damping(t) u' + s u = c, as (u, v) -> (u, v)."""
-    def step(s, c, t, h, u, v):
-        a1 = c - s * u - damping(t) * v
-        u2 = u + 0.5 * h * v
-        v2 = v + 0.5 * h * a1
-        a2 = c - s * u2 - damping(t + 0.5 * h) * v2
-        u3 = u + 0.5 * h * v2
-        v3 = v + 0.5 * h * a2
-        a3 = c - s * u3 - damping(t + 0.5 * h) * v3
-        u4 = u + h * v3
-        v4 = v + h * a3
-        a4 = c - s * u4 - damping(t + h) * v4
-        return (u + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
-                v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
-    return step
+def _gradient_rhs(s, c, t, x):
+    """Gradient flow u' = c - s u on the state (u,)."""
+    return (c - s * x[0],)
+
+
+def _damped_rhs(damping):
+    """u'' + damping(t) u' + s u = c on the state (u, v = u')."""
+    return lambda s, c, t, x: (x[1], c - s * x[0] - damping(t) * x[1])
 
 
 def _chunk_steps(p: int) -> int:
@@ -170,12 +164,12 @@ def _compose_prefix(a, b):
         offset *= 2
 
 
-def _rk4_scan(step, s, c, times, x0):
-    """RK4 iterates of a linear system at every time, one chunk at a time.
+def _rk4_scan(rhs, s, c, times, x0):
+    """RK4 iterates of x' = rhs(s, c, t, x) at every time, one chunk at a time.
 
-    step(s, c, t, h, *x) is one RK4 step on a state tuple x of length d.
-    It is affine in x, so evaluating it on the unit states with no forcing
-    and on the zero state with the forcing gives each step's map; the maps
+    The system is linear, so one _rk4_step on a state tuple x of length d is
+    affine in x: evaluating it on the unit states with no forcing and on
+    the zero state with the forcing gives each step's map; the maps
     of a chunk are composed by _compose_prefix and applied to the chunk's
     start state.  Returns the (d, m+1, p) record, row 0 being x0.
     """
@@ -194,7 +188,7 @@ def _rk4_scan(step, s, c, times, x0):
         h = times[k0 + 1:k1 + 1, None] - t
         probes = np.zeros((dim, dim + 1, k1 - k0, p))
         probes[range(dim), range(dim)] = 1.0
-        maps = np.array(step(s, forcing, t, h, *probes))
+        maps = np.array(_rk4_step(rhs, s, forcing, t, h, tuple(probes)))
         a, b = maps[:, :dim], maps[:, dim]
         _compose_prefix(a, b)
         out[:, k0 + 1:k1 + 1] = b + np.einsum("ijnp,jp->inp", a, out[:, k0])
@@ -215,15 +209,15 @@ def integrate_flow(kind: FlowKind, spectrum: Spectrum, forcing, t_end: float,
     t0 = min(_ACCEL_T0, t_end) if accelerated and t_end > 0 else 0.0
     times = t0 + step * np.arange(max(int(np.ceil((t_end - t0) / step)), 0) + 1)
     if accelerated:
-        pos, vel = _rk4_scan(_damped_step(lambda t: 3.0 / t), s, c, times,
+        pos, vel = _rk4_scan(_damped_rhs(lambda t: 3.0 / t), s, c, times,
                              (c * t0 * t0 / 8.0, c * t0 / 4.0))
     elif kind is FlowKind.HEAVY_BALL_FLOW:
         zero = np.zeros_like(c)
         rate = 2.0 * np.sqrt(spectrum.mu)
-        pos, vel = _rk4_scan(_damped_step(lambda t: rate), s, c, times,
+        pos, vel = _rk4_scan(_damped_rhs(lambda t: rate), s, c, times,
                              (zero, zero))
     else:
-        (pos,) = _rk4_scan(_gf_step, s, c, times, (np.zeros_like(c),))
+        (pos,) = _rk4_scan(_gradient_rhs, s, c, times, (np.zeros_like(c),))
         vel = c - s * pos
     return Trajectory(kind=kind, times=times, positions=pos, velocities=vel)
 

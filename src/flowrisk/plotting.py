@@ -109,6 +109,13 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
     return [10.0 ** e for e in range(lo_e, hi_e + 1)]
 
 
+def _ticks(lo: float, hi: float, log: bool) -> list[tuple[float, float]]:
+    """(position, value) per tick; lo, hi and positions are log10 on a log axis."""
+    if log:
+        return [(math.log10(v), v) for v in _decade_ticks(10.0 ** lo, 10.0 ** hi)]
+    return [(v, v) for v in _nice_linear_ticks(lo, hi)]
+
+
 def _fmt_tick(v: float) -> str:
     return format(v, ".6g")
 
@@ -159,29 +166,16 @@ def render_line_plot(series: list[Series], *, logx: bool = False,
         out.append(f'<text x="{_WIDTH / 2:.1f}" y="16" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="14">{title}</text>')
 
-    if logx:
-        x_ticks = _decade_ticks(10.0 ** x_lo, 10.0 ** x_hi)
-        x_tick_pos = [(math.log10(v), v) for v in x_ticks]
-    else:
-        x_ticks = _nice_linear_ticks(x_lo, x_hi)
-        x_tick_pos = [(v, v) for v in x_ticks]
-    if logy:
-        y_ticks = _decade_ticks(10.0 ** y_lo, 10.0 ** y_hi)
-        y_tick_pos = [(math.log10(v), v) for v in y_ticks]
-    else:
-        y_ticks = _nice_linear_ticks(y_lo, y_hi)
-        y_tick_pos = [(v, v) for v in y_ticks]
-
     axis_style = 'stroke="#444" stroke-width="1"'
     grid_style = 'stroke="#ddd" stroke-width="0.5"'
-    for pos, value in x_tick_pos:
+    for pos, value in _ticks(x_lo, x_hi, logx):
         x = _MARGIN_L + (pos - x_lo) / (x_hi - x_lo) * plot_w
         out.append(f'<line x1="{x:.2f}" y1="{_MARGIN_T}" x2="{x:.2f}" '
                    f'y2="{_MARGIN_T + plot_h}" {grid_style}/>')
         out.append(f'<text x="{x:.2f}" y="{_MARGIN_T + plot_h + 18}" '
                    f'text-anchor="middle" font-family="sans-serif" '
                    f'font-size="11">{_fmt_tick(value)}</text>')
-    for pos, value in y_tick_pos:
+    for pos, value in _ticks(y_lo, y_hi, logy):
         y = _MARGIN_T + (y_hi - pos) / (y_hi - y_lo) * plot_h
         out.append(f'<line x1="{_MARGIN_L}" y1="{y:.2f}" '
                    f'x2="{_MARGIN_L + plot_w}" y2="{y:.2f}" {grid_style}/>')

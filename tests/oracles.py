@@ -5,11 +5,12 @@ series uses explicit factorial terms, the eigenvalue oracle is power
 iteration with deflation, and the linear solver is textbook Gaussian
 elimination.  Slow is fine; independent is the point.
 
-The RK4 step loops, the whole-request batched polar normals, the masked
-kernel formulas and the one-tau-at-a-time min-max scans are the library's
-earlier implementations, kept as references for the faster forms that
-replaced them: the RK4 scan agrees with its loop to rounding, and the rest
-agree bit for bit.
+The RK4 step loops and per-flow step functions, the whole-request batched
+polar normals, the masked kernel formulas and the one-tau-at-a-time min-max
+scans are the library's earlier implementations, kept as references for
+the forms that replaced them: the RK4 scan agrees with its loop to
+rounding, and the rest (the one generic RK4 step rule included) agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -150,6 +151,33 @@ def rk4_second_order(s, c, damping, times, u0, v0):
         v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         pos[k + 1], vel[k + 1] = u, v
     return pos, vel
+
+
+def gf_step(s, c, t, h, u):
+    """One RK4 step of a' = c - s a, its stages written out."""
+    d1 = c - s * u
+    d2 = c - s * (u + 0.5 * h * d1)
+    d3 = c - s * (u + 0.5 * h * d2)
+    d4 = c - s * (u + h * d3)
+    return (u + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4),)
+
+
+def damped_step(damping):
+    """One RK4 step of u'' + damping(t) u' + s u = c, as (u, v) -> (u, v)."""
+    def step(s, c, t, h, u, v):
+        a1 = c - s * u - damping(t) * v
+        u2 = u + 0.5 * h * v
+        v2 = v + 0.5 * h * a1
+        a2 = c - s * u2 - damping(t + 0.5 * h) * v2
+        u3 = u + 0.5 * h * v2
+        v3 = v + 0.5 * h * a2
+        a3 = c - s * u3 - damping(t + 0.5 * h) * v3
+        u4 = u + h * v3
+        v4 = v + h * a3
+        a4 = c - s * u4 - damping(t + h) * v4
+        return (u + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+    return step
 
 
 def recipe_uniforms(seed: int, first: int, count: int) -> np.ndarray:

@@ -287,6 +287,50 @@ def test_simulate_missing_config_key(tmp_path, capsys):
     assert "snr" in capsys.readouterr().err
 
 
+def _set_raw(config, path, raw):
+    """config as JSON text with the value at dotted path replaced by raw text."""
+    *parents, leaf = path.split(".")
+    node = config
+    for key in parents:
+        node = node[key][0] if key == "design" else node[key]
+    node[leaf] = "@RAW@"
+    return json.dumps(config).replace('"@RAW@"', raw)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("path, raw, message", [
+    ("t_grid.count", "1e400", "t_grid.count must be an integer, got Infinity"),
+    ("design.n", "1e400", "design.n must be an integer, got Infinity"),
+    ("t_grid.count", "null", "t_grid.count must be an integer, got null"),
+    ("t_grid.lo", "null", "t_grid.lo must be a number, got null"),
+    ("t_grid.hi", "1" + "0" * 400, "t_grid.hi is out of the range of a double"),
+    ("t_grid.log", '"false"', 't_grid.log must be true or false, got "false"'),
+    ("design.n", "null", "design.n must be an integer, got null"),
+    ("snr", "null", "snr must be a number, got null"),
+    ("snr", "[1]", "snr must be a number, got [1]"),
+    ("flows", "5", "flows must be a list, got 5"),
+    ("flows", '"gf"', 'flows must be a list, got "gf"'),
+    ("output_dir", "5", "output_dir must be a string, got 5"),
+])
+def test_simulate_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys,
+                                                           path, raw, message):
+    config = {
+        "design": [{"family": "IidGaussian", "n": 20, "p": 4, "seed": 0}],
+        "snr": 1.0,
+        "flows": ["gf"],
+        "t_grid": {"lo": 0.01, "hi": 100.0, "count": 20, "log": True},
+        "ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 20, "log": True},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_set_raw(config, path, raw))
+    assert run(["simulate", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_plot_rejects_empty_csv(tmp_path, capsys):
     bad = tmp_path / "empty.csv"
     bad.write_text("")
@@ -382,6 +426,22 @@ def test_verify_constants_tol_overrides_only_the_equality_rows(capsys):
             assert c["tolerance"] == own[c["name"]]
             assert c["pass"] is True
     assert run(["verify-constants", "--tol", "0.5"]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])
+def test_verify_constants_refuses_a_bad_tol_before_certifying(monkeypatch, capsys,
+                                                              tol):
+    from flowrisk import bounds
+
+    def no_certifier(*args, **kwargs):
+        raise AssertionError("a certifier ran")
+
+    monkeypatch.setattr(bounds, "run_checks", no_certifier)
+    assert run(["verify-constants", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "--tol must be finite and >= 0" in captured.err
 
 
 def test_verify_constants_calls_each_certifier_once(monkeypatch, capsys):

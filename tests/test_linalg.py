@@ -8,7 +8,6 @@ from flowrisk.linalg import (
     read_matrix_csv,
     read_vector_csv,
     sym_eig,
-    write_matrix_csv,
 )
 
 from oracles import power_iteration_eigenvalues
@@ -179,9 +178,9 @@ class TestAttachResponse:
 def test_csv_round_trip(tmp_path):
     a = np.array([[1.5, -2.25], [1e-17, 3.0]])
     path = tmp_path / "m.csv"
-    write_matrix_csv(path, a)
+    np.savetxt(path, a, fmt="%.17g", delimiter=",")
     assert np.array_equal(read_matrix_csv(path), a)
     v = np.array([1.0, 2.0, -3.5])
     path2 = tmp_path / "v.csv"
-    write_matrix_csv(path2, v.reshape(-1, 1))
+    np.savetxt(path2, v.reshape(-1, 1), fmt="%.17g", delimiter=",")
     assert np.array_equal(read_vector_csv(path2), v)

@@ -7,6 +7,9 @@ from flowrisk.linalg import Spectrum
 from flowrisk.oracle import (
     IterateConfig,
     _chunk_steps,
+    _damped_rhs,
+    _gradient_rhs,
+    _rk4_step,
     compare_closed_form,
     discrete_iterates,
     integrate_flow,
@@ -15,7 +18,7 @@ from flowrisk.oracle import (
 from flowrisk.shrinkage import FlowKind
 from flowrisk.special import j1_ratio
 
-from oracles import rk4_first_order, rk4_second_order
+from oracles import damped_step, gf_step, rk4_first_order, rk4_second_order
 
 UNIT = Spectrum(np.array([1.0]))
 FLOWS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
@@ -107,6 +110,36 @@ class TestIntegrateFlow:
                            @ spec.eigenvalues)
         energy = kinetic + potential
         assert (np.diff(energy) <= 1e-8 * max(1.0, energy[0])).all()
+
+
+class TestStepRule:
+    """The one RK4 step rule against the per-flow stage formulas it replaced."""
+
+    @staticmethod
+    def _draws(seed):
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(0.0, 3.0, 7)
+        c, u, v = rng.standard_normal((3, 5, 7))
+        t = rng.uniform(1e-6, 20.0, (5, 1))
+        h = rng.uniform(1e-4, 0.5, (5, 1))
+        return s, c, t, h, u, v
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_flow(self, seed):
+        s, c, t, h, u, _ = self._draws(seed)
+        got = _rk4_step(_gradient_rhs, s, c, t, h, (u,))
+        want = gf_step(s, c, t, h, u)
+        assert len(got) == 1 and np.array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("damping", [lambda t: 3.0 / t, lambda t: 0.7],
+                             ids=["3/t", "constant"])
+    def test_damped_flows(self, seed, damping):
+        s, c, t, h, u, v = self._draws(seed)
+        got = _rk4_step(_damped_rhs(damping), s, c, t, h, (u, v))
+        want = damped_step(damping)(s, c, t, h, u, v)
+        assert len(got) == 2
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestScanMatchesStepLoop:
