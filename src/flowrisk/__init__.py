@@ -4,7 +4,6 @@ flow, heavy-ball flow, and ridge regression.
 """
 
 from .bounds import (
-    GridSpec,
     MinMaxResult,
     bias_ratio_unbounded_witness,
     gf_inflation_constant,
@@ -24,6 +23,7 @@ from .experiments import (
     ConfigError,
     DesignSpec,
     ExperimentConfig,
+    GridSpec,
     figure_sweep,
     gen_iid_design,
     gen_orthogonal_design,

@@ -28,16 +28,17 @@ The certified quantities:
   ridge bias uniformly: along the J1 envelope peaks the bias ratio grows
   like sqrt(x).
 
-Grid protocol for min-max values: tau on a log grid [1e-3, 10] with 200
-points, x on a log grid [1e-8, 1e6] with 2000 points, then three rounds of
-local refinement (golden-section on tau, dense zoom on x), each shrinking
-its bracket by 10x.  The x tail beyond 1e6 cannot host the inner maximum at
-the minimizing tau: both objectives there are 1 + O(1/sqrt(x)) +
-O(1/(tau^3 sqrt(x))), below the certified values, while at tiny tau the
-grid already sees inner maxima far above them, steering the outer minimum
-away.  Smallest-tau tie-breaking keeps results deterministic: the outer
-search starts at the first tau whose coarse value (x scan plus the first
-zoom) is within 1e-12 of the smallest.
+Grid protocol for min-max values: tau on a fixed log grid [1e-3, 10] with
+200 points, x on a fixed log grid [1e-8, 1e6] with 2000 points, then three
+rounds of local refinement (golden-section on tau, dense zoom on x), each
+shrinking its bracket by 10x.  The x grid reaches 1e6 by construction, and
+the x tail beyond it cannot host the inner maximum at the minimizing tau:
+both objectives there are 1 + O(1/sqrt(x)) + O(1/(tau^3 sqrt(x))), below
+the certified values, while at tiny tau the grid already sees inner maxima
+far above them, steering the outer minimum away.  Smallest-tau
+tie-breaking keeps results deterministic: the outer search starts at the
+first tau whose coarse value (x scan plus the first zoom) is within 1e-12
+of the smallest.
 
 The coarse stage is pruned by witnesses.  Every tau is first scanned over
 every 16th coarse x point only; the max there is a lower bound of its
@@ -47,7 +48,7 @@ value.  The tau with the smallest bound gets a full coarse scan, whose
 value is a ceiling on the minimum; then only the taus whose bound is not
 above ceiling + 1e-12 are scanned in full.  A skipped tau lies above the
 minimum plus 1e-12, so it can be neither the minimum nor its tie-break,
-and the result is exactly that of scanning every tau (on the default grids
+and the result is exactly that of scanning every tau (on these grids
 one of 200 gradient-flow rows and five of 200 accelerated rows survive).
 A NaN bound or ceiling compares false, so it skips nothing; a NaN coarse
 value is an error naming its tau.  A tau whose witness points are finite
@@ -83,7 +84,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import MAX_DOUBLES, Spectrum
+from .linalg import Spectrum
 from .risk import SignalModel, optimal_ridge_bayes_risk, risk_curve
 from .shrinkage import FlowKind, hb_kernel, hb_kernel_complement
 from .special import _complement_series, j1_ratio, j1_ratio_complement
@@ -93,7 +94,6 @@ __all__ = [
     "CHECKS",
     "within",
     "run_checks",
-    "GridSpec",
     "MinMaxResult",
     "HbParamErrorReport",
     "KernelBoundReport",
@@ -122,39 +122,9 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _REFINEMENT_DEPTH, _ZOOM_POINTS = 3, 240
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """A 1-D scan grid: bounds, point count, and log or linear spacing."""
-
-    lo: float
-    hi: float
-    count: int
-    scale: str = "log"
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError("grid needs at least 2 points")
-        if self.count > MAX_DOUBLES:
-            raise ValueError(f"grid of {self.count} points exceeds "
-                             f"{MAX_DOUBLES} doubles")
-        if self.scale not in ("log", "linear"):
-            raise ValueError("scale must be 'log' or 'linear'")
-        if self.scale == "log" and (self.lo <= 0 or self.hi <= self.lo):
-            raise ValueError("log grid requires 0 < lo < hi")
-        if self.scale == "linear" and self.hi <= self.lo:
-            raise ValueError("linear grid requires lo < hi")
-
-    def points(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.logspace(np.log10(self.lo), np.log10(self.hi), self.count)
-        return np.linspace(self.lo, self.hi, self.count)
-
-
-DEFAULT_TAU_GRID = GridSpec(1e-3, 10.0, 200, "log")
-# The x tail beyond this is bounded analytically (module docstring), so a
-# min-max x grid must reach it.
-_X_TAIL = 1e6
-DEFAULT_X_GRID = GridSpec(1e-8, _X_TAIL, 2000, "log")
+# the min-max grids (module docstring)
+_TAUS = np.logspace(-3.0, 1.0, 200)
+_XS = np.logspace(-8.0, 6.0, 2000)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +222,7 @@ def _pruned_coarse(objective, taus, x_coarse):
     return coarse
 
 
-def _certified_minimax(objective, tau_spec=DEFAULT_TAU_GRID,
-                       x_spec=DEFAULT_X_GRID) -> MinMaxResult:
-    if x_spec.hi < _X_TAIL:
-        raise ValueError(f"x grid ends at {x_spec.hi:g}, below the tail "
-                         "threshold x = 1e6 that the certificate assumes")
-    x_coarse = x_spec.points()
-    taus = tau_spec.points()
+def _certified_minimax(objective, taus=_TAUS, x_coarse=_XS) -> MinMaxResult:
     coarse = _pruned_coarse(objective, taus, x_coarse)
     nan = np.flatnonzero(np.isnan(coarse))
     if nan.size:
@@ -312,22 +276,17 @@ def nest_inflation_objective(tau, x):
     return (1.0 + x) * (ratio * ratio + resid * resid / x)
 
 
-def gf_inflation_constant(tau_spec=DEFAULT_TAU_GRID,
-                          x_spec=DEFAULT_X_GRID) -> MinMaxResult:
+def gf_inflation_constant() -> MinMaxResult:
     """Certified gradient-flow inflation constant (1.0786 to within 1e-3)."""
-    return _certified_minimax(gf_inflation_objective, tau_spec, x_spec)
+    return _certified_minimax(gf_inflation_objective)
 
 
-def nest_inflation_constant(tau_spec=DEFAULT_TAU_GRID,
-                            x_spec=DEFAULT_X_GRID) -> MinMaxResult:
+def nest_inflation_constant() -> MinMaxResult:
     """Certified accelerated-flow inflation constant (1.5991 to within 1e-3).
 
     The tuning correspondence behind the objective is t = tau / sqrt(lambda).
     """
-    return _certified_minimax(nest_inflation_objective, tau_spec, x_spec)
-
-
-_NEST_PARAM_X_GRID = GridSpec(1e-8, 1e4, 200000, "log")
+    return _certified_minimax(nest_inflation_objective)
 
 
 def nest_param_error_constant() -> tuple[float, float]:
@@ -340,7 +299,8 @@ def nest_param_error_constant() -> tuple[float, float]:
     def objective(_tau, x):
         return (j1_ratio_complement(x) * (x * x + 1.0) / (x * x) - 1.0) ** 2
 
-    value, x_star = _inner_max(objective, 0.0, _NEST_PARAM_X_GRID.points())
+    # built per call: a 1.6 MB module array would stay resident
+    value, x_star = _inner_max(objective, 0.0, np.logspace(-8.0, 4.0, 200000))
     return float(value[0]), float(x_star[0])
 
 

@@ -18,13 +18,12 @@ import numpy as np
 
 from . import bounds
 from .estimators import estimate
-from .experiments import ConfigError, ExperimentConfig, figure_sweep
+from .experiments import ConfigError, ExperimentConfig, GridSpec, figure_sweep
 from .linalg import (MAX_DOUBLES, Spectrum, attach_response, design_decompose,
                      read_matrix_csv, read_vector_csv)
 from .oracle import compare_closed_form
 from .plotting import load_plot_series, render_line_plot
-from .risk import (SignalModel, _fmt, risk_csv_text, risk_curve,
-                   write_risk_csv)
+from .risk import SignalModel, risk_csv_text, risk_curve, write_risk_csv
 from .rng import SeededStream
 from .shrinkage import FlowKind, factor_block
 from .special import bessel_j1, j1_ratio
@@ -32,14 +31,17 @@ from .special import bessel_j1, j1_ratio
 __all__ = ["main", "run"]
 
 
+def _fmt(v: float) -> str:
+    """A double with 17 significant digits, which round-trips it exactly."""
+    return format(float(v), ".17g")
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(",")
-    if len(parts) not in (3, 4):
+    if len(parts) < 3 or parts[3:] not in ([], ["log"], ["linear"]):
         raise ConfigError("grid must be lo,hi,count[,log|linear]")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    scale = parts[3] if len(parts) == 4 else "log"
-    spec = bounds.GridSpec(lo=lo, hi=hi, count=count, scale=scale)
-    return spec.points()
+    return GridSpec(lo, hi, count, log=parts[3:] != ["linear"]).points()
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +293,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

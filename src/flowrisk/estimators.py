@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SpectralDesign
+from .linalg import SpectralDesign, Spectrum
 from .shrinkage import FlowKind, _path_params, factor_block
 
 __all__ = ["estimate", "coupling_gap"]
@@ -37,21 +37,21 @@ def _require_response(design: SpectralDesign) -> np.ndarray:
     return design.rotated_channel
 
 
-def _spectral_rows(design: SpectralDesign, kind: FlowKind,
+def _spectral_rows(spectrum: Spectrum, c: np.ndarray, kind: FlowKind,
                    params: np.ndarray) -> np.ndarray:
     """Spectral coordinates of a family, one row per parameter.
 
-    A flow row is (1 - g) c / s with g from one factor_block call, a ridge
-    row c / (s + lambda); both are exactly 0 wherever s = 0, where c is
-    rounding noise that c / lambda would otherwise amplify.  params are not
-    validated here: ridge may get lambda = 0 or inf, its intended limits.
+    c is the channel per eigenvalue.  A flow row is (1 - g) c / s with g
+    from one factor_block call, a ridge row c / (s + lambda); both are
+    exactly 0 wherever s = 0, where c is rounding noise that c / lambda
+    would otherwise amplify.  params are not validated here: ridge may get
+    lambda = 0 or inf, its intended limits.
     """
-    c = _require_response(design)
-    s = design.spectrum.eigenvalues
+    s = spectrum.eigenvalues
     if kind is FlowKind.RIDGE:
         num, den = c, s + params[:, None]
     else:
-        num = (1.0 - factor_block(kind, s, params, design.spectrum.mu)) * c
+        num = (1.0 - factor_block(kind, s, params, spectrum.mu)) * c
         den = s
     return np.divide(num, den, out=np.zeros((params.size, s.size)),
                      where=s > 0)
@@ -69,7 +69,9 @@ def estimate(design: SpectralDesign, kind: FlowKind, params) -> np.ndarray:
     if (kind is FlowKind.RIDGE and (params == 0.0).any()
             and design.spectrum.mu == 0.0):
         raise ValueError("lambda = 0 requires a full-rank spectrum")
-    return (design.v_basis @ _spectral_rows(design, kind, params).T).T
+    rows = _spectral_rows(design.spectrum, _require_response(design), kind,
+                          params)
+    return (design.v_basis @ rows.T).T
 
 
 def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
@@ -88,13 +90,14 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     if (t_arr <= 0).any():
         raise ValueError("t must be > 0")
     times = np.atleast_1d(t_arr)
-    flow = _spectral_rows(design, kind, times)
+    c = _require_response(design)
+    flow = _spectral_rows(design.spectrum, c, kind, times)
     # (1/t)^2 underflows to lambda = 0 for huge t and overflows to
     # lambda = inf for tiny t, where ridge is then exactly 0: both are the
     # intended limits
     with np.errstate(over="ignore"):
         lam = (1.0 / times) ** 2
-    ridge = _spectral_rows(design, FlowKind.RIDGE, lam)
+    ridge = _spectral_rows(design.spectrum, c, FlowKind.RIDGE, lam)
     diff = flow - ridge
     gap = (diff * diff).sum(axis=1)
     ridge_norm_sq = (ridge * ridge).sum(axis=1)

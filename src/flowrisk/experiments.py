@@ -25,13 +25,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import GridSpec
 from .linalg import MAX_DOUBLES, SpectralDesign, Spectrum, design_decompose
 from .risk import SignalModel, risk_curve, write_risk_csv
 from .rng import SeededStream, derive_seed
@@ -41,6 +41,7 @@ __all__ = [
     "ConfigError",
     "DesignSpec",
     "ExperimentConfig",
+    "GridSpec",
     "gen_power_law_design",
     "gen_iid_design",
     "gen_orthogonal_design",
@@ -71,9 +72,12 @@ def _json_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise _type_error(key, "a number", value)
     try:
-        return float(value)
+        out = float(value)
     except OverflowError:
         raise ConfigError(f"{key} is out of the range of a double") from None
+    if not math.isfinite(out):                  # JSON NaN, Infinity or 1e400
+        raise _type_error(key, "a finite number", value)
+    return out
 
 
 def _json_int(value, key: str) -> int:
@@ -192,6 +196,34 @@ class DesignSpec:
         return out
 
 
+@dataclass(frozen=True)
+class GridSpec:
+    """A 1-D grid: finite bounds, point count, and log or linear spacing."""
+
+    lo: float
+    hi: float
+    count: int
+    log: bool = True
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"grid bounds {self.lo!r}, {self.hi!r} must be finite")
+        if self.count < 2:
+            raise ValueError("grid needs at least 2 points")
+        if self.count > MAX_DOUBLES:
+            raise ValueError(f"grid of {self.count} points exceeds "
+                             f"{MAX_DOUBLES} doubles")
+        if self.log and (self.lo <= 0 or self.hi <= self.lo):
+            raise ValueError("log grid requires 0 < lo < hi")
+        if not self.log and self.hi <= self.lo:
+            raise ValueError("linear grid requires lo < hi")
+
+    def points(self) -> np.ndarray:
+        if self.log:
+            return np.logspace(np.log10(self.lo), np.log10(self.hi), self.count)
+        return np.linspace(self.lo, self.hi, self.count)
+
+
 def _grid_from_json(obj, key) -> GridSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{key} must be an object with lo, hi, count, log")
@@ -203,8 +235,7 @@ def _grid_from_json(obj, key) -> GridSpec:
     count = _json_int(obj["count"], f"{key}.count")
     log = _json_bool(obj.get("log", True), f"{key}.log")
     try:
-        return GridSpec(lo=lo, hi=hi, count=count,
-                        scale="log" if log else "linear")
+        return GridSpec(lo=lo, hi=hi, count=count, log=log)
     except ValueError as exc:
         raise ConfigError(f"{key} is invalid: {exc}") from exc
 
@@ -268,12 +299,8 @@ class ExperimentConfig:
             "design": [d.to_json() for d in self.design],
             "snr": self.snr,
             "flows": [k.value for k in self.flows],
-            "t_grid": {"lo": self.t_grid.lo, "hi": self.t_grid.hi,
-                       "count": self.t_grid.count,
-                       "log": self.t_grid.scale == "log"},
-            "ridge_grid": {"lo": self.ridge_grid.lo, "hi": self.ridge_grid.hi,
-                           "count": self.ridge_grid.count,
-                           "log": self.ridge_grid.scale == "log"},
+            "t_grid": asdict(self.t_grid),
+            "ridge_grid": asdict(self.ridge_grid),
             "output_dir": self.output_dir,
         }
 

@@ -41,9 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import _spectral_rows
 from .linalg import MAX_DOUBLES, Spectrum, design_decompose
 from .risk import bias_variance, bias_variance_curve
-from .shrinkage import FlowKind, factor_block
+from .shrinkage import FlowKind
 
 __all__ = [
     "Trajectory",
@@ -271,15 +272,6 @@ def discrete_iterates(kind: FlowKind, x, y, config: IterateConfig) -> list[np.nd
     return iterates
 
 
-def _closed_form_positions(kind, spectrum, forcing, times):
-    s = spectrum.eigenvalues
-    live = s > 0
-    target = np.zeros_like(forcing)
-    target[live] = forcing[live] / s[live]
-    g = factor_block(kind, s, times, spectrum.mu)
-    return np.where(live[None, :], (1.0 - g) * target[None, :], 0.0)
-
-
 def _snap_to_lattice(times: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     right = np.searchsorted(times, t_grid).clip(1, times.size - 1)
     left = right - 1
@@ -307,8 +299,8 @@ def compare_closed_form(kind: FlowKind, spectrum: Spectrum, forcing, t_grid,
     traj = integrate_flow(kind, spectrum, forcing, float(t_grid.max()), step)
     idx = _snap_to_lattice(traj.times, t_grid)
     times = traj.times[idx]
-    closed = _closed_form_positions(kind, spectrum,
-                                    np.asarray(forcing, dtype=float), times)
+    closed = _spectral_rows(spectrum, np.asarray(forcing, dtype=float), kind,
+                            times)
     return float(np.abs(traj.positions[idx] - closed).max())
 
 

@@ -137,8 +137,9 @@ class SignalModel:
     def __post_init__(self):
         if self.mode not in ("fixed", "prior"):
             raise ValueError("mode must be 'fixed' or 'prior'")
-        if self.sigma_sq <= 0:
-            raise ValueError("sigma_sq must be positive")
+        if not 0 < self.sigma_sq < np.inf:        # NaN fails too
+            raise ValueError("sigma_sq must be positive and finite, "
+                             f"got {self.sigma_sq!r}")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.mode == "fixed":
@@ -149,8 +150,9 @@ class SignalModel:
                 raise ValueError("beta0_rotated must be a finite 1-D vector")
             object.__setattr__(self, "beta0_rotated", b)
         else:
-            if self.r_sq is None or self.r_sq <= 0:
-                raise ValueError("prior mode requires r_sq > 0")
+            if self.r_sq is None or not 0 < self.r_sq < np.inf:
+                raise ValueError("prior mode requires a finite r_sq > 0, "
+                                 f"got {self.r_sq!r}")
 
     @classmethod
     def fixed(cls, beta0_rotated, sigma_sq: float, n: int) -> "SignalModel":
@@ -280,16 +282,10 @@ def oscillation_report(curve: RiskCurve) -> OscillationReport:
                              max_rebound=max_rebound)
 
 
-def _fmt(v: float) -> str:
-    """A double with 17 significant digits, which round-trips it exactly."""
-    return format(float(v), ".17g")
-
-
 def risk_csv_text(kind: FlowKind, curve: RiskCurve) -> str:
     """A curve as CSV text with the header kind,param,bias_sq,variance,risk.
 
-    Every value is written as _fmt writes it: "%.17g" of a Python float is
-    the same string as format(v, ".17g"), inf and nan included.
+    Every value is written as "%.17g", which round-trips a double exactly.
     """
     row = kind.value + ",%.17g,%.17g,%.17g,%.17g"
     columns = (curve.grid.tolist(), curve.bias_sq.tolist(),

@@ -8,9 +8,6 @@ from scipy.optimize import minimize_scalar
 from flowrisk import bounds
 from flowrisk.bounds import (
     CHECKS,
-    DEFAULT_TAU_GRID,
-    DEFAULT_X_GRID,
-    GridSpec,
     bias_ratio_unbounded_witness,
     gf_inflation_constant,
     gf_inflation_objective,
@@ -28,17 +25,10 @@ from flowrisk.bounds import (
     tilde_h_maximizer,
     within,
 )
-from flowrisk.linalg import MAX_DOUBLES, Spectrum
+from flowrisk.linalg import Spectrum
 from flowrisk.risk import SignalModel
 from flowrisk.shrinkage import hb_kernel_complement
 from oracles import inner_max_loop, minimax_loop
-
-
-def test_grid_count_is_capped_before_allocating():
-    assert GridSpec(1e-3, 1.0, MAX_DOUBLES).count == MAX_DOUBLES
-    for scale in ("log", "linear"):
-        with pytest.raises(ValueError, match=f"exceeds {MAX_DOUBLES} doubles"):
-            GridSpec(0.1, 1.0, MAX_DOUBLES + 1, scale)
 
 
 class TestInflationConstants:
@@ -50,8 +40,7 @@ class TestInflationConstants:
     def test_inner_max_dominates_single_point(self):
         # at tau = 1, the max over x is at least the value at x = 1
         probe = 2 * math.exp(-2.0) + 2 * (1 - math.exp(-1.0)) ** 2
-        xs = GridSpec(1e-8, 1e6, 2000, "log").points()
-        assert gf_inflation_objective(1.0, xs).max() >= probe
+        assert gf_inflation_objective(1.0, bounds._XS).max() >= probe
         assert probe == pytest.approx(1.06982, abs=1e-4)
 
     def test_objective_limits(self):
@@ -78,17 +67,11 @@ class TestInflationConstants:
                                                  np.array([r.x_star]))[0])
         assert abs(at_star - r.value) <= 1e-10
 
-    def test_truncated_x_grid_is_refused(self):
-        # a grid stopping short of the analytic tail would certify ~1.0
-        for certifier in (gf_inflation_constant, nest_inflation_constant):
-            with pytest.raises(ValueError, match="threshold x = 1e6"):
-                certifier(x_spec=GridSpec(1e-8, 1e-2, 50))
-
     def test_sandwich_refinement_stability(self):
         base = gf_inflation_constant()
-        dense = gf_inflation_constant(
-            tau_spec=GridSpec(1e-3, 10.0, 800, "log"),
-            x_spec=GridSpec(1e-8, 1e6, 8000, "log"))
+        dense = bounds._certified_minimax(gf_inflation_objective,
+                                          np.logspace(-3.0, 1.0, 800),
+                                          np.logspace(-8.0, 6.0, 8000))
         assert abs(base.value - dense.value) < 1e-3
 
 
@@ -125,7 +108,7 @@ class TestBlockedScan:
     @pytest.mark.parametrize("objective",
                              [gf_inflation_objective, nest_inflation_objective])
     def test_coarse_stage_matches_the_per_tau_loop(self, objective):
-        taus, xs = DEFAULT_TAU_GRID.points(), DEFAULT_X_GRID.points()
+        taus, xs = bounds._TAUS, bounds._XS
         values, maximizers = bounds._inner_max(objective, taus, xs,
                                                zoom_rounds=1)
         loop = [inner_max_loop(objective, t, xs, zoom_rounds=1) for t in taus]
@@ -138,7 +121,7 @@ class TestBlockedScan:
     def test_constants_match_the_loop_minimax(self, certifier, objective):
         r = certifier()
         assert (r.value, r.tau_star, r.x_star) == minimax_loop(
-            objective, DEFAULT_TAU_GRID.points(), DEFAULT_X_GRID.points())
+            objective, bounds._TAUS, bounds._XS)
 
     def test_first_of_equal_maxima_wins_inside_a_block(self):
         xs = np.arange(100.0)
@@ -196,29 +179,27 @@ class TestBlockedScan:
             assert seen["calls"] <= 150
             assert seen["points"] == points
 
-    @pytest.mark.parametrize("tau_spec, x_spec", [
-        (GridSpec(1e-3, 10.0, 50), DEFAULT_X_GRID),
-        (GridSpec(1e-3, 10.0, 400), DEFAULT_X_GRID),
-        (DEFAULT_TAU_GRID, GridSpec(1e-8, 1e7, 3000)),
+    @pytest.mark.parametrize("taus, xs", [
+        (np.logspace(-3.0, 1.0, 50), bounds._XS),
+        (np.logspace(-3.0, 1.0, 400), bounds._XS),
+        (bounds._TAUS, np.logspace(-8.0, 7.0, 3000)),
     ], ids=["50-taus", "400-taus", "3000-x-to-1e7"])
-    @pytest.mark.parametrize("certifier, objective", [
-        (gf_inflation_constant, gf_inflation_objective),
-        (nest_inflation_constant, nest_inflation_objective)])
+    @pytest.mark.parametrize("objective",
+                             [gf_inflation_objective, nest_inflation_objective])
     def test_constants_match_the_loop_minimax_on_other_grids(
-            self, certifier, objective, tau_spec, x_spec):
-        r = certifier(tau_spec=tau_spec, x_spec=x_spec)
-        assert (r.value, r.tau_star, r.x_star) == minimax_loop(
-            objective, tau_spec.points(), x_spec.points())
+            self, objective, taus, xs):
+        r = bounds._certified_minimax(objective, taus, xs)
+        assert (r.value, r.tau_star, r.x_star) == minimax_loop(objective, taus, xs)
 
 
 def _levels(levels, bump=True):
     """objective(tau, x) = levels[nearest grid tau] times a bump in x.
 
-    The bump, exp(-(ln x - 1)^2), peaks at x = e, inside the default x grid,
+    The bump, exp(-(ln x - 1)^2), peaks at x = e, inside the min-max x grid,
     and is missed by the witness points by about 2 %; bump=False makes each
     row constant in x, so a row's witness bound is its coarse value.
     """
-    taus = DEFAULT_TAU_GRID.points()
+    taus = bounds._TAUS
     edges = np.sqrt(taus[1:] * taus[:-1])
 
     def objective(tau, x):
@@ -228,7 +209,7 @@ def _levels(levels, bump=True):
 
 
 class TestPrunedCoarse:
-    TAUS, XS = DEFAULT_TAU_GRID.points(), DEFAULT_X_GRID.points()
+    TAUS, XS = bounds._TAUS, bounds._XS
 
     def _coarse(self, objective):
         return bounds._pruned_coarse(objective, self.TAUS, self.XS)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowrisk
 from flowrisk.cli import run
 from flowrisk.linalg import MAX_DOUBLES
 from flowrisk.plotting import load_plot_series, render_line_plot
@@ -40,6 +45,16 @@ def test_shrink_heavy_ball_needs_mu(capsys):
 def test_special_eval(capsys):
     assert run(["special-eval", "--fn", "j1", "--x", "1.0"]) == 0
     assert float(capsys.readouterr().out) == bessel_j1(1.0)
+
+
+def test_python_m_flowrisk_cli_runs_the_command():
+    src = Path(flowrisk.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "flowrisk.cli", "special-eval",
+                           "--fn", "j1", "--x", "1"],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) == bessel_j1(1.0)
 
 
 def test_special_eval_unknown_function(capsys):
@@ -151,6 +166,23 @@ def test_risk_curve_refuses_an_oversized_grid_before_allocating(instance_files,
     captured = capsys.readouterr()
     assert captured.out == "" and _one_error_line(captured.err)
     assert "grid of 100000000000 points exceeds 67108864 doubles" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("extra, key", [
+    (["--grid", "0.1,inf,5", "--beta0"], "grid bounds 0.1, inf must be finite"),
+    (["--sigma2", "nan", "--grid", "0.1,1,5", "--beta0"], "sigma_sq"),
+    (["--sigma2", "inf", "--grid", "0.1,1,5", "--beta0"], "sigma_sq"),
+    (["--bayes", "--r2", "nan", "--grid", "0.1,1,5", "--beta0"], "r_sq"),
+], ids=["grid-inf", "sigma2-nan", "sigma2-inf", "r2-nan"])
+def test_risk_curve_refuses_a_non_finite_number(instance_files, capsys, extra,
+                                                key):
+    xp, _, bp = instance_files
+    assert run(["risk-curve", "--design", str(xp), "--kind", "gf"]
+               + extra + [str(bp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert key in captured.err
 
 
 @pytest.mark.filterwarnings("error")
@@ -311,11 +343,17 @@ def _set_raw(config, path, raw):
     ("flows", "5", "flows must be a list, got 5"),
     ("flows", '"gf"', 'flows must be a list, got "gf"'),
     ("output_dir", "5", "output_dir must be a string, got 5"),
+    ("design.df", "1e400", "design.df must be a finite number, got Infinity"),
+    ("design.nu", "Infinity", "design.nu must be a finite number, got Infinity"),
+    ("snr", "Infinity", "snr must be a finite number, got Infinity"),
+    ("snr", "NaN", "snr must be a finite number, got NaN"),
+    ("t_grid.hi", "Infinity", "t_grid.hi must be a finite number, got Infinity"),
 ])
 def test_simulate_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys,
                                                            path, raw, message):
     config = {
-        "design": [{"family": "IidGaussian", "n": 20, "p": 4, "seed": 0}],
+        "design": [{"family": "IidStudentT", "df": 5.0, "n": 20, "p": 4,
+                    "seed": 0}],
         "snr": 1.0,
         "flows": ["gf"],
         "t_grid": {"lo": 0.01, "hi": 100.0, "count": 20, "log": True},
@@ -385,11 +423,12 @@ def test_unknown_flag_exits_2():
 
 
 def test_certifier_failure_exits_1_without_traceback(monkeypatch, capsys):
-    # an x grid that stops at 100 puts the inner maximizer on its boundary
+    # an x grid that starts at 100 puts the inner maximizer on its boundary
     from flowrisk import bounds
-    real = bounds.gf_inflation_constant
     monkeypatch.setattr(bounds, "gf_inflation_constant",
-                        lambda: real(x_spec=bounds.GridSpec(100.0, 1e6, 50)))
+                        lambda: bounds._certified_minimax(
+                            bounds.gf_inflation_objective, bounds._TAUS,
+                            np.logspace(2.0, 6.0, 50)))
     assert run(["verify-constants"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: inner maximizer")

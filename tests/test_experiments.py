@@ -8,6 +8,7 @@ from flowrisk.experiments import (
     ConfigError,
     DesignSpec,
     ExperimentConfig,
+    GridSpec,
     build_design,
     figure_sweep,
     gen_iid_design,
@@ -16,7 +17,7 @@ from flowrisk.experiments import (
     gen_signal,
     git_blob_hash,
 )
-from flowrisk.linalg import design_decompose
+from flowrisk.linalg import MAX_DOUBLES, design_decompose
 from flowrisk.risk import SignalModel, optimal_ridge_bayes_risk
 
 
@@ -113,6 +114,13 @@ class TestSignal:
         a, _ = gen_signal(10, 1.0, 1.0, seed=123)
         b, _ = gen_signal(10, 1.0, 1.0, seed=123)
         assert np.array_equal(a, b)
+
+
+def test_grid_count_is_capped_before_allocating():
+    for log in (True, False):
+        assert GridSpec(1e-3, 1.0, MAX_DOUBLES, log).count == MAX_DOUBLES
+        with pytest.raises(ValueError, match=f"exceeds {MAX_DOUBLES} doubles"):
+            GridSpec(0.1, 1.0, MAX_DOUBLES + 1, log)
 
 
 def small_config(tmp_path=None, flows=("gf", "nest", "hb", "ridge")):
