@@ -66,10 +66,13 @@ closed quarter-plane a, b >= 0 on a polar grid, a = x sin(theta) and
 b = x cos(theta), with theta in [0, pi/2] including both edges (a = 0 is
 the undamped edge, b = 0 the s = mu edge) and x in [1e-5, 10^2.5].  A
 bounded x range suffices: |kernel| <= (1 + a) e^{-a} <= 1, so
-0 <= f <= 2(1 + 1/x^2), which keeps f^2 < 4.09 and (f-1)^2 < 1.05 for
-x >= 10, below the values the scan finds; and f -> 1/2 as x -> 0.  The
-f^2 and (f-1)^2 scans reuse the min-max scanner with theta as the row
-variable (coarse x scan plus zooms per theta) and take the max over rows.
+0 <= f <= 2(1 + 1/x^2); and f -> 1/2 as x -> 0.  The f^2 and (f-1)^2
+scans stop at x = 10 and check their tails: past x = 10 that bound gives
+f^2 <= 4(1 + 1/x^2)^2 = 4.0804 and (f-1)^2 <= (1 + 2/x^2)^2 = 1.0404, and a
+tail bound not below the sup the scan finds is an error.  Both sups come
+from one evaluation of f on the cut grid (64 x 320 nodes), then dense x
+zooms per theta (the min-max zoom), and the max over rows.  The kernel
+inequalities are scanned on the whole grid.
 
 The certifiers report values.  CHECKS, the certification table, holds their
 paper values and tolerances and alone decides pass or fail.
@@ -173,13 +176,12 @@ def _scan_max(objective, taus, xs):
     return best, arg
 
 
-def _inner_max(objective, taus, x_coarse, zoom_rounds=3):
-    """Max over x of objective(tau, .) per tau: coarse scan plus dense zooms.
+def _zoom(objective, taus, x_coarse, best_v, k, zoom_rounds=3):
+    """Dense x zooms per tau around its coarse maximizer x_coarse[k].
 
-    Returns (values, maximizers), one entry per tau.
+    best_v and k are each row's coarse max and first argmax, as _scan_max
+    returns them.  Returns (values, maximizers), one entry per tau.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    best_v, k = _scan_max(objective, taus, x_coarse)
     best_x = x_coarse[k]
     lo = x_coarse[np.maximum(k - 1, 0)]
     hi = x_coarse[np.minimum(k + 1, x_coarse.size - 1)]
@@ -197,6 +199,16 @@ def _inner_max(objective, taus, x_coarse, zoom_rounds=3):
         lo = np.maximum(best_x - width, x_coarse[0])
         hi = best_x + width
     return best_v, best_x
+
+
+def _inner_max(objective, taus, x_coarse, zoom_rounds=3):
+    """Max over x of objective(tau, .) per tau: coarse scan plus dense zooms.
+
+    Returns (values, maximizers), one entry per tau.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    best_v, k = _scan_max(objective, taus, x_coarse)
+    return _zoom(objective, taus, x_coarse, best_v, k, zoom_rounds)
 
 
 # every _WITNESS_STRIDE-th coarse x point is a witness (module docstring)
@@ -289,18 +301,52 @@ def nest_inflation_constant() -> MinMaxResult:
     return _certified_minimax(nest_inflation_objective)
 
 
+def _check_tail(bound, value, name, tail):
+    """RuntimeError unless a tail's bound on name lies below the scan maximum."""
+    if not bound < value:
+        raise RuntimeError(
+            f"the bound {bound:.4g} on {name} past x = {tail:g} is not below "
+            f"the scan maximum {value:.4g}")
+
+
+# the 49/64 scan grid is the part of np.logspace(-8, 4, 200000) with
+# x <= _PARAM_ERROR_TAIL; beyond it a checked bound covers the sup
+_PARAM_ERROR_TAIL = 5.0
+_PARAM_ERROR_STEP = 12.0 / 199999      # np.linspace's step for that grid
+
+
+def _param_error_grid() -> np.ndarray:
+    """The points of np.logspace(-8, 4, 200000) up to _PARAM_ERROR_TAIL.
+
+    Built as np.logspace builds them (10 ** (i * step - 8)), so they are
+    the same doubles, without the points past the tail (tail < 1e4).
+    """
+    count = int((np.log10(_PARAM_ERROR_TAIL) + 8.0) / _PARAM_ERROR_STEP) + 2
+    xs = 10.0 ** (np.arange(count, dtype=float) * _PARAM_ERROR_STEP - 8.0)
+    return xs[xs <= _PARAM_ERROR_TAIL]
+
+
 def nest_param_error_constant() -> tuple[float, float]:
     """Sup over x > 0 of (f(x)-1)^2 for the accelerated coupling factor.
 
     f(x) = (1 - 2J1(x)/x)(x^2+1)/x^2 tends to 1/8 as x -> 0+, so the sup
     49/64 = 0.765625 is approached (not attained) at the left end.  Returns
     (sup_value, x_at_sup).
+
+    The scan covers x in [1e-8, _PARAM_ERROR_TAIL].  The tail beyond is
+    checked: f - 1 = 1/x^2 - (2J1(x)/x)(1 + 1/x^2) and |J1| <= 1/sqrt(2)
+    (Abramowitz & Stegun 9.1.60) give
+    (f-1)^2 <= (sqrt(2)/x + (1 + sqrt(2)/x)/x^2)^2, decreasing in x and
+    0.1117 at x = 5.  A tail bound not below the scan maximum is a
+    RuntimeError.
     """
     def objective(_tau, x):
         return (j1_ratio_complement(x) * (x * x + 1.0) / (x * x) - 1.0) ** 2
 
-    # built per call: a 1.6 MB module array would stay resident
-    value, x_star = _inner_max(objective, 0.0, np.logspace(-8.0, 4.0, 200000))
+    value, x_star = _inner_max(objective, 0.0, _param_error_grid())
+    r = np.sqrt(2.0) / _PARAM_ERROR_TAIL
+    _check_tail((r + (1.0 + r) / _PARAM_ERROR_TAIL ** 2) ** 2, value[0],
+                "(f-1)^2", _PARAM_ERROR_TAIL)
     return float(value[0]), float(x_star[0])
 
 
@@ -321,23 +367,47 @@ class HbParamErrorReport:
 
     max_f_sq: float
     max_fm1_sq: float
-    nodes_checked: int           # polar grid nodes per scan, before the x zooms
+    nodes_checked: int           # polar grid nodes scanned, before the x zooms
+
+
+# the f^2 and (f-1)^2 scans stop at x = _HB_TAIL; a checked bound covers
+# the rest (module docstring)
+_HB_TAIL = 10.0
 
 
 def hb_param_error_sup() -> HbParamErrorReport:
     """Scan f^2 and (f-1)^2 over the (a, b) quarter-plane (module docstring).
 
     These are the values CHECKS certifies against f^2 <= 16 and
-    (f-1)^2 <= 25; both sups sit on the undamped edge a = 0.
+    (f-1)^2 <= 25; both sups sit on the undamped edge a = 0.  One pass of
+    the factor over the polar grid up to x = _HB_TAIL gives both coarse
+    scans; each is then zoomed per theta.  A tail bound, 4(1 + 1/x^2)^2
+    for f^2 and (1 + 2/x^2)^2 for (f-1)^2 at x = _HB_TAIL, not below its
+    sup is a RuntimeError.
     """
-    def sup(g):
+    xs = _HB_XS[_HB_XS <= _HB_TAIL]
+    theta = _HB_THETAS[:, None]
+    factor = _hb_factor(xs * np.sin(theta), xs * np.cos(theta))
+    rows = np.arange(_HB_THETAS.size)
+    inv_sq = 1.0 / (_HB_TAIL * _HB_TAIL)
+
+    def sup(g, name, tail):
+        vals = g(factor)
+        k = np.argmax(vals, axis=1)
+
         def objective(theta, x):
             return g(_hb_factor(x * np.sin(theta), x * np.cos(theta)))
-        return float(_inner_max(objective, _HB_THETAS, _HB_XS)[0].max())
 
-    return HbParamErrorReport(max_f_sq=sup(np.square),
-                              max_fm1_sq=sup(lambda f: (f - 1.0) ** 2),
-                              nodes_checked=_HB_THETAS.size * _HB_XS.size)
+        zoomed, _ = _zoom(objective, _HB_THETAS, xs, vals[rows, k], k)
+        value = float(zoomed.max())
+        _check_tail(tail, value, name, _HB_TAIL)
+        return value
+
+    return HbParamErrorReport(
+        max_f_sq=sup(np.square, "f^2", 4.0 * (1.0 + inv_sq) ** 2),
+        max_fm1_sq=sup(lambda f: (f - 1.0) ** 2, "(f-1)^2",
+                       (1.0 + 2.0 * inv_sq) ** 2),
+        nodes_checked=factor.size)
 
 
 def h_kappa(kappa):
@@ -362,7 +432,13 @@ def h_kappa(kappa):
 def tilde_h(x, z):
     """Bias envelope (1+x^2)(x/z+1)^2 e^{-2x/z} at inverse rate z."""
     x = np.asarray(x, dtype=float)
-    return (1.0 + x * x) * (x / z + 1.0) ** 2 * np.exp(-2.0 * x / z)
+    q = np.asarray(x / z)        # a fresh array (0-d too), reused in place
+    out = q + 1.0                # a numpy scalar for 0-d q
+    out **= 2                    # as before: np.square on arrays, pow on scalars
+    out *= 1.0 + x * x           # (1 + x^2)(q + 1)^2: products commute exactly
+    q *= -2.0                    # -2 x / z bit for bit: doubling is exact
+    out *= np.exp(q, out=q)
+    return out[()]               # a numpy scalar for scalar input
 
 
 def tilde_h_maximizer(z):

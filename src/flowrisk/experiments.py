@@ -27,6 +27,7 @@ import json
 import logging
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -107,6 +108,13 @@ def _json_list(value, key: str) -> list:
     return value
 
 
+def _require_above(value, floor, key: str, where: str = "") -> None:
+    """ConfigError naming key unless floor < value < inf (None and NaN fail)."""
+    if value is None or not floor < value < math.inf:
+        raise ConfigError(f"{key} must be finite and > {floor}{where}, "
+                          f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """One design family instance: family tag, shape, seed, parameters."""
@@ -128,16 +136,19 @@ class DesignSpec:
         if self.seed < 0:
             raise ConfigError("design.seed must be a nonnegative integer")
         if self.family == "PowerLaw":
-            if self.nu is None or self.nu <= 0:
-                raise ConfigError("design.nu must be > 0 for PowerLaw")
-            if self.c <= 0:
-                raise ConfigError("design.C must be > 0 for PowerLaw")
+            _require_above(self.nu, 0, "design.nu", " for PowerLaw")
+            _require_above(self.c, 0, "design.C", " for PowerLaw")
+            # the smallest eigenvalue, computed as gen_power_law_design does
+            with np.errstate(over="ignore", under="ignore"):
+                least = float((self.c / np.array([float(self.p)]) ** self.nu)[0])
+            if not least >= sys.float_info.min:
+                raise ConfigError(
+                    f"design.C / design.p ** design.nu = {least:.3g} is not a "
+                    "positive normal double for PowerLaw")
         if self.family == "IidStudentT":
-            if self.df is None or self.df <= 2:
-                raise ConfigError("design.df must be > 2 for IidStudentT")
+            _require_above(self.df, 2, "design.df", " for IidStudentT")
         if self.family == "Orthogonal":
-            if self.s is None or self.s <= 0:
-                raise ConfigError("design.s must be > 0 for Orthogonal")
+            _require_above(self.s, 0, "design.s", " for Orthogonal")
             if self.n < self.p:
                 raise ConfigError("design.n must be >= design.p for Orthogonal")
         # what the generator materializes: the p x p eigenbasis every design
@@ -254,8 +265,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.design:
             raise ConfigError("design list is empty")
-        if self.snr <= 0:
-            raise ConfigError("snr must be > 0")
+        _require_above(self.snr, 0, "snr")
         if not self.flows:
             raise ConfigError("flows list is empty")
 
@@ -350,8 +360,7 @@ def gen_orthogonal_design(spec: DesignSpec) -> np.ndarray:
 
 def gen_signal(p: int, snr: float, sigma_sq: float, seed: int) -> tuple[np.ndarray, float]:
     """Seeded dense coefficients rescaled so ||b0||^2 / sigma^2 = snr."""
-    if snr <= 0:
-        raise ConfigError("snr must be > 0")
+    _require_above(snr, 0, "snr")
     stream = SeededStream(seed)
     beta = stream.normals(p)
     beta = beta * np.sqrt(snr * sigma_sq) / np.linalg.norm(beta)

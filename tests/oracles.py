@@ -6,8 +6,9 @@ iteration with deflation, and the linear solver is textbook Gaussian
 elimination.  Slow is fine; independent is the point.
 
 The RK4 step loops and per-flow step functions, the whole-request batched
-polar normals, the masked kernel formulas and the one-tau-at-a-time min-max
-scans are the library's earlier implementations, kept as references for
+polar normals, the masked kernel formulas, the one-tau-at-a-time min-max
+scans, the untruncated 49/64 and heavy-ball scans and the one-expression
+tilde_h are the library's earlier implementations, kept as references for
 the forms that replaced them: the RK4 scan agrees with its loop to
 rounding, and the rest (the one generic RK4 step rule included) agree bit
 for bit.
@@ -341,3 +342,33 @@ def minimax_loop(objective, taus, x_coarse, refinement_depth=3):
     tau_star = float(0.5 * (lo + hi))
     value, x_star = inner_max_loop(objective, tau_star, x_coarse)
     return value, tau_star, x_star
+
+
+def param_error_full_scan(complement):
+    """(value, x*) of the former 49/64 scan: all of np.logspace(-8, 4, 200000).
+
+    complement is 1 - 2 J1(x)/x; the scan has no tail cut.
+    """
+    def objective(_tau, x):
+        return (complement(x) * (x * x + 1.0) / (x * x) - 1.0) ** 2
+    return inner_max_loop(objective, 0.0, np.logspace(-8.0, 4.0, 200000))
+
+
+def hb_sups_two_pass(factor, thetas, xs):
+    """(sup f^2, sup (f-1)^2) of the former heavy-ball scans.
+
+    One coarse-plus-zoom pass over the whole x grid per sup and per theta,
+    with a = x sin(theta), b = x cos(theta); factor(a, b) is the coupling
+    factor.
+    """
+    def sup(g):
+        def objective(theta, x):
+            return g(factor(x * np.sin(theta), x * np.cos(theta)))
+        return max(inner_max_loop(objective, theta, xs)[0] for theta in thetas)
+    return sup(np.square), sup(lambda f: (f - 1.0) ** 2)
+
+
+def tilde_h_expression(x, z):
+    """The former one-expression bias envelope (1+x^2)(x/z+1)^2 e^{-2x/z}."""
+    x = np.asarray(x, dtype=float)
+    return (1.0 + x * x) * (x / z + 1.0) ** 2 * np.exp(-2.0 * x / z)

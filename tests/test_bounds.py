@@ -25,10 +25,18 @@ from flowrisk.bounds import (
     tilde_h_maximizer,
     within,
 )
+from flowrisk.cli import run
 from flowrisk.linalg import Spectrum
 from flowrisk.risk import SignalModel
 from flowrisk.shrinkage import hb_kernel_complement
-from oracles import inner_max_loop, minimax_loop
+from flowrisk.special import j1_ratio_complement
+from oracles import (
+    hb_sups_two_pass,
+    inner_max_loop,
+    minimax_loop,
+    param_error_full_scan,
+    tilde_h_expression,
+)
 
 
 class TestInflationConstants:
@@ -80,8 +88,8 @@ def _counting(monkeypatch, name):
     fn = getattr(bounds, name)
     seen = {"calls": 0, "points": 0}
 
-    def wrapper(tau, x):
-        out = fn(tau, x)
+    def wrapper(*args):
+        out = fn(*args)
         seen["calls"] += 1
         seen["points"] += np.size(out)
         return out
@@ -364,6 +372,97 @@ class TestHbParamError:
         a, b, x = t * math.sqrt(mu), t * math.sqrt(s - mu), t * math.sqrt(s)
         comp = hb_kernel_complement(a, b)
         assert comp ** 2 <= 4.0 * x ** 4 * (1 + 1e-9)
+
+
+def _param_error_tail_bound(x):
+    """(sqrt(2)/x + (1 + sqrt(2)/x)/x^2)^2, the 49/64 tail bound at x."""
+    r = np.sqrt(2.0) / x
+    return (r + (1.0 + r) / (x * x)) ** 2
+
+
+class TestTailCuts:
+    """The shortened 49/64 and heavy-ball scans and their checked tails."""
+
+    def test_param_error_matches_the_full_grid_scan(self):
+        value, x_star = nest_param_error_constant()
+        ref_value, ref_x = param_error_full_scan(j1_ratio_complement)
+        assert (value.hex(), x_star.hex()) == (ref_value.hex(), ref_x.hex())
+
+    def test_param_error_grid_is_the_logspace_prefix(self):
+        xs = bounds._param_error_grid()
+        full = np.logspace(-8.0, 4.0, 200000)
+        assert xs.size == 144_983
+        assert np.array_equal(xs, full[:xs.size])
+        assert full[xs.size - 1] <= bounds._PARAM_ERROR_TAIL < full[xs.size]
+
+    def test_hb_sups_match_the_two_pass_scan(self):
+        rep = hb_param_error_sup()
+        f_sq, fm1_sq = hb_sups_two_pass(bounds._hb_factor, bounds._HB_THETAS,
+                                        bounds._HB_XS)
+        assert rep.max_f_sq.hex() == float(f_sq).hex()
+        assert rep.max_fm1_sq.hex() == float(fm1_sq).hex()
+
+    def test_tilde_h_matches_the_one_expression_form(self):
+        rng = np.random.default_rng(20)
+        x = rng.uniform(0.0, 30.0, (200, 40))
+        z = rng.uniform(0.2, 4.0, (200, 1))
+        for args in ((x, z), (x, 0.95), (1.5, z[:, 0]), (x[0], z[:40, 0])):
+            new, old = tilde_h(*args), tilde_h_expression(*args)
+            assert new.shape == old.shape and np.array_equal(new, old)
+        for xi, zi in zip(rng.uniform(0.0, 20.0, 2000), rng.uniform(0.3, 5.0, 2000)):
+            new, old = tilde_h(float(xi), float(zi)), tilde_h_expression(xi, zi)
+            assert type(new) is type(old) and new.hex() == old.hex()
+        new = tilde_h(np.float64(2.0), 0.9)
+        assert new.hex() == tilde_h_expression(2.0, 0.9).hex()
+
+    def test_param_error_tail_is_below_its_bound(self):
+        tail = bounds._PARAM_ERROR_TAIL
+        xs = np.concatenate([np.linspace(tail, 200.0, 200_001),
+                             np.logspace(np.log10(200.0), 8.0, 200_000)])
+        f = j1_ratio_complement(xs) * (xs * xs + 1.0) / (xs * xs)
+        fm1_sq = (f - 1.0) ** 2
+        assert (fm1_sq <= _param_error_tail_bound(xs)).all()
+        assert fm1_sq.max() == pytest.approx(0.031, abs=1e-3)
+        assert _param_error_tail_bound(tail) == pytest.approx(0.1117, abs=1e-4)
+
+    def test_hb_tail_is_below_its_bounds(self):
+        xs = np.concatenate([np.linspace(bounds._HB_TAIL, 100.0, 9001),
+                             np.logspace(2.0, 5.0, 3000)[1:]])
+        theta = bounds._HB_THETAS[:, None]
+        f = bounds._hb_factor(xs * np.sin(theta), xs * np.cos(theta))
+        inv_sq = 1.0 / (xs * xs)
+        assert (f * f <= 4.0 * (1.0 + inv_sq) ** 2).all()
+        assert ((f - 1.0) ** 2 <= (1.0 + 2.0 * inv_sq) ** 2).all()
+        assert (f * f).max() == pytest.approx(4.032, abs=1e-3)      # < 4.0804
+        assert ((f - 1.0) ** 2).max() == pytest.approx(1.016, abs=1e-3)  # < 1.0404
+
+    @pytest.mark.parametrize("constant, certifier, message", [
+        ("_PARAM_ERROR_TAIL", nest_param_error_constant,
+         r"\(f-1\)\^2 past x = 1 "),
+        ("_HB_TAIL", hb_param_error_sup, r"f\^2 past x = 1 "),
+    ])
+    def test_a_failing_tail_bound_is_an_error(self, monkeypatch, capsys,
+                                              constant, certifier, message):
+        monkeypatch.setattr(bounds, constant, 1.0)
+        with pytest.raises(RuntimeError, match=message):
+            certifier()
+        assert run(["verify-constants"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and "not below" in lines[0]
+
+    def test_evaluated_points_are_pinned(self, monkeypatch):
+        # 144,983 grid points plus 3 zooms of 240; 64 x 320 polar nodes plus
+        # 2 sups x 3 zooms x 64 rows x 240, and 64 x 400 for the kernel slack
+        seen = _counting(monkeypatch, "j1_ratio_complement")
+        nest_param_error_constant()
+        assert seen["points"] == 145_703
+        seen = _counting(monkeypatch, "hb_kernel_complement")
+        assert hb_param_error_sup().nodes_checked == 20_480
+        assert seen["points"] == 112_640
+        hb_kernel_slack()
+        assert seen["points"] == 138_240
 
 
 class TestHKappa:

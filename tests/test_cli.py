@@ -222,6 +222,26 @@ def test_simulate_refuses_an_oversized_design_before_allocating(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_refuses_a_power_law_that_underflows(tmp_path, capsys):
+    config = {
+        "design": [{"family": "PowerLaw", "nu": 1e6, "n": 20, "p": 4,
+                    "seed": 0}],
+        "snr": 1.0,
+        "flows": ["gf", "hb"],
+        "t_grid": {"lo": 0.01, "hi": 100.0, "count": 20, "log": True},
+        "ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 20, "log": True},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "design.nu" in captured.err and "Warning" not in captured.err
+    assert not out.exists()
+
+
 def test_oracle_check_passes_tolerance(capsys):
     code = run(["oracle-check", "--kind", "nest", "--p", "4", "--seed", "3",
                 "--step", "0.005", "--t-end", "10", "--tol", "1e-6"])

@@ -19,6 +19,7 @@ from flowrisk.experiments import (
 )
 from flowrisk.linalg import MAX_DOUBLES, design_decompose
 from flowrisk.risk import SignalModel, optimal_ridge_bayes_risk
+from flowrisk.shrinkage import FlowKind
 
 
 def power_law_spec(nu, p=100, n=500, seed=1, c=1.0):
@@ -101,6 +102,52 @@ class TestDesignSize:
             {"n": n_max, "p": p + 1}
         with pytest.raises(ConfigError, match="design.n = .*design.p = .*cap"):
             DesignSpec(family=family, seed=0, **bigger, **extra)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("family, key, extra", [
+        ("PowerLaw", "design.nu", {"nu": NAN}),
+        ("PowerLaw", "design.nu", {"nu": INF}),
+        ("PowerLaw", "design.C", {"nu": 1.0, "c": NAN}),
+        ("PowerLaw", "design.C", {"nu": 1.0, "c": INF}),
+        ("IidStudentT", "design.df", {"df": NAN}),
+        ("IidStudentT", "design.df", {"df": INF}),
+        ("Orthogonal", "design.s", {"s": NAN}),
+        ("Orthogonal", "design.s", {"s": INF}),
+    ])
+    def test_design_spec_refuses_it_naming_the_key(self, family, key, extra):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            DesignSpec(family=family, n=10, p=2, seed=0, **extra)
+
+    @pytest.mark.parametrize("snr", [NAN, INF, -INF])
+    def test_snr_is_refused_naming_the_key(self, snr):
+        grid = GridSpec(lo=0.1, hi=1.0, count=3)
+        with pytest.raises(ConfigError, match="^snr must be finite"):
+            ExperimentConfig(design=(power_law_spec(1.0, p=4),), snr=snr,
+                             flows=(FlowKind.GRADIENT_FLOW,), t_grid=grid,
+                             ridge_grid=grid)
+        with pytest.raises(ConfigError, match="^snr must be finite"):
+            gen_signal(p=4, snr=snr, sigma_sq=1.0, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+class TestPowerLawUnderflow:
+    def test_smallest_eigenvalue_must_be_a_normal_double(self):
+        # 4^-511 is 2^-1022, the smallest normal double; 4^-512 is subnormal
+        d = gen_power_law_design(power_law_spec(511.0, p=4))
+        assert d.spectrum.eigenvalues[0] == 2.0 ** -1022
+        for nu in (512.0, 1e6):
+            with pytest.raises(ConfigError, match="design.nu = .* positive "
+                                                  "normal double"):
+                power_law_spec(nu, p=4)
+
+    def test_a_tiny_scale_counts_too(self):
+        with pytest.raises(ConfigError, match="design.C / design.p"):
+            power_law_spec(1.0, p=4, c=1e-308)
 
 
 class TestSignal:
