@@ -58,9 +58,14 @@ def _check(name, value, reference, tolerance, mode, runtime_ms):
     }
 
 
+def _require_tol(tol) -> None:
+    """The --tol rule of every command that takes one: finite and >= 0."""
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {tol!r}")
+
+
 def _cmd_verify_constants(args) -> int:
-    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
-        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    _require_tol(args.tol)
     checks = []
     for c, _, value, ms in bounds.run_checks():
         if args.tol is not None and c.overridable:
@@ -115,7 +120,10 @@ def _cmd_oracle_check(args) -> int:
     kind = FlowKind.parse(args.kind)
     if kind is FlowKind.RIDGE:
         raise ConfigError("oracle-check covers the three flows")
+    _require_tol(args.tol)
     for flag, count in (("--grid-count", args.grid_count), ("--p", args.p)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {count}")
         if count > MAX_DOUBLES:
             raise ConfigError(f"{flag} {count} exceeds {MAX_DOUBLES} doubles")
     stream = SeededStream(args.seed)

@@ -19,6 +19,12 @@ multiple of the ridge coordinate itself, so the squared gap never exceeds a
 universal constant times the squared ridge norm: 49/64 for the accelerated
 family and 25 for heavy ball.  The bound holds for every realization, not
 just in expectation, and the bounds module certifies the two constants.
+
+Each value is validated once, where it enters: estimate checks its
+parameters and coupling_gap its times, and a Spectrum's eigenvalues were
+checked when it was built.  _spectral_rows therefore validates nothing and
+calls shrinkage._factor_rows, the formula table behind factor_block, which
+keeps only the heavy-ball rule mu > 0.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import SpectralDesign, Spectrum
-from .shrinkage import FlowKind, _path_params, factor_block
+from .shrinkage import FlowKind, _factor_rows, _path_params
 
 __all__ = ["estimate", "coupling_gap"]
 
@@ -42,16 +48,17 @@ def _spectral_rows(spectrum: Spectrum, c: np.ndarray, kind: FlowKind,
     """Spectral coordinates of a family, one row per parameter.
 
     c is the channel per eigenvalue.  A flow row is (1 - g) c / s with g
-    from one factor_block call, a ridge row c / (s + lambda); both are
+    from the factor table, a ridge row c / (s + lambda); both are
     exactly 0 wherever s = 0, where c is rounding noise that c / lambda
-    would otherwise amplify.  params are not validated here: ridge may get
-    lambda = 0 or inf, its intended limits.
+    would otherwise amplify.  params are 1-D and not validated here: flow
+    times were checked by the caller, and ridge may get lambda = 0 or inf,
+    its intended limits.
     """
     s = spectrum.eigenvalues
     if kind is FlowKind.RIDGE:
         num, den = c, s + params[:, None]
     else:
-        num = (1.0 - factor_block(kind, s, params, spectrum.mu)) * c
+        num = (1.0 - _factor_rows(kind, s, params, spectrum.mu)) * c
         den = s
     return np.divide(num, den, out=np.zeros((params.size, s.size)),
                      where=s > 0)
@@ -89,8 +96,8 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     t_arr = np.asarray(t, dtype=float)
     if (t_arr <= 0).any():
         raise ValueError("t must be > 0")
-    times = np.atleast_1d(t_arr)
     c = _require_response(design)
+    times = _path_params(t_arr)
     flow = _spectral_rows(design.spectrum, c, kind, times)
     # (1/t)^2 underflows to lambda = 0 for huge t and overflows to
     # lambda = inf for tiny t, where ridge is then exactly 0: both are the

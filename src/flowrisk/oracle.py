@@ -23,15 +23,25 @@ so a fixed step is enough; the default step is 1e-3 and every step is
 recorded.
 
 Because the dynamics are linear, one RK4 step is an exact affine map of
-the state, per coordinate.  The integrator evaluates the RK4 stage
-formulas once per chunk of consecutive steps, vectorized over the chunk,
-to get each step's map, composes the maps by prefix doubling (log2 of the
-chunk length vectorized levels), and applies the running compositions to
-the chunk's start state.  The iterates are those of the classical
-fixed-step RK4 recurrence up to rounding (the order of the products
-differs).  A chunk holds at most _SCAN_DOUBLES (steps x coordinates)
-doubles per array, so memory beyond the recorded trajectory does not
-grow with the horizon.
+the state, per coordinate.  The integrator gets each step's map from the
+RK4 stage formulas, composes the maps of a chunk of consecutive steps by
+prefix doubling (log2 of the chunk length vectorized levels), and applies
+the running compositions to the chunk's start state.  The iterates are
+those of the classical fixed-step RK4 recurrence up to rounding (the
+order of the products differs).  A chunk holds at most _SCAN_DOUBLES
+(steps x coordinates) doubles per array, so memory beyond the recorded
+trajectory does not grow with the horizon.
+
+Gradient and heavy-ball flow have right-hand sides that ignore t, so a
+step's map depends on its length h alone.  Their stage formulas run once
+per distinct h of the whole scan, and each chunk gathers its maps from
+that table; the accelerated flow's 3/t damping depends on t, so its maps
+are evaluated per step, one chunk at a time.  The table stays small
+because these flows start at t = 0: the lattice is fl(step k), and the
+difference of two neighbours is exact (Sterbenz), a multiple of the ulp
+of t within one ulp of step.  That leaves one to three distinct h per
+binade of t, so about log2(steps) of them: 15 for the 10,000 steps of
+t in [0, 50] at step 5e-3, and 21 to 28 for 4 million steps.
 """
 
 from __future__ import annotations
@@ -80,19 +90,28 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class IterateConfig:
-    """Step size, momentum (heavy ball only), and iteration count."""
+    """Step size, momentum (heavy ball only), and iteration count.
+
+    step_size must be finite and > 0, momentum finite and >= 0, and
+    iterations an integer >= 1; anything else is a ValueError naming the
+    field.
+    """
 
     step_size: float
     iterations: int
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.momentum < 0:
-            raise ValueError("momentum must be >= 0")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(
+                f"step_size must be finite and > 0, got {self.step_size!r}")
+        if (not isinstance(self.iterations, (int, np.integer))
+                or self.iterations < 1):
+            raise ValueError(
+                f"iterations must be an integer >= 1, got {self.iterations!r}")
+        if not (np.isfinite(self.momentum) and self.momentum >= 0):
+            raise ValueError(
+                f"momentum must be finite and >= 0, got {self.momentum!r}")
 
 
 def _validate_flow_inputs(kind, spectrum, forcing, t_end, step):
@@ -165,14 +184,16 @@ def _compose_prefix(a, b):
         offset *= 2
 
 
-def _rk4_scan(rhs, s, c, times, x0):
+def _rk4_scan(rhs, s, c, times, x0, autonomous=False):
     """RK4 iterates of x' = rhs(s, c, t, x) at every time, one chunk at a time.
 
     The system is linear, so one _rk4_step on a state tuple x of length d is
     affine in x: evaluating it on the unit states with no forcing and on
     the zero state with the forcing gives each step's map; the maps
     of a chunk are composed by _compose_prefix and applied to the chunk's
-    start state.  Returns the (d, m+1, p) record, row 0 being x0.
+    start state.  When autonomous (rhs ignores t), the maps are evaluated
+    once per distinct step length and gathered per chunk.  Returns the
+    (d, m+1, p) record, row 0 being x0.
     """
     dim, p = len(x0), s.size
     m = times.size - 1
@@ -183,13 +204,23 @@ def _rk4_scan(rhs, s, c, times, x0):
     # zero state with the forcing
     forcing = np.zeros((dim + 1, 1, p))
     forcing[dim] = c
+
+    def step_maps(t, h):
+        probes = np.zeros((dim, dim + 1, h.shape[0], p))
+        probes[range(dim), range(dim)] = 1.0
+        return np.array(_rk4_step(rhs, s, forcing, t, h, tuple(probes)))
+
+    if autonomous:
+        lengths, which = np.unique(np.diff(times), return_inverse=True)
+        table = step_maps(0.0, lengths[:, None])
     for k0 in range(0, m, chunk):
         k1 = min(k0 + chunk, m)
-        t = times[k0:k1, None]
-        h = times[k0 + 1:k1 + 1, None] - t
-        probes = np.zeros((dim, dim + 1, k1 - k0, p))
-        probes[range(dim), range(dim)] = 1.0
-        maps = np.array(_rk4_step(rhs, s, forcing, t, h, tuple(probes)))
+        if autonomous:
+            # take, not fancy indexing: einsum is slow on the strided view
+            maps = np.take(table, which[k0:k1], axis=2)
+        else:
+            t = times[k0:k1, None]
+            maps = step_maps(t, times[k0 + 1:k1 + 1, None] - t)
         a, b = maps[:, :dim], maps[:, dim]
         _compose_prefix(a, b)
         out[:, k0 + 1:k1 + 1] = b + np.einsum("ijnp,jp->inp", a, out[:, k0])
@@ -216,9 +247,10 @@ def integrate_flow(kind: FlowKind, spectrum: Spectrum, forcing, t_end: float,
         zero = np.zeros_like(c)
         rate = 2.0 * np.sqrt(spectrum.mu)
         pos, vel = _rk4_scan(_damped_rhs(lambda t: rate), s, c, times,
-                             (zero, zero))
+                             (zero, zero), autonomous=True)
     else:
-        (pos,) = _rk4_scan(_gradient_rhs, s, c, times, (np.zeros_like(c),))
+        (pos,) = _rk4_scan(_gradient_rhs, s, c, times, (np.zeros_like(c),),
+                           autonomous=True)
         vel = c - s * pos
     return Trajectory(kind=kind, times=times, positions=pos, velocities=vel)
 

@@ -20,7 +20,15 @@ removable sin(b)/b singularity at b = 0 (s = mu) is evaluated by series.
 factor_block is the one evaluator: it validates its input and looks the
 family up in a single formula table, returning one row of factors per path
 parameter and one column per eigenvalue; a single factor is the [0, 0]
-entry of a one-by-one block.  Everything here is pure and stateless.
+entry of a one-by-one block.  Validation happens once, at the boundary:
+factor_block checks raw arrays, each bound with one min/max pair, and then
+calls _factor_rows, the table behind it.  Callers that already hold valid
+input (a Spectrum's eigenvalues are finite, >= 0 and ascending, so s >= mu,
+and their parameters were checked by _path_params) call _factor_rows
+directly; it keeps only the heavy-ball rule mu > 0.  Below the table,
+j1_ratio still checks its own domain on every call (an overflowing
+t sqrt(s) is refused there by name), and the heavy-ball kernels check
+nothing.  Everything here is pure and stateless.
 """
 
 from __future__ import annotations
@@ -68,24 +76,25 @@ class FlowKind(Enum):
         return aliases[key]
 
 
-def _scalar_or_array(out, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
-        return float(out)
-    return out
+def _scalar_or_array(out):
+    """A float for a 0-d result (both kernel inputs 0-d), else the array."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _sinc(u):
-    """sin(u)/u with the series 1 - u^2/6 + u^4/120 below the cutoff."""
+    """sin(u)/u with the series 1 - u^2/6 + u^4/120 below the cutoff.
+
+    The result is an array of u's shape, 0-d for a scalar.
+    """
     u = np.asarray(u, dtype=float)
-    vec = np.atleast_1d(u)
-    out = np.sin(vec)
+    out = np.sin(u, out=np.empty_like(u))  # an array even when u is 0-d
     with np.errstate(invalid="ignore"):  # 0/0 at u = 0, overwritten below
-        out /= vec
-    small = np.abs(vec) < _SINC_CUTOFF
+        out /= u
+    small = np.abs(u) < _SINC_CUTOFF
     if small.any():
-        us = vec[small]
+        us = u[small]
         out[small] = 1.0 - us * us / 6.0 + us ** 4 / 120.0
-    return out.reshape(u.shape)
+    return out
 
 
 def hb_kernel(a, b):
@@ -99,7 +108,7 @@ def hb_kernel(a, b):
     out = a * _sinc(b)  # already the broadcast shape; the rest is in place
     out += np.cos(b)
     out *= np.exp(-a)
-    return _scalar_or_array(out, a, b)
+    return _scalar_or_array(out)
 
 
 def hb_kernel_complement(a, b):
@@ -118,7 +127,7 @@ def hb_kernel_complement(a, b):
     np.subtract(2.0 * np.sin(b / 2.0) ** 2, out, out=out)
     out *= np.exp(-a)
     out -= np.expm1(-a)
-    return _scalar_or_array(out, a, b)
+    return _scalar_or_array(out)
 
 
 # The one map from a family to its closed form f(s, param, mu); every entry
@@ -136,12 +145,12 @@ def _path_params(params) -> np.ndarray:
     """params as a 1-D float array (a scalar counts as length 1).
 
     The one rule for times and penalties of every family: ValueError unless
-    each is finite and >= 0.
+    each is finite and >= 0 (one min/max pair; a NaN makes both NaN).
     """
     params = np.atleast_1d(np.asarray(params, dtype=float))
     if params.ndim != 1:
         raise ValueError("path parameters must be 1-D")
-    if not np.isfinite(params).all() or (params < 0).any():
+    if params.size and not (params.min() >= 0.0 and params.max() < np.inf):
         raise ValueError("path parameter must be finite and >= 0")
     return params
 
@@ -159,16 +168,31 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
     params = _path_params(params)
     if s.ndim != 1:
         raise ValueError("eigenvalues must be 1-D")
-    if not np.isfinite(s).all() or (s < 0).any():
+    lo, hi = (s.min(), s.max()) if s.size else (np.inf, 0.0)
+    if not (lo >= 0.0 and hi < np.inf):
         raise ValueError("eigenvalues must be finite and >= 0")
     if kind is FlowKind.HEAVY_BALL_FLOW:
         if mu is None or not (np.isfinite(mu) and mu > 0.0):
             raise ValueError("heavy-ball flow requires a finite mu > 0")
-        if (s < mu).any():
+        if lo < mu:
             raise ValueError("heavy-ball flow requires s >= mu")
     if kind is FlowKind.RIDGE and (params == 0.0).any():
         zero = np.flatnonzero(s == 0.0)
         if zero.size:
             raise ValueError(f"ridge factor undefined at eigenvalue index {zero[0]}: "
                              "s = 0 and lambda = 0")
+    return _factor_rows(kind, s, params, mu)
+
+
+def _factor_rows(kind: FlowKind, s: np.ndarray, params: np.ndarray,
+                 mu) -> np.ndarray:
+    """The formula table of factor_block, on input it need not check again.
+
+    s and params are 1-D, finite and >= 0, with s >= mu for heavy ball, as
+    a Spectrum's eigenvalues and checked parameters are; only the
+    heavy-ball rule mu > 0 is checked here, since a Spectrum may have
+    mu = 0.
+    """
+    if kind is FlowKind.HEAVY_BALL_FLOW and not mu > 0.0:
+        raise ValueError("heavy-ball flow requires a finite mu > 0")
     return _FORMULAS[kind](s[None, :], params[:, None], mu)

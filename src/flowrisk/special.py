@@ -26,11 +26,22 @@ _RATIO_CUTOFF = 1e-4
 _COMPLEMENT_CUTOFF = 1e-2
 
 
-def _as_array(x, name):
+def _checked(x, name, nonnegative=False):
+    """x as a float array, with its smallest entry (inf when empty).
+
+    One min/max pair checks every entry: ValueError unless finite (a NaN
+    makes both NaN) and, when nonnegative, >= 0; the finiteness message
+    wins when both fail.
+    """
     arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
+    if not arr.size:
+        return arr, np.inf
+    lo, hi = arr.min(), arr.max()
+    if not (-np.inf < lo and hi < np.inf):
         raise ValueError(f"{name} requires finite input")
-    return arr
+    if nonnegative and lo < 0:
+        raise ValueError(f"{name} is defined for x >= 0")
+    return arr, lo
 
 
 def _two_j1_over_x(vec):
@@ -52,7 +63,7 @@ def bessel_j1(x):
     Odd in x.  Non-finite input raises ValueError.  Scalars in, scalar out;
     arrays in, array out.
     """
-    arr = _as_array(x, "bessel_j1")
+    arr, _ = _checked(x, "bessel_j1")
     out = _cephes_j1(arr)
     return float(out) if arr.ndim == 0 else out
 
@@ -64,13 +75,11 @@ def j1_ratio(x):
     the removable singularity never forms a 0/0.  |j1_ratio(x)| <= 1 for all
     x >= 0, with equality only at x = 0.
     """
-    arr = _as_array(x, "j1_ratio")
-    if (arr < 0).any():
-        raise ValueError("j1_ratio is defined for x >= 0")
+    arr, lo = _checked(x, "j1_ratio", nonnegative=True)
     vec = np.atleast_1d(arr)
     out = _two_j1_over_x(vec)
-    small = vec < _RATIO_CUTOFF
-    if small.any():
+    if lo < _RATIO_CUTOFF:
+        small = vec < _RATIO_CUTOFF
         x2 = vec[small] ** 2
         out[small] = 1.0 - x2 / 8.0 + x2 * x2 / 192.0 - x2 * x2 * x2 / 9216.0
     return float(out[0]) if arr.ndim == 0 else out
@@ -85,9 +94,7 @@ def j1_ratio_complement(x):
     x^2/8 - x^4/192 + x^6/9216 is exact to about 1e-17 relative (the next
     term is x^8/737280); above that, subtraction is safe.
     """
-    arr = _as_array(x, "j1_ratio_complement")
-    if (arr < 0).any():
-        raise ValueError("j1_ratio_complement is defined for x >= 0")
+    arr, _ = _checked(x, "j1_ratio_complement", nonnegative=True)
     vec = np.atleast_1d(arr)
     out = _two_j1_over_x(vec)
     np.subtract(1.0, out, out=out)

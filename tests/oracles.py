@@ -5,13 +5,14 @@ series uses explicit factorial terms, the eigenvalue oracle is power
 iteration with deflation, and the linear solver is textbook Gaussian
 elimination.  Slow is fine; independent is the point.
 
-The RK4 step loops and per-flow step functions, the whole-request batched
-polar normals, the masked kernel formulas, the one-tau-at-a-time min-max
-scans, the untruncated 49/64 and heavy-ball scans and the one-expression
-tilde_h are the library's earlier implementations, kept as references for
-the forms that replaced them: the RK4 scan agrees with its loop to
-rounding, and the rest (the one generic RK4 step rule included) agree bit
-for bit.
+The RK4 step loops and per-flow step functions, the per-step-map RK4
+scan, the whole-request batched polar normals, the masked kernel formulas,
+the one-tau-at-a-time min-max scans, the untruncated 49/64 and heavy-ball
+scans, the one-expression tilde_h and the coupling gap that validated
+through factor_block are the library's earlier implementations, kept as
+references for the forms that replaced them: the RK4 scan agrees with its
+loop to rounding, and the rest (the one generic RK4 step rule included)
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import math
 
 import numpy as np
 import scipy.special
+
+from flowrisk.oracle import _chunk_steps, _compose_prefix, _rk4_step
+from flowrisk.shrinkage import FlowKind, factor_block
 
 
 def j1_series(x: float, terms: int = 30) -> float:
@@ -179,6 +183,67 @@ def damped_step(damping):
         return (u + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
                 v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
     return step
+
+
+def per_step_rk4_scan(rhs, s, c, times, x0):
+    """The chunked RK4 scan with the stage formulas evaluated on every step.
+
+    Each chunk probes _rk4_step at its own (t, h) pairs, so a step length
+    that recurs is evaluated again; the maps are composed and applied as
+    in oracle._rk4_scan.  Returns the (d, m+1, p) record.
+    """
+    dim, p = len(x0), s.size
+    m = times.size - 1
+    out = np.empty((dim, m + 1, p))
+    out[:, 0] = x0
+    chunk = _chunk_steps(p)
+    forcing = np.zeros((dim + 1, 1, p))
+    forcing[dim] = c
+    for k0 in range(0, m, chunk):
+        k1 = min(k0 + chunk, m)
+        t = times[k0:k1, None]
+        h = times[k0 + 1:k1 + 1, None] - t
+        probes = np.zeros((dim, dim + 1, k1 - k0, p))
+        probes[range(dim), range(dim)] = 1.0
+        maps = np.array(_rk4_step(rhs, s, forcing, t, h, tuple(probes)))
+        a, b = maps[:, :dim], maps[:, dim]
+        _compose_prefix(a, b)
+        out[:, k0 + 1:k1 + 1] = b + np.einsum("ijnp,jp->inp", a, out[:, k0])
+    return out
+
+
+def coupling_gap_reference(design, kind, t):
+    """The coupling gap as computed when every flow row went through
+    factor_block, which re-validated the spectrum and the times."""
+    if kind not in (FlowKind.ACCELERATED_FLOW, FlowKind.HEAVY_BALL_FLOW):
+        raise ValueError("coupling_gap is defined for the accelerated and "
+                         "heavy-ball flows")
+    t_arr = np.asarray(t, dtype=float)
+    if (t_arr <= 0).any():
+        raise ValueError("t must be > 0")
+    times = np.atleast_1d(t_arr)
+    if not design.has_response:
+        raise ValueError("design has no attached response")
+    c = design.rotated_channel
+    s = design.spectrum.eigenvalues
+
+    def rows(num, den):
+        return np.divide(num, den, out=np.zeros((times.size, s.size)),
+                         where=s > 0)
+
+    flow = rows((1.0 - factor_block(kind, s, times, design.spectrum.mu)) * c, s)
+    with np.errstate(over="ignore"):
+        lam = (1.0 / times) ** 2
+    ridge = rows(c, s + lam[:, None])
+    diff = flow - ridge
+    gap = (diff * diff).sum(axis=1)
+    ridge_norm_sq = (ridge * ridge).sum(axis=1)
+    if t_arr.ndim == 0:
+        gap, norm_sq = float(gap[0]), float(ridge_norm_sq[0])
+        return gap, norm_sq, gap / norm_sq if norm_sq > 0 else 0.0
+    ratio = np.divide(gap, ridge_norm_sq, out=np.zeros_like(gap),
+                      where=ridge_norm_sq > 0)
+    return gap, ridge_norm_sq, ratio
 
 
 def recipe_uniforms(seed: int, first: int, count: int) -> np.ndarray:

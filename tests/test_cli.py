@@ -61,6 +61,27 @@ def test_special_eval_unknown_function(capsys):
     assert run(["special-eval", "--fn", "gamma", "--x", "1.0"]) == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["shrink", "--kind", "hb", "--s", "nan", "--t", "1", "--mu", "0.5"],
+     "eigenvalues must be finite and >= 0"),
+    (["shrink", "--kind", "gf", "--s", "1", "--t", "inf"],
+     "path parameter must be finite and >= 0"),
+    (["shrink", "--kind", "hb", "--s", "1", "--t", "1", "--mu", "nan"],
+     "heavy-ball flow requires a finite mu > 0"),
+    (["special-eval", "--fn", "j1", "--x", "nan"],
+     "bessel_j1 requires finite input"),
+    (["special-eval", "--fn", "j1-ratio", "--x", "inf"],
+     "j1_ratio requires finite input"),
+])
+def test_shrink_and_special_eval_refuse_non_finite_numbers(argv, message,
+                                                           capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert f"error: {message}" in captured.err
+
+
 def test_estimate_matches_library(capsys, instance_files):
     from flowrisk.estimators import estimate
     from flowrisk.linalg import attach_response, design_decompose
@@ -250,17 +271,23 @@ def test_oracle_check_passes_tolerance(capsys):
     assert report["sup_error"] <= 1e-6
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag, value, message", [
     ("--t-end", "inf", "t_grid must be finite"),
     ("--t-end", "nan", "t_grid must be finite"),
     ("--step", "nan", "step must be finite"),
     ("--t-end", "1e15", "t_end / step = 1e+18 steps x 5 coordinates exceeds"),
+    ("--tol", "nan", "--tol must be finite and >= 0, got nan"),
+    ("--tol", "inf", "--tol must be finite and >= 0, got inf"),
+    ("--tol", "-1", "--tol must be finite and >= 0, got -1.0"),
+    ("--p", "0", "--p must be >= 1, got 0"),
+    ("--grid-count", "-5", "--grid-count must be >= 1, got -5"),
 ])
 def test_oracle_check_rejects_non_finite_input(capsys, flag, value, message):
     assert run(["oracle-check", "--kind", "gf", flag, value]) == 2
-    err = capsys.readouterr().err
-    assert f"error: {message}" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert f"error: {message}" in captured.err
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,7 +6,7 @@ from flowrisk.linalg import attach_response, design_decompose
 from flowrisk.oracle import integrate_flow
 from flowrisk.shrinkage import FlowKind
 
-from oracles import gauss_solve
+from oracles import coupling_gap_reference, gauss_solve
 
 FLOWS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
          FlowKind.HEAVY_BALL_FLOW)
@@ -239,3 +239,107 @@ class TestCouplingGap:
         for k, t in enumerate(t_grid):
             _, _, ratio = coupling_gap(design, FlowKind.ACCELERATED_FLOW, t)
             assert ratio == ratios[k]
+
+
+COUPLED = (FlowKind.ACCELERATED_FLOW, FlowKind.HEAVY_BALL_FLOW)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def _realizations():
+    """Seeded full-rank realizations, then rank-deficient ones (n < p or a
+    repeated column), whose spectra start at mu = 0."""
+    rng = np.random.default_rng(2024)
+    full, deficient = [], []
+    for k in range(12):
+        p = 1 + k % 6
+        x = rng.standard_normal((p + 4, p))
+        y = x @ rng.standard_normal(p) + rng.standard_normal(p + 4)
+        full.append(attach_response(design_decompose(x), x, y))
+    for n, p in ((3, 6), (2, 5), (6, 4)):
+        x = rng.standard_normal((n, p))
+        if n > p:
+            x[:, 0] = x[:, 1]
+        y = rng.standard_normal(n)
+        deficient.append(attach_response(design_decompose(x), x, y))
+    return full, deficient
+
+
+class TestCouplingMatchesReference:
+    """coupling_gap validates each value once; its values, messages and
+    their precedence are those of the reference that re-validated through
+    factor_block."""
+
+    T_GRID = np.concatenate([np.logspace(-3, 4, 36), [1e-200, 1e200]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_bit_for_bit(self):
+        full, deficient = _realizations()
+        cases = [(d, kind) for d in full for kind in COUPLED]
+        cases += [(d, FlowKind.ACCELERATED_FLOW) for d in deficient]
+        for design, kind in cases:
+            got = coupling_gap(design, kind, self.T_GRID)
+            want = coupling_gap_reference(design, kind, self.T_GRID)
+            assert [_hex(g) for g in got] == [_hex(w) for w in want]
+            for t in self.T_GRID:
+                got = coupling_gap(design, kind, float(t))
+                want = coupling_gap_reference(design, kind, float(t))
+                assert all(type(v) is float for v in got)
+                assert _hex(got) == _hex(want)
+
+    def test_rank_deficient_realizations_have_a_null_direction(self):
+        _, deficient = _realizations()
+        assert all(d.spectrum.mu == 0.0 for d in deficient)
+
+    @staticmethod
+    def _message(fn, *args):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        return str(info.value)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, which, t, message", [
+        # one refusal each
+        ("nest", "full", 0.0, "t must be > 0"),
+        ("hb", "full", -1.0, "t must be > 0"),
+        ("nest", "full", -np.inf, "t must be > 0"),
+        ("nest", "full", np.nan, "path parameter must be finite and >= 0"),
+        ("hb", "full", np.inf, "path parameter must be finite and >= 0"),
+        ("nest", "full", [[1.0, 2.0]], "path parameters must be 1-D"),
+        ("nest", "bare", 1.0, "design has no attached response"),
+        ("gf", "full", 1.0, "coupling_gap is defined for the accelerated"),
+        ("ridge", "full", 1.0, "coupling_gap is defined for the accelerated"),
+        ("hb", "deficient", 1.0, "heavy-ball flow requires a finite mu > 0"),
+        # precedence: the kind, then t <= 0, then the response, then the
+        # shape and finiteness of t, then mu
+        ("gf", "bare", -1.0, "coupling_gap is defined for the accelerated"),
+        ("nest", "bare", [1.0, -1.0], "t must be > 0"),
+        ("nest", "full", [np.nan, -1.0], "t must be > 0"),
+        ("nest", "full", [[1.0, -2.0]], "t must be > 0"),
+        ("nest", "bare", np.nan, "design has no attached response"),
+        ("hb", "bare", [[1.0]], "design has no attached response"),
+        ("nest", "full", [[np.nan]], "path parameters must be 1-D"),
+        ("hb", "deficient", np.nan, "path parameter must be finite and >= 0"),
+        ("hb", "deficient", [[1.0]], "path parameters must be 1-D"),
+    ])
+    def test_refusals(self, kind, which, t, message):
+        full, deficient = _realizations()
+        design = {"full": full[3], "deficient": deficient[0],
+                  "bare": design_decompose(np.eye(3))}[which]
+        kind = FlowKind.parse(kind)
+        got = self._message(coupling_gap, design, kind, t)
+        assert got.startswith(message)
+        assert got == self._message(coupling_gap_reference, design, kind, t)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_argument_is_refused_by_j1_ratio(self):
+        # t sqrt(s) overflows to inf, which j1_ratio refuses by name
+        x = np.diag([2.0, 3.0]) * np.sqrt(2.0)
+        design = attach_response(design_decompose(x), x, np.ones(2))
+        for fn in (coupling_gap, coupling_gap_reference):
+            message = self._message(fn, design, FlowKind.ACCELERATED_FLOW,
+                                    1e308)
+            assert message == "j1_ratio requires finite input"
+

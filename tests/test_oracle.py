@@ -18,7 +18,8 @@ from flowrisk.oracle import (
 from flowrisk.shrinkage import FlowKind
 from flowrisk.special import j1_ratio
 
-from oracles import damped_step, gf_step, rk4_first_order, rk4_second_order
+from oracles import (damped_step, gf_step, per_step_rk4_scan, rk4_first_order,
+                     rk4_second_order)
 
 UNIT = Spectrum(np.array([1.0]))
 FLOWS = (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
@@ -140,6 +141,73 @@ class TestStepRule:
         want = damped_step(damping)(s, c, t, h, u, v)
         assert len(got) == 2
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestDistinctStepMaps:
+    """Gradient and heavy-ball flow take each step's map from one table per
+    distinct step length; the trajectories equal the per-step-map scan's
+    bit for bit.  A step of 5e-3 gives several distinct lengths."""
+
+    STEP = 5e-3
+
+    def _instance(self, p, null):
+        rng = np.random.default_rng(100 + p)
+        s = np.sort(rng.uniform(0.05, 3.0, p))
+        forcing = rng.standard_normal(p)
+        if null:
+            s[0], forcing[0] = 0.0, 0.0
+        return Spectrum(s), forcing
+
+    def _reference(self, kind, spec, forcing, times):
+        s = spec.eigenvalues
+        zero = np.zeros_like(forcing)
+        if kind is FlowKind.GRADIENT_FLOW:
+            (pos,) = per_step_rk4_scan(_gradient_rhs, s, forcing, times, (zero,))
+            return pos, forcing - s * pos
+        rate = 2.0 * np.sqrt(spec.mu)
+        return per_step_rk4_scan(_damped_rhs(lambda t: rate), s, forcing,
+                                 times, (zero, zero))
+
+    @pytest.mark.parametrize("kind, null", [
+        (FlowKind.GRADIENT_FLOW, False), (FlowKind.HEAVY_BALL_FLOW, False),
+        (FlowKind.GRADIENT_FLOW, True)], ids=["gf", "hb", "gf-null"])
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    @pytest.mark.parametrize("steps", ["none", "part", "one", "two_plus_one"])
+    def test_equals_per_step_maps(self, kind, null, p, steps):
+        chunk = _chunk_steps(p)
+        m = {"none": 0, "part": chunk // 3, "one": chunk,
+             "two_plus_one": 2 * chunk + 1}[steps]
+        spec, forcing = self._instance(p, null)
+        # half a step short of m steps, so the ceiling is m whatever the
+        # rounding of m * step
+        t_end = max(m - 0.5, 0.0) * self.STEP
+        traj = integrate_flow(kind, spec, forcing, t_end, step=self.STEP)
+        assert len(traj) == m + 1
+        pos, vel = self._reference(kind, spec, forcing, traj.times)
+        assert np.array_equal(traj.positions, pos)
+        assert np.array_equal(traj.velocities, vel)
+        if null:
+            assert (traj.positions[:, 0] == 0.0).all()
+
+    @pytest.mark.parametrize("kind, evaluated", [
+        (FlowKind.GRADIENT_FLOW, 15), (FlowKind.HEAVY_BALL_FLOW, 15),
+        (FlowKind.ACCELERATED_FLOW, 10_000)])
+    def test_step_lengths_evaluated_on_the_acceptance_lattice(
+            self, monkeypatch, kind, evaluated):
+        # t in [0, 50] at step 5e-3, as acceptance test 07 integrates:
+        # 10,000 steps but only 15 distinct lengths; the accelerated flow's
+        # 3/t damping keeps one map per step
+        counted = []
+
+        def counting_step(rhs, s, c, t, h, x):
+            counted.append(np.size(h))
+            return _rk4_step(rhs, s, c, t, h, x)
+
+        monkeypatch.setattr("flowrisk.oracle._rk4_step", counting_step)
+        spec = Spectrum(np.array([0.3, 1.0, 2.5]))
+        integrate_flow(kind, spec, np.array([0.5, -1.0, 2.0]), 50.0,
+                       step=self.STEP)
+        assert sum(counted) == evaluated
 
 
 class TestScanMatchesStepLoop:
@@ -319,6 +387,26 @@ class TestDiscreteIterates:
             IterateConfig(step_size=0.1, iterations=0)
         with pytest.raises(ValueError):
             IterateConfig(step_size=0.1, iterations=1, momentum=-0.1)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"step_size": math.nan}, "step_size must be finite and > 0, got nan"),
+        ({"step_size": math.inf}, "step_size must be finite and > 0, got inf"),
+        ({"momentum": math.nan}, "momentum must be finite and >= 0, got nan"),
+        ({"momentum": math.inf}, "momentum must be finite and >= 0, got inf"),
+        ({"iterations": 2.5}, "iterations must be an integer >= 1, got 2.5"),
+        ({"iterations": 3.0}, "iterations must be an integer >= 1, got 3.0"),
+        ({"iterations": "3"}, "iterations must be an integer >= 1, got '3'"),
+    ])
+    def test_config_refuses_a_non_finite_or_non_integral_field(self, fields,
+                                                               message):
+        with pytest.raises(ValueError) as info:
+            IterateConfig(**{"step_size": 0.1, "iterations": 1, **fields})
+        assert str(info.value) == message
+
+    def test_config_takes_a_numpy_integer_count(self, small_instance):
+        _, x, y, _ = small_instance
+        cfg = IterateConfig(step_size=0.05, iterations=np.int64(3))
+        assert len(discrete_iterates(FlowKind.GRADIENT_FLOW, x, y, cfg)) == 3
 
 
 def test_nesterov_consistency_report_structure():

@@ -229,6 +229,40 @@ class TestProfile:
         with pytest.raises(ValueError, match="mu > 0"):
             factor_block(HB, [0.0, 1.0], 1.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, s, params, mu, message", [
+        # one refusal each
+        (GF, [1.0, np.nan], 1.0, None, "eigenvalues must be finite and >= 0"),
+        (GF, [np.inf], 1.0, None, "eigenvalues must be finite and >= 0"),
+        (NEST, [-1.0, 2.0], 1.0, None, "eigenvalues must be finite and >= 0"),
+        (GF, [[1.0]], 1.0, None, "eigenvalues must be 1-D"),
+        (GF, 1.0, [0.5, np.nan], None, "path parameter must be finite and >= 0"),
+        (NEST, 1.0, np.inf, None, "path parameter must be finite and >= 0"),
+        (RIDGE, 1.0, -1.0, None, "path parameter must be finite and >= 0"),
+        (GF, 1.0, [[1.0]], None, "path parameters must be 1-D"),
+        (HB, [1.0, 2.0], 1.0, None, "heavy-ball flow requires a finite mu > 0"),
+        (HB, [1.0, 2.0], 1.0, np.nan, "heavy-ball flow requires a finite mu > 0"),
+        (HB, [1.0, 2.0], 1.0, np.inf, "heavy-ball flow requires a finite mu > 0"),
+        (HB, [0.5, 2.0], 1.0, 1.0, "heavy-ball flow requires s >= mu"),
+        (RIDGE, [1.0, 0.0], [1.0, 0.0], None,
+         "ridge factor undefined at eigenvalue index 1"),
+        # precedence: params, then the shape and values of s, then mu
+        (GF, [[np.nan]], [[1.0]], None, "path parameters must be 1-D"),
+        (GF, [-1.0], np.nan, None, "path parameter must be finite and >= 0"),
+        (HB, [[1.0]], 1.0, 0.0, "eigenvalues must be 1-D"),
+        (HB, [np.nan, 1.0], 1.0, 0.0, "eigenvalues must be finite and >= 0"),
+        (HB, [-1.0, np.inf], 1.0, None, "eigenvalues must be finite and >= 0"),
+        (HB, [0.5, 2.0], 1.0, 0.0, "heavy-ball flow requires a finite mu > 0"),
+    ])
+    def test_refusals_and_their_precedence(self, kind, s, params, mu, message):
+        with pytest.raises(ValueError) as info:
+            factor_block(kind, s, params, mu)
+        assert str(info.value).startswith(message)
+
+    def test_empty_input_gives_an_empty_block(self):
+        assert factor_block(GF, [], [1.0, 2.0]).shape == (2, 0)
+        assert factor_block(HB, [1.0, 2.0], [], 1.0).shape == (0, 2)
+
     def test_kind_parse_tokens(self):
         assert FlowKind.parse("gf") is FlowKind.GRADIENT_FLOW
         assert FlowKind.parse("AcceleratedFlow") is FlowKind.ACCELERATED_FLOW

@@ -107,6 +107,23 @@ def test_ratio_rejects_negative():
         j1_ratio(np.array([0.5, -1.0]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, name, nonnegative", [
+    (bessel_j1, "bessel_j1", False),
+    (j1_ratio, "j1_ratio", True),
+    (j1_ratio_complement, "j1_ratio_complement", True)])
+def test_refusals_and_their_precedence(fn, name, nonnegative):
+    for x in (np.nan, np.inf, -np.inf, [1.0, np.nan], [-1.0, np.inf],
+              [np.nan, -1.0]):
+        with pytest.raises(ValueError, match=f"^{name} requires finite input$"):
+            fn(x)
+    if nonnegative:
+        for x in (-0.5, [2.0, -1e-300]):
+            with pytest.raises(ValueError, match=f"^{name} is defined for x >= 0$"):
+                fn(x)
+    assert fn(np.empty(0)).shape == (0,)
+
+
 def test_ratio_bounded_by_one_dense_grid():
     xs = np.linspace(0.0, 1e4, 100001)
     vals = j1_ratio(xs)
