@@ -1,13 +1,10 @@
 """Validate the closed-form paths against independent dynamics.
 
-Three cross-checks on one seeded instance:
+Two cross-checks on one seeded instance:
   1. RK4 integration of the three flow dynamics versus the closed forms,
      including the fourth-order step-halving signature;
   2. the discrete iterations against their continuous limits, with the
-     plain gradient iteration converging at rate O(step);
-  3. the soft clock correspondence between the discrete accelerated
-     iteration read at t = k*sqrt(step) and the accelerated flow (a
-     diagnostic, not a theorem: the correspondence is asymptotic).
+     plain gradient iteration converging at rate O(step).
 
 Run:  python demos/demo_oracle.py
 """
@@ -23,7 +20,6 @@ from flowrisk import (
     design_decompose,
     discrete_iterates,
 )
-from flowrisk.oracle import nesterov_discrete_consistency
 
 rng = np.random.default_rng(20)
 spectrum = Spectrum(np.sort(rng.uniform(0.05, 3.0, 8)))
@@ -53,15 +49,6 @@ for eps in (1e-1, 1e-2, 1e-3):
                              IterateConfig(step_size=eps, iterations=k))[-1]
     flow = design.v_basis @ ((c / s) * (1.0 - np.exp(-t_end * s)))
     print(f"  step {eps:g}: gap {np.abs(last - flow).max():.2e}")
-
-print("\naccelerated clock correspondence (diagnostic only):")
-weights = np.full(p, 1.0 / p)
-report = nesterov_discrete_consistency(design.spectrum, weights,
-                                       noise_scale=1.0 / n, eps=1e-2,
-                                       iterations=2000)
-print(f"  discrete first minimum at t = {report['discrete_min_time']:.3f}, "
-      f"flow at t = {report['flow_min_time']:.3f} "
-      f"(ratio {report['time_ratio']:.3f})")
 
 print("\nheavy-ball discrete iteration with a conventional momentum level "
       "(labeled experiment; the clock constant is not pinned by theory):")

@@ -58,7 +58,7 @@ def _spectral_rows(spectrum: Spectrum, c: np.ndarray, kind: FlowKind,
     if kind is FlowKind.RIDGE:
         num, den = c, s + params[:, None]
     else:
-        num = (1.0 - _factor_rows(kind, s, params, spectrum.mu)) * c
+        num = (1.0 - _factor_rows(kind, s, params, spectrum.mu, s[-1])) * c
         den = s
     return np.divide(num, den, out=np.zeros((params.size, s.size)),
                      where=s > 0)

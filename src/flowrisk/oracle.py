@@ -53,7 +53,6 @@ import numpy as np
 
 from .estimators import _spectral_rows
 from .linalg import MAX_DOUBLES, Spectrum, design_decompose
-from .risk import bias_variance, bias_variance_curve
 from .shrinkage import FlowKind
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "integrate_flow",
     "discrete_iterates",
     "compare_closed_form",
-    "nesterov_discrete_consistency",
 ]
 
 DEFAULT_STEP = 1e-3
@@ -261,7 +259,8 @@ def discrete_iterates(kind: FlowKind, x, y, config: IterateConfig) -> list[np.nd
     Returns [b(1), ..., b(k)].  Gradient descent applies the plain update;
     the accelerated iteration keeps the auxiliary sequence with momentum
     weight (k-1)/(k+2); heavy ball adds momentum*(b(k-1) - b(k-2)) with
-    b(-1) = b(0) = 0, so its first step is a pure gradient step.
+    b(-1) = b(0) = 0, so its first step is a pure gradient step.  A
+    non-finite entry of x or y is a ValueError.
     """
     if kind not in _FLOWS:
         raise ValueError("discrete_iterates covers the three flows")
@@ -269,6 +268,8 @@ def discrete_iterates(kind: FlowKind, x, y, config: IterateConfig) -> list[np.nd
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.size:
         raise ValueError("x must be n x p with y of length n")
+    if not np.isfinite(y).all():
+        raise ValueError("y has non-finite entries")
     n, p = x.shape
     eps = config.step_size
     big_l = design_decompose(x).spectrum.big_l
@@ -334,56 +335,3 @@ def compare_closed_form(kind: FlowKind, spectrum: Spectrum, forcing, t_grid,
     closed = _spectral_rows(spectrum, np.asarray(forcing, dtype=float), kind,
                             times)
     return float(np.abs(traj.positions[idx] - closed).max())
-
-
-def _discrete_nesterov_factors(s, eps, iterations):
-    """Shrinkage factors of the discrete accelerated iteration.
-
-    The factor sequence obeys the homogeneous recurrence
-    gb(k) = (1 - eps s) gth(k-1), gth(k) = (1+m_k) gb(k) - m_k gb(k-1)
-    with gb(0) = gth(0) = 1 and m_k = (k-1)/(k+2).
-    """
-    gb_prev = np.ones_like(s)
-    gth = np.ones_like(s)
-    out = np.empty((iterations, s.size))
-    for k in range(1, iterations + 1):
-        gb = (1.0 - eps * s) * gth
-        m = (k - 1.0) / (k + 2.0)
-        gth = (1.0 + m) * gb - m * gb_prev
-        gb_prev = gb
-        out[k - 1] = gb
-    return out
-
-
-def nesterov_discrete_consistency(spectrum: Spectrum, weights, noise_scale: float,
-                                  eps: float = 1e-2,
-                                  iterations: int = 2000) -> dict:
-    """Soft report: discrete accelerated iterates against the flow clock.
-
-    The discrete iteration at step eps is read at time t = k sqrt(eps).
-    The report locates the first risk minimum of the discrete sequence and
-    of the continuous path and returns their time ratio.  The
-    correspondence is asymptotic, so this is a labeled diagnostic, never an
-    assertion.
-    """
-    s = spectrum.eigenvalues
-    weights = np.asarray(weights, dtype=float)
-    factors = _discrete_nesterov_factors(s, eps, iterations)
-    bias, variance = bias_variance(factors, s, weights, noise_scale)
-    risk_disc = bias + variance
-    k_min = int(np.argmin(risk_disc))
-    t_disc = (k_min + 1) * np.sqrt(eps)
-
-    t_grid = np.logspace(-2, np.log10(max(iterations * np.sqrt(eps), 1.0)), 2000)
-    bias, variance = bias_variance_curve(spectrum, weights, noise_scale,
-                                         FlowKind.ACCELERATED_FLOW, t_grid)
-    risk_flow = bias + variance
-    t_flow = float(t_grid[int(np.argmin(risk_flow))])
-    return {
-        "eps": eps,
-        "discrete_min_time": float(t_disc),
-        "flow_min_time": t_flow,
-        "time_ratio": float(t_disc / t_flow) if t_flow > 0 else float("nan"),
-        "discrete_min_risk": float(risk_disc[k_min]),
-        "flow_min_risk": float(risk_flow.min()),
-    }

@@ -26,9 +26,17 @@ calls _factor_rows, the table behind it.  Callers that already hold valid
 input (a Spectrum's eigenvalues are finite, >= 0 and ascending, so s >= mu,
 and their parameters were checked by _path_params) call _factor_rows
 directly; it keeps only the heavy-ball rule mu > 0.  Below the table,
-j1_ratio still checks its own domain on every call (an overflowing
-t sqrt(s) is refused there by name), and the heavy-ball kernels check
-nothing.  Everything here is pure and stateless.
+j1_ratio still checks its own domain on every call, and the heavy-ball
+kernels check nothing.  Everything here is pure and stateless.
+
+Finite input gives a finite factor.  t s, t sqrt(s) and t sqrt(mu)
+overflow somewhere only if the largest parameter times the largest
+eigenvalue does, and that one scalar product picks the path.  Past it, a
+factor whose argument overflowed takes its limit 0: exp(-inf); 2 J1(u)/u,
+below the smallest subnormal once u > 1e243 by Landau's
+|J1(u)| <= 0.7858 u^(-1/3); and the heavy-ball kernel, at most
+(1 + a) e^{-a}, where exp(-a) == 0.  An overflowed b where exp(-a) > 0
+has no limit and is refused by name.  Other entries keep their bits.
 """
 
 from __future__ import annotations
@@ -141,6 +149,35 @@ _FORMULAS = {
 }
 
 
+def _nest_limit(s, t, mu):
+    """The accelerated formula with 0 wherever t sqrt(s) overflows."""
+    u = t * np.sqrt(s)
+    over = np.isinf(u)
+    out = j1_ratio(np.where(over, 0.0, u))
+    out[over] = 0.0
+    return out
+
+
+def _hb_limit(s, t, mu):
+    """The heavy-ball formula with 0 wherever a = t sqrt(mu) or b overflows."""
+    a, b = t * np.sqrt(mu), t * np.sqrt(s - mu)
+    over = np.isinf(a) | np.isinf(b)
+    if (over & (np.exp(-a) > 0.0)).any():
+        raise ValueError("heavy-ball argument t sqrt(s - mu) overflows "
+                         "where exp(-t sqrt(mu)) > 0")
+    out = hb_kernel(np.where(np.isinf(a), 0.0, a), np.where(over, 0.0, b))
+    out[over] = 0.0
+    return out
+
+
+# The flow formulas where a product may overflow (module docstring)
+_LIMITS = {
+    FlowKind.GRADIENT_FLOW: _FORMULAS[FlowKind.GRADIENT_FLOW],
+    FlowKind.ACCELERATED_FLOW: _nest_limit,
+    FlowKind.HEAVY_BALL_FLOW: _hb_limit,
+}
+
+
 def _path_params(params) -> np.ndarray:
     """params as a 1-D float array (a scalar counts as length 1).
 
@@ -181,18 +218,22 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
         if zero.size:
             raise ValueError(f"ridge factor undefined at eigenvalue index {zero[0]}: "
                              "s = 0 and lambda = 0")
-    return _factor_rows(kind, s, params, mu)
+    return _factor_rows(kind, s, params, mu, hi)
 
 
 def _factor_rows(kind: FlowKind, s: np.ndarray, params: np.ndarray,
-                 mu) -> np.ndarray:
+                 mu, s_max) -> np.ndarray:
     """The formula table of factor_block, on input it need not check again.
 
-    s and params are 1-D, finite and >= 0, with s >= mu for heavy ball, as
-    a Spectrum's eigenvalues and checked parameters are; only the
-    heavy-ball rule mu > 0 is checked here, since a Spectrum may have
-    mu = 0.
+    s and params are 1-D, finite and >= 0, with s >= mu for heavy ball and
+    s_max the largest s, as with a Spectrum and checked parameters; only
+    the heavy-ball rule mu > 0 is checked here (a Spectrum may have mu = 0).
     """
     if kind is FlowKind.HEAVY_BALL_FLOW and not mu > 0.0:
         raise ValueError("heavy-ball flow requires a finite mu > 0")
-    return _FORMULAS[kind](s[None, :], params[:, None], mu)
+    s, params = s[None, :], params[:, None]
+    # a float product: inf on overflow, with no warning
+    if kind in _LIMITS and float(params.max(initial=0.0)) * float(s_max) == np.inf:
+        with np.errstate(over="ignore"):
+            return _LIMITS[kind](s, params, mu)
+    return _FORMULAS[kind](s, params, mu)

@@ -8,6 +8,10 @@ line.  The wrappers here add domain validation and the cancellation-free
 variants needed where the ratio is compared against 1 at tiny arguments and
 then divided by x^2.
 
+j1_ratio evaluates J1 on the whole array and writes its series over the
+few entries below 1e-4; j1_ratio_complement evaluates J1 only at x >= 1e-2,
+where no series overwrites it.
+
 All functions accept scalars or arrays, return matching shapes, and are
 pure; they are safe for unrestricted concurrent use.
 """
@@ -47,8 +51,8 @@ def _checked(x, name, nonnegative=False):
 def _two_j1_over_x(vec):
     """2*J1(x)/x over a whole array, computed in place in one buffer.
 
-    The 0/0 at x = 0 gives NaN without a warning; callers overwrite it
-    (and every other entry below their cutoff) with their series.
+    The 0/0 at x = 0 gives NaN without a warning; j1_ratio overwrites it
+    (and every other entry below its cutoff) with its series.
     """
     out = _cephes_j1(vec)
     out *= 2.0
@@ -96,8 +100,9 @@ def j1_ratio_complement(x):
     """
     arr, _ = _checked(x, "j1_ratio_complement", nonnegative=True)
     vec = np.atleast_1d(arr)
-    out = _two_j1_over_x(vec)
-    np.subtract(1.0, out, out=out)
+    out = np.empty_like(vec)
+    big = vec >= _COMPLEMENT_CUTOFF     # J1 only where no series overwrites it
+    out[big] = 1.0 - _two_j1_over_x(vec[big])
     _complement_series(vec, out)
     return float(out[0]) if arr.ndim == 0 else out
 

@@ -8,8 +8,9 @@ elimination.  Slow is fine; independent is the point.
 The RK4 step loops and per-flow step functions, the per-step-map RK4
 scan, the whole-request batched polar normals, the masked kernel formulas,
 the one-tau-at-a-time min-max scans, the untruncated 49/64 and heavy-ball
-scans, the one-expression tilde_h and the coupling gap that validated
-through factor_block are the library's earlier implementations, kept as
+scans, the one-expression tilde_h, the scanned tilde_h case classifier
+and the coupling gap that validated through factor_block are the
+library's earlier implementations, kept as
 references for the forms that replaced them: the RK4 scan agrees with its
 loop to rounding, and the rest (the one generic RK4 step rule included)
 agree bit for bit.
@@ -22,6 +23,7 @@ import math
 import numpy as np
 import scipy.special
 
+from flowrisk.bounds import CrossoverCase, tilde_h_maximizer
 from flowrisk.oracle import _chunk_steps, _compose_prefix, _rk4_step
 from flowrisk.shrinkage import FlowKind, factor_block
 
@@ -437,3 +439,33 @@ def tilde_h_expression(x, z):
     """The former one-expression bias envelope (1+x^2)(x/z+1)^2 e^{-2x/z}."""
     x = np.asarray(x, dtype=float)
     return (1.0 + x * x) * (x / z + 1.0) ** 2 * np.exp(-2.0 * x / z)
+
+
+SCAN_POINTS = 240001
+
+
+def scan_classify_tilde_h(z: float) -> CrossoverCase:
+    """The former case classifier: the argmax of tilde_h on a 240,001-point
+    grid of [0, 6 max(z, 1)], checked against the case the roots imply to
+    within two grid steps."""
+    hi = 6.0 * max(z, 1.0)
+    xs = np.linspace(0.0, hi, SCAN_POINTS)
+    argmax = float(xs[int(np.argmax(tilde_h_expression(xs, z)))])
+    disc = 5.0 * z * z - 4.0
+    if disc <= 0:
+        return CrossoverCase(z=z, case_index=1, argmax_x=argmax, x_star=None,
+                             structure_ok=argmax == 0.0)
+    x_star = tilde_h_maximizer(z)
+    x_minus = (z - np.sqrt(disc)) / 2.0
+    step_tol = hi / (SCAN_POINTS - 1) * 2
+    if z < 1.0:
+        # both 0 and x* are local maxima, separated by the dip at x_minus
+        dip = float(tilde_h_expression(x_minus, z))
+        peak = float(tilde_h_expression(x_star, z))
+        expected = 0.0 if peak < 1.0 else x_star
+        ok = dip < 1.0 and dip < peak and abs(argmax - expected) <= step_tol
+        return CrossoverCase(z=z, case_index=2, argmax_x=argmax, x_star=x_star,
+                             structure_ok=ok)
+    ok = abs(argmax - x_star) <= step_tol
+    return CrossoverCase(z=z, case_index=3, argmax_x=argmax, x_star=x_star,
+                         structure_ok=ok)

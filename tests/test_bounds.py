@@ -1,11 +1,12 @@
 import math
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from flowrisk import bounds
+from flowrisk import bounds, special
 from flowrisk.bounds import (
     CHECKS,
     bias_ratio_unbounded_witness,
@@ -31,10 +32,12 @@ from flowrisk.risk import SignalModel
 from flowrisk.shrinkage import hb_kernel_complement
 from flowrisk.special import j1_ratio_complement
 from oracles import (
+    SCAN_POINTS,
     hb_sups_two_pass,
     inner_max_loop,
     minimax_loop,
     param_error_full_scan,
+    scan_classify_tilde_h,
     tilde_h_expression,
 )
 
@@ -464,6 +467,20 @@ class TestTailCuts:
         hb_kernel_slack()
         assert seen["points"] == 138_240
 
+    def test_j1_is_evaluated_only_above_the_series_cutoff(self, monkeypatch):
+        # the 100,720 points below 1e-2 (every zoom point among them) take
+        # the series alone
+        cephes = special._cephes_j1
+        seen = {"elems": 0}
+
+        def counting(x):
+            seen["elems"] += np.size(x)
+            return cephes(x)
+
+        monkeypatch.setattr(special, "_cephes_j1", counting)
+        nest_param_error_constant()
+        assert seen["elems"] == 44_983
+
 
 class TestHKappa:
     def test_anchor_at_one(self):
@@ -512,6 +529,53 @@ class TestCrossover:
     def test_below_crossover_interior_peak_is_lower(self):
         z = 0.9  # in (2/sqrt(5), z*)
         assert tilde_h(tilde_h_maximizer(z), z) < 1.0
+
+    def test_cases_match_the_scan_classifier(self):
+        zs = np.random.default_rng(7).uniform(0.3, 3.0, 80)
+        edges = [2.0 / np.sqrt(5.0), 0.9, 1.0]   # 0.9: case 2 with its max at 0
+        for z in map(float, np.concatenate([zs, edges])):
+            got, scanned = bounds._classify_tilde_h(z), scan_classify_tilde_h(z)
+            assert got.case_index == scanned.case_index
+            assert got.x_star == scanned.x_star
+            step = 6.0 * max(z, 1.0) / (SCAN_POINTS - 1)
+            assert abs(got.argmax_x - scanned.argmax_x) <= 2 * step
+            assert got.structure_ok and scanned.structure_ok
+        assert {bounds._classify_tilde_h(float(z)).case_index
+                for z in zs} == {1, 2, 3}
+
+    def test_case_edges(self):
+        z = 2.0 / np.sqrt(5.0)
+        assert 5.0 * z * z - 4.0 == 0.0        # a double root: still case 1
+        assert bounds._classify_tilde_h(z) == bounds.CrossoverCase(
+            z=z, case_index=1, argmax_x=0.0, x_star=None, structure_ok=True)
+        above = float(np.nextafter(z, 1.0))
+        assert bounds._classify_tilde_h(above).case_index == 2
+        # at z = 1, x_- = 0: tilde_h rises from 0 to x* = 1
+        assert bounds._classify_tilde_h(1.0) == bounds.CrossoverCase(
+            z=1.0, case_index=3, argmax_x=1.0, x_star=1.0, structure_ok=True)
+
+    def test_structure_ok_reads_tilde_h(self, monkeypatch):
+        # cases 2 and 3 rest on values of tilde_h, case 1 on the sign alone
+        monkeypatch.setattr(bounds, "tilde_h", lambda x, z: np.float64(0.5))
+        assert [bounds._classify_tilde_h(z).structure_ok
+                for z in (0.5, 0.95, 2.0)] == [True, False, False]
+
+    @pytest.mark.parametrize("z", [0.5, 0.907, 0.95, 2.0])
+    def test_derivative_factorization(self, z):
+        with mpmath.workdps(40):
+            zz = mpmath.mpf(z)
+
+            def h(x):
+                return (1 + x * x) * (x / zz + 1) ** 2 * mpmath.exp(-2 * x / zz)
+
+            root = mpmath.sqrt(5 * zz * zz - 4) if 5 * z * z > 4 else None
+            for x in map(mpmath.mpf, (0.01, 0.3, 0.9, 1.7, 4.0, 11.0)):
+                quad = zz * zz - 1 + zz * x - x * x
+                want = h(x) * 2 * x * quad / ((1 + x * x) * zz * (x + zz))
+                assert abs(mpmath.diff(h, x) - want) <= 1e-30 * abs(want)
+                if root is not None:
+                    x_minus, x_plus = (zz - root) / 2, (zz + root) / 2
+                    assert abs(quad + (x - x_minus) * (x - x_plus)) <= 1e-35
 
 
 class TestVarianceBound:

@@ -73,6 +73,8 @@ def test_special_eval_unknown_function(capsys):
      "bessel_j1 requires finite input"),
     (["special-eval", "--fn", "j1-ratio", "--x", "inf"],
      "j1_ratio requires finite input"),
+    (["shrink", "--kind", "hb", "--s", "1e308", "--t", "1e155", "--mu", "5e-324"],
+     "heavy-ball argument t sqrt(s - mu) overflows"),
 ])
 def test_shrink_and_special_eval_refuse_non_finite_numbers(argv, message,
                                                            capsys):
@@ -80,6 +82,14 @@ def test_shrink_and_special_eval_refuse_non_finite_numbers(argv, message,
     captured = capsys.readouterr()
     assert captured.out == "" and _one_error_line(captured.err)
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["gf", "nest", "hb"])
+@pytest.mark.parametrize("s, t", [("1e300", "1e300"), ("9", "1e308")])
+def test_shrink_prints_the_limit_of_an_overflowing_argument(kind, s, t, capsys):
+    assert run(["shrink", "--kind", kind, "--s", s, "--t", t, "--mu", "1"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
 
 
 def test_estimate_matches_library(capsys, instance_files):

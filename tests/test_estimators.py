@@ -333,13 +333,18 @@ class TestCouplingMatchesReference:
         assert got.startswith(message)
         assert got == self._message(coupling_gap_reference, design, kind, t)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_argument_is_refused_by_j1_ratio(self):
-        # t sqrt(s) overflows to inf, which j1_ratio refuses by name
-        x = np.diag([2.0, 3.0]) * np.sqrt(2.0)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", COUPLED)
+    def test_an_overflowing_argument_takes_its_limit(self, kind):
+        # s = 1e10 and 4e20: t sqrt(s) overflows at t = 1e308, and for
+        # s = 4e20 alone at t = 1e298 and 1e300; the flow factor is then
+        # its limit 0
+        x = np.diag(np.sqrt([2e10, 8e20]))
         design = attach_response(design_decompose(x), x, np.ones(2))
-        for fn in (coupling_gap, coupling_gap_reference):
-            message = self._message(fn, design, FlowKind.ACCELERATED_FLOW,
-                                    1e308)
-            assert message == "j1_ratio requires finite input"
+        assert design.spectrum.eigenvalues == pytest.approx([1e10, 4e20],
+                                                            rel=1e-12)
+        for t in (1e298, 1e300, 1e308):
+            got = coupling_gap(design, kind, t)
+            assert all(np.isfinite(v) for v in got)
+            assert _hex(got) == _hex(coupling_gap_reference(design, kind, t))
 

@@ -13,7 +13,6 @@ from flowrisk.oracle import (
     compare_closed_form,
     discrete_iterates,
     integrate_flow,
-    nesterov_discrete_consistency,
 )
 from flowrisk.shrinkage import FlowKind
 from flowrisk.special import j1_ratio
@@ -408,13 +407,11 @@ class TestDiscreteIterates:
         cfg = IterateConfig(step_size=0.05, iterations=np.int64(3))
         assert len(discrete_iterates(FlowKind.GRADIENT_FLOW, x, y, cfg)) == 3
 
+    @pytest.mark.parametrize("kind", FLOWS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_a_non_finite_response(self, kind, bad):
+        x = np.eye(3)
+        with pytest.raises(ValueError, match="^y has non-finite entries$"):
+            discrete_iterates(kind, x, [1.0, bad, 2.0],
+                              IterateConfig(step_size=0.1, iterations=2))
 
-def test_nesterov_consistency_report_structure():
-    spec = Spectrum(np.sort(1.0 / np.arange(1, 21, dtype=float)))
-    weights = np.full(20, 1.0 / 20.0)
-    report = nesterov_discrete_consistency(spec, weights, noise_scale=1e-2,
-                                           eps=1e-2, iterations=800)
-    assert set(report) >= {"discrete_min_time", "flow_min_time", "time_ratio"}
-    assert report["discrete_min_time"] > 0
-    assert report["flow_min_time"] > 0
-    assert np.isfinite(report["time_ratio"])

@@ -260,12 +260,15 @@ def test_csv_text_matches_per_value_format():
     assert ",4.9406564584124654e-324," in text  # the subnormal round-trips
 
 
-# Extreme but well-posed spectra: t or lambda up to 1e300, an eigenvalue of
-# 1e-300, and the heavy-ball damping level mu repeated (s = mu, b = 0).
-# Underflow to 0 is expected there; overflow, 0/0 and x/0 are not.
+# Extreme but well-posed spectra: t or lambda up to 1e308, an eigenvalue of
+# 1e-300 or 1e300, and the heavy-ball damping level mu repeated (s = mu,
+# b = 0).  Underflow to 0 is expected there; so is a product t s that
+# overflows, whose factor takes its limit.  Other overflow, 0/0 and x/0
+# are not.
 EDGE_SPECTRA = {
     "huge_param": [0.25, 0.5, 1.0, 2.0],
     "tiny_eigenvalue": [1e-300, 0.5, 1.0, 2.0],
+    "huge_eigenvalue": [0.25, 1.0, 4.0, 1e300],
     "repeated_mu": [0.3, 0.3, 0.3, 1.0],
 }
 
@@ -274,7 +277,7 @@ EDGE_SPECTRA = {
 @pytest.mark.parametrize("kind", list(FlowKind))
 def test_edge_spectra_stay_finite_and_nonnegative(case, kind):
     spec = Spectrum(np.array(EDGE_SPECTRA[case]))
-    grid = np.logspace(-2, 300, 61)
+    grid = np.append(np.logspace(-2, 300, 61), 1e308)
     signals = (SignalModel.fixed(np.array([1.0, -2.0, 0.5, 3.0]), 1.0, 4),
                SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=4))
     with np.errstate(divide="raise", over="raise", invalid="raise"):

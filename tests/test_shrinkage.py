@@ -253,11 +253,26 @@ class TestProfile:
         (HB, [np.nan, 1.0], 1.0, 0.0, "eigenvalues must be finite and >= 0"),
         (HB, [-1.0, np.inf], 1.0, None, "eigenvalues must be finite and >= 0"),
         (HB, [0.5, 2.0], 1.0, 0.0, "heavy-ball flow requires a finite mu > 0"),
+        # b = t sqrt(s - mu) overflows where exp(-t sqrt(mu)) > 0
+        (HB, 1e308, 1e155, 5e-324, "heavy-ball argument t sqrt(s - mu) overflows"),
     ])
     def test_refusals_and_their_precedence(self, kind, s, params, mu, message):
         with pytest.raises(ValueError) as info:
             factor_block(kind, s, params, mu)
         assert str(info.value).startswith(message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [GF, NEST, HB])
+    @pytest.mark.parametrize("s, t", [(1e300, 1e300), (9.0, 1e308)])
+    def test_an_overflowing_argument_takes_its_limit(self, kind, s, t):
+        # heavy ball at mu = 4: b overflows at (1e300, 1e300), and a as well
+        # at t = 1e308
+        eigenvalues = [4.0, s]
+        block = factor_block(kind, eigenvalues, [0.5, t], 4.0)
+        assert block[1, 1] == 0.0 and not np.signbit(block[1, 1])
+        assert np.isfinite(block).all()
+        # entries whose arguments stay finite keep their values
+        assert np.array_equal(block[0], factor_block(kind, eigenvalues, 0.5, 4.0)[0])
 
     def test_empty_input_gives_an_empty_block(self):
         assert factor_block(GF, [], [1.0, 2.0]).shape == (2, 0)
