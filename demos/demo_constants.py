@@ -14,12 +14,12 @@ from flowrisk import h_kappa
 from flowrisk.bounds import run_checks
 from flowrisk.plotting import Series, render_line_plot
 
-for check, result, value, _ in run_checks():
-    print(f"{check.name:<26} {value:<12.6g} paper {check.paper_value:.6g} "
+for check, record, _ in run_checks():
+    print(f"{check.name:<26} {record.value:<12.6g} paper {check.paper_value:.6g} "
           f"({check.mode}, tol {check.tolerance:g})  "
-          f"{'PASS' if check.passes(value) else 'FAIL'}")
+          f"{'PASS' if check.passes(record.value) else 'FAIL'}")
     if check.name == "crossover_case_structure":
-        for case in result.cases:
+        for case in record.at:
             where = "x = 0" if case.argmax_x == 0 else f"x = {case.argmax_x:.4f}"
             print(f"   z = {case.z:g}: case {case.case_index}, maximum at {where}")
 

@@ -4,13 +4,12 @@ flow, heavy-ball flow, and ridge regression.
 """
 
 from .bounds import (
-    MinMaxResult,
+    Certified,
     bias_ratio_unbounded_witness,
     gf_inflation_constant,
     h_kappa,
     hb_inflation_check,
-    hb_kernel_slack,
-    hb_param_error_sup,
+    hb_quarter_plane,
     hb_variance_bound_check,
     nest_inflation_constant,
     nest_param_error_constant,

@@ -69,10 +69,11 @@ bounded x range suffices: |kernel| <= (1 + a) e^{-a} <= 1, so
 0 <= f <= 2(1 + 1/x^2); and f -> 1/2 as x -> 0.  The f^2 and (f-1)^2
 scans stop at x = 10 and check their tails: past x = 10 that bound gives
 f^2 <= 4(1 + 1/x^2)^2 = 4.0804 and (f-1)^2 <= (1 + 2/x^2)^2 = 1.0404, and a
-tail bound not below the sup the scan finds is an error.  Both sups come
-from one evaluation of f on the cut grid (64 x 320 nodes), then dense x
-zooms per theta (the min-max zoom), and the max over rows.  The kernel
-inequalities are scanned on the whole grid.
+tail bound not below the sup the scan finds is an error.  One evaluation
+of the kernel complement on the whole grid serves every heavy-ball check:
+the kernel inequalities read all 64 x 400 nodes, and both sups take f on
+the x <= 10 columns (64 x 320 nodes), then dense x zooms per theta (the
+min-max zoom), and the max over rows.
 
 Bias-envelope cases, with no scan.  On x > 0,
 h~'(x) = h~(x) 2x (z^2 - 1 + z x - x^2) / ((1 + x^2) z (x + z)) has the
@@ -83,16 +84,18 @@ else rises to x* and then falls (case 3, z >= 1).  The classifier
 evaluates h~ only at x_- and x*, and checks the strict inequalities the
 cases rest on: h~(x_-) < min(1, h~(x*)) in case 2, h~(x*) > 1 in case 3.
 
-The certifiers report values.  CHECKS, the certification table, holds their
-paper values and tolerances and alone decides pass or fail.
+Every certifier returns a Certified record, or a tuple of them: the name
+of the CHECKS row it answers, the value, and where the value was found.
+CHECKS, the certification table, holds the paper values and tolerances and
+alone decides pass or fail.  A fact the values rest on but no row reports
+(a tail bound below its scan maximum, the dominance of the variance
+branch) is a guard: a RuntimeError when it fails.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import Callable
 
 import numpy as np
 
@@ -106,26 +109,20 @@ __all__ = [
     "CHECKS",
     "within",
     "run_checks",
-    "MinMaxResult",
-    "HbParamErrorReport",
-    "KernelBoundReport",
+    "Certified",
     "CrossoverCase",
-    "CrossoverResult",
-    "VarianceBoundReport",
-    "HbInflationResult",
     "gf_inflation_objective",
     "nest_inflation_objective",
     "gf_inflation_constant",
     "nest_inflation_constant",
     "nest_param_error_constant",
-    "hb_param_error_sup",
+    "hb_quarter_plane",
     "h_kappa",
     "tilde_h",
     "tilde_h_maximizer",
     "tilde_h_crossover",
     "hb_variance_bound_check",
     "hb_inflation_check",
-    "hb_kernel_slack",
     "bias_ratio_unbounded_witness",
 ]
 
@@ -139,13 +136,17 @@ _TAUS = np.logspace(-3.0, 1.0, 200)
 _XS = np.logspace(-8.0, 6.0, 2000)
 
 
-@dataclass(frozen=True, eq=False)
-class MinMaxResult:
-    """A certified min-over-tau of max-over-x value with its optimizers."""
+@dataclass(frozen=True)
+class Certified:
+    """One certified value: name is the CHECKS row it answers (none for
+    hb_inflation_check's), and at is where the value was found, in the
+    certifier's own variables: (tau*, x*) for the min-max constants, (x*,)
+    for 49/64, (t*,) for the inflation ratio, the sampled CrossoverCases
+    for the case structure, and () where no single point is the answer."""
 
+    name: str
     value: float
-    tau_star: float
-    x_star: float
+    at: tuple = ()
 
 
 # doubles per objective call in _scan_max: a block stays in cache
@@ -243,7 +244,8 @@ def _pruned_coarse(objective, taus, x_coarse):
     return coarse
 
 
-def _certified_minimax(objective, taus=_TAUS, x_coarse=_XS) -> MinMaxResult:
+def _certified_minimax(objective, taus=_TAUS, x_coarse=_XS):
+    """(value, tau*, x*) of min over taus of max over x of objective."""
     coarse = _pruned_coarse(objective, taus, x_coarse)
     nan = np.flatnonzero(np.isnan(coarse))
     if nan.size:
@@ -278,7 +280,7 @@ def _certified_minimax(objective, taus=_TAUS, x_coarse=_XS) -> MinMaxResult:
         raise RuntimeError(
             f"inner maximizer x* = {x_star:.3g} landed at the scan boundary; "
             "widen the x grid")
-    return MinMaxResult(value=value, tau_star=tau_star, x_star=x_star)
+    return value, tau_star, x_star
 
 
 def gf_inflation_objective(tau, x):
@@ -297,17 +299,19 @@ def nest_inflation_objective(tau, x):
     return (1.0 + x) * (ratio * ratio + resid * resid / x)
 
 
-def gf_inflation_constant() -> MinMaxResult:
+def gf_inflation_constant() -> Certified:
     """Certified gradient-flow inflation constant (1.0786 to within 1e-3)."""
-    return _certified_minimax(gf_inflation_objective)
+    value, tau_star, x_star = _certified_minimax(gf_inflation_objective)
+    return Certified("gradient_flow_inflation", value, (tau_star, x_star))
 
 
-def nest_inflation_constant() -> MinMaxResult:
+def nest_inflation_constant() -> Certified:
     """Certified accelerated-flow inflation constant (1.5991 to within 1e-3).
 
     The tuning correspondence behind the objective is t = tau / sqrt(lambda).
     """
-    return _certified_minimax(nest_inflation_objective)
+    value, tau_star, x_star = _certified_minimax(nest_inflation_objective)
+    return Certified("accelerated_inflation", value, (tau_star, x_star))
 
 
 def _check_tail(bound, value, name, tail):
@@ -335,12 +339,12 @@ def _param_error_grid() -> np.ndarray:
     return xs[xs <= _PARAM_ERROR_TAIL]
 
 
-def nest_param_error_constant() -> tuple[float, float]:
+def nest_param_error_constant() -> Certified:
     """Sup over x > 0 of (f(x)-1)^2 for the accelerated coupling factor.
 
     f(x) = (1 - 2J1(x)/x)(x^2+1)/x^2 tends to 1/8 as x -> 0+, so the sup
-    49/64 = 0.765625 is approached (not attained) at the left end.  Returns
-    (sup_value, x_at_sup).
+    49/64 = 0.765625 is approached (not attained) at the left end, where
+    the record's x* lies.
 
     The scan covers x in [1e-8, _PARAM_ERROR_TAIL].  The tail beyond is
     checked: f - 1 = 1/x^2 - (2J1(x)/x)(1 + 1/x^2) and |J1| <= 1/sqrt(2)
@@ -356,7 +360,8 @@ def nest_param_error_constant() -> tuple[float, float]:
     r = np.sqrt(2.0) / _PARAM_ERROR_TAIL
     _check_tail((r + (1.0 + r) / _PARAM_ERROR_TAIL ** 2) ** 2, value[0],
                 "(f-1)^2", _PARAM_ERROR_TAIL)
-    return float(value[0]), float(x_star[0])
+    return Certified("accelerated_param_error", float(value[0]),
+                     (float(x_star[0]),))
 
 
 # the heavy-ball polar grid (module docstring): theta rows, x columns
@@ -370,13 +375,21 @@ def _hb_factor(a, b):
     return hb_kernel_complement(a, b) * (x_sq + 1.0) / x_sq
 
 
-@dataclass(frozen=True)
-class HbParamErrorReport:
-    """Sup of f^2 and (f-1)^2 for the heavy-ball coupling factor."""
+def _hb_kernel_slacks(a, b, x_sq, comp):
+    """lhs - rhs of the three kernel inequalities at (a, b), given
+    x_sq = a^2 + b^2 and comp = hb_kernel_complement(a, b):
 
-    max_f_sq: float
-    max_fm1_sq: float
-    nodes_checked: int           # polar grid nodes scanned, before the x zooms
+      bias:  kernel(a,b)^2      <= (a+1)^2 e^{-2a}
+      var:   (1-kernel(a,b))^2  <= 4 x^4                     for x <= 1
+             (1-kernel(a,b))^2  <= (1+(a+1)e^{-a})^2         for x >  1
+
+    Each slack is returned at every point; the caller applies the x ranges.
+    """
+    kernel = hb_kernel(a, b)
+    comp_sq = comp ** 2
+    return (kernel * kernel - (a + 1.0) ** 2 * np.exp(-2.0 * a),
+            comp_sq - 4.0 * x_sq * x_sq,
+            comp_sq - (1.0 + (a + 1.0) * np.exp(-a)) ** 2)
 
 
 # the f^2 and (f-1)^2 scans stop at x = _HB_TAIL; a checked bound covers
@@ -384,39 +397,44 @@ class HbParamErrorReport:
 _HB_TAIL = 10.0
 
 
-def hb_param_error_sup() -> HbParamErrorReport:
-    """Scan f^2 and (f-1)^2 over the (a, b) quarter-plane (module docstring).
+def hb_quarter_plane() -> tuple[Certified, Certified, Certified]:
+    """The heavy-ball checks on the (a, b) quarter-plane (module docstring).
 
-    These are the values CHECKS certifies against f^2 <= 16 and
-    (f-1)^2 <= 25; both sups sit on the undamped edge a = 0.  One pass of
-    the factor over the polar grid up to x = _HB_TAIL gives both coarse
-    scans; each is then zoomed per theta.  A tail bound, 4(1 + 1/x^2)^2
+    Returns the heavy_ball_f_sq and heavy_ball_param_error records, the
+    sups of f^2 and (f-1)^2 (both on the undamped edge a = 0), and the
+    kernel_inequalities record, the worst slack of the three kernel
+    inequalities (0 when none is positive).  A tail bound, 4(1 + 1/x^2)^2
     for f^2 and (1 + 2/x^2)^2 for (f-1)^2 at x = _HB_TAIL, not below its
     sup is a RuntimeError.
     """
-    xs = _HB_XS[_HB_XS <= _HB_TAIL]
     theta = _HB_THETAS[:, None]
-    factor = _hb_factor(xs * np.sin(theta), xs * np.cos(theta))
-    rows = np.arange(_HB_THETAS.size)
+    a, b = _HB_XS * np.sin(theta), _HB_XS * np.cos(theta)
+    x_sq, comp = a * a + b * b, hb_kernel_complement(a, b)
+    xs = _HB_XS[_HB_XS <= _HB_TAIL]              # a prefix: the grid ascends
+    factor = (comp * (x_sq + 1.0) / x_sq)[:, :xs.size]     # _hb_factor(a, b)
     inv_sq = 1.0 / (_HB_TAIL * _HB_TAIL)
 
-    def sup(g, name, tail):
+    def sup(name, label, g, tail):
         vals = g(factor)
         k = np.argmax(vals, axis=1)
 
         def objective(theta, x):
             return g(_hb_factor(x * np.sin(theta), x * np.cos(theta)))
 
-        zoomed, _ = _zoom(objective, _HB_THETAS, xs, vals[rows, k], k)
+        zoomed, _ = _zoom(objective, _HB_THETAS, xs,
+                          vals[np.arange(k.size), k], k)
         value = float(zoomed.max())
-        _check_tail(tail, value, name, _HB_TAIL)
-        return value
+        _check_tail(tail, value, label, _HB_TAIL)
+        return Certified(name, value)
 
-    return HbParamErrorReport(
-        max_f_sq=sup(np.square, "f^2", 4.0 * (1.0 + inv_sq) ** 2),
-        max_fm1_sq=sup(lambda f: (f - 1.0) ** 2, "(f-1)^2",
-                       (1.0 + 2.0 * inv_sq) ** 2),
-        nodes_checked=factor.size)
+    f_sq = sup("heavy_ball_f_sq", "f^2", np.square, 4.0 * (1.0 + inv_sq) ** 2)
+    fm1_sq = sup("heavy_ball_param_error", "(f-1)^2", lambda f: (f - 1.0) ** 2,
+                 (1.0 + 2.0 * inv_sq) ** 2)
+    bias, var_small, var_large = _hb_kernel_slacks(a, b, x_sq, comp)
+    small = _HB_XS <= 1.0
+    slack = max(0.0, float(bias.max()), float(var_small[:, small].max()),
+                float(var_large[:, ~small].max()))
+    return f_sq, fm1_sq, Certified("kernel_inequalities", slack)
 
 
 def h_kappa(kappa):
@@ -471,12 +489,6 @@ class CrossoverCase:
     structure_ok: bool
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
-    z_star: float
-    cases: tuple[CrossoverCase, ...]
-
-
 def _classify_tilde_h(z: float) -> CrossoverCase:
     """The case of tilde_h at z, from the sign of tilde_h' (module docstring)."""
     disc = 5.0 * z * z - 4.0
@@ -499,12 +511,13 @@ def _classify_tilde_h(z: float) -> CrossoverCase:
 _CROSSOVER_SAMPLE_Z = (0.5, 0.95, 2.0)    # one z per case of the structure
 
 
-def tilde_h_crossover() -> CrossoverResult:
+def tilde_h_crossover() -> tuple[Certified, Certified]:
     """Locate z* where tilde_h(x*) first reaches tilde_h(0) = 1.
 
     Bisection on z in (2/sqrt(5), 1); below z* the global maximum of
-    tilde_h sits at 0, above it at x*.  Also classifies the maximizer
-    structure at the sampled z values.
+    tilde_h sits at 0, above it at x*.  Returns the crossover_z record and
+    the crossover_case_structure record, 1.0 when every sampled case holds
+    its structure, with the CrossoverCases at the sampled z values.
     """
     lo = 2.0 / np.sqrt(5.0) + 1e-12
     hi = 1.0 - 1e-12
@@ -520,113 +533,57 @@ def tilde_h_crossover() -> CrossoverResult:
             lo = mid
         else:
             hi = mid
-    z_star = float(0.5 * (lo + hi))
     cases = tuple(_classify_tilde_h(float(z)) for z in _CROSSOVER_SAMPLE_Z)
-    return CrossoverResult(z_star=z_star, cases=cases)
-
-
-@dataclass(frozen=True)
-class VarianceBoundReport:
-    """Variance-branch dominance and h recomposition along a kappa grid."""
-
-    max_branch_gap: float        # max over grid of branch2 - 8 kappa^{2/3}
-    max_equality_error: float    # max |8 tau^4 - 8 kappa^{2/3}| at tau = kappa^{1/6}
-    max_recomposition_error: float
+    return (Certified("crossover_z", float(0.5 * (lo + hi))),
+            Certified("crossover_case_structure",
+                      float(all(c.structure_ok for c in cases)), cases))
 
 
 _RECOMPOSITION_KAPPAS = np.unique(np.concatenate([
     np.logspace(0.0, 4.0, 81), [1.0, 8.0, 1000.0]]))
 
 
-def hb_variance_bound_check() -> VarianceBoundReport:
+def hb_variance_bound_check() -> tuple[Certified, Certified]:
     """At tau = kappa^{1/6}, the variance bound collapses to 8 kappa^{2/3}.
 
-    Checks that 8 tau^4 equals 8 kappa^{2/3} and dominates the second
-    branch 2(1+(tau/sqrt(kappa)+1)e^{-tau/sqrt(kappa)})^2, and that
-    tilde_h(x*) + 8 kappa^{2/3} recomposes h(kappa) exactly.
+    There 8 tau^4 = 8 kappa^{2/3}, and the second branch
+    2(1+(tau/sqrt(kappa)+1)e^{-tau/sqrt(kappa)})^2 must not exceed it: a
+    kappa of the grid where it does is a RuntimeError.  Returns the
+    h_recomposition record, the largest error of tilde_h(x*) + 8 kappa^{2/3}
+    against h(kappa) on the grid, and the h_at_kappa_1 record, h(1).
     """
     kappas = _RECOMPOSITION_KAPPAS
-    tau = kappas ** (1.0 / 6.0)
     target = 8.0 * kappas ** (2.0 / 3.0)
-    branch1 = 8.0 * tau ** 4
-    u = tau / np.sqrt(kappas)
-    branch2 = 2.0 * (1.0 + (u + 1.0) * np.exp(-u)) ** 2
-    equality_err = float(np.abs(branch1 - target).max())
-    branch_gap = float((branch2 - target).max())
+    u = kappas ** (1.0 / 6.0) / np.sqrt(kappas)
+    gap = 2.0 * (1.0 + (u + 1.0) * np.exp(-u)) ** 2 - target
+    worst = int(np.argmax(gap))
+    if not gap[worst] <= 0.0:
+        raise RuntimeError(
+            f"the second variance branch exceeds 8 kappa^(2/3) by "
+            f"{gap[worst]:.4g} at kappa = {kappas[worst]:.6g}")
     z = np.cbrt(kappas)
     recomp = tilde_h(tilde_h_maximizer(z), z)
-    recomp_err = float(np.abs(recomp + target - h_kappa(kappas)).max())
-    return VarianceBoundReport(max_branch_gap=branch_gap,
-                               max_equality_error=equality_err,
-                               max_recomposition_error=recomp_err)
-
-
-@dataclass(frozen=True)
-class HbInflationResult:
-    """Tuned heavy-ball/ridge Bayes risk ratio against its envelope."""
-
-    ratio: float
-    bound: float
-    t_star: float
+    return (Certified("h_recomposition",
+                      float(np.abs(recomp + target - h_kappa(kappas)).max())),
+            Certified("h_at_kappa_1", h_kappa(1.0)))
 
 
 _HB_T_GRID = np.logspace(-2, 3, 2000)
 
 
-def hb_inflation_check(spectrum: Spectrum, prior: SignalModel) -> HbInflationResult:
-    """inf_t hb Bayes risk / optimal ridge Bayes risk, with its bound h(kappa).
+def hb_inflation_check(spectrum: Spectrum, prior: SignalModel) -> Certified:
+    """inf_t hb Bayes risk / optimal ridge Bayes risk, at its grid time t*.
 
-    The claim 1 <= ratio <= bound is checked by the caller through within.
+    The claim 1 <= ratio <= h(kappa) is checked by the caller through
+    within; the record, named heavy_ball_inflation, answers no CHECKS row.
     """
     if spectrum.mu <= 0:
         raise ValueError("heavy-ball inflation requires mu > 0")
     ridge_opt, _ = optimal_ridge_bayes_risk(spectrum, prior)
-    curve = risk_curve(spectrum, prior, FlowKind.HEAVY_BALL_FLOW, _HB_T_GRID)
-    risks = curve.risk
+    risks = risk_curve(spectrum, prior, FlowKind.HEAVY_BALL_FLOW, _HB_T_GRID).risk
     k = int(np.argmin(risks))
-    ratio = float(risks[k]) / ridge_opt
-    return HbInflationResult(ratio=ratio, bound=h_kappa(spectrum.kappa),
-                             t_star=float(_HB_T_GRID[k]))
-
-
-@dataclass(frozen=True)
-class KernelBoundReport:
-    """Worst slack of the two pointwise kernel inequalities over a grid."""
-
-    max_violation_bias: float
-    max_violation_var_small_x: float
-    max_violation_var_large_x: float
-    nodes_checked: int
-
-
-def _hb_kernel_slacks(a, b):
-    """lhs - rhs of the three kernel inequalities at (a, b), x^2 = a^2 + b^2:
-
-      bias:  kernel(a,b)^2      <= (a+1)^2 e^{-2a}
-      var:   (1-kernel(a,b))^2  <= 4 x^4                     for x <= 1
-             (1-kernel(a,b))^2  <= (1+(a+1)e^{-a})^2         for x >  1
-
-    Each slack is returned at every point; the caller applies the x ranges.
-    """
-    x_sq = a * a + b * b
-    kernel = hb_kernel(a, b)
-    comp_sq = hb_kernel_complement(a, b) ** 2
-    return (kernel * kernel - (a + 1.0) ** 2 * np.exp(-2.0 * a),
-            comp_sq - 4.0 * x_sq * x_sq,
-            comp_sq - (1.0 + (a + 1.0) * np.exp(-a)) ** 2)
-
-
-def hb_kernel_slack() -> KernelBoundReport:
-    """Worst slack of the kernel inequalities on the heavy-ball polar grid."""
-    theta = _HB_THETAS[:, None]
-    bias, var_small, var_large = _hb_kernel_slacks(_HB_XS * np.sin(theta),
-                                                   _HB_XS * np.cos(theta))
-    small = _HB_XS <= 1.0
-    return KernelBoundReport(
-        max_violation_bias=max(float(bias.max()), 0.0),
-        max_violation_var_small_x=max(float(var_small[:, small].max()), 0.0),
-        max_violation_var_large_x=max(float(var_large[:, ~small].max()), 0.0),
-        nodes_checked=bias.size)
+    return Certified("heavy_ball_inflation", float(risks[k]) / ridge_opt,
+                     (float(_HB_T_GRID[k]),))
 
 
 def bias_ratio_unbounded_witness(x_points) -> list[tuple[float, float]]:
@@ -667,16 +624,15 @@ def within(value, paper_value, tolerance, mode) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Check:
-    """A row of CHECKS: value_of(certifier(*args)) against paper_value."""
+    """A row of CHECKS: the value of the certifier's record of this name
+    against paper_value."""
 
     name: str
     certifier: str               # a function of this module, found at run time
-    value_of: Callable
     paper_value: float
     tolerance: float
     mode: str = "eq"
     overridable: bool = False    # verify-constants --tol replaces tolerance
-    args: tuple = ()
 
     def passes(self, value) -> bool:
         return within(value, self.paper_value, self.tolerance, self.mode)
@@ -684,41 +640,39 @@ class Check:
 
 # name -> row, in report order
 CHECKS = {c.name: c for c in (
-    Check("gradient_flow_inflation", "gf_inflation_constant",
-          attrgetter("value"), 1.0786, 1e-3, overridable=True),
-    Check("accelerated_inflation", "nest_inflation_constant",
-          attrgetter("value"), 1.5991, 1e-3, overridable=True),
-    Check("accelerated_param_error", "nest_param_error_constant",
-          itemgetter(0), 49.0 / 64.0, 1e-4, overridable=True),
-    Check("heavy_ball_f_sq", "hb_param_error_sup", attrgetter("max_f_sq"),
-          16.0, 1e-6, "le"),
-    Check("heavy_ball_param_error", "hb_param_error_sup",
-          attrgetter("max_fm1_sq"), 25.0, 1e-6, "le"),
-    Check("crossover_z", "tilde_h_crossover", attrgetter("z_star"), 0.907,
-          1e-3, overridable=True),
-    Check("crossover_case_structure", "tilde_h_crossover",
-          lambda r: float(all(c.structure_ok for c in r.cases)), 1.0, 0.0),
-    Check("h_recomposition", "hb_variance_bound_check",
-          attrgetter("max_recomposition_error"), 0.0, 1e-10, "le"),
-    Check("h_at_kappa_1", "h_kappa", float, float(8.0 + 8.0 * np.exp(-2.0)),
-          1e-12, args=(1.0,)),
-    Check("kernel_inequalities", "hb_kernel_slack",
-          lambda r: max(r.max_violation_bias, r.max_violation_var_small_x,
-                        r.max_violation_var_large_x), 0.0, 1e-10, "le"),
+    Check("gradient_flow_inflation", "gf_inflation_constant", 1.0786, 1e-3,
+          overridable=True),
+    Check("accelerated_inflation", "nest_inflation_constant", 1.5991, 1e-3,
+          overridable=True),
+    Check("accelerated_param_error", "nest_param_error_constant", 49.0 / 64.0,
+          1e-4, overridable=True),
+    Check("heavy_ball_f_sq", "hb_quarter_plane", 16.0, 1e-6, "le"),
+    Check("heavy_ball_param_error", "hb_quarter_plane", 25.0, 1e-6, "le"),
+    Check("crossover_z", "tilde_h_crossover", 0.907, 1e-3, overridable=True),
+    Check("crossover_case_structure", "tilde_h_crossover", 1.0, 0.0),
+    Check("h_recomposition", "hb_variance_bound_check", 0.0, 1e-10, "le"),
+    Check("h_at_kappa_1", "hb_variance_bound_check",
+          float(8.0 + 8.0 * np.exp(-2.0)), 1e-12),
+    Check("kernel_inequalities", "hb_quarter_plane", 0.0, 1e-10, "le"),
 )}
 
 
 def run_checks(names=None) -> list[tuple]:
-    """(check, result, value, runtime_ms) per row of CHECKS, or per named row.
+    """(check, record, runtime_ms) per row of CHECKS, or per named row.
 
-    Each certifier runs once: a row with the certifier of the row before it
-    shares that call (and its args) and reports 0 ms.
+    Each certifier runs once, for the first row that needs it, and keeps
+    its records by name; a row whose record an earlier call made reports
+    0 ms.
     """
+    records = {}
     runs = []
     for check in CHECKS.values() if names is None else (CHECKS[n] for n in names):
-        shared = bool(runs) and runs[-1][0].certifier == check.certifier
-        t0 = time.perf_counter()
-        result = runs[-1][1] if shared else globals()[check.certifier](*check.args)
-        ms = 0.0 if shared else (time.perf_counter() - t0) * 1e3
-        runs.append((check, result, check.value_of(result), ms))
+        ms = 0.0
+        if check.name not in records:
+            t0 = time.perf_counter()
+            out = globals()[check.certifier]()
+            ms = (time.perf_counter() - t0) * 1e3
+            records.update((r.name, r) for r in
+                           (out if isinstance(out, tuple) else (out,)))
+        runs.append((check, records[check.name], ms))
     return runs

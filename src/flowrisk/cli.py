@@ -67,10 +67,11 @@ def _require_tol(tol) -> None:
 def _cmd_verify_constants(args) -> int:
     _require_tol(args.tol)
     checks = []
-    for c, _, value, ms in bounds.run_checks():
+    for c, record, ms in bounds.run_checks():
         if args.tol is not None and c.overridable:
             c = replace(c, tolerance=args.tol)
-        checks.append(_check(c.name, value, c.paper_value, c.tolerance, c.mode, ms))
+        checks.append(_check(c.name, record.value, c.paper_value, c.tolerance,
+                             c.mode, ms))
     text = json.dumps({"checks": checks}, indent=2, sort_keys=True)
     print(text)
     if args.out:

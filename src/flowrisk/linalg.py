@@ -195,6 +195,8 @@ def attach_response(design: SpectralDesign, x, y) -> SpectralDesign:
         )
     if y.shape != (design.n,):
         raise ValueError(f"response length {y.size} does not match n = {design.n}")
+    if not np.isfinite(y).all():
+        raise ValueError("response has non-finite entries")
     channel = design.v_basis.T @ (x.T @ y) / design.n
     return replace(design, rotated_channel=channel)
 

@@ -29,14 +29,16 @@ directly; it keeps only the heavy-ball rule mu > 0.  Below the table,
 j1_ratio still checks its own domain on every call, and the heavy-ball
 kernels check nothing.  Everything here is pure and stateless.
 
-Finite input gives a finite factor.  t s, t sqrt(s) and t sqrt(mu)
-overflow somewhere only if the largest parameter times the largest
-eigenvalue does, and that one scalar product picks the path.  Past it, a
-factor whose argument overflowed takes its limit 0: exp(-inf); 2 J1(u)/u,
-below the smallest subnormal once u > 1e243 by Landau's
+Finite input gives a finite factor.  t s, t sqrt(s), t sqrt(mu) and
+s + lambda overflow somewhere only if the largest parameter times the
+largest eigenvalue does, and that one scalar product picks the path.  Past
+it, a flow factor whose argument overflowed takes its limit 0: exp(-inf);
+2 J1(u)/u, below the smallest subnormal once u > 1e243 by Landau's
 |J1(u)| <= 0.7858 u^(-1/3); and the heavy-ball kernel, at most
 (1 + a) e^{-a}, where exp(-a) == 0.  An overflowed b where exp(-a) > 0
-has no limit and is refused by name.  Other entries keep their bits.
+has no limit and is refused by name.  A ridge factor whose s + lambda
+overflows halves both terms, which is exact there (neither is subnormal).
+Other entries keep their bits.
 """
 
 from __future__ import annotations
@@ -170,11 +172,19 @@ def _hb_limit(s, t, mu):
     return out
 
 
-# The flow formulas where a product may overflow (module docstring)
+def _ridge_limit(s, lam, mu):
+    """The ridge formula with s and lambda halved where s + lambda overflows."""
+    scale = np.where(np.isinf(s + lam), 0.5, 1.0)
+    lam = lam * scale
+    return lam / (s * scale + lam)
+
+
+# The formulas where an argument may overflow (module docstring)
 _LIMITS = {
     FlowKind.GRADIENT_FLOW: _FORMULAS[FlowKind.GRADIENT_FLOW],
     FlowKind.ACCELERATED_FLOW: _nest_limit,
     FlowKind.HEAVY_BALL_FLOW: _hb_limit,
+    FlowKind.RIDGE: _ridge_limit,
 }
 
 

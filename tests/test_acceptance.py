@@ -42,10 +42,10 @@ def criterion(name: str, budget_s: float):
 
 
 def _certified(*names):
-    """Run the named rows of bounds.CHECKS, assert each passes, return results."""
+    """Run the named rows of bounds.CHECKS, assert each passes, return records."""
     runs = bounds.run_checks(names)
-    assert not [(c.name, v) for c, _, v, _ in runs if not c.passes(v)]
-    return [result for _, result, _, _ in runs]
+    assert not [(c.name, r.value) for c, r, _ in runs if not c.passes(r.value)]
+    return [record for _, record, _ in runs]
 
 
 def test_01_gradient_flow_inflation_constant():
@@ -60,8 +60,8 @@ def test_02_accelerated_inflation_constant():
 
 def test_03_accelerated_parameter_error_constant():
     with criterion("03 accelerated parameter-error constant", 5.0):
-        [(_sup, x_star)] = _certified("accelerated_param_error")
-        assert x_star <= 1e-6  # supremum approached as x -> 0+
+        [record] = _certified("accelerated_param_error")
+        assert record.at[0] <= 1e-6  # supremum approached as x -> 0+
         from flowrisk.special import j1_ratio_complement
         x = 1e-6
         f = j1_ratio_complement(x) * (x * x + 1.0) / (x * x)
@@ -76,8 +76,8 @@ def test_04_heavy_ball_parameter_error_bounds():
 
 def test_05_crossover_certification():
     with criterion("05 bias-envelope crossover", 5.0):
-        result, _ = _certified("crossover_z", "crossover_case_structure")
-        assert [case.case_index for case in result.cases] == [1, 2, 3]
+        _, structure = _certified("crossover_z", "crossover_case_structure")
+        assert [case.case_index for case in structure.at] == [1, 2, 3]
 
 
 def test_06_h_kappa_recomposition():

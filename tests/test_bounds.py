@@ -14,8 +14,7 @@ from flowrisk.bounds import (
     gf_inflation_objective,
     h_kappa,
     hb_inflation_check,
-    hb_kernel_slack,
-    hb_param_error_sup,
+    hb_quarter_plane,
     hb_variance_bound_check,
     nest_inflation_constant,
     nest_inflation_objective,
@@ -69,21 +68,21 @@ class TestInflationConstants:
 
     def test_value_consistent_with_optimizers(self):
         r = gf_inflation_constant()
-        assert type(r.tau_star) is float
-        at_star = float(gf_inflation_objective(r.tau_star,
-                                               np.array([r.x_star]))[0])
+        tau_star, x_star = r.at
+        assert type(tau_star) is float
+        at_star = float(gf_inflation_objective(tau_star, np.array([x_star]))[0])
         assert abs(at_star - r.value) <= 1e-10
         r = nest_inflation_constant()
-        at_star = float(nest_inflation_objective(r.tau_star,
-                                                 np.array([r.x_star]))[0])
+        tau_star, x_star = r.at
+        at_star = float(nest_inflation_objective(tau_star, np.array([x_star]))[0])
         assert abs(at_star - r.value) <= 1e-10
 
     def test_sandwich_refinement_stability(self):
         base = gf_inflation_constant()
-        dense = bounds._certified_minimax(gf_inflation_objective,
-                                          np.logspace(-3.0, 1.0, 800),
-                                          np.logspace(-8.0, 6.0, 8000))
-        assert abs(base.value - dense.value) < 1e-3
+        dense, _, _ = bounds._certified_minimax(gf_inflation_objective,
+                                                np.logspace(-3.0, 1.0, 800),
+                                                np.logspace(-8.0, 6.0, 8000))
+        assert abs(base.value - dense) < 1e-3
 
 
 def _counting(monkeypatch, name):
@@ -131,8 +130,8 @@ class TestBlockedScan:
         (nest_inflation_constant, nest_inflation_objective)])
     def test_constants_match_the_loop_minimax(self, certifier, objective):
         r = certifier()
-        assert (r.value, r.tau_star, r.x_star) == minimax_loop(
-            objective, bounds._TAUS, bounds._XS)
+        assert (r.value, *r.at) == minimax_loop(objective, bounds._TAUS,
+                                                bounds._XS)
 
     def test_first_of_equal_maxima_wins_inside_a_block(self):
         xs = np.arange(100.0)
@@ -199,8 +198,8 @@ class TestBlockedScan:
                              [gf_inflation_objective, nest_inflation_objective])
     def test_constants_match_the_loop_minimax_on_other_grids(
             self, objective, taus, xs):
-        r = bounds._certified_minimax(objective, taus, xs)
-        assert (r.value, r.tau_star, r.x_star) == minimax_loop(objective, taus, xs)
+        assert bounds._certified_minimax(objective, taus, xs) == \
+            minimax_loop(objective, taus, xs)
 
 
 def _levels(levels, bump=True):
@@ -240,9 +239,8 @@ class TestPrunedCoarse:
         kept = np.isfinite(self._coarse(objective))
         assert kept.sum() == 2                           # the rest are pruned
         r = bounds._certified_minimax(objective)
-        assert (r.value, r.tau_star, r.x_star) == minimax_loop(
-            objective, self.TAUS, self.XS)
-        assert self.TAUS[first - 1] <= r.tau_star <= self.TAUS[first + 1]
+        assert r == minimax_loop(objective, self.TAUS, self.XS)
+        assert self.TAUS[first - 1] <= r[1] <= self.TAUS[first + 1]
 
     def test_exact_tie_keeps_the_first_row(self):
         levels = np.full(self.TAUS.size, 1.5)
@@ -289,23 +287,52 @@ class TestPrunedCoarse:
 
 
 def test_certifier_results_are_plain_floats():
-    values = [value for _, _, value, _ in run_checks()]
-    assert values and all(type(v) is float for v in values)
-    for r in (gf_inflation_constant(), nest_inflation_constant()):
-        assert all(type(getattr(r, f.name)) is float for f in fields(r))
-    crossover = tilde_h_crossover()
-    assert type(crossover.z_star) is float
-    for case in crossover.cases:
+    records = [record for _, record, _ in run_checks()]
+    assert records and all(type(r.value) is float for r in records)
+    for r in (gf_inflation_constant(), nest_inflation_constant(),
+              nest_param_error_constant()):
+        assert r.at and all(type(v) is float for v in r.at)
+    _, structure = tilde_h_crossover()
+    for case in structure.at:
         assert type(case.z) is float and type(case.argmax_x) is float
         assert case.x_star is None or type(case.x_star) is float
         assert type(case.structure_ok) is bool
 
 
+class TestRunChecks:
+    def test_each_certifier_answers_exactly_its_rows(self):
+        for certifier in {c.certifier for c in CHECKS.values()}:
+            out = getattr(bounds, certifier)()
+            records = out if isinstance(out, tuple) else (out,)
+            assert {r.name for r in records} == {
+                c.name for c in CHECKS.values() if c.certifier == certifier}
+
+    def test_rows_sharing_a_certifier_run_it_once_in_any_order(self,
+                                                                monkeypatch):
+        full = {c.name: record for c, record, _ in run_checks()}
+        assert all(record.name == name for name, record in full.items())
+        seen = _counting(monkeypatch, "hb_quarter_plane")
+        runs = run_checks(["kernel_inequalities", "heavy_ball_f_sq"])
+        assert seen["calls"] == 1
+        assert [(c.name, record) for c, record, _ in runs] == [
+            ("kernel_inequalities", full["kernel_inequalities"]),
+            ("heavy_ball_f_sq", full["heavy_ball_f_sq"])]
+        assert runs[0][2] > 0.0 and runs[1][2] == 0.0
+
+    def test_one_record_shape(self):
+        assert {f.name for f in fields(bounds.Certified)} == {"name", "value", "at"}
+        assert {f.name for f in fields(bounds.Check)} == {
+            "name", "certifier", "paper_value", "tolerance", "mode",
+            "overridable"}
+        classes = [n for n in bounds.__all__ if isinstance(getattr(bounds, n), type)]
+        assert sorted(classes) == ["Certified", "Check", "CrossoverCase"]
+
+
 class TestNestParamError:
     def test_certified_value(self):
-        sup, x_star = nest_param_error_constant()
-        assert CHECKS["accelerated_param_error"].passes(sup)
-        assert x_star <= 1e-6  # supremum approached at the left end
+        r = nest_param_error_constant()
+        assert CHECKS["accelerated_param_error"].passes(r.value)
+        assert r.at[0] <= 1e-6  # supremum approached at the left end
 
     def test_limit_monitor_near_zero(self):
         from flowrisk.special import j1_ratio_complement
@@ -340,10 +367,11 @@ def _undamped_sup(objective):
 
 class TestHbParamError:
     def test_grid_maxima_within_bounds(self):
-        f_sq, fm1_sq = CHECKS["heavy_ball_f_sq"], CHECKS["heavy_ball_param_error"]
-        rep = hb_param_error_sup()
-        assert f_sq.passes(rep.max_f_sq) and fm1_sq.passes(rep.max_fm1_sq)
-        assert rep.nodes_checked > 0
+        f_sq, fm1_sq, _ = hb_quarter_plane()
+        assert (f_sq.name, fm1_sq.name) == ("heavy_ball_f_sq",
+                                            "heavy_ball_param_error")
+        assert CHECKS[f_sq.name].passes(f_sq.value)
+        assert CHECKS[fm1_sq.name].passes(fm1_sq.value)
 
     def test_old_nodes_are_reproduced(self):
         # the former 50^3 (mu, s, t) scan, evaluated through (a, b)
@@ -354,14 +382,13 @@ class TestHbParamError:
                                                        rel=1e-12)
 
     def test_values_are_the_undamped_edge_suprema(self):
-        rep = hb_param_error_sup()
-        assert rep.max_f_sq == pytest.approx(_undamped_sup(lambda f: f * f),
-                                             rel=1e-9)
-        assert rep.max_fm1_sq == pytest.approx(
-            _undamped_sup(lambda f: (f - 1.0) ** 2), rel=1e-9)
+        f_sq, fm1_sq, _ = (r.value for r in hb_quarter_plane())
+        assert f_sq == pytest.approx(_undamped_sup(lambda f: f * f), rel=1e-9)
+        assert fm1_sq == pytest.approx(_undamped_sup(lambda f: (f - 1.0) ** 2),
+                                       rel=1e-9)
         # above the former grid maxima 4.709 and 1.369, which missed a = 0
-        assert rep.max_f_sq == pytest.approx(4.88918, abs=1e-5)
-        assert rep.max_fm1_sq == pytest.approx(1.46688, abs=1e-5)
+        assert f_sq == pytest.approx(4.88918, abs=1e-5)
+        assert fm1_sq == pytest.approx(1.46688, abs=1e-5)
 
     def test_degenerate_slice_uses_limit_kernel(self):
         # s = mu: kernel becomes (1 + a) e^{-a}
@@ -387,9 +414,9 @@ class TestTailCuts:
     """The shortened 49/64 and heavy-ball scans and their checked tails."""
 
     def test_param_error_matches_the_full_grid_scan(self):
-        value, x_star = nest_param_error_constant()
+        r = nest_param_error_constant()
         ref_value, ref_x = param_error_full_scan(j1_ratio_complement)
-        assert (value.hex(), x_star.hex()) == (ref_value.hex(), ref_x.hex())
+        assert (r.value.hex(), r.at[0].hex()) == (ref_value.hex(), ref_x.hex())
 
     def test_param_error_grid_is_the_logspace_prefix(self):
         xs = bounds._param_error_grid()
@@ -399,11 +426,11 @@ class TestTailCuts:
         assert full[xs.size - 1] <= bounds._PARAM_ERROR_TAIL < full[xs.size]
 
     def test_hb_sups_match_the_two_pass_scan(self):
-        rep = hb_param_error_sup()
+        got_f_sq, got_fm1_sq, _ = hb_quarter_plane()
         f_sq, fm1_sq = hb_sups_two_pass(bounds._hb_factor, bounds._HB_THETAS,
                                         bounds._HB_XS)
-        assert rep.max_f_sq.hex() == float(f_sq).hex()
-        assert rep.max_fm1_sq.hex() == float(fm1_sq).hex()
+        assert got_f_sq.value.hex() == float(f_sq).hex()
+        assert got_fm1_sq.value.hex() == float(fm1_sq).hex()
 
     def test_tilde_h_matches_the_one_expression_form(self):
         rng = np.random.default_rng(20)
@@ -442,7 +469,7 @@ class TestTailCuts:
     @pytest.mark.parametrize("constant, certifier, message", [
         ("_PARAM_ERROR_TAIL", nest_param_error_constant,
          r"\(f-1\)\^2 past x = 1 "),
-        ("_HB_TAIL", hb_param_error_sup, r"f\^2 past x = 1 "),
+        ("_HB_TAIL", hb_quarter_plane, r"f\^2 past x = 1 "),
     ])
     def test_a_failing_tail_bound_is_an_error(self, monkeypatch, capsys,
                                               constant, certifier, message):
@@ -456,16 +483,15 @@ class TestTailCuts:
         assert lines[0].startswith("error: ") and "not below" in lines[0]
 
     def test_evaluated_points_are_pinned(self, monkeypatch):
-        # 144,983 grid points plus 3 zooms of 240; 64 x 320 polar nodes plus
-        # 2 sups x 3 zooms x 64 rows x 240, and 64 x 400 for the kernel slack
+        # 144,983 grid points plus 3 zooms of 240; the 64 x 400 polar nodes,
+        # shared by the kernel slack and the two sups, plus 2 sups x 3 zooms
+        # x 64 rows x 240
         seen = _counting(monkeypatch, "j1_ratio_complement")
         nest_param_error_constant()
         assert seen["points"] == 145_703
         seen = _counting(monkeypatch, "hb_kernel_complement")
-        assert hb_param_error_sup().nodes_checked == 20_480
-        assert seen["points"] == 112_640
-        hb_kernel_slack()
-        assert seen["points"] == 138_240
+        hb_quarter_plane()
+        assert seen["points"] == 117_760
 
     def test_j1_is_evaluated_only_above_the_series_cutoff(self, monkeypatch):
         # the 100,720 points below 1e-2 (every zoom point among them) take
@@ -509,14 +535,16 @@ class TestHKappa:
 
 class TestCrossover:
     def test_z_star(self):
-        result = tilde_h_crossover()
-        assert CHECKS["crossover_z"].passes(result.z_star)
-        assert tilde_h(tilde_h_maximizer(result.z_star), result.z_star) == \
+        crossover, _ = tilde_h_crossover()
+        z_star = crossover.value
+        assert CHECKS["crossover_z"].passes(z_star)
+        assert tilde_h(tilde_h_maximizer(z_star), z_star) == \
             pytest.approx(1.0, abs=1e-9)
 
     def test_case_structure(self):
-        result = tilde_h_crossover()
-        by_z = {c.z: c for c in result.cases}
+        _, structure = tilde_h_crossover()
+        assert structure.value == 1.0
+        by_z = {c.z: c for c in structure.at}
         assert by_z[0.5].case_index == 1
         assert by_z[0.5].argmax_x == 0.0
         assert by_z[0.95].case_index == 2
@@ -524,7 +552,7 @@ class TestCrossover:
                                                     abs=1e-3)
         assert by_z[2.0].case_index == 3
         assert by_z[2.0].x_star == pytest.approx(3.0, abs=1e-12)
-        assert all(c.structure_ok for c in result.cases)
+        assert all(c.structure_ok for c in structure.at)
 
     def test_below_crossover_interior_peak_is_lower(self):
         z = 0.9  # in (2/sqrt(5), z*)
@@ -579,12 +607,37 @@ class TestCrossover:
 
 
 class TestVarianceBound:
-    def test_report_ok(self):
-        rep = hb_variance_bound_check()
-        assert CHECKS["h_recomposition"].passes(rep.max_recomposition_error)
-        assert rep.max_branch_gap <= 0.0
+    def test_records(self):
+        recomposition, at_one = hb_variance_bound_check()
+        assert recomposition.name == "h_recomposition"
+        assert CHECKS["h_recomposition"].passes(recomposition.value)
+        assert at_one.name == "h_at_kappa_1" and at_one.value == h_kappa(1.0)
+
+    def test_branches_on_the_grid(self):
+        kappas = bounds._RECOMPOSITION_KAPPAS
+        tau = kappas ** (1.0 / 6.0)
+        target = 8.0 * kappas ** (2.0 / 3.0)
         # 8 tau^4 = 8 kappa^{2/3} to 1e-10 relative to the largest, 8 * 1e4^{2/3}
-        assert rep.max_equality_error <= 1e-10 * 8.0 * 1e4 ** (2.0 / 3.0)
+        assert np.abs(8.0 * tau ** 4 - target).max() <= \
+            1e-10 * 8.0 * 1e4 ** (2.0 / 3.0)
+        u = tau / np.sqrt(kappas)
+        assert (2.0 * (1.0 + (u + 1.0) * np.exp(-u)) ** 2 < target).all()
+
+    @pytest.mark.parametrize("kappas, where", [
+        ([0.1, 1.0, 8.0], "by 2.007 at kappa = 0.1"),   # 3.731 - 1.724
+        ([1.0, np.nan], "by nan at kappa = nan"),
+    ])
+    def test_a_dominating_second_branch_is_an_error(self, monkeypatch, capsys,
+                                                    kappas, where):
+        monkeypatch.setattr(bounds, "_RECOMPOSITION_KAPPAS", np.array(kappas))
+        with pytest.raises(RuntimeError,
+                           match=rf"exceeds 8 kappa\^\(2/3\) {where}$"):
+            hb_variance_bound_check()
+        assert run(["verify-constants"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: the second variance branch exceeds")
 
     def test_kappa_one_branch_values(self):
         # 8 tau^4 = 8 dominates 2 (1 + 2/e)^2 ~ 6.03
@@ -606,10 +659,10 @@ class TestVarianceBound:
             assert CHECKS["h_recomposition"].passes(abs(recomp - h_kappa(kappa)))
 
 
-def _inflation_within(result):
-    """1 - 1e-9 <= ratio <= bound + 1e-9, through the one pass rule."""
-    return (within(1.0, result.ratio, 1e-9, "le")
-            and within(result.ratio, result.bound, 1e-9, "le"))
+def _inflation_within(result, spectrum):
+    """1 - 1e-9 <= ratio <= h(kappa) + 1e-9, through the one pass rule."""
+    return (within(1.0, result.value, 1e-9, "le")
+            and within(result.value, h_kappa(spectrum.kappa), 1e-9, "le"))
 
 
 class TestHbInflation:
@@ -617,8 +670,9 @@ class TestHbInflation:
         spec = Spectrum(np.array([1.0]))
         prior = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=1)  # alpha = 1
         result = hb_inflation_check(spec, prior)
-        assert result.ratio >= 1.0 - 1e-9
-        assert _inflation_within(result)
+        assert result.value >= 1.0 - 1e-9
+        assert _inflation_within(result, spec)
+        assert result.at[0] in bounds._HB_T_GRID
 
     def test_power_law_spectra(self):
         for nu in (0.5, 1.0, 2.0):
@@ -626,14 +680,14 @@ class TestHbInflation:
             spec = Spectrum(vals)
             prior = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=200)
             result = hb_inflation_check(spec, prior)
-            assert _inflation_within(result), (nu, result)
+            assert _inflation_within(result, spec), (nu, result)
 
     def test_condition_one_design(self):
         spec = Spectrum(np.ones(10))
         prior = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=50)
         result = hb_inflation_check(spec, prior)
-        assert result.ratio <= h_kappa(1.0) + 1e-9
-        assert _inflation_within(result)
+        assert result.value <= h_kappa(1.0) + 1e-9
+        assert _inflation_within(result, spec)
 
     def test_rejects_singular_spectrum(self):
         spec = Spectrum(np.array([0.0, 1.0]))
@@ -644,13 +698,15 @@ class TestHbInflation:
 
 class TestKernelBounds:
     def test_zero_violations_dense_grid(self):
-        kernel = CHECKS["kernel_inequalities"]  # worst of the three violations
-        assert kernel.passes(kernel.value_of(hb_kernel_slack()))
+        *_, worst = hb_quarter_plane()      # worst of the three violations
+        assert worst.name == "kernel_inequalities"
+        assert CHECKS["kernel_inequalities"].passes(worst.value)
 
     def test_old_nodes_are_reproduced(self):
         # the former 40^3 (mu, s, t) scan: worst slacks 3.3e-16, 0 and 0
         a, b, x = _old_hb_nodes(40)
-        bias, var_small, var_large = bounds._hb_kernel_slacks(a, b)
+        bias, var_small, var_large = bounds._hb_kernel_slacks(
+            a, b, a * a + b * b, hb_kernel_complement(a, b))
         worst = [max(float(v.max()), 0.0)
                  for v in (bias, var_small[x <= 1.0], var_large[x > 1.0])]
         assert worst == pytest.approx([3.3306690738754696e-16, 0.0, 0.0],
@@ -659,12 +715,14 @@ class TestKernelBounds:
     def test_degenerate_slice_is_equality(self):
         # s = mu (b = 0) makes the bias inequality an identity
         a = math.sqrt(0.8) * np.array([0.0, 0.5, 2.0])
-        bias, _, _ = bounds._hb_kernel_slacks(a, np.zeros(3))
+        bias, _, _ = bounds._hb_kernel_slacks(a, np.zeros(3), a * a,
+                                              hb_kernel_complement(a, 0.0))
         assert bias.max() <= 1e-14
 
     def test_time_zero_slice(self):
         # t = 0 is a = b = 0 (x <= 1): bias and small-x variance slacks
-        bias, var_small, _ = bounds._hb_kernel_slacks(0.0, 0.0)
+        bias, var_small, _ = bounds._hb_kernel_slacks(
+            0.0, 0.0, 0.0, hb_kernel_complement(0.0, 0.0))
         kernel = CHECKS["kernel_inequalities"]
         assert kernel.passes(max(bias, var_small, 0.0))
 

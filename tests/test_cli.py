@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,20 @@ def test_shrink_prints_the_limit_of_an_overflowing_argument(kind, s, t, capsys):
     assert capsys.readouterr() == ("0\n", "")
 
 
+@pytest.mark.parametrize("s, t", [("1e308", "1e308"), ("1e308", "1.7e308"),
+                                  ("1.7976931348623157e308", "1e292")])
+def test_shrink_ridge_where_s_plus_lambda_overflows(s, t):
+    # a fresh interpreter under -W error: an overflow warning is a traceback
+    src = Path(flowrisk.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "flowrisk.cli",
+                           "shrink", "--kind", "ridge", "--s", s, "--t", t],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    exact = Fraction(float(t)) / (Fraction(float(s)) + Fraction(float(t)))
+    assert float(done.stdout) == pytest.approx(float(exact), rel=3e-16)
+
+
 def test_estimate_matches_library(capsys, instance_files):
     from flowrisk.estimators import estimate
     from flowrisk.linalg import attach_response, design_decompose
@@ -117,6 +132,19 @@ def test_estimate_refuses_a_nan_parameter_for_every_family(
     assert captured.out == ""
     assert _one_error_line(captured.err)
     assert "error: path parameter must be finite and >= 0" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimate_refuses_a_nan_response(capsys, instance_files):
+    xp, yp, _ = instance_files
+    y = np.loadtxt(yp, delimiter=",")
+    y[3] = np.nan
+    np.savetxt(yp, y.reshape(-1, 1), delimiter=",")
+    assert run(["estimate", "--kind", "nest", "--t", "1", "--design", str(xp),
+                "--response", str(yp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "response has non-finite entries" in captured.err
 
 
 def test_estimate_ridge_at_zero_penalty_needs_full_rank(tmp_path, capsys):
@@ -541,12 +569,14 @@ def test_verify_constants_refuses_a_bad_tol_before_certifying(monkeypatch, capsy
 
 
 def test_verify_constants_calls_each_certifier_once(monkeypatch, capsys):
-    # only outermost calls count: hb_variance_bound_check calls h_kappa too
+    # only outermost calls count: h_kappa runs only inside
+    # hb_variance_bound_check, which certifies h(1) too
     from flowrisk import bounds
-    names = ("gf_inflation_constant", "nest_inflation_constant",
-             "nest_param_error_constant", "hb_param_error_sup",
-             "tilde_h_crossover", "hb_variance_bound_check", "h_kappa",
-             "hb_kernel_slack")
+    certifiers = ("gf_inflation_constant", "nest_inflation_constant",
+                  "nest_param_error_constant", "hb_quarter_plane",
+                  "tilde_h_crossover", "hb_variance_bound_check")
+    assert {c.certifier for c in bounds.CHECKS.values()} == set(certifiers)
+    names = certifiers + ("h_kappa",)
     calls = dict.fromkeys(names, 0)
     depth = [0]
 
@@ -564,4 +594,4 @@ def test_verify_constants_calls_each_certifier_once(monkeypatch, capsys):
         monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
     assert run(["verify-constants"]) == 0
     capsys.readouterr()
-    assert calls == dict.fromkeys(names, 1)
+    assert calls == dict(dict.fromkeys(certifiers, 1), h_kappa=0)

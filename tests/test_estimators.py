@@ -146,6 +146,15 @@ class TestCouplingGap:
         gap, norm_sq, ratio = coupling_gap(d0, FlowKind.ACCELERATED_FLOW, 2.0)
         assert (gap, norm_sq, ratio) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_nan_response(self, small_instance):
+        design, x, y, _ = small_instance
+        y = y.copy()
+        y[1] = np.nan
+        with pytest.raises(ValueError, match="response has non-finite entries"):
+            coupling_gap(attach_response(design, x, y),
+                         FlowKind.ACCELERATED_FLOW, 1.0)
+
     def test_rejects_nonpositive_time(self, small_instance):
         design, _, _, _ = small_instance
         with pytest.raises(ValueError):

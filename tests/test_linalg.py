@@ -174,6 +174,14 @@ class TestAttachResponse:
         with pytest.raises(ValueError, match="length"):
             attach_response(design, x, y[:-1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_response(self, small_instance, bad):
+        design, x, y, _ = small_instance
+        y = y.copy()
+        y[1] = bad
+        with pytest.raises(ValueError, match="^response has non-finite entries$"):
+            attach_response(design, x, y)
+
 
 def test_csv_round_trip(tmp_path):
     a = np.array([[1.5, -2.25], [1e-17, 3.0]])

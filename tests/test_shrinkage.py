@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -273,6 +274,21 @@ class TestProfile:
         assert np.isfinite(block).all()
         # entries whose arguments stay finite keep their values
         assert np.array_equal(block[0], factor_block(kind, eigenvalues, 0.5, 4.0)[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_ridge_halves_where_s_plus_lambda_overflows(self):
+        s = np.array([0.0, 1.0, 1e200, 1e308, 1.7976931348623157e308])
+        lam = np.array([1e-300, 1.0, 1e200, 1e292, 1e308, 1.7e308])
+        block = factor_block(RIDGE, s, lam)
+        exact = [[float(Fraction(l) / (Fraction(si) + Fraction(l))) for si in s]
+                 for l in lam]
+        assert block == pytest.approx(np.array(exact), rel=3e-16, abs=0.0)
+        # where the sum is finite, every factor is the formula's, bit for bit
+        with np.errstate(over="ignore"):
+            total = s[None, :] + lam[:, None]
+        finite = np.isfinite(total)
+        assert (~finite).sum() == 5
+        assert np.array_equal(block[finite], (lam[:, None] / total)[finite])
 
     def test_empty_input_gives_an_empty_block(self):
         assert factor_block(GF, [], [1.0, 2.0]).shape == (2, 0)
