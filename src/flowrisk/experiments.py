@@ -425,9 +425,8 @@ def figure_sweep(config: ExperimentConfig, bayes: bool = False) -> dict:
         for label in sorted(dataset):
             for token in sorted(dataset[label]):
                 name = f"{label}_{token}.csv"
-                path = out / name
-                write_risk_csv(path, FlowKind(token), dataset[label][token])
-                hashes[name] = git_blob_hash(path.read_bytes())
+                hashes[name] = git_blob_hash(write_risk_csv(
+                    out / name, FlowKind(token), dataset[label][token]))
         manifest = {
             "config": config.to_json(),
             "bayes": bayes,

@@ -14,6 +14,7 @@ header.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -179,7 +180,11 @@ def design_decompose(x) -> SpectralDesign:
         raise ValueError("design matrix must be at least 1x1")
     sigma_hat = x.T @ x / n
     w, q = sym_eig(sigma_hat)
-    scale = float(np.linalg.norm(sigma_hat))
+    # ||sigma_hat||_F from sigma_hat / 2^k <= 2, whose squares cannot
+    # overflow; a power of two scales exactly, so wherever the plain norm
+    # is finite this is the same double
+    k = math.frexp(float(np.abs(sigma_hat).max()))[1] - 1
+    scale = float(np.linalg.norm(sigma_hat / 2.0 ** k)) * 2.0 ** k
     spectrum = Spectrum.from_eigenvalues(w, clamp_scale=scale)
     # eigh returns ascending values already; from_eigenvalues only clamps
     return SpectralDesign(n=n, p=p, spectrum=spectrum, v_basis=q)

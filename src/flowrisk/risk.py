@@ -25,6 +25,13 @@ bias_variance; they never form estimator vectors.  A curve is a RiskCurve:
 the grid plus its bias^2 and variance arrays, which reads as a sequence of
 (param, RiskDecomposition) pairs built on access.  The estimators module
 plus Monte Carlo provides the independent cross-check of these formulas.
+
+risk_csv_text writes a curve as CSV text, every value exactly as "%.17g"
+would.  The digits come from array passes over all four columns at once (a
+double-double scaling by a table of powers of ten, rounded half-even) and
+the characters from a memoized byte template per (exponent, digit count);
+only -0.0, NaN, inf, negative values and values within 1e-9 of a rounding
+tie go through "%" one at a time.
 """
 
 from __future__ import annotations
@@ -282,18 +289,193 @@ def oscillation_report(curve: RiskCurve) -> OscillationReport:
                              max_rebound=max_rebound)
 
 
+# "%.17g" in a few array passes (see risk_csv_text).  A positive finite x
+# with decimal exponent e is scaled as (x 2^s) (10^(16-e) 2^-s), where the
+# exact power-of-two shift s = s(e) keeps x 2^s, the table entry and their
+# splits in the normal range for every e from the smallest subnormal to the
+# largest double, with the slack of a log10 estimate and its +-1 step.
+_E_LO, _E_HI = -326, 310
+
+
+def _pow10_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10^(16-e) 2^-s as hi + lo for each e in [_E_LO, _E_HI], and 2^s.
+
+    Python's int / int division is correctly rounded, so hi is the nearest
+    double and lo the nearest double to the exact remainder: hi + lo is
+    the power to a relative 2^-106.
+    """
+    hi, lo, shift = [], [], []
+    for e in range(_E_LO, _E_HI + 1):
+        q, s = 16 - e, 600 if e < -280 else -600 if e > 280 else 0
+        num = 10 ** max(q, 0) * 2 ** max(-s, 0)
+        den = 10 ** max(-q, 0) * 2 ** max(s, 0)
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+        shift.append(2.0 ** s)
+    return np.array(hi), np.array(lo), np.array(shift)
+
+
+def _split(a):
+    """Veltkamp split: a = head + tail, each with at most 26 significant bits."""
+    c = 134217729.0 * a          # 2^27 + 1
+    head = c - (c - a)
+    return head, a - head
+
+
+_POW_HI, _POW_LO, _X_SHIFT = _pow10_table()
+_POW_HEAD, _POW_TAIL = _split(_POW_HI)
+# A computed scaled value whose fraction lies this close to one half may
+# be a rounding tie (its error is below 1e-14): "%" decides it.
+_TIE_WINDOW = 1e-9
+# The ASCII of every 4-digit chunk 0000..9999, one 4-byte word each.
+# (int16 keeps the temporaries, and so the import's peak memory, small.)
+_QUADS = (np.arange(10_000, dtype=np.int16)[:, None]
+          // np.array([1000, 100, 10, 1], np.int16) % 10
+          + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# One source row per value: its 17 digits, then the literals a layout may
+# need, a NUL that the final compaction drops, and the separator that ends
+# the field.
+_DIGIT0, _DOT, _EXP, _PLUS, _MINUS, _NUL, _SEP = 17, 27, 28, 29, 30, 31, 32
+_FIELD = 24                      # the longest "%.17g" of a double
+_SOURCE = np.zeros((4, _SEP + 1), np.uint8)
+_SOURCE[:, _DIGIT0:_NUL] = np.frombuffer(b"0123456789.e+-", np.uint8)
+_SOURCE[:, _SEP] = np.frombuffer(b",,,\n", np.uint8)
+# Memoized layouts: row (e - _E_LO) * 17 + nsig - 1 holds the source
+# indices of a value with decimal exponent e and nsig significant digits;
+# the last two rows write 0 and copy a whole fallback field.
+_LAYOUTS = np.zeros(((_E_HI - _E_LO + 1) * 17 + 2, _FIELD + 1), np.int8)
+_ZERO, _FALLBACK = len(_LAYOUTS) - 2, len(_LAYOUTS) - 1
+_LAYOUTS[_ZERO] = [_DIGIT0] + [_NUL] * (_FIELD - 1) + [_SEP]
+_LAYOUTS[_FALLBACK] = [*range(_FIELD), _SEP]
+_LAYOUT_READY = np.zeros(len(_LAYOUTS), bool)
+_LAYOUT_READY[[_ZERO, _FALLBACK]] = True
+
+
+def _layout(e: int, nsig: int) -> list[int]:
+    """Source indices of "%.17g" for exponent e and nsig significant digits.
+
+    Fixed notation for -4 <= e < 17, else d.ddde+XX with at least two
+    exponent digits; trailing zeros and a bare point are dropped.
+    """
+    if 0 <= e < 17:
+        idx = [*range(e + 1)]
+        if nsig > e + 1:
+            idx += [_DOT, *range(e + 1, nsig)]
+    elif -4 <= e < 0:
+        idx = [_DIGIT0, _DOT] + [_DIGIT0] * (-e - 1) + [*range(nsig)]
+    else:
+        idx = [0] + ([_DOT, *range(1, nsig)] if nsig > 1 else [])
+        idx += [_EXP, _PLUS if e >= 0 else _MINUS]
+        idx += [_DIGIT0 + int(c) for c in "%02d" % abs(e)]
+    return idx + [_NUL] * (_FIELD - len(idx)) + [_SEP]
+
+
+def _percent_g(values: np.ndarray) -> np.ndarray:
+    """The fallback: "%.17g" of each value, NUL-padded to one field."""
+    text = np.array(["%.17g" % v for v in values.tolist()], f"S{_FIELD}")
+    return text.view(np.uint8).reshape(-1, _FIELD)
+
+
+def _scaled(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * 10^(16-e) as hi + lo: Dekker's exact product of the shifted x
+    with the table head, plus its product with the table tail; the error
+    is about 1e-14 near 1e16."""
+    k = e - _E_LO
+    x = x * _X_SHIFT[k]
+    b_head, b_tail = _POW_HEAD[k], _POW_TAIL[k]
+    a_head, a_tail = _split(x)
+    hi = x * _POW_HI[k]
+    err = (((a_head * b_head - hi) + a_head * b_tail + a_tail * b_head)
+           + a_tail * b_tail)
+    return hi, err + x * _POW_LO[k]
+
+
+def _fill_fields(values: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Write each value's characters into its source row; return its layout.
+
+    A positive finite value gets its 17 rounded digits D * 10^(e-16): D is
+    the scaled value x * 10^(16-e) in [1e16, 1e17), rounded half-even.  0.0
+    has a layout of its own; every other value (-0.0, NaN, inf, negative,
+    or within _TIE_WINDOW of a tie) is written whole by _percent_g.
+    """
+    fast = (values > 0) & (values < np.inf)
+    x = np.where(fast, values, 1.0)
+    e = np.floor(np.log10(x)).astype(np.int64)
+    hi, lo = _scaled(x, e)
+    # the exponent estimate is off by one only next to a power of ten
+    step = (((hi - 1e17) + lo >= 0).astype(np.int64)
+            - ((hi - 1e16) + lo < 0))
+    moved = np.flatnonzero(step)
+    if moved.size:
+        e[moved] += step[moved]
+        hi[moved], lo[moved] = _scaled(x[moved], e[moved])
+    fast &= np.abs(lo - np.floor(lo) - 0.5) >= _TIE_WINDOW
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    # a head digit and four 4-digit chunks; scalar divisors keep numpy's
+    # integer division fast
+    head = d // 10 ** 16
+    d -= head * 10 ** 16
+    quads = np.empty((d.size, 4), np.int64)
+    quads[:, 0] = d // 10 ** 12
+    quads[:, 1] = d // 10 ** 8 - quads[:, 0] * 10 ** 4
+    lower = d % 10 ** 8
+    quads[:, 2] = lower // 10 ** 4
+    quads[:, 3] = lower - quads[:, 2] * 10 ** 4
+    digits = src[:, :_DIGIT0]
+    digits[:, 0] = head + ord("0")
+    digits[:, 1:] = _QUADS.take(quads).view(np.uint8)
+    nsig = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    keys = np.where(fast, (e - _E_LO) * 17 + nsig - 1, _FALLBACK)
+    keys[(values == 0) & ~np.signbit(values)] = _ZERO
+    slow = np.flatnonzero(keys == _FALLBACK)
+    if slow.size:
+        src[slow, :_FIELD] = _percent_g(values[slow])
+    return keys
+
+
+def _layouts(keys: np.ndarray) -> np.ndarray:
+    """The layout row of every key, building the ones not seen before."""
+    new = keys[~_LAYOUT_READY[keys]]
+    for k in np.unique(new).tolist() if new.size else ():
+        _LAYOUTS[k] = _layout(k // 17 + _E_LO, k % 17 + 1)
+        _LAYOUT_READY[k] = True
+    return _LAYOUTS[keys]
+
+
 def risk_csv_text(kind: FlowKind, curve: RiskCurve) -> str:
     """A curve as CSV text with the header kind,param,bias_sq,variance,risk.
 
-    Every value is written as "%.17g", which round-trips a double exactly.
+    Every value is written exactly as "%.17g" writes it, which round-trips
+    a double.  The text comes from array passes over all four columns at
+    once: each value's 17 significant digits from a double-double product
+    with a table of powers of ten, its layout (fixed or exponent form,
+    point, dropped trailing zeros, exponent) from a memoized byte template
+    per (exponent, digit count), then one gather and one compaction.
+    -0.0, NaN, inf, negative values and values within 1e-9 of a rounding
+    tie are formatted by "%" one by one.
     """
-    row = kind.value + ",%.17g,%.17g,%.17g,%.17g"
-    columns = (curve.grid.tolist(), curve.bias_sq.tolist(),
-               curve.variance.tolist(), curve.risk.tolist())
-    return "\n".join([RISK_CSV_HEADER] + [row % r for r in zip(*columns)]) + "\n"
+    values = np.stack([curve.grid, curve.bias_sq, curve.variance,
+                       curve.risk], axis=1)
+    src = np.tile(_SOURCE, (curve.grid.size, 1))
+    keys = _fill_fields(values.reshape(-1), src)
+    take = _layouts(keys) + np.arange(keys.size)[:, None] * (_SEP + 1)
+    prefix = np.frombuffer(f"{kind.value},".encode(), np.uint8)
+    rows = np.empty((curve.grid.size, prefix.size + 4 * (_FIELD + 1)),
+                    np.uint8)
+    rows[:, :prefix.size] = prefix
+    rows[:, prefix.size:] = src.reshape(-1)[take].reshape(
+        curve.grid.size, 4 * (_FIELD + 1))
+    return f"{RISK_CSV_HEADER}\n" + rows[rows != 0].tobytes().decode("ascii")
 
 
-def write_risk_csv(path, kind: FlowKind, curve: RiskCurve) -> None:
-    """Write risk_csv_text(kind, curve) to path."""
-    with open(path, "w") as fh:
-        fh.write(risk_csv_text(kind, curve))
+def write_risk_csv(path, kind: FlowKind, curve: RiskCurve) -> bytes:
+    """Write risk_csv_text(kind, curve) to path; return the bytes written."""
+    text = risk_csv_text(kind, curve)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+    return text.encode("ascii")

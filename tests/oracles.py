@@ -8,9 +8,9 @@ elimination.  Slow is fine; independent is the point.
 The RK4 step loops and per-flow step functions, the per-step-map RK4
 scan, the whole-request batched polar normals, the masked kernel formulas,
 the one-tau-at-a-time min-max scans, the untruncated 49/64 and heavy-ball
-scans, the one-expression tilde_h, the scanned tilde_h case classifier
-and the coupling gap that validated through factor_block are the
-library's earlier implementations, kept as
+scans, the one-expression tilde_h, the scanned tilde_h case classifier,
+the coupling gap that validated through factor_block and the per-row
+"%.17g" CSV formatter are the library's earlier implementations, kept as
 references for the forms that replaced them: the RK4 scan agrees with its
 loop to rounding, and the rest (the one generic RK4 step rule included)
 agree bit for bit.
@@ -469,3 +469,12 @@ def scan_classify_tilde_h(z: float) -> CrossoverCase:
     ok = abs(argmax - x_star) <= step_tol
     return CrossoverCase(z=z, case_index=3, argmax_x=argmax, x_star=x_star,
                          structure_ok=ok)
+
+
+def risk_csv_text_reference(kind, curve) -> str:
+    """A risk curve as CSV text, one "%" row per grid point."""
+    row = kind.value + ",%.17g,%.17g,%.17g,%.17g"
+    columns = (curve.grid.tolist(), curve.bias_sq.tolist(),
+               curve.variance.tolist(), curve.risk.tolist())
+    return "\n".join(["kind,param,bias_sq,variance,risk"]
+                     + [row % r for r in zip(*columns)]) + "\n"

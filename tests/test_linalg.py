@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,15 @@ class TestDesignDecompose:
         x[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             design_decompose(x)
+
+    def test_entries_past_1e154_do_not_overflow_the_clamp_scale(self):
+        # X'X/n = diag(4, 4e300): the squares of its entries overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = design_decompose(np.diag([2.0, 2e150]) * np.sqrt(2.0))
+        # 4 lies below the relative clamp 1e-12 * 4e300
+        s = d.spectrum.eigenvalues
+        assert s[0] == 0.0 and s[1] == pytest.approx(4e300, rel=1e-12)
 
 
 class TestAttachResponse:

@@ -1,10 +1,14 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.special import j1
 
+from flowrisk import risk
 from flowrisk.estimators import estimate
+from flowrisk.experiments import ExperimentConfig, figure_sweep
 from flowrisk.linalg import Spectrum, attach_response, design_decompose
 from flowrisk.risk import (
     _BLOCK_DOUBLES,
@@ -17,10 +21,11 @@ from flowrisk.risk import (
     oscillation_report,
     risk_csv_text,
     risk_curve,
+    write_risk_csv,
 )
 from flowrisk.shrinkage import FlowKind
 
-from oracles import j1_series
+from oracles import j1_series, risk_csv_text_reference
 
 UNIT = Spectrum(np.array([1.0]))
 # sigma_sq = n = 1 gives noise scale sigma^2/n = 1
@@ -258,6 +263,113 @@ def test_csv_text_matches_per_value_format():
     text = risk_csv_text(FlowKind.ACCELERATED_FLOW, curve)
     assert text == "\n".join(want) + "\n"
     assert ",4.9406564584124654e-324," in text  # the subnormal round-trips
+
+
+def csv_curve(values):
+    """A curve whose grid holds the values as given; the bias and variance
+    columns hold their magnitudes, quartered so that the risk column stays
+    finite, in reverse and forward order."""
+    v = np.asarray(values, dtype=float)
+    a = np.abs(v) / 4
+    return RiskCurve(v, a[::-1], a)
+
+
+def ten_powers():
+    """10^k and its two ulp neighbours for k in [-300, 300]."""
+    p = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+CSV_VALUES = {
+    "bit_patterns": np.random.default_rng(19).integers(
+        1, 0x7FF0000000000000, 20_000, dtype=np.int64).view(np.float64),
+    "ten_powers": ten_powers(),
+    # exact ties, then two doubles within 1e-15 of a tie, closer than the
+    # double-double scaling can resolve
+    "ties": [1234567890123456.25, 1234567890123456.75, 0.5, 2.5,
+             98765432109876.125, float.fromhex("0x1.e18596be30fe5p-23"),
+             float.fromhex("0x1.a5ca9080b933ep-25")],
+    "extremes": [5e-324, 2.5e-310, np.finfo(float).tiny,
+                 np.finfo(float).max, 1e-280, 1e280,
+                 np.nextafter(1e280, 0.0), 9.9999999999999995e22],
+    "specials": [0.0, -0.0, np.nan, np.inf, -np.inf, -1.5, -1e-300],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_VALUES))
+def test_csv_text_is_the_reference_on_values(case):
+    curve = csv_curve(CSV_VALUES[case])
+    text = risk_csv_text(FlowKind.RIDGE, curve)
+    assert text == risk_csv_text_reference(FlowKind.RIDGE, curve)
+
+
+def test_csv_ties_round_half_even():
+    curve = csv_curve([1234567890123456.25, 1234567890123456.75])
+    params = [row.split(",")[1] for row in
+              risk_csv_text(FlowKind.RIDGE, curve).splitlines()[1:]]
+    assert params == ["1234567890123456.2", "1234567890123456.8"]
+
+
+@pytest.mark.parametrize("kind", list(FlowKind))
+@pytest.mark.parametrize("mode", ["fixed", "prior"])
+def test_csv_text_is_the_reference_on_curves(kind, mode):
+    rng = np.random.default_rng(7)
+    spec = Spectrum(np.sort(rng.uniform(0.01, 4.0, 50)))
+    if mode == "fixed":
+        signal = SignalModel.fixed(rng.standard_normal(50), sigma_sq=1.0, n=80)
+    else:
+        signal = SignalModel.prior(r_sq=2.0, sigma_sq=1.0, n=80)
+    grid = np.concatenate([[0.0], np.logspace(-3, 3, 300), [1e300]])
+    curve = risk_curve(spec, signal, kind, grid)
+    assert risk_csv_text(kind, curve) == risk_csv_text_reference(kind, curve)
+
+
+def test_write_risk_csv_returns_the_bytes_written(tmp_path):
+    curve = csv_curve([0.0, 0.1, 2.5e-310, 1e300])
+    path = tmp_path / "c.csv"
+    data = write_risk_csv(path, FlowKind.HEAVY_BALL_FLOW, curve)
+    assert data == path.read_bytes() == risk_csv_text(
+        FlowKind.HEAVY_BALL_FLOW, curve).encode()
+
+
+@pytest.fixture
+def fallback_count(monkeypatch):
+    """The number of values risk_csv_text hands to its "%" fallback."""
+    seen = []
+    fallback = risk._percent_g
+
+    def counted(values):
+        seen.append(values.size)
+        return fallback(values)
+
+    monkeypatch.setattr(risk, "_percent_g", counted)
+    return lambda: sum(seen)
+
+
+def test_csv_fallback_takes_only_the_special_values(fallback_count):
+    curve = csv_curve(CSV_VALUES["specials"] + [0.1, 3.0, 5e-324])
+    assert (risk_csv_text(FlowKind.GRADIENT_FLOW, curve)
+            == risk_csv_text_reference(FlowKind.GRADIENT_FLOW, curve))
+    columns = (curve.grid, curve.bias_sq, curve.variance, curve.risk)
+    assert fallback_count() == sum(
+        np.count_nonzero(np.signbit(c) | ~np.isfinite(c)) for c in columns)
+
+
+@pytest.mark.parametrize("config", ["power_law_sweep.json",
+                                    "matrix_family_sweep.json"])
+@pytest.mark.parametrize("bayes", [False, True])
+def test_demo_sweeps_take_the_fast_path(config, bayes, tmp_path,
+                                        fallback_count):
+    demos = pathlib.Path(__file__).parent.parent / "demos"
+    raw = json.loads((demos / config).read_text())
+    raw["output_dir"] = str(tmp_path)
+    dataset = figure_sweep(ExperimentConfig.from_json(raw), bayes=bayes)
+    assert fallback_count() == 0
+    for label, curves in dataset.items():
+        for token, curve in curves.items():
+            written = (tmp_path / f"{label}_{token}.csv").read_text()
+            assert written == risk_csv_text_reference(FlowKind(token), curve)
 
 
 # Extreme but well-posed spectra: t or lambda up to 1e308, an eigenvalue of
