@@ -442,17 +442,22 @@ def h_kappa(kappa):
 
     h(k) = 8 k^{2/3} + (1 + x*^2)(sqrt(5k^{2/3}-4)/(2k^{1/3}) + 3/2)^2
            exp(-(k^{1/3} + sqrt(5k^{2/3}-4))/k^{1/3})
-    with x* = (k^{1/3} + sqrt(5k^{2/3}-4))/2.
+    with x* = (k^{1/3} + sqrt(5k^{2/3}-4))/2.  h(inf) is its limit inf
+    (h >= 8 k^{2/3}); a NaN kappa is refused.
     """
     k = np.asarray(kappa, dtype=float)
-    if (k < 1.0).any():
+    if not (k >= 1.0).all():
+        if np.isnan(k).any():
+            raise ValueError("h_kappa is undefined at kappa = NaN")
         raise ValueError("h_kappa requires kappa >= 1")
     cube = np.cbrt(k)
     root = np.sqrt(5.0 * cube * cube - 4.0)
     x_star = (cube + root) / 2.0
-    out = (8.0 * cube * cube
-           + (1.0 + x_star * x_star) * (root / (2.0 * cube) + 1.5) ** 2
-           * np.exp(-(cube + root) / cube))
+    with np.errstate(invalid="ignore"):   # inf/inf at kappa = inf, set below
+        out = (8.0 * cube * cube
+               + (1.0 + x_star * x_star) * (root / (2.0 * cube) + 1.5) ** 2
+               * np.exp(-(cube + root) / cube))
+    out = np.where(k == np.inf, np.inf, out)
     return float(out) if np.ndim(kappa) == 0 else out
 
 
@@ -469,10 +474,15 @@ def tilde_h(x, z):
 
 
 def tilde_h_maximizer(z):
-    """Interior critical point x* = (z + sqrt(5 z^2 - 4))/2 (needs z >= 2/sqrt(5))."""
+    """Interior critical point x* = (z + sqrt(5 z^2 - 4))/2 (needs z >= 2/sqrt(5)).
+
+    A NaN z is refused by name.
+    """
     z = np.asarray(z, dtype=float)
     disc = 5.0 * z * z - 4.0
-    if (disc < 0).any():
+    if not (disc >= 0).all():
+        if np.isnan(z).any():
+            raise ValueError("tilde_h_maximizer is undefined at z = NaN")
         raise ValueError("x* exists only for z >= 2/sqrt(5)")
     out = (z + np.sqrt(disc)) / 2.0
     return float(out) if out.ndim == 0 else out

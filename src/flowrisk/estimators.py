@@ -24,7 +24,11 @@ Each value is validated once, where it enters: estimate checks its
 parameters and coupling_gap its times, and a Spectrum's eigenvalues were
 checked when it was built.  _spectral_rows therefore validates nothing and
 calls shrinkage._factor_rows, the formula table behind factor_block, which
-keeps only the heavy-ball rule mu > 0.
+keeps only the heavy-ball rule mu > 0 and takes the largest parameter from
+the caller, who got it while validating.  coupling_gap checks a scalar t
+by float comparisons and forms its lambda = (1/t)(1/t) in Python floats,
+with no numpy reduction; past that point a scalar is a one-point grid, and
+the flow and ridge rows share one s > 0 mask.
 """
 
 from __future__ import annotations
@@ -44,24 +48,28 @@ def _require_response(design: SpectralDesign) -> np.ndarray:
 
 
 def _spectral_rows(spectrum: Spectrum, c: np.ndarray, kind: FlowKind,
-                   params: np.ndarray) -> np.ndarray:
+                   params: np.ndarray, p_max: float,
+                   positive: np.ndarray) -> np.ndarray:
     """Spectral coordinates of a family, one row per parameter.
 
-    c is the channel per eigenvalue.  A flow row is (1 - g) c / s with g
-    from the factor table, a ridge row c / (s + lambda); both are
-    exactly 0 wherever s = 0, where c is rounding noise that c / lambda
-    would otherwise amplify.  params are 1-D and not validated here: flow
-    times were checked by the caller, and ridge may get lambda = 0 or inf,
-    its intended limits.
+    c is the channel per eigenvalue and positive the mask s > 0, which a
+    caller building several rows computes once.  A flow row is
+    (1 - g) c / s with g from the factor table, a ridge row c / (s + lambda);
+    both are exactly 0 wherever s = 0, where c is rounding noise that
+    c / lambda would otherwise amplify.  params are 1-D and not validated
+    here: flow times were checked by the caller, which passes their maximum
+    p_max, and ridge may get lambda = 0 or inf, its intended limits (its
+    row ignores p_max).
     """
     s = spectrum.eigenvalues
     if kind is FlowKind.RIDGE:
         num, den = c, s + params[:, None]
     else:
-        num = (1.0 - _factor_rows(kind, s, params, spectrum.mu, s[-1])) * c
+        num = (1.0 - _factor_rows(kind, s, params, spectrum.mu,
+                                  spectrum.big_l, p_max)) * c
         den = s
     return np.divide(num, den, out=np.zeros((params.size, s.size)),
-                     where=s > 0)
+                     where=positive)
 
 
 def estimate(design: SpectralDesign, kind: FlowKind, params) -> np.ndarray:
@@ -72,12 +80,13 @@ def estimate(design: SpectralDesign, kind: FlowKind, params) -> np.ndarray:
     (len(params), p) array in the original basis; every flow row at t = 0
     is exactly zero.
     """
-    params = _path_params(params)
+    params, p_max = _path_params(params)
     if (kind is FlowKind.RIDGE and (params == 0.0).any()
             and design.spectrum.mu == 0.0):
         raise ValueError("lambda = 0 requires a full-rank spectrum")
-    rows = _spectral_rows(design.spectrum, _require_response(design), kind,
-                          params)
+    spectrum = design.spectrum
+    rows = _spectral_rows(spectrum, _require_response(design), kind, params,
+                          p_max, spectrum.eigenvalues > 0)
     return (design.v_basis @ rows.T).T
 
 
@@ -89,26 +98,40 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     vanishes too).  A scalar t gives three floats, a 1-D grid of t three
     arrays of its length.  Both vectors are compared in spectral
     coordinates, which V, being orthogonal, leaves the norms of unchanged.
+
+    Checks run in this order: the kind, t > 0, the response, then the shape
+    and finiteness of t (_path_params), then heavy ball's mu > 0.  A scalar
+    t (0-d) is checked by float comparisons and its lambda formed in Python
+    floats; a grid is checked by numpy comparisons and one min/max pair.
+    Past validation both take one arithmetic path, over one s > 0 mask.
     """
     if kind not in (FlowKind.ACCELERATED_FLOW, FlowKind.HEAVY_BALL_FLOW):
         raise ValueError("coupling_gap is defined for the accelerated and "
                          "heavy-ball flows")
     t_arr = np.asarray(t, dtype=float)
-    if (t_arr <= 0).any():
+    scalar = t_arr.ndim == 0
+    if (float(t_arr) <= 0.0) if scalar else (t_arr <= 0).any():
         raise ValueError("t must be > 0")
     c = _require_response(design)
-    times = _path_params(t_arr)
-    flow = _spectral_rows(design.spectrum, c, kind, times)
+    times, t_max = _path_params(t_arr)
     # (1/t)^2 underflows to lambda = 0 for huge t and overflows to
     # lambda = inf for tiny t, where ridge is then exactly 0: both are the
-    # intended limits
-    with np.errstate(over="ignore"):
-        lam = (1.0 / times) ** 2
-    ridge = _spectral_rows(design.spectrum, c, FlowKind.RIDGE, lam)
+    # intended limits.  A Python float overflows without a warning, and
+    # (1/t)(1/t) is the double numpy's (1/t)**2 gives.
+    if scalar:
+        inv = 1.0 / t_max
+        lam = np.array([inv * inv])
+    else:
+        with np.errstate(over="ignore"):
+            lam = (1.0 / times) ** 2
+    spectrum = design.spectrum
+    positive = spectrum.eigenvalues > 0
+    flow = _spectral_rows(spectrum, c, kind, times, t_max, positive)
+    ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, 0.0, positive)
     diff = flow - ridge
     gap = (diff * diff).sum(axis=1)
     ridge_norm_sq = (ridge * ridge).sum(axis=1)
-    if t_arr.ndim == 0:
+    if scalar:
         gap, norm_sq = float(gap[0]), float(ridge_norm_sq[0])
         return gap, norm_sq, gap / norm_sq if norm_sq > 0 else 0.0
     ratio = np.divide(gap, ridge_norm_sq, out=np.zeros_like(gap),

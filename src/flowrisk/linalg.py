@@ -39,6 +39,8 @@ _NEG_CLAMP_REL = 1e-12
 # generated design, may hold; oracle trajectories, experiment designs and
 # scan grids above it are refused before anything is allocated.
 MAX_DOUBLES = 1 << 26
+_GRAM_OVERFLOW = ("design matrix too large: X'X/n or its norm overflows "
+                  "the largest double")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +170,9 @@ def design_decompose(x) -> SpectralDesign:
 
     The spectrum and basis come from the eigendecomposition of X'X/n;
     roundoff-negative eigenvalues are clamped to exactly zero so rank
-    deficiency is detected exactly.
+    deficiency is detected exactly.  A design whose X'X/n, its Frobenius
+    norm (the clamp scale) or its largest eigenvalue overflows is refused
+    by name: an infinite clamp scale would clamp the whole spectrum to 0.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -178,13 +182,19 @@ def design_decompose(x) -> SpectralDesign:
     n, p = x.shape
     if n < 1 or p < 1:
         raise ValueError("design matrix must be at least 1x1")
-    sigma_hat = x.T @ x / n
-    w, q = sym_eig(sigma_hat)
+    # an entry that overflows to inf is refused below, by name
+    with np.errstate(over="ignore"):
+        sigma_hat = x.T @ x / n
     # ||sigma_hat||_F from sigma_hat / 2^k <= 2, whose squares cannot
     # overflow; a power of two scales exactly, so wherever the plain norm
-    # is finite this is the same double
+    # is finite this is the same double, and inf wherever an entry is
     k = math.frexp(float(np.abs(sigma_hat).max()))[1] - 1
     scale = float(np.linalg.norm(sigma_hat / 2.0 ** k)) * 2.0 ** k
+    if not scale < np.inf:
+        raise ValueError(_GRAM_OVERFLOW)
+    w, q = sym_eig(sigma_hat)
+    if not w[-1] < np.inf:
+        raise ValueError(_GRAM_OVERFLOW)
     spectrum = Spectrum.from_eigenvalues(w, clamp_scale=scale)
     # eigh returns ascending values already; from_eigenvalues only clamps
     return SpectralDesign(n=n, p=p, spectrum=spectrum, v_basis=q)

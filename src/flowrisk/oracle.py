@@ -333,5 +333,5 @@ def compare_closed_form(kind: FlowKind, spectrum: Spectrum, forcing, t_grid,
     idx = _snap_to_lattice(traj.times, t_grid)
     times = traj.times[idx]
     closed = _spectral_rows(spectrum, np.asarray(forcing, dtype=float), kind,
-                            times)
+                            times, float(times.max()), spectrum.eigenvalues > 0)
     return float(np.abs(traj.positions[idx] - closed).max())

@@ -25,7 +25,12 @@ factor_block checks raw arrays, each bound with one min/max pair, and then
 calls _factor_rows, the table behind it.  Callers that already hold valid
 input (a Spectrum's eigenvalues are finite, >= 0 and ascending, so s >= mu,
 and their parameters were checked by _path_params) call _factor_rows
-directly; it keeps only the heavy-ball rule mu > 0.  Below the table,
+directly; it keeps only the heavy-ball rule mu > 0.  It takes the largest
+eigenvalue and the largest parameter from its caller, who holds both from
+validation (_path_params returns the parameter maximum, which for a scalar
+is the scalar itself), so it runs no reduction of its own.  The table calls
+the public kernels j1_ratio and hb_kernel through this module's globals,
+so a tracer that swaps them sees every evaluation.  Below the table,
 j1_ratio still checks its own domain on every call, and the heavy-ball
 kernels check nothing.  Everything here is pure and stateless.
 
@@ -188,18 +193,27 @@ _LIMITS = {
 }
 
 
-def _path_params(params) -> np.ndarray:
-    """params as a 1-D float array (a scalar counts as length 1).
+def _path_params(params):
+    """params as a 1-D float array (a scalar counts as length 1), and their max.
 
     The one rule for times and penalties of every family: ValueError unless
-    each is finite and >= 0 (one min/max pair; a NaN makes both NaN).
+    each is finite and >= 0, checked by float comparisons for a scalar and
+    by one min/max pair for an array (a NaN makes both NaN).  The maximum
+    (0 for an empty array) is what _factor_rows takes as p_max.
     """
-    params = np.atleast_1d(np.asarray(params, dtype=float))
-    if params.ndim != 1:
+    params = np.asarray(params, dtype=float)
+    if params.ndim == 0:
+        lo = hi = float(params)
+        params = params.reshape(1)
+    elif params.ndim != 1:
         raise ValueError("path parameters must be 1-D")
-    if params.size and not (params.min() >= 0.0 and params.max() < np.inf):
+    elif params.size:
+        lo, hi = float(params.min()), float(params.max())
+    else:
+        lo = hi = 0.0
+    if not (lo >= 0.0 and hi < np.inf):
         raise ValueError("path parameter must be finite and >= 0")
-    return params
+    return params, hi
 
 
 def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
@@ -212,7 +226,7 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
     s = lambda = 0 (naming the eigenvalue index).
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    params = _path_params(params)
+    params, p_max = _path_params(params)
     if s.ndim != 1:
         raise ValueError("eigenvalues must be 1-D")
     lo, hi = (s.min(), s.max()) if s.size else (np.inf, 0.0)
@@ -228,22 +242,24 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
         if zero.size:
             raise ValueError(f"ridge factor undefined at eigenvalue index {zero[0]}: "
                              "s = 0 and lambda = 0")
-    return _factor_rows(kind, s, params, mu, hi)
+    return _factor_rows(kind, s, params, mu, hi, p_max)
 
 
 def _factor_rows(kind: FlowKind, s: np.ndarray, params: np.ndarray,
-                 mu, s_max) -> np.ndarray:
+                 mu, s_max, p_max) -> np.ndarray:
     """The formula table of factor_block, on input it need not check again.
 
-    s and params are 1-D, finite and >= 0, with s >= mu for heavy ball and
-    s_max the largest s, as with a Spectrum and checked parameters; only
-    the heavy-ball rule mu > 0 is checked here (a Spectrum may have mu = 0).
+    s and params are 1-D, finite and >= 0, with s >= mu for heavy ball,
+    s_max the largest s and p_max the largest parameter (0 when there are
+    none), as with a Spectrum and checked parameters: the caller already
+    holds both maxima.  Only the heavy-ball rule mu > 0 is checked here (a
+    Spectrum may have mu = 0).
     """
     if kind is FlowKind.HEAVY_BALL_FLOW and not mu > 0.0:
         raise ValueError("heavy-ball flow requires a finite mu > 0")
     s, params = s[None, :], params[:, None]
     # a float product: inf on overflow, with no warning
-    if kind in _LIMITS and float(params.max(initial=0.0)) * float(s_max) == np.inf:
+    if float(p_max) * float(s_max) == np.inf:
         with np.errstate(over="ignore"):
             return _LIMITS[kind](s, params, mu)
     return _FORMULAS[kind](s, params, mu)

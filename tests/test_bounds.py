@@ -532,6 +532,27 @@ class TestHKappa:
         with pytest.raises(ValueError):
             h_kappa(0.5)
 
+    @pytest.mark.parametrize("fn, arg, message", [
+        (h_kappa, np.nan, "h_kappa is undefined at kappa = NaN"),
+        (h_kappa, [2.0, np.nan], "h_kappa is undefined at kappa = NaN"),
+        (tilde_h_maximizer, np.nan, "tilde_h_maximizer is undefined at z = NaN"),
+        (tilde_h_maximizer, [1.0, np.nan],
+         "tilde_h_maximizer is undefined at z = NaN"),
+    ])
+    def test_rejects_nan(self, fn, arg, message):
+        with pytest.raises(ValueError, match=message):
+            fn(arg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_kappa_takes_the_limit(self):
+        # a valid spectrum whose condition number overflows
+        assert Spectrum([1e-300, 1e10]).kappa == np.inf
+        assert h_kappa(np.inf) == np.inf
+        kappas = np.array([1.0, 8.0, np.inf, 1000.0])
+        got = h_kappa(kappas)
+        assert got[2] == np.inf
+        assert [h_kappa(k) for k in kappas[[0, 1, 3]]] == list(got[[0, 1, 3]])
+
 
 class TestCrossover:
     def test_z_star(self):

@@ -196,6 +196,20 @@ def _one_error_line(err):
 
 
 @pytest.mark.filterwarnings("error")
+def test_risk_curve_refuses_a_design_whose_gram_overflows(tmp_path, capsys):
+    # X'X/n = 1e308 everywhere, whose spectrum [0, 2e308] would otherwise be
+    # clamped to [0, 0] and give a finite curve
+    xp, bp = tmp_path / "X.csv", tmp_path / "b0.csv"
+    xp.write_text("1e154,1e154\n")
+    bp.write_text("1\n1\n")
+    assert run(["risk-curve", "--design", str(xp), "--kind", "gf",
+                "--grid", "0.1,1,3", "--beta0", str(bp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "X'X/n or its norm overflows" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("empty", ["design", "beta0", "response"])
 @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
 def test_empty_csv_input_exits_2_without_warning(tmp_path, instance_files,

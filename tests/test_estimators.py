@@ -139,6 +139,19 @@ def test_every_family_refuses_a_bad_parameter(kind, bad, small_instance):
         estimate(design, kind, [1.0, bad])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", FLOWS)
+def test_a_flow_whose_argument_overflows_reaches_least_squares(kind):
+    # s = 1e10 and 4e20 at t = 1e300: t s, t sqrt(s) and t sqrt(s - mu)
+    # overflow for s = 4e20, so the largest time picks the limit formulas
+    # and every factor is 0 (exp(-t sqrt(mu)) == 0 for heavy ball)
+    x = np.diag(np.sqrt([2e10, 8e20]))
+    design = attach_response(design_decompose(x), x, np.ones(2))
+    s, c = design.spectrum.eigenvalues, design.rotated_channel
+    path = estimate(design, kind, [1.0, 1e300])
+    assert np.array_equal(path[1], design.v_basis @ (c / s))
+
+
 class TestCouplingGap:
     def test_zero_response_convention(self, small_instance):
         design, x, _, _ = small_instance
@@ -283,20 +296,37 @@ class TestCouplingMatchesReference:
 
     T_GRID = np.concatenate([np.logspace(-3, 4, 36), [1e-200, 1e200]])
 
+    @staticmethod
+    def _assert_bit_for_bit(design, kind, t_grid):
+        """The grid form and the scalar form at each t against the reference."""
+        got = coupling_gap(design, kind, t_grid)
+        want = coupling_gap_reference(design, kind, t_grid)
+        assert [_hex(g) for g in got] == [_hex(w) for w in want]
+        for t in t_grid:
+            got = coupling_gap(design, kind, float(t))
+            want = coupling_gap_reference(design, kind, float(t))
+            assert all(type(v) is float for v in got)
+            assert _hex(got) == _hex(want)
+
     @pytest.mark.filterwarnings("error")
     def test_values_bit_for_bit(self):
         full, deficient = _realizations()
         cases = [(d, kind) for d in full for kind in COUPLED]
         cases += [(d, FlowKind.ACCELERATED_FLOW) for d in deficient]
         for design, kind in cases:
-            got = coupling_gap(design, kind, self.T_GRID)
-            want = coupling_gap_reference(design, kind, self.T_GRID)
-            assert [_hex(g) for g in got] == [_hex(w) for w in want]
-            for t in self.T_GRID:
-                got = coupling_gap(design, kind, float(t))
-                want = coupling_gap_reference(design, kind, float(t))
-                assert all(type(v) is float for v in got)
-                assert _hex(got) == _hex(want)
+            self._assert_bit_for_bit(design, kind, self.T_GRID)
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_bit_for_bit_on_the_oracle_benchmark_shapes(self):
+        # realizations of q = 1..8 columns and q + 6 rows, as the benchmark's
+        # oracle workload draws them (perfbench/workloads.py), at its 40 times
+        rng = np.random.default_rng(4)
+        for q in range(1, 9):
+            x = rng.standard_normal((q + 6, q))
+            y = x @ rng.standard_normal(q) + rng.standard_normal(q + 6)
+            design = attach_response(design_decompose(x), x, y)
+            for kind in COUPLED:
+                self._assert_bit_for_bit(design, kind, np.logspace(-2, 3, 40))
 
     def test_rank_deficient_realizations_have_a_null_direction(self):
         _, deficient = _realizations()
@@ -332,6 +362,14 @@ class TestCouplingMatchesReference:
         ("nest", "full", [[np.nan]], "path parameters must be 1-D"),
         ("hb", "deficient", np.nan, "path parameter must be finite and >= 0"),
         ("hb", "deficient", [[1.0]], "path parameters must be 1-D"),
+        # 0-d forms, checked by float comparisons
+        ("nest", "full", -0.0, "t must be > 0"),
+        ("hb", "full", 0, "t must be > 0"),
+        ("nest", "full", np.array(np.nan), "path parameter must be finite and >= 0"),
+        ("hb", "full", np.array(np.inf), "path parameter must be finite and >= 0"),
+        ("hb", "deficient", np.array(np.nan), "path parameter must be finite and >= 0"),
+        ("hb", "deficient", np.array(np.inf), "path parameter must be finite and >= 0"),
+        ("nest", "bare", np.float64(-1.0), "t must be > 0"),
     ])
     def test_refusals(self, kind, which, t, message):
         full, deficient = _realizations()

@@ -157,6 +157,21 @@ class TestDesignDecompose:
         s = d.spectrum.eigenvalues
         assert s[0] == 0.0 and s[1] == pytest.approx(4e300, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [
+        # X'X/n = 1e308 everywhere: its norm and top eigenvalue 2e308 overflow
+        np.full((1, 2), 1e154),
+        # X'X/n itself overflows in the matmul
+        np.full((1, 2), 1.4e154),
+        # a finite X'X/n and norm whose top eigenvalue eigh rounds up to inf
+        np.array([[4.523196619634543e+153, 4.577488789512308e+153,
+                   6.5900901566322424e+153, 5.522178756597889e+153,
+                   5.125551937268618e+153, 6.177505407059315e+153]]),
+    ], ids=["norm", "gram", "eigenvalue"])
+    def test_refuses_a_design_whose_gram_overflows(self, x):
+        with pytest.raises(ValueError, match="X'X/n or its norm overflows"):
+            design_decompose(x)
+
 
 class TestAttachResponse:
     def test_zero_response(self, small_instance):

@@ -5,6 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from flowrisk import shrinkage
+from flowrisk.estimators import coupling_gap
+from flowrisk.linalg import Spectrum, attach_response, design_decompose
+from flowrisk.risk import SignalModel, risk_curve
 from flowrisk.shrinkage import (
     FlowKind,
     _sinc,
@@ -300,3 +304,48 @@ class TestProfile:
         assert FlowKind.parse("heavy_ball_flow") is FlowKind.HEAVY_BALL_FLOW
         with pytest.raises(ValueError):
             FlowKind.parse("sgd")
+
+
+class TestTracedKernels:
+    """The formula table calls the public J1 and heavy-ball kernels through
+    the shrinkage module's globals, so a tracer that swaps those globals
+    sees every evaluation of factor_block, coupling_gap and risk_curve."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"j1_ratio": 0, "hb_kernel": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(shrinkage, name,
+                                counting(name, getattr(shrinkage, name)))
+        return calls
+
+    # t = 1e300 makes t sqrt(s) overflow, which takes the limit formulas
+    @pytest.mark.parametrize("t", [2.0, 1e300])
+    def test_factor_block(self, monkeypatch, t):
+        calls = self._count(monkeypatch)
+        factor_block(NEST, [0.5, 1e10], t)
+        factor_block(HB, [0.5, 1.0], 2.0, mu=0.5)
+        assert calls == {"j1_ratio": 1, "hb_kernel": 1}
+
+    def test_coupling_gap(self, monkeypatch):
+        x = np.random.default_rng(3).standard_normal((8, 3))
+        design = attach_response(design_decompose(x), x, np.ones(8))
+        calls = self._count(monkeypatch)
+        coupling_gap(design, NEST, 1.5)
+        coupling_gap(design, HB, [0.5, 1.5])
+        assert calls == {"j1_ratio": 1, "hb_kernel": 1}
+
+    def test_risk_curve(self, monkeypatch):
+        spectrum = Spectrum([0.5, 1.0, 2.0])
+        signal = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=10)
+        calls = self._count(monkeypatch)
+        risk_curve(spectrum, signal, NEST, [0.5, 1.0])
+        risk_curve(spectrum, signal, HB, [0.5, 1.0])
+        assert calls == {"j1_ratio": 1, "hb_kernel": 1}
