@@ -84,6 +84,10 @@ else rises to x* and then falls (case 3, z >= 1).  The classifier
 evaluates h~ only at x_- and x*, and checks the strict inequalities the
 cases rest on: h~(x_-) < min(1, h~(x*)) in case 2, h~(x*) > 1 in case 3.
 
+The 49/64 scan grid (144,983 points, 1.16 MB) is built on the first
+certification in a process, not at import, and kept read-only for the
+later ones, one grid per tail value.
+
 Every certifier returns a Certified record, or a tuple of them: the name
 of the CHECKS row it answers, the value, and where the value was found.
 CHECKS, the certification table, holds the paper values and tolerances and
@@ -94,6 +98,7 @@ branch) is a guard: a RuntimeError when it fails.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -332,11 +337,19 @@ def _param_error_grid() -> np.ndarray:
     """The points of np.logspace(-8, 4, 200000) up to _PARAM_ERROR_TAIL.
 
     Built as np.logspace builds them (10 ** (i * step - 8)), so they are
-    the same doubles, without the points past the tail (tail < 1e4).
+    the same doubles, without the points past the tail (tail < 1e4).  The
+    grid is built once per tail value and process, and is read-only.
     """
-    count = int((np.log10(_PARAM_ERROR_TAIL) + 8.0) / _PARAM_ERROR_STEP) + 2
+    return _logspace_prefix(_PARAM_ERROR_TAIL)
+
+
+@functools.lru_cache(maxsize=2)
+def _logspace_prefix(tail: float) -> np.ndarray:
+    count = int((np.log10(tail) + 8.0) / _PARAM_ERROR_STEP) + 2
     xs = 10.0 ** (np.arange(count, dtype=float) * _PARAM_ERROR_STEP - 8.0)
-    return xs[xs <= _PARAM_ERROR_TAIL]
+    xs = xs[xs <= tail]
+    xs.flags.writeable = False
+    return xs
 
 
 def nest_param_error_constant() -> Certified:
@@ -476,16 +489,18 @@ def tilde_h(x, z):
 def tilde_h_maximizer(z):
     """Interior critical point x* = (z + sqrt(5 z^2 - 4))/2 (needs z >= 2/sqrt(5)).
 
-    A NaN z is refused by name.
+    A NaN z is refused by name; so is any z below 2/sqrt(5), z <= 0 (where
+    5 z^2 - 4 may be >= 0 again) before any arithmetic.
     """
     z = np.asarray(z, dtype=float)
-    disc = 5.0 * z * z - 4.0
-    if not (disc >= 0).all():
-        if np.isnan(z).any():
-            raise ValueError("tilde_h_maximizer is undefined at z = NaN")
-        raise ValueError("x* exists only for z >= 2/sqrt(5)")
-    out = (z + np.sqrt(disc)) / 2.0
-    return float(out) if out.ndim == 0 else out
+    if (z > 0).all():
+        disc = 5.0 * z * z - 4.0
+        if (disc >= 0).all():
+            out = (z + np.sqrt(disc)) / 2.0
+            return float(out) if out.ndim == 0 else out
+    if np.isnan(z).any():
+        raise ValueError("tilde_h_maximizer is undefined at z = NaN")
+    raise ValueError("x* exists only for z >= 2/sqrt(5)")
 
 
 @dataclass(frozen=True)

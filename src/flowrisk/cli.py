@@ -3,11 +3,18 @@
 Exit codes: 0 success, 1 a verification failed (a certified value left its
 tolerance, or the certifier could not produce one), 2 usage or
 configuration error.  All numeric output carries 17 significant digits.
+
+run parses with one parser per process, built by build_parser on the first
+run and reused by every later one (parse_args fills a new namespace each
+time and leaves the parser unchanged), so a process that runs several
+commands, a notebook or a test suite, builds it once.  A fresh process
+running one command still builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -276,10 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first run of this process."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # warnings the package logs (e.g. a skipped heavy-ball sweep) go to

@@ -57,13 +57,21 @@ def _spectral_rows(spectrum: Spectrum, c: np.ndarray, kind: FlowKind,
     (1 - g) c / s with g from the factor table, a ridge row c / (s + lambda);
     both are exactly 0 wherever s = 0, where c is rounding noise that
     c / lambda would otherwise amplify.  params are 1-D and not validated
-    here: flow times were checked by the caller, which passes their maximum
-    p_max, and ridge may get lambda = 0 or inf, its intended limits (its
-    row ignores p_max).
+    here, and the caller passes their maximum p_max: flow times were
+    checked by the caller, and ridge may get lambda = 0 or inf, its
+    intended limits.  Where s + lambda overflows, the ridge row is
+    (c/2) / (s/2 + lambda/2), as in shrinkage._ridge_limit; one float sum
+    of the largest s and p_max tells whether that can happen.
     """
     s = spectrum.eigenvalues
     if kind is FlowKind.RIDGE:
-        num, den = c, s + params[:, None]
+        lam = params[:, None]
+        if spectrum.big_l + float(p_max) == np.inf:
+            with np.errstate(over="ignore"):
+                half = np.where(np.isinf(s + lam), 0.5, 1.0)
+            num, den = c * half, s * half + lam * half
+        else:
+            num, den = c, s + lam
     else:
         num = (1.0 - _factor_rows(kind, s, params, spectrum.mu,
                                   spectrum.big_l, p_max)) * c
@@ -120,14 +128,16 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     # (1/t)(1/t) is the double numpy's (1/t)**2 gives.
     if scalar:
         inv = 1.0 / t_max
-        lam = np.array([inv * inv])
+        lam_max = inv * inv
+        lam = np.array([lam_max])
     else:
         with np.errstate(over="ignore"):
             lam = (1.0 / times) ** 2
+        lam_max = lam.max(initial=0.0)
     spectrum = design.spectrum
     positive = spectrum.eigenvalues > 0
     flow = _spectral_rows(spectrum, c, kind, times, t_max, positive)
-    ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, 0.0, positive)
+    ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, lam_max, positive)
     diff = flow - ridge
     gap = (diff * diff).sum(axis=1)
     ridge_norm_sq = (ridge * ridge).sum(axis=1)

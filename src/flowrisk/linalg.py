@@ -185,10 +185,15 @@ def design_decompose(x) -> SpectralDesign:
     # an entry that overflows to inf is refused below, by name
     with np.errstate(over="ignore"):
         sigma_hat = x.T @ x / n
+    # an inf (or an inf - inf NaN) entry is refused before the scaling
+    # below, which frexp(inf) would turn into a doubling
+    top = float(np.abs(sigma_hat).max())
+    if not top < np.inf:
+        raise ValueError(_GRAM_OVERFLOW)
     # ||sigma_hat||_F from sigma_hat / 2^k <= 2, whose squares cannot
     # overflow; a power of two scales exactly, so wherever the plain norm
-    # is finite this is the same double, and inf wherever an entry is
-    k = math.frexp(float(np.abs(sigma_hat).max()))[1] - 1
+    # is finite this is the same double
+    k = math.frexp(top)[1] - 1
     scale = float(np.linalg.norm(sigma_hat / 2.0 ** k)) * 2.0 ** k
     if not scale < np.inf:
         raise ValueError(_GRAM_OVERFLOW)

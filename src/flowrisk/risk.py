@@ -444,7 +444,7 @@ def _layouts(keys: np.ndarray) -> np.ndarray:
     for k in np.unique(new).tolist() if new.size else ():
         _LAYOUTS[k] = _layout(k // 17 + _E_LO, k % 17 + 1)
         _LAYOUT_READY[k] = True
-    return _LAYOUTS[keys]
+    return np.take(_LAYOUTS, keys, axis=0)
 
 
 def risk_csv_text(kind: FlowKind, curve: RiskCurve) -> str:

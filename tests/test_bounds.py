@@ -425,6 +425,24 @@ class TestTailCuts:
         assert np.array_equal(xs, full[:xs.size])
         assert full[xs.size - 1] <= bounds._PARAM_ERROR_TAIL < full[xs.size]
 
+    def test_param_error_grid_is_built_once_and_read_only(self, monkeypatch):
+        bounds._logspace_prefix.cache_clear()
+        first = nest_param_error_constant()
+        assert nest_param_error_constant() == first
+        info = bounds._logspace_prefix.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        xs = bounds._param_error_grid()
+        assert not xs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            xs[0] = 1.0
+        # a patched tail gets its own grid, the prefix up to the new tail
+        monkeypatch.setattr(bounds, "_PARAM_ERROR_TAIL", 1.0)
+        short = bounds._param_error_grid()
+        assert short is not xs and not short.flags.writeable
+        assert np.array_equal(short, xs[:short.size])
+        assert short[-1] <= 1.0 < xs[short.size]
+        assert bounds._param_error_grid() is short
+
     def test_hb_sups_match_the_two_pass_scan(self):
         got_f_sq, got_fm1_sq, _ = hb_quarter_plane()
         f_sq, fm1_sq = hb_sups_two_pass(bounds._hb_factor, bounds._HB_THETAS,
@@ -542,6 +560,22 @@ class TestHKappa:
     def test_rejects_nan(self, fn, arg, message):
         with pytest.raises(ValueError, match=message):
             fn(arg)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [-1.0, -5.0, -np.inf, 0.0, -0.0, 0.5,
+                                   [1.0, -5.0]])
+    def test_maximizer_refuses_z_below_its_domain(self, z):
+        # 5 z^2 - 4 >= 0 again at z <= -2/sqrt(5): a sign check comes first
+        with pytest.raises(ValueError,
+                           match=r"x\* exists only for z >= 2/sqrt\(5\)"):
+            tilde_h_maximizer(z)
+
+    def test_maximizer_keeps_its_bits(self):
+        zs = np.array([2.0 / np.sqrt(5.0), 0.9, 0.907, 1.0, 3.0, np.inf])
+        want = (zs + np.sqrt(5.0 * zs * zs - 4.0)) / 2.0
+        assert np.array_equal(tilde_h_maximizer(zs), want)
+        for z, w in zip(zs.tolist(), want.tolist()):
+            assert tilde_h_maximizer(z).hex() == w.hex()
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_kappa_takes_the_limit(self):

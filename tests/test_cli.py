@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import flowrisk
+from flowrisk import cli
 from flowrisk.cli import run
 from flowrisk.linalg import MAX_DOUBLES
 from flowrisk.plotting import load_plot_series, render_line_plot
@@ -201,6 +202,20 @@ def test_risk_curve_refuses_a_design_whose_gram_overflows(tmp_path, capsys):
     # clamped to [0, 0] and give a finite curve
     xp, bp = tmp_path / "X.csv", tmp_path / "b0.csv"
     xp.write_text("1e154,1e154\n")
+    bp.write_text("1\n1\n")
+    assert run(["risk-curve", "--design", str(xp), "--kind", "gf",
+                "--grid", "0.1,1,3", "--beta0", str(bp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "X'X/n or its norm overflows" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_risk_curve_refuses_a_gram_with_inf_and_finite_entries(tmp_path, capsys):
+    # X'X/n = [[inf, 1.4e308], [1.4e308, 1e308]]: refused before scaling
+    # by 2^k, which at an infinite maximum would double the matrix
+    xp, bp = tmp_path / "X.csv", tmp_path / "b0.csv"
+    xp.write_text("1.4e154,1e154\n")
     bp.write_text("1\n1\n")
     assert run(["risk-curve", "--design", str(xp), "--kind", "gf",
                 "--grid", "0.1,1,3", "--beta0", str(bp)]) == 2
@@ -609,3 +624,48 @@ def test_verify_constants_calls_each_certifier_once(monkeypatch, capsys):
     assert run(["verify-constants"]) == 0
     capsys.readouterr()
     assert calls == dict(dict.fromkeys(certifiers, 1), h_kappa=0)
+
+
+def test_two_runs_build_the_parser_once(monkeypatch, capsys):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        assert run(["special-eval", "--fn", "j1", "--x", "1.0"]) == 0
+        assert run(["shrink", "--kind", "gf", "--s", "1.0", "--t", "2.0"]) == 0
+        assert run(["no-such-command"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_a_tol_run_does_not_leak_into_the_next_run(capsys):
+    from flowrisk import bounds
+    assert run(["verify-constants", "--tol", "1e-9"]) == 1
+    assert {c["tolerance"] for c in json.loads(capsys.readouterr().out)["checks"]
+            if bounds.CHECKS[c["name"]].overridable} == {1e-9}
+    assert run(["verify-constants"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: c["tolerance"] for c in checks} == {
+        name: c.tolerance for name, c in bounds.CHECKS.items()}
+    assert all(c["pass"] for c in checks)
+
+
+def test_importing_the_cli_builds_neither_cached_object():
+    # the parser and the 49/64 grid are built on first use, not at import
+    src = Path(flowrisk.__file__).resolve().parents[1]
+    code = ("import flowrisk.cli as c, flowrisk.bounds as b; "
+            "print(c._parser.cache_info().currsize, "
+            "b._logspace_prefix.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]

@@ -4,7 +4,7 @@ import pytest
 from flowrisk.estimators import coupling_gap, estimate
 from flowrisk.linalg import attach_response, design_decompose
 from flowrisk.oracle import integrate_flow
-from flowrisk.shrinkage import FlowKind
+from flowrisk.shrinkage import FlowKind, factor_block
 
 from oracles import coupling_gap_reference, gauss_solve
 
@@ -395,3 +395,32 @@ class TestCouplingMatchesReference:
             assert all(np.isfinite(v) for v in got)
             assert _hex(got) == _hex(coupling_gap_reference(design, kind, t))
 
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_ridge_row_whose_s_plus_lambda_overflows_is_halved():
+    # s = [0, 1.69e308]: s + lambda overflows at lambda = 1e308, and at
+    # lambda = (1/t)^2 for t = 1e-154; the ridge coordinate is then
+    # (c/2) / (s/2 + lambda/2), exactly half of each term
+    x = np.array([[1.3e154, 0.0]])
+    design = attach_response(design_decompose(x), x, np.ones(1))
+    s, c = design.spectrum.eigenvalues, design.rotated_channel
+    assert s[0] == 0.0 and float(s[1]) + 1e308 == np.inf
+
+    def halved(lam):
+        return np.array([0.0, (0.5 * c[1]) / (0.5 * s[1] + 0.5 * lam)])
+
+    got = estimate(design, FlowKind.RIDGE, [1e308])[0]
+    assert np.isfinite(got).all() and got.any()
+    assert np.array_equal(got, design.v_basis @ halved(1e308))
+
+    t = 1e-154
+    ridge = halved((1.0 / t) ** 2)[1]
+    g = factor_block(FlowKind.ACCELERATED_FLOW, s[1], t)[0, 0]
+    gap = ((1.0 - g) * c[1] / s[1] - ridge) ** 2
+    want = (gap, ridge * ridge, gap / (ridge * ridge))
+    got = coupling_gap(design, FlowKind.ACCELERATED_FLOW, t)
+    assert all(np.isfinite(v) for v in got) and got[1] > 0.0
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
+    grid = coupling_gap(design, FlowKind.ACCELERATED_FLOW, np.array([t, 1.0]))
+    assert [float(v[0]).hex() for v in grid] == [v.hex() for v in got]

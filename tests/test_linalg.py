@@ -163,11 +163,16 @@ class TestDesignDecompose:
         np.full((1, 2), 1e154),
         # X'X/n itself overflows in the matmul
         np.full((1, 2), 1.4e154),
+        # X'X/n holds inf beside large finite entries, which a 2^k scaling
+        # taken from an infinite maximum would double past the largest double
+        np.array([[1.4e154, 1e154]]),
+        # an inf - inf in the matmul: X'X/n holds NaN
+        np.array([[1e200, 1e200], [1e200, -1e200]]),
         # a finite X'X/n and norm whose top eigenvalue eigh rounds up to inf
         np.array([[4.523196619634543e+153, 4.577488789512308e+153,
                    6.5900901566322424e+153, 5.522178756597889e+153,
                    5.125551937268618e+153, 6.177505407059315e+153]]),
-    ], ids=["norm", "gram", "eigenvalue"])
+    ], ids=["norm", "gram", "gram-inf-and-finite", "gram-nan", "eigenvalue"])
     def test_refuses_a_design_whose_gram_overflows(self, x):
         with pytest.raises(ValueError, match="X'X/n or its norm overflows"):
             design_decompose(x)
