@@ -99,6 +99,7 @@ branch) is a guard: a RuntimeError when it fails.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -474,26 +475,78 @@ def h_kappa(kappa):
     return float(out) if np.ndim(kappa) == 0 else out
 
 
+# tilde_h's direct form is exact to rounding, with no factor overflowing and
+# e^{-2q} a normal double, while 0 <= x <= 1e75 and q = x/z <= 354; z >= 1e-200
+# keeps x/z itself finite.  tilde_h_maximizer's 5 z^2 - 4 is finite, and the
+# 4 far below its ulp, past z = 1e150.
+_TILDE_H_X = 1e75
+_TILDE_H_Q = 354.0
+_TILDE_H_Z = 1e-200
+_X_STAR_Z = 1e150
+_PHI = (1.0 + np.sqrt(5.0)) / 2.0
+
+
 def tilde_h(x, z):
-    """Bias envelope (1+x^2)(x/z+1)^2 e^{-2x/z} at inverse rate z."""
+    """Bias envelope (1+x^2)(x/z+1)^2 e^{-2x/z} at inverse rate z.
+
+    The domain is finite x >= 0 and z > 0 (z = inf gives 1 + x^2); other
+    input, NaN included, is refused by name.  Past x = 1e75, x/z = 354 or
+    below z = 1e-200, where a factor could overflow or e^{-2x/z} leave the
+    normal range, the value is exp(2 log hypot(1, x) + 2 log1p(q) - 2q) at
+    q = min(x/z, 1e300): it falls to its limit 0 as x/z grows, and a value
+    past the largest double is refused.  Elsewhere it keeps its bits.
+    """
     x = np.asarray(x, dtype=float)
-    q = np.asarray(x / z)        # a fresh array (0-d too), reused in place
-    out = q + 1.0                # a numpy scalar for 0-d q
-    out **= 2                    # as before: np.square on arrays, pow on scalars
-    out *= 1.0 + x * x           # (1 + x^2)(q + 1)^2: products commute exactly
-    q *= -2.0                    # -2 x / z bit for bit: doubling is exact
+    if x.ndim == 0 and isinstance(z, float):   # float checks for scalars
+        xf, zf = float(x), float(z)
+        direct = 0.0 <= xf <= _TILDE_H_X and zf >= _TILDE_H_Z and xf / zf <= _TILDE_H_Q
+    else:
+        direct = (((x >= 0.0) & (x <= _TILDE_H_X)).all()
+                  and np.greater_equal(z, _TILDE_H_Z).all()
+                  and (x / z <= _TILDE_H_Q).all())
+    if not direct:
+        return _tilde_h_log(x, np.asarray(z, dtype=float))
+    q = np.asarray(x / z)    # a fresh array (0-d too), reused in place
+    out = q + 1.0            # a numpy scalar for 0-d q
+    out **= 2                # as before: np.square on arrays, pow on scalars
+    out *= 1.0 + x * x       # (1 + x^2)(q + 1)^2: products commute exactly
+    q *= -2.0                # -2 x / z bit for bit: doubling is exact
     out *= np.exp(q, out=q)
-    return out[()]               # a numpy scalar for scalar input
+    return out[()]           # a numpy scalar for scalar input
+
+
+def _tilde_h_log(x, z):
+    """tilde_h in log space, where its direct form may over- or underflow."""
+    if not ((x >= 0.0).all() and (x < np.inf).all() and (z > 0.0).all()):
+        raise ValueError("tilde_h requires finite x >= 0 and z > 0")
+    with np.errstate(over="ignore"):     # x/z is clamped; exp is checked
+        q = np.minimum(x / z, 1e300)
+        out = np.exp(2.0 * np.log(np.hypot(1.0, x)) + 2.0 * np.log1p(q)
+                     - 2.0 * q)
+    if np.isinf(out).any():
+        raise ValueError("tilde_h exceeds the largest double")
+    return out[()]
 
 
 def tilde_h_maximizer(z):
     """Interior critical point x* = (z + sqrt(5 z^2 - 4))/2 (needs z >= 2/sqrt(5)).
 
     A NaN z is refused by name; so is any z below 2/sqrt(5), z <= 0 (where
-    5 z^2 - 4 may be >= 0 again) before any arithmetic.
+    5 z^2 - 4 may be >= 0 again) before any arithmetic.  Past z = 1e150,
+    x* is phi z (phi the golden ratio), equal to rounding, so 5 z^2 never
+    overflows; z = inf gives inf, and a finite z above 1e308, whose x*
+    would pass the largest double, is refused.  A scalar in (0, 1e150] is
+    checked and evaluated in Python floats, the same doubles.
     """
     z = np.asarray(z, dtype=float)
-    if (z > 0).all():
+    if z.ndim == 0 and 0.0 < float(z) <= _X_STAR_Z:
+        zf = float(z)
+        disc = 5.0 * zf * zf - 4.0
+        if disc >= 0.0:
+            return (zf + math.sqrt(disc)) / 2.0
+    elif (z > 0).all():
+        if not (z <= _X_STAR_Z).all():
+            return _far_maximizer(z)
         disc = 5.0 * z * z - 4.0
         if (disc >= 0).all():
             out = (z + np.sqrt(disc)) / 2.0
@@ -501,6 +554,15 @@ def tilde_h_maximizer(z):
     if np.isnan(z).any():
         raise ValueError("tilde_h_maximizer is undefined at z = NaN")
     raise ValueError("x* exists only for z >= 2/sqrt(5)")
+
+
+def _far_maximizer(z):
+    """tilde_h_maximizer where every z > 0 and some z > 1e150."""
+    if ((z > 1e308) & (z < np.inf)).any():
+        raise ValueError("x* exceeds the largest double for z > 1e308")
+    far = z > _X_STAR_Z
+    out = np.where(far, z * _PHI, tilde_h_maximizer(np.where(far, 1.0, z)))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

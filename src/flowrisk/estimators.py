@@ -29,9 +29,21 @@ the caller, who got it while validating.  coupling_gap checks a scalar t
 by float comparisons and forms its lambda = (1/t)(1/t) in Python floats,
 with no numpy reduction; past that point a scalar is a one-point grid, and
 the flow and ridge rows share one s > 0 mask.
+
+No square in coupling_gap overflows.  |g| <= 1 for heavy ball and
+0 <= 1 - g <= 1.14 for the accelerated flow, so every flow coordinate is
+at most 2M and every ridge coordinate at most M, with M the design's
+channel_bound on |c_i| / s_i; a squared difference is at most 9 M^2 and a
+row sum at most 9 p M^2.  Where 16 p M^2 overflows, a Python float product
+computed per call, each row is scaled by a power of two just below its
+largest |entry| before squaring (J. L. Blue, ACM TOMS 4(1), 1978, the idea
+behind LAPACK's dnrm2).  Then only the gap and the ridge norm, where they
+pass the largest double, are inf; the ratio stays finite.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -139,6 +151,12 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     flow = _spectral_rows(spectrum, c, kind, times, t_max, positive)
     ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, lam_max, positive)
     diff = flow - ridge
+    bound = design.channel_bound
+    if 16.0 * spectrum.p * bound * bound == math.inf:
+        gap, ridge_norm_sq, ratio = _scaled_sums(diff, ridge)
+        if scalar:
+            return float(gap[0]), float(ridge_norm_sq[0]), float(ratio[0])
+        return gap, ridge_norm_sq, ratio
     gap = (diff * diff).sum(axis=1)
     ridge_norm_sq = (ridge * ridge).sum(axis=1)
     if scalar:
@@ -147,3 +165,27 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     ratio = np.divide(gap, ridge_norm_sq, out=np.zeros_like(gap),
                       where=ridge_norm_sq > 0)
     return gap, ridge_norm_sq, ratio
+
+
+def _row_sum_sq(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum of squares as (sum of (row/w)^2, w).
+
+    w is a power of two with every |entry| / w < 2 (a normal double at
+    least 2^-1022), so no square overflows and the division is exact
+    wherever its result is normal; the row's sum of squares is w^2 times
+    the first entry.
+    """
+    exponent = np.frexp(np.abs(rows).max(axis=1))[1] - 1
+    w = np.ldexp(1.0, np.clip(exponent, -1022, 1023))
+    scaled = rows / w[:, None]
+    return (scaled * scaled).sum(axis=1), w
+
+
+def _scaled_sums(diff: np.ndarray, ridge: np.ndarray):
+    """coupling_gap's (gap, ridge_norm_sq, ratio) with rows scaled first."""
+    gap, w_gap = _row_sum_sq(diff)
+    norm_sq, w_norm = _row_sum_sq(ridge)
+    ratio = np.divide(gap, norm_sq, out=np.zeros_like(gap), where=norm_sq > 0)
+    with np.errstate(over="ignore"):   # a gap or norm past the largest double
+        ratio *= (w_gap / w_norm) ** 2
+        return gap * w_gap * w_gap, norm_sq * w_norm * w_norm, ratio

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import MAX_DOUBLES, SpectralDesign, Spectrum, design_decompose
-from .risk import SignalModel, risk_curve, write_risk_csv
+from .risk import SignalModel, _rewrite, risk_curve, write_risk_csv
 from .rng import SeededStream, derive_seed
 from .shrinkage import FlowKind
 
@@ -396,8 +396,11 @@ def figure_sweep(config: ExperimentConfig, bayes: bool = False) -> dict:
 
     Returns {design_label: {kind_token: curve}}.  When config.output_dir is
     set, also writes <label>_<kind>.csv files plus manifest.json with a
-    git-style blob hash of every output.  Heavy-ball sweeps are skipped
-    with a logged warning on designs whose smallest eigenvalue is zero.
+    git-style blob hash of every output.  A rerun into the same directory
+    rewrites each file in place and truncates it after the write
+    (risk._rewrite), so it keeps its inode and mode, and nothing is
+    fsynced.  Heavy-ball sweeps are skipped with a logged warning on
+    designs whose smallest eigenvalue is zero.
     """
     dataset: dict = {}
     for label, spec in zip(_unique_labels(config.design), config.design):
@@ -433,7 +436,6 @@ def figure_sweep(config: ExperimentConfig, bayes: bool = False) -> dict:
             "sigma_sq": SIGMA_SQ,
             "outputs": hashes,
         }
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _rewrite(out / "manifest.json", text.encode("ascii"))
     return dataset

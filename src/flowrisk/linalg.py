@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,7 +111,11 @@ class SpectralDesign:
     """A least-squares design in spectral coordinates.
 
     v_basis columns are the eigenvectors of X'X/n matching the spectrum
-    order.  rotated_channel, when present, holds c = V' X' y / n.
+    order.  rotated_channel, when present, holds c = V' X' y / n, which
+    must be finite.  channel_bound, computed here once per design, bounds
+    every |c_i| / s_i with s_i > 0: the largest |c_i| over the smallest
+    positive eigenvalue, inf where that quotient overflows, 0 with no
+    response or no positive eigenvalue.
     """
 
     n: int
@@ -119,6 +123,7 @@ class SpectralDesign:
     spectrum: Spectrum
     v_basis: np.ndarray
     rotated_channel: np.ndarray | None = None
+    channel_bound: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
@@ -136,7 +141,15 @@ class SpectralDesign:
             c = np.asarray(self.rotated_channel, dtype=float)
             if c.shape != (self.p,):
                 raise ValueError("rotated_channel must have length p")
+            if not np.isfinite(c).all():
+                raise ValueError("rotated_channel has non-finite entries")
             object.__setattr__(self, "rotated_channel", c)
+            s = self.spectrum.eigenvalues
+            k = int(np.searchsorted(s, 0.0, side="right"))   # first s > 0
+            if k < self.p:
+                # a Python float quotient overflows to inf with no warning
+                object.__setattr__(self, "channel_bound",
+                                   float(np.abs(c).max()) / float(s[k]))
 
     @property
     def has_response(self) -> bool:
@@ -206,7 +219,10 @@ def design_decompose(x) -> SpectralDesign:
 
 
 def attach_response(design: SpectralDesign, x, y) -> SpectralDesign:
-    """Attach the rotated response channel c = V' X' y / n to a design."""
+    """Attach the rotated response channel c = V' X' y / n to a design.
+
+    A non-finite y, or a channel that overflows, is refused by name.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.shape != (design.n, design.p):
@@ -217,7 +233,9 @@ def attach_response(design: SpectralDesign, x, y) -> SpectralDesign:
         raise ValueError(f"response length {y.size} does not match n = {design.n}")
     if not np.isfinite(y).all():
         raise ValueError("response has non-finite entries")
-    channel = design.v_basis.T @ (x.T @ y) / design.n
+    # a channel past the largest double is refused by SpectralDesign, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        channel = design.v_basis.T @ (x.T @ y) / design.n
     return replace(design, rotated_channel=channel)
 
 

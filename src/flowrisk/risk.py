@@ -37,6 +37,7 @@ tie go through "%" one at a time.
 from __future__ import annotations
 
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -473,9 +474,33 @@ def risk_csv_text(kind: FlowKind, curve: RiskCurve) -> str:
     return f"{RISK_CSV_HEADER}\n" + rows[rows != 0].tobytes().decode("ascii")
 
 
+def _open_untruncated(path, flags: int) -> int:
+    """os.open with the flags open() passes, less O_TRUNC, and its mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _rewrite(path, data: bytes) -> None:
+    """Make the file at path hold exactly data, rewriting it in place.
+
+    The file is opened as open(path, "wb") opens it but without O_TRUNC,
+    written from its start, then truncated at the end of data.  The bytes,
+    inode, mode bits (0o666 less the umask for a new file) and
+    symlink-following are those of open(path, "w"), but a rerun never
+    truncates a file to zero before rewriting it: on ext4 (auto_da_alloc)
+    that truncation makes the close start writeback.  Nothing is fsynced.
+    """
+    with open(path, "wb", opener=_open_untruncated) as fh:
+        fh.write(data)
+        fh.truncate()
+
+
 def write_risk_csv(path, kind: FlowKind, curve: RiskCurve) -> bytes:
-    """Write risk_csv_text(kind, curve) to path; return the bytes written."""
-    text = risk_csv_text(kind, curve)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    return text.encode("ascii")
+    """Write risk_csv_text(kind, curve) to path; return the bytes written.
+
+    The text is encoded once, and the file is rewritten in place (an
+    existing one keeps its inode and mode, and a longer one is truncated
+    after the write), as experiments.figure_sweep does for its manifest.
+    """
+    data = risk_csv_text(kind, curve).encode("ascii")
+    _rewrite(path, data)
+    return data

@@ -27,8 +27,8 @@ from flowrisk.bounds import (
 )
 from flowrisk.cli import run
 from flowrisk.linalg import Spectrum
-from flowrisk.risk import SignalModel
-from flowrisk.shrinkage import hb_kernel_complement
+from flowrisk.risk import SignalModel, optimal_ridge_bayes_risk, risk_curve
+from flowrisk.shrinkage import FlowKind, hb_kernel_complement
 from flowrisk.special import j1_ratio_complement
 from oracles import (
     SCAN_POINTS,
@@ -83,6 +83,37 @@ class TestInflationConstants:
                                                 np.logspace(-3.0, 1.0, 800),
                                                 np.logspace(-8.0, 6.0, 8000))
         assert abs(base.value - dense) < 1e-3
+
+
+@pytest.fixture(scope="module")
+def certified_inflation():
+    return {FlowKind.GRADIENT_FLOW: gf_inflation_constant(),
+            FlowKind.ACCELERATED_FLOW: nest_inflation_constant()}
+
+
+# t in terms of the certifier's tau and the ridge-optimal lambda: the
+# objectives are the Bayes risk ratios at x = s / lambda under these maps
+TUNING = {FlowKind.GRADIENT_FLOW: lambda tau, lam: tau / lam,
+          FlowKind.ACCELERATED_FLOW: lambda tau, lam: tau / math.sqrt(lam)}
+
+
+@pytest.mark.parametrize("kind", list(TUNING), ids=lambda k: k.value)
+@pytest.mark.parametrize("p, n, r_sq", [(1, 10, 1.0), (7, 50, 2.0),
+                                        (40, 100, 0.5)])
+def test_certified_witness_is_the_programs_own_risk_ratio(
+        certified_inflation, kind, p, n, r_sq):
+    # p equal eigenvalues at x* lambda*: the flow's Bayes risk at the tuned
+    # time over the optimal ridge risk is the certified objective at
+    # (tau*, x*), so it must equal the certified value to rounding
+    record = certified_inflation[kind]
+    tau, x = record.at
+    prior = SignalModel.prior(r_sq=r_sq, sigma_sq=1.0, n=n)
+    _, lam = optimal_ridge_bayes_risk(Spectrum(np.ones(p)), prior)  # 1/alpha
+    spectrum = Spectrum(np.full(p, x * lam))
+    floor, _ = optimal_ridge_bayes_risk(spectrum, prior)
+    t = TUNING[kind](tau, lam)
+    ratio = risk_curve(spectrum, prior, kind, [t]).risk[0] / floor
+    assert abs(ratio - record.value) <= 4 * np.spacing(record.value)
 
 
 def _counting(monkeypatch, name):
@@ -586,6 +617,85 @@ class TestHKappa:
         got = h_kappa(kappas)
         assert got[2] == np.inf
         assert [h_kappa(k) for k in kappas[[0, 1, 3]]] == list(got[[0, 1, 3]])
+
+
+def tilde_h_mp(x, z):
+    """tilde_h in 40-digit arithmetic, rounded once."""
+    with mpmath.workdps(40):
+        x, q = mpmath.mpf(x), mpmath.mpf(x) / mpmath.mpf(z)
+        return float((1 + x * x) * (q + 1) ** 2 * mpmath.exp(-2 * q))
+
+
+class TestTildeHDomain:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, z", [
+        (1.0, 1e-300), (1e300, 1e200), (1e160, 1e-160), (1e10, 1e-300),
+        (1.0, 1e-5), (1e160, 1e158), (1e150, 2.5e147), (0.0, 1e-300),
+        (1e-10, 1e-250), (1e80, 1e78), (1e75, 1e75 / 354.5), (1e200, 1e-100),
+    ])
+    def test_takes_its_limits_where_a_factor_overflows(self, x, z):
+        got = tilde_h(x, z)
+        assert np.isfinite(got)
+        assert got == pytest.approx(tilde_h_mp(x, z), rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_log_form_agrees_with_the_direct_form(self):
+        rng = np.random.default_rng(8)
+        x = 10.0 ** rng.uniform(-5.0, 75.0, 4000)
+        z = x / 10.0 ** rng.uniform(-5.0, np.log10(354.0), 4000)
+        direct = tilde_h(x, z)
+        assert np.allclose(bounds._tilde_h_log(x, z), direct, rtol=2e-13, atol=0)
+        for i in range(0, 4000, 400):
+            assert direct[i] == pytest.approx(tilde_h_mp(x[i], z[i]), rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, z", [
+        (-1.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, -1.0), (np.inf, 1.0),
+        (np.nan, 1.0), (1.0, np.nan), ([1.0, -1e-300], 1.0), (2e100, -np.inf),
+    ])
+    def test_refuses_input_outside_its_domain(self, x, z):
+        with pytest.raises(ValueError,
+                           match=r"tilde_h requires finite x >= 0 and z > 0"):
+            tilde_h(x, z)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, z", [(1e200, np.inf), (1e300, 1e300),
+                                      ([1.0, 1e160], 1e200)])
+    def test_refuses_a_value_past_the_largest_double(self, x, z):
+        with pytest.raises(ValueError, match="tilde_h exceeds the largest double"):
+            tilde_h(x, z)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_array_mixing_both_forms(self):
+        x = np.array([[0.5, 2.0, 1e160], [3.0, 1e300, 0.0]])
+        z = np.array([[0.9], [1e-300]])
+        got = tilde_h(x, z)
+        assert got.shape == (2, 3) and np.isfinite(got).all()
+        want = [[tilde_h_mp(xi, zi[0]) for xi in row] for row, zi in zip(x, z)]
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [1e150, 1.0000000000000002e150, 1e154, 1e200,
+                                   1e308])
+    def test_maximizer_is_phi_z_for_huge_z(self, z):
+        with mpmath.workdps(40):
+            want = float((mpmath.mpf(z) + mpmath.sqrt(5 * mpmath.mpf(z) ** 2 - 4))
+                         / 2)
+        assert tilde_h_maximizer(z) == pytest.approx(want, rel=4e-16)
+
+    @pytest.mark.filterwarnings("error")
+    def test_maximizer_of_a_mixed_array(self):
+        zs = np.array([1.0, 3.0, 1e200, np.inf])
+        got = tilde_h_maximizer(zs)
+        assert got[:2].tolist() == [tilde_h_maximizer(1.0), tilde_h_maximizer(3.0)]
+        assert got[2] == pytest.approx(1.618033988749895e200, rel=4e-16)
+        assert got[3] == np.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [1.2e308, np.finfo(float).max, [1.0, 1.5e308]])
+    def test_maximizer_refuses_a_z_whose_x_star_overflows(self, z):
+        with pytest.raises(ValueError, match="x\\* exceeds the largest double"):
+            tilde_h_maximizer(z)
 
 
 class TestCrossover:

@@ -424,3 +424,51 @@ def test_a_ridge_row_whose_s_plus_lambda_overflows_is_halved():
     assert [v.hex() for v in got] == [float(v).hex() for v in want]
     grid = coupling_gap(design, FlowKind.ACCELERATED_FLOW, np.array([t, 1.0]))
     assert [float(v[0]).hex() for v in grid] == [v.hex() for v in got]
+
+
+def tiny_design(shift: int):
+    """A 4 x 2 design with entries near 1e-122 (eigenvalues near 1e-244)
+    and a response near 2^shift 1e33: |c| / s is near 2^shift 1e154."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 2)) * 1e-122
+    y = np.ldexp(rng.standard_normal(4) * 1e33, shift)
+    return attach_response(design_decompose(x), x, y)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", (FlowKind.ACCELERATED_FLOW,
+                                  FlowKind.HEAVY_BALL_FLOW))
+def test_coupling_gap_scales_rows_whose_squares_would_overflow(kind):
+    design = tiny_design(0)
+    # the same channel times 2^-200 exactly, whose squares cannot overflow
+    # (nor, on this grid, underflow)
+    small = tiny_design(-200)
+    assert np.array_equal(small.rotated_channel,
+                          np.ldexp(design.rotated_channel, -200))
+    assert 16.0 * 2 * design.channel_bound * design.channel_bound == np.inf
+    assert 16.0 * 2 * small.channel_bound * small.channel_bound < 1e200
+    ts = np.array([1e-130, 1.0, 1e5, 1e130, 1e200])
+    gap, norm_sq, ratio = coupling_gap(design, kind, ts)
+    want = coupling_gap(small, kind, ts)
+    assert np.isfinite(ratio).all() and ratio[3] > 0.0
+    assert np.array_equal(ratio, want[2])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(gap, np.ldexp(want[0], 400))
+        assert np.array_equal(norm_sq, np.ldexp(want[1], 400))
+    assert norm_sq[3] == np.inf    # the ridge norm passes the largest double
+    one = coupling_gap(design, kind, 1e130)
+    assert [v.hex() for v in one] == [float(v[3]).hex()
+                                      for v in (gap, norm_sq, ratio)]
+
+
+def test_channel_bound_is_set_where_the_channel_is_attached(small_instance):
+    design, x, _, _ = small_instance
+    s, c = design.spectrum.eigenvalues, design.rotated_channel
+    assert design.channel_bound == float(np.abs(c).max()) / float(s[0])
+    assert design_decompose(x).channel_bound == 0.0
+    # a rank-deficient design divides by its smallest positive eigenvalue
+    wide = np.random.default_rng(1).standard_normal((3, 5))
+    d = attach_response(design_decompose(wide), wide, np.ones(3))
+    s, c = d.spectrum.eigenvalues, d.rotated_channel
+    assert s[1] == 0.0 < s[2]
+    assert d.channel_bound == float(np.abs(c).max()) / float(s[2])

@@ -232,6 +232,43 @@ class TestFigureSweep:
         second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert first == second
 
+    def test_rerun_rewrites_each_file_in_place(self, tmp_path):
+        cfg = small_config(tmp_path)
+        figure_sweep(cfg)
+        first = {p.name: (p.stat().st_ino, p.read_bytes())
+                 for p in tmp_path.iterdir()}
+        figure_sweep(cfg)
+        second = {p.name: (p.stat().st_ino, p.read_bytes())
+                  for p in tmp_path.iterdir()}
+        assert first == second
+
+    def test_rerun_over_longer_files_truncates_them(self, tmp_path):
+        cfg = small_config(tmp_path)
+        figure_sweep(cfg)
+        want = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for name, data in want.items():
+            (tmp_path / name).write_bytes(data + b"stale tail\n" * 100)
+        figure_sweep(cfg)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == want
+
+    def test_manifest_is_the_sorted_json_text(self, tmp_path):
+        cfg = small_config(tmp_path)
+        figure_sweep(cfg)
+        text = (tmp_path / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert set(manifest) == {"config", "bayes", "sigma_sq", "outputs"}
+
+    def test_fresh_directory_gets_every_file(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        cfg = small_config(out)
+        dataset = figure_sweep(cfg)
+        names = {f"{label}_{token}.csv"
+                 for label in dataset for token in dataset[label]}
+        assert {p.name for p in out.iterdir()} == names | {"manifest.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == names
+
     def test_manifest_hashes_match_files(self, tmp_path):
         cfg = small_config(tmp_path)
         figure_sweep(cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowrisk.linalg import (
+    SpectralDesign,
     Spectrum,
     attach_response,
     design_decompose,
@@ -212,6 +213,26 @@ class TestAttachResponse:
         y[1] = bad
         with pytest.raises(ValueError, match="^response has non-finite entries$"):
             attach_response(design, x, y)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, y", [
+        ([[1e150], [1e150]], [1e200, 1e200]),
+        (np.random.default_rng(0).standard_normal((5, 3)) * 1e150,
+         np.full(5, 1e200)),
+    ], ids=["one-column", "rotated"])
+    def test_refuses_a_channel_that_overflows(self, x, y):
+        x = np.asarray(x)
+        with pytest.raises(ValueError,
+                           match="^rotated_channel has non-finite entries$"):
+            attach_response(design_decompose(x), x, np.asarray(y))
+
+    def test_a_spectral_design_refuses_a_non_finite_channel(self, small_instance):
+        design = small_instance[0]
+        c = design.rotated_channel.copy()
+        c[0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectralDesign(design.n, design.p, design.spectrum,
+                           design.v_basis, c)
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 
 import numpy as np
@@ -331,6 +332,61 @@ def test_write_risk_csv_returns_the_bytes_written(tmp_path):
     data = write_risk_csv(path, FlowKind.HEAVY_BALL_FLOW, curve)
     assert data == path.read_bytes() == risk_csv_text(
         FlowKind.HEAVY_BALL_FLOW, curve).encode()
+
+
+def test_write_risk_csv_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"x" * 5000)
+    inode = path.stat().st_ino
+    data = write_risk_csv(path, FlowKind.RIDGE, csv_curve([0.5, 2.0]))
+    assert len(data) < 5000
+    assert path.read_bytes() == data
+    assert path.stat().st_ino == inode
+
+
+def test_write_risk_csv_never_opens_with_o_trunc(tmp_path, monkeypatch):
+    flags = []
+    real_open = risk.os.open
+
+    def recording_open(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(risk.os, "open", recording_open)
+    path = tmp_path / "c.csv"
+    for _ in range(2):     # a fresh file, then a rerun over it
+        write_risk_csv(path, FlowKind.RIDGE, csv_curve([0.5, 2.0]))
+    assert len(flags) == 2
+    assert all(f & os.O_CREAT and f & os.O_WRONLY and not f & os.O_TRUNC
+               for f in flags)
+
+
+def test_write_risk_csv_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"y" * 3000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    data = write_risk_csv(link, FlowKind.GRADIENT_FLOW, csv_curve([1.0]))
+    assert link.is_symlink()
+    assert target.read_bytes() == data
+
+
+def test_write_risk_csv_keeps_an_existing_files_mode(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"old")
+    path.chmod(0o640)
+    write_risk_csv(path, FlowKind.GRADIENT_FLOW, csv_curve([1.0]))
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_write_risk_csv_creates_a_file_as_open_w_does(tmp_path):
+    made = tmp_path / "made.csv"
+    opened = tmp_path / "opened.csv"
+    data = write_risk_csv(made, FlowKind.GRADIENT_FLOW, csv_curve([1.0]))
+    with open(opened, "w"):
+        pass
+    assert made.read_bytes() == data
+    assert made.stat().st_mode == opened.stat().st_mode
 
 
 @pytest.fixture
