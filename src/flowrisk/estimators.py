@@ -35,10 +35,13 @@ No square in coupling_gap overflows.  |g| <= 1 for heavy ball and
 at most 2M and every ridge coordinate at most M, with M the design's
 channel_bound on |c_i| / s_i; a squared difference is at most 9 M^2 and a
 row sum at most 9 p M^2.  Where 16 p M^2 overflows, a Python float product
-computed per call, each row is scaled by a power of two just below its
-largest |entry| before squaring (J. L. Blue, ACM TOMS 4(1), 1978, the idea
-behind LAPACK's dnrm2).  Then only the gap and the ridge norm, where they
-pass the largest double, are inf; the ratio stays finite.
+computed per call, each t's diff and ridge rows are divided by one power
+of two at their largest |entry| before the one reduction, and gap and
+norm multiplied back by its square (J. L. Blue, ACM TOMS 4(1), 1978, the
+idea behind LAPACK's dnrm2); so are the rows whose plain ridge norm is
+below 2^-968, where squares may have underflowed.  Then only the gap and
+the ridge norm, where they pass the largest double, are inf, never the
+ratio.
 """
 
 from __future__ import annotations
@@ -48,9 +51,12 @@ import math
 import numpy as np
 
 from .linalg import SpectralDesign, Spectrum
-from .shrinkage import FlowKind, _factor_rows, _path_params
+from .shrinkage import FlowKind, _factor_rows, _path_params, _ridge_terms
 
 __all__ = ["estimate", "coupling_gap"]
+
+# 2^54 times the smallest normal double: a smaller ridge norm is rescaled
+_TINY_NORM_SQ = 2.0 ** -968
 
 
 def _require_response(design: SpectralDesign) -> np.ndarray:
@@ -71,17 +77,15 @@ def _spectral_rows(spectrum: Spectrum, c: np.ndarray, kind: FlowKind,
     c / lambda would otherwise amplify.  params are 1-D and not validated
     here, and the caller passes their maximum p_max: flow times were
     checked by the caller, and ridge may get lambda = 0 or inf, its
-    intended limits.  Where s + lambda overflows, the ridge row is
-    (c/2) / (s/2 + lambda/2), as in shrinkage._ridge_limit; one float sum
-    of the largest s and p_max tells whether that can happen.
+    intended limits.  Where s + lambda overflows, the ridge row follows
+    shrinkage's one rule, _ridge_terms; one float sum of the largest s and
+    p_max tells whether that can happen.
     """
     s = spectrum.eigenvalues
     if kind is FlowKind.RIDGE:
         lam = params[:, None]
         if spectrum.big_l + float(p_max) == np.inf:
-            with np.errstate(over="ignore"):
-                half = np.where(np.isinf(s + lam), 0.5, 1.0)
-            num, den = c * half, s * half + lam * half
+            num, den = _ridge_terms(c, s, lam)
         else:
             num, den = c, s + lam
     else:
@@ -98,16 +102,21 @@ def estimate(design: SpectralDesign, kind: FlowKind, params) -> np.ndarray:
     params are times for the flows and penalties for ridge, each finite and
     >= 0; ridge at lambda = 0 also needs a full-rank spectrum.  Returns a
     (len(params), p) array in the original basis; every flow row at t = 0
-    is exactly zero.
+    is exactly zero.  A coefficient past the largest double (where a
+    |c_i| / s_i does) is a ValueError.
     """
     params, p_max = _path_params(params)
     if (kind is FlowKind.RIDGE and (params == 0.0).any()
             and design.spectrum.mu == 0.0):
         raise ValueError("lambda = 0 requires a full-rank spectrum")
     spectrum = design.spectrum
-    rows = _spectral_rows(spectrum, _require_response(design), kind, params,
-                          p_max, spectrum.eigenvalues > 0)
-    return (design.v_basis @ rows.T).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _spectral_rows(spectrum, _require_response(design), kind,
+                              params, p_max, spectrum.eigenvalues > 0)
+        out = (design.v_basis @ rows.T).T
+    if not np.isfinite(out).all():
+        raise ValueError(f"a {kind.value} coefficient passes the largest double")
+    return out
 
 
 def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
@@ -123,7 +132,7 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     and finiteness of t (_path_params), then heavy ball's mu > 0.  A scalar
     t (0-d) is checked by float comparisons and its lambda formed in Python
     floats; a grid is checked by numpy comparisons and one min/max pair.
-    Past validation both take one arithmetic path, over one s > 0 mask.
+    Past validation both take one path: one s > 0 mask, one reduction.
     """
     if kind not in (FlowKind.ACCELERATED_FLOW, FlowKind.HEAVY_BALL_FLOW):
         raise ValueError("coupling_gap is defined for the accelerated and "
@@ -152,40 +161,34 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, lam_max, positive)
     diff = flow - ridge
     bound = design.channel_bound
+    w = None
     if 16.0 * spectrum.p * bound * bound == math.inf:
-        gap, ridge_norm_sq, ratio = _scaled_sums(diff, ridge)
-        if scalar:
-            return float(gap[0]), float(ridge_norm_sq[0]), float(ratio[0])
-        return gap, ridge_norm_sq, ratio
-    gap = (diff * diff).sum(axis=1)
-    ridge_norm_sq = (ridge * ridge).sum(axis=1)
+        w = _scale(diff, ridge)
+    else:
+        gap, norm_sq = (diff * diff).sum(axis=1), (ridge * ridge).sum(axis=1)
+        if ((float(norm_sq[0]) < _TINY_NORM_SQ) if scalar
+                else (norm_sq < _TINY_NORM_SQ).any()):
+            tiny = norm_sq < _TINY_NORM_SQ   # the other rows keep w = 1
+            w = np.where(tiny[:, None], _scale(diff, ridge), 1.0)
+    if w is not None:
+        diff, ridge = diff / w, ridge / w
+        gap, norm_sq = (diff * diff).sum(axis=1), (ridge * ridge).sum(axis=1)
     if scalar:
-        gap, norm_sq = float(gap[0]), float(ridge_norm_sq[0])
-        return gap, norm_sq, gap / norm_sq if norm_sq > 0 else 0.0
-    ratio = np.divide(gap, ridge_norm_sq, out=np.zeros_like(gap),
-                      where=ridge_norm_sq > 0)
-    return gap, ridge_norm_sq, ratio
+        gap, norm_sq = float(gap[0]), float(norm_sq[0])
+        ratio = gap / norm_sq if norm_sq > 0 else 0.0
+    else:
+        ratio = np.divide(gap, norm_sq, out=np.zeros_like(gap),
+                          where=norm_sq > 0)
+    if w is not None:   # gap and norm past the largest double are inf
+        w = float(w[0, 0]) if scalar else w[:, 0]
+        with np.errstate(over="ignore"):
+            gap, norm_sq = gap * w * w, norm_sq * w * w
+    return gap, norm_sq, ratio
 
 
-def _row_sum_sq(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's sum of squares as (sum of (row/w)^2, w).
-
-    w is a power of two with every |entry| / w < 2 (a normal double at
-    least 2^-1022), so no square overflows and the division is exact
-    wherever its result is normal; the row's sum of squares is w^2 times
-    the first entry.
-    """
-    exponent = np.frexp(np.abs(rows).max(axis=1))[1] - 1
-    w = np.ldexp(1.0, np.clip(exponent, -1022, 1023))
-    scaled = rows / w[:, None]
-    return (scaled * scaled).sum(axis=1), w
-
-
-def _scaled_sums(diff: np.ndarray, ridge: np.ndarray):
-    """coupling_gap's (gap, ridge_norm_sq, ratio) with rows scaled first."""
-    gap, w_gap = _row_sum_sq(diff)
-    norm_sq, w_norm = _row_sum_sq(ridge)
-    ratio = np.divide(gap, norm_sq, out=np.zeros_like(gap), where=norm_sq > 0)
-    with np.errstate(over="ignore"):   # a gap or norm past the largest double
-        ratio *= (w_gap / w_norm) ** 2
-        return gap * w_gap * w_gap, norm_sq * w_norm * w_norm, ratio
+def _scale(diff: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+    """A column of powers of two w, one per row pair, with every |entry| / w
+    in [0, 2); w >= 2^-1022 keeps the division exact where it is normal."""
+    top = np.maximum(np.abs(diff).max(axis=1), np.abs(ridge).max(axis=1))
+    exponent = np.frexp(top)[1] - 1
+    return np.ldexp(1.0, np.clip(exponent, -1022, 1023))[:, None]

@@ -256,11 +256,12 @@ def integrate_flow(kind: FlowKind, spectrum: Spectrum, forcing, t_end: float,
 def discrete_iterates(kind: FlowKind, x, y, config: IterateConfig) -> list[np.ndarray]:
     """The exact discrete recurrences on (X, y), started from zero.
 
-    Returns [b(1), ..., b(k)].  Gradient descent applies the plain update;
-    the accelerated iteration keeps the auxiliary sequence with momentum
-    weight (k-1)/(k+2); heavy ball adds momentum*(b(k-1) - b(k-2)) with
-    b(-1) = b(0) = 0, so its first step is a pure gradient step.  A
-    non-finite entry of x or y is a ValueError.
+    Returns [b(1), ..., b(k)] from one momentum recurrence with
+    b(-1) = b(0) = 0: z = b(k-1) + beta_k (b(k-1) - b(k-2)), then
+    b(k) = z + eps grad(z) + m (b(k-1) - b(k-2)).  Gradient descent has
+    beta = m = 0, the accelerated iteration beta_k = (k-2)/(k+1) and m = 0,
+    heavy ball beta = 0 and m = momentum (a term a family lacks is skipped,
+    not added as 0).  A non-finite entry of x or y is a ValueError.
     """
     if kind not in _FLOWS:
         raise ValueError("discrete_iterates covers the three flows")
@@ -281,27 +282,18 @@ def discrete_iterates(kind: FlowKind, x, y, config: IterateConfig) -> list[np.nd
     def grad_at(b):
         return x.T @ (y - x @ b) / n
 
+    nesterov = kind is FlowKind.ACCELERATED_FLOW
+    heavy = kind is FlowKind.HEAVY_BALL_FLOW
     iterates = []
-    if kind is FlowKind.GRADIENT_FLOW:
-        b = np.zeros(p)
-        for _ in range(config.iterations):
-            b = b + eps * grad_at(b)
-            iterates.append(b.copy())
-    elif kind is FlowKind.ACCELERATED_FLOW:
-        b_prev = np.zeros(p)
-        theta = np.zeros(p)
-        for k in range(1, config.iterations + 1):
-            b = theta + eps * grad_at(theta)
-            theta = b + (k - 1.0) / (k + 2.0) * (b - b_prev)
-            b_prev = b
-            iterates.append(b.copy())
-    else:
-        b_prev2 = np.zeros(p)
-        b_prev = np.zeros(p)
-        for _ in range(config.iterations):
-            b = b_prev + eps * grad_at(b_prev) + config.momentum * (b_prev - b_prev2)
-            b_prev2, b_prev = b_prev, b
-            iterates.append(b.copy())
+    b_prev2 = b_prev = np.zeros(p)
+    for k in range(1, config.iterations + 1):
+        step = b_prev - b_prev2
+        z = b_prev + (k - 2.0) / (k + 1.0) * step if nesterov else b_prev
+        b = z + eps * grad_at(z)
+        if heavy:
+            b = b + config.momentum * step
+        iterates.append(b)
+        b_prev2, b_prev = b_prev, b
     return iterates
 
 

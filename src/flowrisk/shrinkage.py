@@ -177,11 +177,11 @@ def _hb_limit(s, t, mu):
     return out
 
 
-def _ridge_limit(s, lam, mu):
-    """The ridge formula with s and lambda halved where s + lambda overflows."""
-    scale = np.where(np.isinf(s + lam), 0.5, 1.0)
-    lam = lam * scale
-    return lam / (s * scale + lam)
+def _ridge_terms(num, s, lam):
+    """num and s + lambda, both halved where s + lambda overflows (exact)."""
+    with np.errstate(over="ignore"):
+        half = np.where(np.isinf(s + lam), 0.5, 1.0)
+    return num * half, s * half + lam * half
 
 
 # The formulas where an argument may overflow (module docstring)
@@ -189,7 +189,7 @@ _LIMITS = {
     FlowKind.GRADIENT_FLOW: _FORMULAS[FlowKind.GRADIENT_FLOW],
     FlowKind.ACCELERATED_FLOW: _nest_limit,
     FlowKind.HEAVY_BALL_FLOW: _hb_limit,
-    FlowKind.RIDGE: _ridge_limit,
+    FlowKind.RIDGE: lambda s, lam, mu: np.divide(*_ridge_terms(lam, s, lam)),
 }
 
 

@@ -116,6 +116,42 @@ def test_certified_witness_is_the_programs_own_risk_ratio(
     assert abs(ratio - record.value) <= 4 * np.spacing(record.value)
 
 
+def _random_bayes_instances(count, seed):
+    """Seeded spectra of 1 to 59 eigenvalues, log-uniform on [e^-12, e^6],
+    with an isotropic prior of random r^2 and n."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = int(rng.integers(1, 60))
+        s = np.sort(np.exp(rng.uniform(-12.0, 6.0, p)))
+        yield Spectrum(s), SignalModel.prior(
+            r_sq=float(rng.uniform(0.2, 5.0)), sigma_sq=1.0,
+            n=int(rng.integers(p + 1, 400)))
+
+
+def test_certified_constants_bind_the_risk_ratio_on_random_spectra(
+        certified_inflation):
+    # coupled at t = TUNING(tau*, lambda*), each coordinate's ratio is the
+    # objective at (tau*, s / lambda*), at most the certified max over x;
+    # tuned over a grid the flow can only do better.  The optimal ridge is
+    # the Bayes estimator here, so no ratio falls below 1.
+    grid = np.logspace(-8, 8, 2000)
+    for spectrum, prior in _random_bayes_instances(40, seed=11):
+        floor, lam = optimal_ridge_bayes_risk(spectrum, prior)
+        for kind, tune in TUNING.items():
+            record = certified_inflation[kind]
+            t = tune(record.at[0], lam)
+            coupled = risk_curve(spectrum, prior, kind, [t]).risk[0] / floor
+            tuned = risk_curve(spectrum, prior, kind, grid).risk.min() / floor
+            assert 1.0 <= coupled <= record.value
+            assert 1.0 <= tuned <= record.value
+
+
+def test_heavy_ball_inflation_lies_under_h_kappa_on_random_spectra():
+    for spectrum, prior in _random_bayes_instances(40, seed=12):
+        kappa = spectrum.big_l / spectrum.mu
+        assert 1.0 <= hb_inflation_check(spectrum, prior).value <= h_kappa(kappa)
+
+
 def _counting(monkeypatch, name):
     """Wrap bounds.<name> so that its calls and evaluated points are counted."""
     fn = getattr(bounds, name)

@@ -148,6 +148,27 @@ def test_estimate_refuses_a_nan_response(capsys, instance_files):
     assert "response has non-finite entries" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, t", [("gf", "1e300"), ("nest", "1e300"),
+                                     ("hb", "1e300"), ("ridge", "0")])
+def test_estimate_refuses_a_coefficient_past_the_largest_double(
+        tmp_path, capsys, kind, t):
+    # s = 1e-200 and c = 1e150: the least-squares coefficient c / s is 1e350
+    xp, yp = tmp_path / "X.csv", tmp_path / "y.csv"
+    xp.write_text("1e-100\n")
+    yp.write_text("1e250\n")
+    assert run(["estimate", "--kind", kind, "--t", t, "--design", str(xp),
+                "--response", str(yp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert f"error: a {kind} coefficient passes the largest double" in \
+        captured.err
+    # a parameter whose coefficient is finite still prints it
+    assert run(["estimate", "--kind", kind, "--t", "1", "--design", str(xp),
+                "--response", str(yp)]) == 0
+    assert np.isfinite(float(capsys.readouterr().out))
+
+
 def test_estimate_ridge_at_zero_penalty_needs_full_rank(tmp_path, capsys):
     rng = np.random.default_rng(2)
     xp, yp = tmp_path / "X.csv", tmp_path / "y.csv"

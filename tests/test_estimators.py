@@ -418,7 +418,11 @@ def test_a_ridge_row_whose_s_plus_lambda_overflows_is_halved():
     ridge = halved((1.0 / t) ** 2)[1]
     g = factor_block(FlowKind.ACCELERATED_FLOW, s[1], t)[0, 0]
     gap = ((1.0 - g) * c[1] / s[1] - ridge) ** 2
-    want = (gap, ridge * ridge, gap / (ridge * ridge))
+    # the ridge norm (2.3e-309) is below 2^-968, so the ratio comes from
+    # rows scaled by a power of two: 2 ulp from the 60-digit value
+    # 0.47143510540898509 on these doubles, where the plain quotient of
+    # the subnormal squares, 0x1.e2bfe25fabee6p-2, is 9 ulp off
+    want = (gap, ridge * ridge, float.fromhex("0x1.e2bfe25fabef1p-2"))
     got = coupling_gap(design, FlowKind.ACCELERATED_FLOW, t)
     assert all(np.isfinite(v) for v in got) and got[1] > 0.0
     assert [v.hex() for v in got] == [float(v).hex() for v in want]
@@ -459,6 +463,21 @@ def test_coupling_gap_scales_rows_whose_squares_would_overflow(kind):
     one = coupling_gap(design, kind, 1e130)
     assert [v.hex() for v in one] == [float(v[3]).hex()
                                       for v in (gap, norm_sq, ratio)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", COUPLED)
+def test_coupling_gap_scales_rows_whose_ridge_norm_would_underflow(kind):
+    # times 2^-600 the ridge squares underflow, and the plain ridge norm
+    # (below 2^-968) would give the ratio 0; the scaled rows give the
+    # ratio of the same channel at shifts 0 and -200
+    ts = np.array([1e-5, 1.0])
+    for shift in (0, -200, -600):
+        design = tiny_design(shift)
+        assert np.array_equal(coupling_gap(design, kind, ts)[2], [1.0, 1.0])
+        for t in ts:
+            assert coupling_gap(design, kind, float(t))[2] == 1.0
+    assert (coupling_gap(tiny_design(-600), kind, ts)[1] < 2.0 ** -968).all()
 
 
 def test_channel_bound_is_set_where_the_channel_is_attached(small_instance):
