@@ -477,8 +477,8 @@ def h_kappa(kappa):
 
 # tilde_h's direct form is exact to rounding, with no factor overflowing and
 # e^{-2q} a normal double, while 0 <= x <= 1e75 and q = x/z <= 354; z >= 1e-200
-# keeps x/z itself finite.  tilde_h_maximizer's 5 z^2 - 4 is finite, and the
-# 4 far below its ulp, past z = 1e150.
+# keeps x/z itself finite.  Past z = 1e150, the 4 of tilde_h_maximizer's
+# 5 z^2 - 4 is far below its ulp, and x* is phi z to rounding.
 _TILDE_H_X = 1e75
 _TILDE_H_Q = 354.0
 _TILDE_H_Z = 1e-200
@@ -494,18 +494,30 @@ def tilde_h(x, z):
     below z = 1e-200, where a factor could overflow or e^{-2x/z} leave the
     normal range, the value is exp(2 log hypot(1, x) + 2 log1p(q) - 2q) at
     q = min(x/z, 1e300): it falls to its limit 0 as x/z grows, and a value
-    past the largest double is refused.  Elsewhere it keeps its bits.
+    past the largest double is refused.  Elsewhere, element by element, it
+    keeps the bits of the direct form.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 and isinstance(z, float):   # float checks for scalars
         xf, zf = float(x), float(z)
-        direct = 0.0 <= xf <= _TILDE_H_X and zf >= _TILDE_H_Z and xf / zf <= _TILDE_H_Q
-    else:
-        direct = (((x >= 0.0) & (x <= _TILDE_H_X)).all()
-                  and np.greater_equal(z, _TILDE_H_Z).all()
-                  and (x / z <= _TILDE_H_Q).all())
-    if not direct:
+        if 0.0 <= xf <= _TILDE_H_X and zf >= _TILDE_H_Z and xf / zf <= _TILDE_H_Q:
+            return _tilde_h_direct(x, z)
         return _tilde_h_log(x, np.asarray(z, dtype=float))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        direct = ((x >= 0.0) & (x <= _TILDE_H_X)
+                  & np.greater_equal(z, _TILDE_H_Z) & (x / z <= _TILDE_H_Q))
+    if direct.all():
+        return _tilde_h_direct(x, z)
+    z = np.asarray(z, dtype=float)
+    out = _tilde_h_log(x, z)
+    if direct.any():         # an array: the direct form where it applies
+        x, z = np.broadcast_arrays(x, z)
+        out[direct] = _tilde_h_direct(x[direct], z[direct])
+    return out
+
+
+def _tilde_h_direct(x, z):
+    """tilde_h's direct form, where no factor over- or underflows."""
     q = np.asarray(x / z)    # a fresh array (0-d too), reused in place
     out = q + 1.0            # a numpy scalar for 0-d q
     out **= 2                # as before: np.square on arrays, pow on scalars
@@ -532,11 +544,11 @@ def tilde_h_maximizer(z):
     """Interior critical point x* = (z + sqrt(5 z^2 - 4))/2 (needs z >= 2/sqrt(5)).
 
     A NaN z is refused by name; so is any z below 2/sqrt(5), z <= 0 (where
-    5 z^2 - 4 may be >= 0 again) before any arithmetic.  Past z = 1e150,
-    x* is phi z (phi the golden ratio), equal to rounding, so 5 z^2 never
-    overflows; z = inf gives inf, and a finite z above 1e308, whose x*
-    would pass the largest double, is refused.  A scalar in (0, 1e150] is
-    checked and evaluated in Python floats, the same doubles.
+    5 z^2 - 4 may be >= 0 again) before any arithmetic, and a finite z
+    above 1e308, whose x* would pass the largest double.  Past z = 1e150,
+    x* is phi z (phi the golden ratio), equal to rounding, where 5 z^2 may
+    overflow; z = inf gives inf.  A scalar in (0, 1e150] is checked and
+    evaluated in Python floats, the same doubles.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim == 0 and 0.0 < float(z) <= _X_STAR_Z:
@@ -545,24 +557,16 @@ def tilde_h_maximizer(z):
         if disc >= 0.0:
             return (zf + math.sqrt(disc)) / 2.0
     elif (z > 0).all():
-        if not (z <= _X_STAR_Z).all():
-            return _far_maximizer(z)
-        disc = 5.0 * z * z - 4.0
+        if ((z > 1e308) & (z < np.inf)).any():
+            raise ValueError("x* exceeds the largest double for z > 1e308")
+        with np.errstate(over="ignore"):
+            disc = 5.0 * z * z - 4.0
         if (disc >= 0).all():
-            out = (z + np.sqrt(disc)) / 2.0
+            out = np.where(z > _X_STAR_Z, z * _PHI, (z + np.sqrt(disc)) / 2.0)
             return float(out) if out.ndim == 0 else out
     if np.isnan(z).any():
         raise ValueError("tilde_h_maximizer is undefined at z = NaN")
     raise ValueError("x* exists only for z >= 2/sqrt(5)")
-
-
-def _far_maximizer(z):
-    """tilde_h_maximizer where every z > 0 and some z > 1e150."""
-    if ((z > 1e308) & (z < np.inf)).any():
-        raise ValueError("x* exceeds the largest double for z > 1e308")
-    far = z > _X_STAR_Z
-    out = np.where(far, z * _PHI, tilde_h_maximizer(np.where(far, 1.0, z)))
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,10 @@ No square in coupling_gap overflows.  |g| <= 1 for heavy ball and
 at most 2M and every ridge coordinate at most M, with M the design's
 channel_bound on |c_i| / s_i; a squared difference is at most 9 M^2 and a
 row sum at most 9 p M^2.  Where 16 p M^2 overflows, a Python float product
-computed per call, each t's diff and ridge rows are divided by one power
-of two at their largest |entry| before the one reduction, and gap and
+computed per call, before any row, the rows are formed with overflow
+ignored, and a coordinate past the largest double is refused by name as
+estimate refuses it; then each t's diff and ridge rows are divided by one
+power of two at their largest |entry| before the one reduction, and gap and
 norm multiplied back by its square (J. L. Blue, ACM TOMS 4(1), 1978, the
 idea behind LAPACK's dnrm2); so are the rows whose plain ridge norm is
 below 2^-968, where squares may have underflowed.  Then only the gap and
@@ -78,13 +80,13 @@ def _spectral_rows(spectrum: Spectrum, c: np.ndarray, kind: FlowKind,
     here, and the caller passes their maximum p_max: flow times were
     checked by the caller, and ridge may get lambda = 0 or inf, its
     intended limits.  Where s + lambda overflows, the ridge row follows
-    shrinkage's one rule, _ridge_terms; one float sum of the largest s and
-    p_max tells whether that can happen.
+    shrinkage's one rule, _ridge_terms, behind _factor_rows' gate: the
+    float product of the largest s and p_max is inf.
     """
     s = spectrum.eigenvalues
     if kind is FlowKind.RIDGE:
         lam = params[:, None]
-        if spectrum.big_l + float(p_max) == np.inf:
+        if float(p_max) * spectrum.big_l == np.inf:
             num, den = _ridge_terms(c, s, lam)
         else:
             num, den = c, s + lam
@@ -132,7 +134,8 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     and finiteness of t (_path_params), then heavy ball's mu > 0.  A scalar
     t (0-d) is checked by float comparisons and its lambda formed in Python
     floats; a grid is checked by numpy comparisons and one min/max pair.
-    Past validation both take one path: one s > 0 mask, one reduction.
+    Past validation both take one path: one s > 0 mask, one reduction.  A
+    flow or ridge coordinate past the largest double is a ValueError.
     """
     if kind not in (FlowKind.ACCELERATED_FLOW, FlowKind.HEAVY_BALL_FLOW):
         raise ValueError("coupling_gap is defined for the accelerated and "
@@ -157,14 +160,26 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
         lam_max = lam.max(initial=0.0)
     spectrum = design.spectrum
     positive = spectrum.eigenvalues > 0
-    flow = _spectral_rows(spectrum, c, kind, times, t_max, positive)
-    ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, lam_max, positive)
-    diff = flow - ridge
+
+    def rows():
+        """The flow-minus-ridge rows and the ridge rows."""
+        ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, lam_max,
+                               positive)
+        return _spectral_rows(spectrum, c, kind, times, t_max,
+                              positive) - ridge, ridge
+
     bound = design.channel_bound
     w = None
     if 16.0 * spectrum.p * bound * bound == math.inf:
+        # only here can a coordinate c_i / s_i pass the largest double
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff, ridge = rows()
+        if not (np.isfinite(diff).all() and np.isfinite(ridge).all()):
+            raise ValueError(
+                f"a {kind.value} coefficient passes the largest double")
         w = _scale(diff, ridge)
     else:
+        diff, ridge = rows()
         gap, norm_sq = (diff * diff).sum(axis=1), (ridge * ridge).sum(axis=1)
         if ((float(norm_sq[0]) < _TINY_NORM_SQ) if scalar
                 else (norm_sq < _TINY_NORM_SQ).any()):

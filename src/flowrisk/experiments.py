@@ -5,7 +5,8 @@ Four design families cover the simulation studies:
 * PowerLaw(C, nu): covariance eigenvalues set exactly to C/i^nu for
   i = 1..p (no sampling noise) under a seeded random eigenbasis;
 * IidGaussian and IidStudentT(df): n x p matrices of unit-variance
-  entries, the Student-t ones rescaled by sqrt((df-2)/df);
+  entries, the Student-t ones (an integer df > 2) rescaled by
+  sqrt((df-2)/df);
 * Orthogonal(s): matrices with X'X/n = s I to roundoff.
 
 A sweep takes one or more designs, a seeded dense coefficient vector
@@ -55,7 +56,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 SIGMA_SQ = 1.0
-FAMILIES = ("PowerLaw", "IidGaussian", "IidStudentT", "Orthogonal")
+# family -> the config keys of its parameters
+_FAMILY_KEYS = {"PowerLaw": ("C", "nu"), "IidGaussian": (),
+                "IidStudentT": ("df",), "Orthogonal": ("s",)}
+FAMILIES = tuple(_FAMILY_KEYS)
 
 
 class ConfigError(ValueError):
@@ -108,6 +112,22 @@ def _json_list(value, key: str) -> list:
     return value
 
 
+def _json_object(obj, key: str, required, optional=(), reader: str = "") -> None:
+    """The one key rule of the config, its designs and its grids: obj is
+    an object holding every required key and no key outside required and
+    optional.  A ConfigError names the first missing key, else the first
+    key that nothing reads."""
+    if not isinstance(obj, dict):
+        raise _type_error(key, "an object", obj)
+    prefix = "" if key == "config" else key + "."
+    for name in required:
+        if name not in obj:
+            raise ConfigError(f"config key {prefix + name!r} is missing")
+    for name in obj:
+        if name not in required and name not in optional:
+            raise ConfigError(f"config key {prefix + name!r} is not read{reader}")
+
+
 def _require_above(value, floor, key: str, where: str = "") -> None:
     """ConfigError naming key unless floor < value < inf (None and NaN fail)."""
     if value is None or not floor < value < math.inf:
@@ -147,6 +167,10 @@ class DesignSpec:
                     "positive normal double for PowerLaw")
         if self.family == "IidStudentT":
             _require_above(self.df, 2, "design.df", " for IidStudentT")
+            # gen_iid_design draws int(df) degrees of freedom
+            if self.df != int(self.df):
+                raise ConfigError("design.df must be an integer for "
+                                  f"IidStudentT, got {self.df!r}")
         if self.family == "Orthogonal":
             _require_above(self.s, 0, "design.s", " for Orthogonal")
             if self.n < self.p:
@@ -178,15 +202,12 @@ class DesignSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DesignSpec":
-        if not isinstance(obj, dict):
-            raise ConfigError("design must be an object")
-        for key in ("family", "n", "p", "seed"):
-            if key not in obj:
-                raise ConfigError(f"design.{key} is missing")
-        known = {"family", "n", "p", "seed", "C", "nu", "df", "s"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"design has unknown key {sorted(unknown)[0]!r}")
+        family = obj.get("family") if isinstance(obj, dict) else None
+        if isinstance(family, str) and family in _FAMILY_KEYS:
+            uses, reader = _FAMILY_KEYS[family], f" for {family}"
+        else:        # the spec refuses the family by name
+            uses, reader = ("C", "nu", "df", "s"), ""
+        _json_object(obj, "design", ("family", "n", "p", "seed"), uses, reader)
         opt = {k: _json_float(obj[k], f"design.{k}")
                for k in ("nu", "df", "s") if k in obj}
         return cls(family=_json_str(obj["family"], "design.family"),
@@ -236,11 +257,7 @@ class GridSpec:
 
 
 def _grid_from_json(obj, key) -> GridSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{key} must be an object with lo, hi, count, log")
-    for sub in ("lo", "hi", "count"):
-        if sub not in obj:
-            raise ConfigError(f"{key}.{sub} is missing")
+    _json_object(obj, key, ("lo", "hi", "count"), ("log",))
     lo = _json_float(obj["lo"], f"{key}.lo")
     hi = _json_float(obj["hi"], f"{key}.hi")
     count = _json_int(obj["count"], f"{key}.count")
@@ -271,11 +288,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-        for key in ("design", "snr", "flows", "t_grid", "ridge_grid"):
-            if key not in obj:
-                raise ConfigError(f"config key {key!r} is missing")
+        _json_object(obj, "config",
+                     ("design", "snr", "flows", "t_grid", "ridge_grid"),
+                     ("output_dir",))
         raw_design = obj["design"]
         if isinstance(raw_design, dict):
             raw_design = [raw_design]

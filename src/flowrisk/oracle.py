@@ -261,7 +261,8 @@ def discrete_iterates(kind: FlowKind, x, y, config: IterateConfig) -> list[np.nd
     b(k) = z + eps grad(z) + m (b(k-1) - b(k-2)).  Gradient descent has
     beta = m = 0, the accelerated iteration beta_k = (k-2)/(k+1) and m = 0,
     heavy ball beta = 0 and m = momentum (a term a family lacks is skipped,
-    not added as 0).  A non-finite entry of x or y is a ValueError.
+    not added as 0).  A non-finite entry of x or y is a ValueError, and so
+    is a run that diverges (the message names its first non-finite iterate).
     """
     if kind not in _FLOWS:
         raise ValueError("discrete_iterates covers the three flows")
@@ -286,14 +287,20 @@ def discrete_iterates(kind: FlowKind, x, y, config: IterateConfig) -> list[np.nd
     heavy = kind is FlowKind.HEAVY_BALL_FLOW
     iterates = []
     b_prev2 = b_prev = np.zeros(p)
-    for k in range(1, config.iterations + 1):
-        step = b_prev - b_prev2
-        z = b_prev + (k - 2.0) / (k + 1.0) * step if nesterov else b_prev
-        b = z + eps * grad_at(z)
-        if heavy:
-            b = b + config.momentum * step
-        iterates.append(b)
-        b_prev2, b_prev = b_prev, b
+    # a diverging run overflows to inf, then NaN, and stays there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, config.iterations + 1):
+            step = b_prev - b_prev2
+            z = b_prev + (k - 2.0) / (k + 1.0) * step if nesterov else b_prev
+            b = z + eps * grad_at(z)
+            if heavy:
+                b = b + config.momentum * step
+            iterates.append(b)
+            b_prev2, b_prev = b_prev, b
+    if not np.isfinite(b_prev).all():
+        first = int(np.isfinite(iterates).all(axis=1).argmin()) + 1
+        raise ValueError(f"the {kind.value} iterates diverge: iterate {first} "
+                         f"is not finite at step size {eps:.3g}")
     return iterates
 
 

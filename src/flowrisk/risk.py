@@ -22,9 +22,10 @@ risk_curve is the one evaluator, for both signal models and any grid: a
 single point is a one-point grid.  Curves are computed directly from the
 spectrum, a block of grid points at a time, through the single reduction
 bias_variance; they never form estimator vectors.  A curve is a RiskCurve:
-the grid plus its bias^2 and variance arrays, which reads as a sequence of
-(param, RiskDecomposition) pairs built on access.  The estimators module
-plus Monte Carlo provides the independent cross-check of these formulas.
+the grid plus its bias^2 and variance arrays, read as arrays; len and
+iteration over (param, RiskDecomposition) pairs remain for the benchmark
+harness, which reads curves that way.  The estimators module plus Monte
+Carlo provides the independent cross-check of these formulas.
 
 risk_csv_text writes a curve as CSV text, every value exactly as "%.17g"
 would.  The digits come from array passes over all four columns at once (a
@@ -36,9 +37,7 @@ tie go through "%" one at a time.
 
 from __future__ import annotations
 
-import operator
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +84,13 @@ class RiskDecomposition:
 
 
 @dataclass(frozen=True, eq=False)
-class RiskCurve(Sequence):
+class RiskCurve:
     """Squared bias and variance along a grid, one array entry per point.
 
-    Reads as a sequence of (param, RiskDecomposition) pairs in grid order,
-    each built on access; risk is the elementwise sum, so curve.risk[k] is
-    the same double as curve[k][1].risk.  The arrays are read-only copies.
+    The arrays are read-only copies; risk is their elementwise sum, the
+    same double as RiskDecomposition.risk.  len and iteration, over
+    (param, RiskDecomposition) pairs in grid order built on access, are
+    the two reads the benchmark harness (perfbench) makes.
     """
 
     grid: np.ndarray
@@ -115,11 +115,6 @@ class RiskCurve(Sequence):
 
     def __len__(self) -> int:
         return self.grid.size
-
-    def __getitem__(self, k) -> tuple[float, RiskDecomposition]:
-        k = range(self.grid.size)[operator.index(k)]
-        return float(self.grid[k]), RiskDecomposition(
-            bias_sq=float(self.bias_sq[k]), variance=float(self.variance[k]))
 
     def __iter__(self):
         for t, b, v in zip(self.grid.tolist(), self.bias_sq.tolist(),

@@ -711,6 +711,21 @@ class TestTildeHDomain:
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("error")
+    def test_each_element_picks_its_own_form(self):
+        # an entry past x = 1e75 leaves the others on the direct form
+        got = tilde_h(np.array([0.5, 2.0, 1e80]), 0.95)
+        alone = tilde_h(np.array([0.5, 2.0]), 0.95)
+        assert got[:2].view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+        assert alone.tolist() == [tilde_h(0.5, 0.95), tilde_h(2.0, 0.95)]
+        assert got[2] == 0.0
+        x = np.array([[0.5, 2.0, 1e160], [3.0, 1e300, 0.0]])
+        z = np.array([[0.9], [1e-300]])
+        got = tilde_h(x, z)
+        for (i, j), value in np.ndenumerate(got):
+            one = tilde_h(np.array([x[i, j]]), z[i])[0]
+            assert value.view(np.uint64) == one.view(np.uint64)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("z", [1e150, 1.0000000000000002e150, 1e154, 1e200,
                                    1e308])
     def test_maximizer_is_phi_z_for_huge_z(self, z):

@@ -12,6 +12,7 @@ import pytest
 import flowrisk
 from flowrisk import cli
 from flowrisk.cli import run
+from flowrisk.experiments import ExperimentConfig
 from flowrisk.linalg import MAX_DOUBLES
 from flowrisk.plotting import load_plot_series, render_line_plot
 from flowrisk.shrinkage import FlowKind, factor_block
@@ -486,9 +487,12 @@ def _set_raw(config, path, raw):
 ])
 def test_simulate_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys,
                                                            path, raw, message):
+    # nu is a key of PowerLaw designs only (a StudentT design refuses it)
+    design = ({"family": "PowerLaw", "C": 1.0, "nu": 1.0, "n": 20, "p": 4,
+               "seed": 0} if path == "design.nu" else
+              {"family": "IidStudentT", "df": 5.0, "n": 20, "p": 4, "seed": 0})
     config = {
-        "design": [{"family": "IidStudentT", "df": 5.0, "n": 20, "p": 4,
-                    "seed": 0}],
+        "design": [design],
         "snr": 1.0,
         "flows": ["gf"],
         "t_grid": {"lo": 0.01, "hi": 100.0, "count": 20, "log": True},
@@ -546,6 +550,70 @@ def test_simulate_full_grid_of_designs_and_flows(tmp_path, capsys):
                 "--out", str(out)]) == 0
     capsys.readouterr()
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_the_manifest_config_reproduces_its_run(tmp_path, capsys):
+    # every key to_json writes is one from_json reads
+    config_path = Path(__file__).parent.parent / "demos" / "power_law_sweep.json"
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["simulate", "--config", str(config_path),
+                "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    config = ExperimentConfig.from_json(manifest["config"])
+    assert config.to_json() == manifest["config"]
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(dict(manifest["config"],
+                                     output_dir=str(second))))
+    assert run(["simulate", "--config", str(again)]) == 0
+    capsys.readouterr()
+    csvs = sorted(p.name for p in first.glob("*.csv"))
+    assert len(csvs) == 16
+    assert sorted(p.name for p in second.glob("*.csv")) == csvs
+    for name in csvs:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+_STUDENT_T = {"family": "IidStudentT", "df": 5.0, "n": 20, "p": 4, "seed": 0}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"design": [dict(_STUDENT_T, df=5.5)]},
+     "design.df must be an integer for IidStudentT, got 5.5"),
+    ({"design": [dict(_STUDENT_T, df=2.5)]},
+     "design.df must be an integer for IidStudentT, got 2.5"),
+    ({"design": [{"family": "IidGaussian", "nu": 1.0, "n": 20, "p": 4,
+                  "seed": 0}]},
+     "config key 'design.nu' is not read for IidGaussian"),
+    ({"design": [dict(_STUDENT_T, s=1.0)]},
+     "config key 'design.s' is not read for IidStudentT"),
+    ({"design": [dict(_STUDENT_T, bogus=1)]},
+     "config key 'design.bogus' is not read for IidStudentT"),
+    ({"t_grid": {"lo": 0.01, "hi": 100.0, "count": 20, "Log": False}},
+     "config key 't_grid.Log' is not read"),
+    ({"ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 20, "step": 2}},
+     "config key 'ridge_grid.step' is not read"),
+    ({"bayes": True}, "config key 'bayes' is not read"),
+    ({"t_grid": [0.01, 100.0, 20]},
+     "t_grid must be an object, got [0.01, 100.0, 20]"),
+])
+def test_simulate_refuses_a_key_nothing_reads(tmp_path, capsys, edit, message):
+    config = {
+        "design": [_STUDENT_T],
+        "snr": 1.0,
+        "flows": ["gf"],
+        "t_grid": {"lo": 0.01, "hi": 100.0, "count": 20},
+        "ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 20},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(config, **edit)))
+    assert run(["simulate", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    # the unedited config runs
+    cfg_path.write_text(json.dumps(config))
+    assert run(["simulate", "--config", str(cfg_path)]) == 0
 
 
 def test_unknown_subcommand_exits_2():

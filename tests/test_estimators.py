@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from flowrisk.estimators import coupling_gap, estimate
-from flowrisk.linalg import attach_response, design_decompose
+from flowrisk.linalg import (SpectralDesign, Spectrum, attach_response,
+                             design_decompose)
 from flowrisk.oracle import integrate_flow
 from flowrisk.shrinkage import FlowKind, factor_block
 
@@ -491,3 +492,49 @@ def test_channel_bound_is_set_where_the_channel_is_attached(small_instance):
     s, c = d.spectrum.eigenvalues, d.rotated_channel
     assert s[1] == 0.0 < s[2]
     assert d.channel_bound == float(np.abs(c).max()) / float(s[2])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", COUPLED)
+def test_coupling_gap_refuses_a_coordinate_past_the_largest_double(kind):
+    # c_3 / s_3 = 1.1e382: estimate refuses the flow vector, and so does
+    # coupling_gap, with the same message (heavy ball needs s_1 > 0)
+    s_1 = 0.0 if kind is FlowKind.ACCELERATED_FLOW else 1e-190
+    design = SpectralDesign(
+        n=3, p=3, spectrum=Spectrum(np.array([s_1, 8.3e-189, 7.4e-188])),
+        v_basis=np.eye(3), rotated_channel=np.array([1e-3, 2e190, 8.1e194]))
+    message = f"^a {kind.value} coefficient passes the largest double$"
+    with pytest.raises(ValueError, match=message):
+        estimate(design, kind, [1e90])
+    for t in (1e90, np.array([1e-300, 1.0, 1e90])):
+        with pytest.raises(ValueError, match=message):
+            coupling_gap(design, kind, t)
+
+
+@pytest.mark.filterwarnings("error")
+def test_coupling_gap_sweep_over_extreme_scales():
+    # design and response scales log-uniform over 1e-300..1e300: every
+    # call refuses by name or returns a finite ratio; gap and ridge norm
+    # are nonnegative, and inf only where they pass the largest double
+    rng = np.random.default_rng(12)
+    finite = 0
+    for _ in range(300):
+        n, p = (int(v) for v in rng.integers(1, [7, 5]))
+        x = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-300, 300)
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300)
+        try:
+            design = attach_response(design_decompose(x), x, y)
+        except ValueError:
+            continue
+        ts = 10.0 ** rng.uniform(-300, 300, 4)
+        for kind in COUPLED:
+            for t in (*ts.tolist(), np.sort(ts)):
+                try:
+                    gap, norm_sq, ratio = coupling_gap(design, kind, t)
+                except ValueError:
+                    continue
+                assert np.isfinite(ratio).all()
+                assert (np.asarray(gap) >= 0).all()
+                assert (np.asarray(norm_sq) >= 0).all()
+                finite += bool(np.isfinite([gap, norm_sq]).all())
+    assert finite > 1000

@@ -65,6 +65,15 @@ class TestIidDesigns:
         with pytest.raises(ConfigError, match="df"):
             DesignSpec(family="IidStudentT", n=10, p=2, seed=0, df=2.0)
 
+    @pytest.mark.parametrize("df", [5.5, 2.5, 3.0000000000000004])
+    def test_df_must_be_an_integer(self, df):
+        # int(df) degrees of freedom are drawn, rescaled by sqrt((df-2)/df)
+        with pytest.raises(ConfigError, match=f"^design.df must be an integer "
+                                              f"for IidStudentT, got {df!r}$"):
+            DesignSpec(family="IidStudentT", n=10, p=2, seed=0, df=df)
+        assert DesignSpec(family="IidStudentT", n=10, p=2, seed=0,
+                          df=3.0).df == 3
+
 
 class TestOrthogonal:
     @pytest.mark.parametrize("s", [0.1, 1.0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowrisk.linalg import Spectrum
+from flowrisk.linalg import Spectrum, design_decompose
 from flowrisk.oracle import (
     IterateConfig,
     _chunk_steps,
@@ -406,6 +406,26 @@ class TestDiscreteIterates:
         _, x, y, _ = small_instance
         cfg = IterateConfig(step_size=0.05, iterations=np.int64(3))
         assert len(discrete_iterates(FlowKind.GRADIENT_FLOW, x, y, cfg)) == 3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", FLOWS)
+    def test_refuses_a_diverging_run_naming_its_first_bad_iterate(self, kind):
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((10, 3)), rng.standard_normal(10)
+        eps = 50.0 / design_decompose(x).spectrum.big_l
+        cfg = IterateConfig(step_size=eps, iterations=2000, momentum=0.5)
+        with pytest.warns(RuntimeWarning, match="step size"), \
+                pytest.raises(ValueError, match=f"^the {kind.value} iterates "
+                              r"diverge: iterate \d+ is not finite") as info:
+            discrete_iterates(kind, x, y, cfg)
+        # (gf 183, nest 157, hb 184 with OpenBLAS on x86-64)
+        first = int(str(info.value).split()[5])
+        assert 1 < first < 2000
+        # the iterate before it is finite: one fewer iteration returns
+        with pytest.warns(RuntimeWarning, match="step size"):
+            kept = discrete_iterates(kind, x, y,
+                                     IterateConfig(eps, first - 1, 0.5))
+        assert np.isfinite(kept[-1]).all()
 
     @pytest.mark.parametrize("kind", FLOWS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

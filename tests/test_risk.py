@@ -36,7 +36,8 @@ PRIOR_UNIT = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=1)  # alpha = 1 at p = 
 
 def point_risk(spectrum, signal, kind, param):
     """The decomposition of a one-point risk_curve (fixed or Bayes)."""
-    return risk_curve(spectrum, signal, kind, [param])[0][1]
+    [(_, dec)] = risk_curve(spectrum, signal, kind, [param])
+    return dec
 
 
 class TestFixedRisk:
@@ -167,7 +168,7 @@ class TestRiskCurve:
         curve = risk_curve(simple_spectrum, signal, FlowKind.GRADIENT_FLOW,
                            np.array([0.0]))
         assert len(curve) == 1
-        assert curve[0][1].variance == 0.0
+        assert curve.variance[0] == 0.0
 
     def test_gradient_flow_monotone_components(self, simple_spectrum):
         signal = SignalModel.fixed(np.array([1.0, -0.5, 2.0, 0.25]),
@@ -207,14 +208,7 @@ class TestRiskCurve:
                            grid)
         assert isinstance(curve, RiskCurve) and len(curve) == 7
         pairs = list(curve)
-        assert [curve[k] for k in range(7)] == pairs
-        assert [curve[k - 7] for k in range(7)] == pairs
-        assert curve[np.int64(2)] == pairs[2]
-        for k in (7, -8):
-            with pytest.raises(IndexError):
-                curve[k]
-        with pytest.raises(TypeError):
-            curve[2:5]
+        assert len(pairs) == 7
         for k, (t, dec) in enumerate(pairs):
             assert type(t) is float and t == grid[k]
             assert dec == RiskDecomposition(float(curve.bias_sq[k]),
@@ -225,11 +219,12 @@ class TestRiskCurve:
         for kind in FlowKind:
             curve = risk_curve(simple_spectrum, prior, kind,
                                np.logspace(-3, 3, 301))
-            per_point = np.array([dec.risk for _, dec in curve])
+            pairs = list(curve)
+            per_point = np.array([dec.risk for _, dec in pairs])
             assert np.array_equal(per_point.view(np.uint64),
                                   curve.risk.view(np.uint64))
             for k in (0, 150, -1):
-                assert curve[k][1].risk == curve.risk[k]
+                assert pairs[k][1].risk == curve.risk[k]
 
     def test_nonnegativity_rule_matches_decomposition(self):
         grid = np.array([0.0, 1.0])
@@ -239,7 +234,8 @@ class TestRiskCurve:
             RiskCurve(grid, np.zeros(2), np.array([-1.0, 0.0]))
         # NaN compares false against 0, as in RiskDecomposition
         curve = RiskCurve(grid, np.array([np.nan, 1.0]), np.zeros(2))
-        assert np.isnan(curve[0][1].bias_sq)
+        (_, first), _ = curve
+        assert np.isnan(first.bias_sq)
         assert np.isnan(RiskDecomposition(np.nan, 0.0).bias_sq)
 
     def test_arrays_are_read_only_copies(self, simple_spectrum):
