@@ -49,8 +49,8 @@ for kind, token in ((FlowKind.GRADIENT_FLOW, "gf"),
                     (FlowKind.ACCELERATED_FLOW, "nest"),
                     (FlowKind.HEAVY_BALL_FLOW, "hb")):
     curve = risk_curve(spectrum, prior, kind, t_grid)
-    best_t, best = min(((t, dec.risk) for t, dec in curve),
-                       key=lambda pair: pair[1])
+    i = np.argmin(curve.risk)
+    best_t, best = curve.grid[i], curve.risk[i]
     report = oscillation_report(curve)
     print(f"{token:>5}: min risk {best:.6f} at t = {best_t:.3g} "
           f"(inflation {best / floor:.4f}), "
@@ -58,8 +58,8 @@ for kind, token in ((FlowKind.GRADIENT_FLOW, "gf"),
           f"max rebound {report.max_rebound:.3g}")
 
 ridge_curve = risk_curve(spectrum, prior, FlowKind.RIDGE, ridge_grid)
-best_lam, best = min(((lam, dec.risk) for lam, dec in ridge_curve),
-                     key=lambda pair: pair[1])
+i = np.argmin(ridge_curve.risk)
+best_lam, best = ridge_curve.grid[i], ridge_curve.risk[i]
 print(f"ridge: min risk {best:.6f} at lambda = {best_lam:.3g} on the grid")
 print("\nevery tuned flow sits above the ridge optimum, and the accelerated "
       "curve oscillates; the gradient-flow curve is the only smooth one")

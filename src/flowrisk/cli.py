@@ -159,9 +159,6 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        designs = tuple(replace(d, seed=args.seed) for d in config.design)
-        config = replace(config, design=designs)
     if args.out:
         config = replace(config, output_dir=args.out)
     if config.output_dir is None:
@@ -253,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a sweep config to CSV files")
     p.add_argument("--config", required=True, help="JSON config path")
     p.add_argument("--bayes", action="store_true", help="prior-averaged curves")
-    p.add_argument("--seed", type=int, default=None, help="override design seeds")
     p.add_argument("--out", help="override output directory")
     p.set_defaults(handler=_cmd_simulate)
 

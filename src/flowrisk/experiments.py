@@ -1,6 +1,7 @@
 """Synthetic instance generators and risk-sweep drivers at desk scale.
 
-Four design families cover the simulation studies:
+Four design families cover the simulation studies, one row each of the
+_FAMILIES table that design labels, JSON keys, floors and size caps read:
 
 * PowerLaw(C, nu): covariance eigenvalues set exactly to C/i^nu for
   i = 1..p (no sampling noise) under a seeded random eigenbasis;
@@ -56,18 +57,25 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 SIGMA_SQ = 1.0
-# family -> the config keys of its parameters
-_FAMILY_KEYS = {"PowerLaw": ("C", "nu"), "IidGaussian": (),
-                "IidStudentT": ("df",), "Orthogonal": ("s",)}
-FAMILIES = tuple(_FAMILY_KEYS)
+# family -> (label stem, parameters as (config key, DesignSpec field,
+# exclusive floor) in check order, doubles held per design entry past the
+# p x p basis: the sampled entry, plus IidStudentT's df chi-square normals)
+_FAMILIES = {
+    "PowerLaw": ("powerlaw", (("nu", "nu", 0), ("C", "c", 0)), lambda d: 0),
+    "IidGaussian": ("gaussian", (), lambda d: 1),
+    "IidStudentT": ("studentt", (("df", "df", 2),), lambda d: 1 + int(d.df)),
+    "Orthogonal": ("orthogonal", (("s", "s", 0),), lambda d: 1),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 class ConfigError(ValueError):
     """A malformed experiment configuration; the message names the key."""
 
 
-# One reader per JSON type.  Each takes a parsed value and its key path and
-# returns the Python value, or raises ConfigError naming the key.
+# The JSON readers: numbers, integers, and _json_typed for the types read
+# as they are.  Each takes a parsed value and its key path and returns the
+# Python value, or raises ConfigError naming the key.
 
 def _type_error(key: str, what: str, value) -> ConfigError:
     return ConfigError(f"{key} must be {what}, got {json.dumps(value, default=repr)}")
@@ -94,21 +102,10 @@ def _json_int(value, key: str) -> int:
     raise _type_error(key, "an integer", value)
 
 
-def _json_bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise _type_error(key, "true or false", value)
-    return value
-
-
-def _json_str(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise _type_error(key, "a string", value)
-    return value
-
-
-def _json_list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise _type_error(key, "a list", value)
+def _json_typed(value, key: str, cls: type, what: str):
+    """value itself if it is a cls (bool, str, list or dict)."""
+    if not isinstance(value, cls):
+        raise _type_error(key, what, value)
     return value
 
 
@@ -117,8 +114,7 @@ def _json_object(obj, key: str, required, optional=(), reader: str = "") -> None
     an object holding every required key and no key outside required and
     optional.  A ConfigError names the first missing key, else the first
     key that nothing reads."""
-    if not isinstance(obj, dict):
-        raise _type_error(key, "an object", obj)
+    _json_typed(obj, key, dict, "an object")
     prefix = "" if key == "config" else key + "."
     for name in required:
         if name not in obj:
@@ -155,9 +151,11 @@ class DesignSpec:
             raise ConfigError("design.n and design.p must be positive")
         if self.seed < 0:
             raise ConfigError("design.seed must be a nonnegative integer")
+        _, params, per_entry = _FAMILIES[self.family]
+        for key, field, floor in params:
+            _require_above(getattr(self, field), floor, f"design.{key}",
+                           f" for {self.family}")
         if self.family == "PowerLaw":
-            _require_above(self.nu, 0, "design.nu", " for PowerLaw")
-            _require_above(self.c, 0, "design.C", " for PowerLaw")
             # the smallest eigenvalue, computed as gen_power_law_design does
             with np.errstate(over="ignore", under="ignore"):
                 least = float((self.c / np.array([float(self.p)]) ** self.nu)[0])
@@ -165,24 +163,13 @@ class DesignSpec:
                 raise ConfigError(
                     f"design.C / design.p ** design.nu = {least:.3g} is not a "
                     "positive normal double for PowerLaw")
-        if self.family == "IidStudentT":
-            _require_above(self.df, 2, "design.df", " for IidStudentT")
-            # gen_iid_design draws int(df) degrees of freedom
-            if self.df != int(self.df):
-                raise ConfigError("design.df must be an integer for "
-                                  f"IidStudentT, got {self.df!r}")
-        if self.family == "Orthogonal":
-            _require_above(self.s, 0, "design.s", " for Orthogonal")
-            if self.n < self.p:
-                raise ConfigError("design.n must be >= design.p for Orthogonal")
-        # what the generator materializes: the p x p eigenbasis every design
-        # carries, the n x p sampled entries, and for IidStudentT the
-        # n x p x df normals of its chi-square block
-        doubles = self.p * self.p
-        if self.family != "PowerLaw":
-            doubles += self.n * self.p
-        if self.family == "IidStudentT":
-            doubles += self.n * self.p * int(self.df)
+        # gen_iid_design draws int(df) degrees of freedom
+        if self.family == "IidStudentT" and self.df != int(self.df):
+            raise ConfigError("design.df must be an integer for "
+                              f"IidStudentT, got {self.df!r}")
+        if self.family == "Orthogonal" and self.n < self.p:
+            raise ConfigError("design.n must be >= design.p for Orthogonal")
+        doubles = self.p * self.p + self.n * self.p * per_entry(self)
         if doubles > MAX_DOUBLES:
             raise ConfigError(
                 f"design.n = {self.n}, design.p = {self.p}: the {self.family} "
@@ -191,41 +178,33 @@ class DesignSpec:
 
     @property
     def label(self) -> str:
-        if self.family == "PowerLaw":
-            base = f"powerlaw-nu{self.nu:g}"
-            return base if self.c == 1.0 else base + f"-C{self.c:g}"
-        if self.family == "IidGaussian":
-            return "gaussian"
-        if self.family == "IidStudentT":
-            return f"studentt-df{self.df:g}"
-        return f"orthogonal-s{self.s:g}"
+        # -<key><value> per parameter off its field default (C = 1 is left out)
+        stem, params, _ = _FAMILIES[self.family]
+        return stem + "".join(f"-{key}{getattr(self, field):g}"
+                              for key, field, _ in params
+                              if getattr(self, field) != getattr(DesignSpec, field))
 
     @classmethod
     def from_json(cls, obj: dict) -> "DesignSpec":
         family = obj.get("family") if isinstance(obj, dict) else None
-        if isinstance(family, str) and family in _FAMILY_KEYS:
-            uses, reader = _FAMILY_KEYS[family], f" for {family}"
+        if isinstance(family, str) and family in _FAMILIES:
+            params, reader = _FAMILIES[family][1], f" for {family}"
         else:        # the spec refuses the family by name
-            uses, reader = ("C", "nu", "df", "s"), ""
-        _json_object(obj, "design", ("family", "n", "p", "seed"), uses, reader)
-        opt = {k: _json_float(obj[k], f"design.{k}")
-               for k in ("nu", "df", "s") if k in obj}
-        return cls(family=_json_str(obj["family"], "design.family"),
+            params, reader = [p for _, ps, _ in _FAMILIES.values() for p in ps], ""
+        _json_object(obj, "design", ("family", "n", "p", "seed"),
+                     [key for key, _, _ in params], reader)
+        values = {field: _json_float(obj[key], f"design.{key}")
+                  for key, field, _ in params if key in obj}
+        return cls(family=_json_typed(obj["family"], "design.family", str,
+                                      "a string"),
                    n=_json_int(obj["n"], "design.n"),
                    p=_json_int(obj["p"], "design.p"),
-                   seed=_json_int(obj["seed"], "design.seed"),
-                   c=_json_float(obj.get("C", 1.0), "design.C"), **opt)
+                   seed=_json_int(obj["seed"], "design.seed"), **values)
 
     def to_json(self) -> dict:
-        out = {"family": self.family, "n": self.n, "p": self.p, "seed": self.seed}
-        if self.family == "PowerLaw":
-            out["C"] = self.c
-            out["nu"] = self.nu
-        if self.family == "IidStudentT":
-            out["df"] = self.df
-        if self.family == "Orthogonal":
-            out["s"] = self.s
-        return out
+        return {"family": self.family, "n": self.n, "p": self.p, "seed": self.seed,
+                **{key: getattr(self, field)
+                   for key, field, _ in _FAMILIES[self.family][1]}}
 
 
 @dataclass(frozen=True)
@@ -261,7 +240,7 @@ def _grid_from_json(obj, key) -> GridSpec:
     lo = _json_float(obj["lo"], f"{key}.lo")
     hi = _json_float(obj["hi"], f"{key}.hi")
     count = _json_int(obj["count"], f"{key}.count")
-    log = _json_bool(obj.get("log", True), f"{key}.log")
+    log = _json_typed(obj.get("log", True), f"{key}.log", bool, "true or false")
     try:
         return GridSpec(lo=lo, hi=hi, count=count, log=log)
     except ValueError as exc:
@@ -297,8 +276,8 @@ class ExperimentConfig:
         if not isinstance(raw_design, list):
             raise ConfigError("design must be an object or a list of objects")
         designs = tuple(DesignSpec.from_json(d) for d in raw_design)
-        tokens = [_json_str(tok, f"flows[{i}]")
-                  for i, tok in enumerate(_json_list(obj["flows"], "flows"))]
+        tokens = [_json_typed(tok, f"flows[{i}]", str, "a string") for i, tok
+                  in enumerate(_json_typed(obj["flows"], "flows", list, "a list"))]
         try:
             flows = tuple(FlowKind.parse(tok) for tok in tokens)
         except ValueError as exc:
@@ -308,7 +287,7 @@ class ExperimentConfig:
                    t_grid=_grid_from_json(obj["t_grid"], "t_grid"),
                    ridge_grid=_grid_from_json(obj["ridge_grid"], "ridge_grid"),
                    output_dir=None if output_dir is None
-                   else _json_str(output_dir, "output_dir"))
+                   else _json_typed(output_dir, "output_dir", str, "a string"))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -259,5 +259,9 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def read_vector_csv(path) -> np.ndarray:
     """Read a vector (one value per line, or a single CSV row)."""
-    return _load_csv(path, ndmin=1).reshape(-1)
+    a = _load_csv(path, ndmin=2)
+    if min(a.shape) > 1:
+        raise ValueError(f"{path} holds a {a.shape[0]} x {a.shape[1]} "
+                         "matrix, not one row or one column")
+    return a.reshape(-1)
 

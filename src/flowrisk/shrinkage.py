@@ -76,15 +76,9 @@ class FlowKind(Enum):
 
     @classmethod
     def parse(cls, token: str) -> "FlowKind":
-        aliases = {
-            "gf": cls.GRADIENT_FLOW,
-            "gradientflow": cls.GRADIENT_FLOW,
-            "nest": cls.ACCELERATED_FLOW,
-            "acceleratedflow": cls.ACCELERATED_FLOW,
-            "hb": cls.HEAVY_BALL_FLOW,
-            "heavyballflow": cls.HEAVY_BALL_FLOW,
-            "ridge": cls.RIDGE,
-        }
+        """A kind by its token or member name, in any case, - and _ ignored."""
+        aliases = {alias.lower().replace("_", ""): kind
+                   for kind in cls for alias in (kind.value, kind.name)}
         key = token.strip().lower().replace("_", "").replace("-", "")
         if key not in aliases:
             raise ValueError(f"unknown flow kind {token!r}")

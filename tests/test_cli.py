@@ -181,6 +181,27 @@ def test_estimate_ridge_at_zero_penalty_needs_full_rank(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flag, shape", [
+    ("estimate", "--response", (10, 2)),
+    ("risk-curve", "--beta0", (2, 2)),
+])
+def test_a_vector_file_holding_a_matrix_is_refused(tmp_path, capsys,
+                                                   instance_files, command,
+                                                   flag, shape):
+    # flattened, each matrix would have the length the 20 x 4 design asks for
+    xp, _, _ = instance_files
+    mp = tmp_path / "m.csv"
+    np.savetxt(mp, np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape),
+               delimiter=",")
+    argv = [command, "--kind", "gf", "--design", str(xp), flag, str(mp)]
+    argv += ["--t", "1"] if command == "estimate" else ["--grid", "0.1,10,5"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert f"error: {mp} holds a {shape[0]} x {shape[1]} matrix" in captured.err
+
+
 def test_risk_curve_schema_and_roundtrip(tmp_path, instance_files, capsys):
     xp, _, bp = instance_files
     out = tmp_path / "curve.csv"
@@ -418,6 +439,16 @@ def test_simulate_heavy_ball_skip_warning_on_stderr(tmp_path, capsys):
     assert run(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert "skipping heavy ball" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+
+def test_simulate_has_no_seed_override(tmp_path, capsys):
+    # each design draws from its own seed; one seed for all of them would
+    # give the two Orthogonal designs of this config one basis and signal
+    config = Path(__file__).parent.parent / "demos" / "matrix_family_sweep.json"
+    assert run(["simulate", "--config", str(config), "--seed", "5",
+                "--out", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_and_plot_pipeline(tmp_path, capsys):

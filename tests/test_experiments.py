@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,6 +215,24 @@ class TestConfig:
             "t_grid": {"lo": 0.1, "hi": 1.0, "count": 4},
             "ridge_grid": {"lo": 0.1, "hi": 1.0, "count": 4}})
         assert len(cfg.design) == 1
+
+    @pytest.mark.parametrize("family, params, label, keys", [
+        ("PowerLaw", {"nu": 2.0}, "powerlaw-nu2", {"C", "nu"}),
+        ("PowerLaw", {"nu": 0.5, "c": 3.0}, "powerlaw-nu0.5-C3", {"C", "nu"}),
+        ("IidGaussian", {}, "gaussian", set()),
+        ("IidStudentT", {"df": 5.0}, "studentt-df5", {"df"}),
+        ("Orthogonal", {"s": 0.1}, "orthogonal-s0.1", {"s"}),
+        # C is a PowerLaw parameter: another family neither labels nor
+        # writes it
+        ("IidGaussian", {"c": 2.0}, "gaussian", set()),
+    ])
+    def test_each_family_labels_writes_and_reads_its_parameters(
+            self, family, params, label, keys):
+        spec = DesignSpec(family=family, n=20, p=4, seed=3, **params)
+        assert spec.label == label
+        assert set(spec.to_json()) == {"family", "n", "p", "seed"} | keys
+        read = DesignSpec.from_json(spec.to_json())
+        assert read == (spec if "C" in keys else replace(spec, c=1.0))
 
     def test_round_trip(self, tmp_path):
         cfg = small_config()

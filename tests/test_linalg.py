@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -233,6 +234,19 @@ class TestAttachResponse:
         with pytest.raises(ValueError, match="non-finite"):
             SpectralDesign(design.n, design.p, design.spectrum,
                            design.v_basis, c)
+
+
+def test_read_vector_csv_takes_one_row_or_one_column(tmp_path):
+    path = tmp_path / "v.csv"
+    for text, want in (("1,2,3\n", [1.0, 2.0, 3.0]),
+                       ("1\n2\n3\n", [1.0, 2.0, 3.0]), ("7\n", [7.0])):
+        path.write_text(text)
+        assert np.array_equal(read_vector_csv(path), want)
+    for text, shape in (("1,2\n3,4\n", "2 x 2"), ("1,2,3\n4,5,6\n", "2 x 3")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds "
+                                             f"a {shape} matrix"):
+            read_vector_csv(path)
 
 
 def test_csv_round_trip(tmp_path):

@@ -304,6 +304,18 @@ class TestProfile:
         assert FlowKind.parse("heavy_ball_flow") is FlowKind.HEAVY_BALL_FLOW
         with pytest.raises(ValueError):
             FlowKind.parse("sgd")
+        # the whole accepted set: each token and each member name, in any
+        # case and with - and _ ignored
+        for token, kind in (("gf", GF), ("gradientflow", GF), ("nest", NEST),
+                            ("acceleratedflow", NEST), ("hb", HB),
+                            ("heavyballflow", HB), ("ridge", RIDGE)):
+            for spelling in (token, token.upper(), f" {token} ", kind.name,
+                             kind.name.lower().replace("_", "-")):
+                assert FlowKind.parse(spelling) is kind
+        for token in ("", "g", "gfx", "nesterov", "heavyball", "ridgeflow",
+                      "RIDGE_FLOW", "gf nest", "hb.", "GRADIENT FLOW"):
+            with pytest.raises(ValueError, match="^unknown flow kind"):
+                FlowKind.parse(token)
 
 
 class TestTracedKernels:
