@@ -43,11 +43,24 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _grid_part(name: str, text: str) -> float | int:
+    """One part of --grid: lo and hi as doubles, count as an integer or an
+    integral float such as 1e3 (a config's grid count rule)."""
+    try:
+        value = float(text)
+        if name == "count" and not value.is_integer():
+            raise ValueError
+    except ValueError:
+        what = "an integer" if name == "count" else "a number"
+        raise ConfigError(f"--grid {name} must be {what}, got {text!r}") from None
+    return int(value) if name == "count" else value
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) < 3 or parts[3:] not in ([], ["log"], ["linear"]):
         raise ConfigError("grid must be lo,hi,count[,log|linear]")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, count = map(_grid_part, ("lo", "hi", "count"), parts[:3])
     return GridSpec(lo, hi, count, log=parts[3:] != ["linear"]).points()
 
 
@@ -92,8 +105,7 @@ def _cmd_verify_constants(args) -> int:
 # risk-curve / estimate / oracle-check / simulate / shrink / special-eval / plot
 
 def _cmd_risk_curve(args) -> int:
-    x = read_matrix_csv(args.design)
-    design = design_decompose(x)
+    design = design_decompose(read_matrix_csv(args.design))
     grid = _parse_grid(args.grid)
     kind = FlowKind.parse(args.kind)
     if args.bayes:

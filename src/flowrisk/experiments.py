@@ -58,8 +58,10 @@ log = logging.getLogger(__name__)
 
 SIGMA_SQ = 1.0
 # family -> (label stem, parameters as (config key, DesignSpec field,
-# exclusive floor) in check order, doubles held per design entry past the
-# p x p basis: the sampled entry, plus IidStudentT's df chi-square normals)
+# exclusive floor) in check order, doubles counted per design entry past
+# the p x p basis: the sampled entry, plus IidStudentT's df chi-square
+# normals, an upper bound since those are drawn in blocks of 2^14 rows and
+# the generator holds about two doubles per entry plus one block)
 _FAMILIES = {
     "PowerLaw": ("powerlaw", (("nu", "nu", 0), ("C", "c", 0)), lambda d: 0),
     "IidGaussian": ("gaussian", (), lambda d: 1),
@@ -339,7 +341,7 @@ def gen_iid_design(spec: DesignSpec) -> np.ndarray:
         entries = stream.normals(spec.n * spec.p)
     else:
         entries = stream.student_t(spec.n * spec.p, int(spec.df))
-        entries = entries * np.sqrt((spec.df - 2.0) / spec.df)
+        entries *= np.sqrt((spec.df - 2.0) / spec.df)
     return entries.reshape(spec.n, spec.p)
 
 

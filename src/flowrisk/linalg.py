@@ -186,6 +186,11 @@ def design_decompose(x) -> SpectralDesign:
     deficiency is detected exactly.  A design whose X'X/n, its Frobenius
     norm (the clamp scale) or its largest eigenvalue overflows is refused
     by name: an infinite clamp scale would clamp the whole spectrum to 0.
+
+    X'X/n is formed in one p x p buffer, and X is let go before the
+    eigensolve: when the caller passes X as a temporary, as build_design
+    does, the peak is that buffer, eigh's copy of it and the eigenvectors,
+    about 4 p^2 doubles, and not X on top.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -197,7 +202,9 @@ def design_decompose(x) -> SpectralDesign:
         raise ValueError("design matrix must be at least 1x1")
     # an entry that overflows to inf is refused below, by name
     with np.errstate(over="ignore"):
-        sigma_hat = x.T @ x / n
+        sigma_hat = x.T @ x
+    del x            # a temporary X passed by the caller is freed here
+    sigma_hat /= n
     # an inf (or an inf - inf NaN) entry is refused before the scaling
     # below, which frexp(inf) would turn into a doubling
     top = float(np.abs(sigma_hat).max())

@@ -25,8 +25,12 @@ The implementation streams the recipe rather than materializing it: the
 mixing runs in place over one value buffer and one shift buffer, and
 normals draws its uniforms one chunk of at most _CHUNK_PAIRS pairs at a
 time, so a request for millions of deviates keeps its temporaries at a
-few hundred kilobytes.  The chunking is invisible in the output: every
-stream, and the counter after every call, is the pair-at-a-time recipe's.
+few hundred kilobytes.  chi_square draws its normals _CHI_ROWS rows at a
+time and squares them in place, so at its peak it holds its count
+results plus one block of _CHI_ROWS x df normals, not count x df twice
+over; student_t holds its two count-long arrays plus that block.  The
+chunking is invisible in the output: every stream, and the counter after
+every call, is the pair-at-a-time recipe's.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ _U53 = float(2.0 ** -53)
 _CHUNK_PAIRS = 1 << 15
 # Expected pairs drawn per accepted pair: the acceptance rate is pi/4.
 _PAIRS_PER_ACCEPT = 4.0 / np.pi
+# Rows per chi_square block.  Even, so every block but the last requests an
+# even count of normals and discards no deviate: the blocks draw exactly
+# the stream of one whole request.
+_CHI_ROWS = 1 << 14
 
 
 def _mix(v: np.ndarray) -> np.ndarray:
@@ -131,11 +139,20 @@ class SeededStream:
         return out
 
     def chi_square(self, count: int, df: int) -> np.ndarray:
-        """count chi-square deviates, each the sum of df squared normals."""
+        """count chi-square deviates, each the sum of df squared normals.
+
+        The normals are drawn and squared _CHI_ROWS rows at a time, so the
+        peak is the count results plus one block of _CHI_ROWS x df normals.
+        """
         if df < 1:
             raise ValueError("df must be >= 1")
-        z = self.normals(count * df).reshape(count, df)
-        return (z * z).sum(axis=1)
+        out = np.empty(count)
+        for lo in range(0, count, _CHI_ROWS):
+            rows = min(_CHI_ROWS, count - lo)
+            z = self.normals(rows * df).reshape(rows, df)
+            np.square(z, out=z)
+            z.sum(axis=1, out=out[lo:lo + rows])
+        return out
 
     def student_t(self, count: int, df: int) -> np.ndarray:
         """count Student-t deviates z / sqrt(w/df); z block first, w second."""
@@ -143,4 +160,7 @@ class SeededStream:
             raise ValueError("df must be >= 1")
         z = self.normals(count)
         w = self.chi_square(count, df)
-        return z / np.sqrt(w / df)
+        w /= df
+        np.sqrt(w, out=w)
+        z /= w
+        return z

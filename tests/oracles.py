@@ -13,12 +13,13 @@ the coupling gap that validated through factor_block and the per-row
 "%.17g" CSV formatter are the library's earlier implementations, kept as
 references for the forms that replaced them: the RK4 scan agrees with its
 loop to rounding, and the rest (the one generic RK4 step rule included)
-agree bit for bit.
+agree bit for bit.  traced_peak is the one memory probe of the tests.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import scipy.special
@@ -478,3 +479,18 @@ def risk_csv_text_reference(kind, curve) -> str:
                curve.variance.tolist(), curve.risk.tolist())
     return "\n".join(["kind,param,bias_sq,variance,risk"]
                      + [row % r for r in zip(*columns)]) + "\n"
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw allocated during it.
+
+    numpy reports its array buffers to tracemalloc, so the peak counts every
+    array the call held at once, less what was allocated before it.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

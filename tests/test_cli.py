@@ -299,6 +299,37 @@ def test_risk_curve_refuses_an_oversized_grid_before_allocating(instance_files,
     assert "grid of 100000000000 points exceeds 67108864 doubles" in captured.err
 
 
+def test_risk_curve_grid_count_may_be_an_integral_float(tmp_path,
+                                                      instance_files):
+    xp, _, bp = instance_files
+    written = []
+    for count in ("1000", "1e3"):
+        out = tmp_path / f"{count}.csv"
+        assert run(["risk-curve", "--design", str(xp), "--kind", "gf",
+                    "--grid", f"0.1,10,{count}", "--beta0", str(bp),
+                    "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] and written[0].count(b"\n") == 1001
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, message", [
+    ("0.1,10,5.5", "--grid count must be an integer, got '5.5'"),
+    ("0.1,10,inf", "--grid count must be an integer, got 'inf'"),
+    ("abc,10,5", "--grid lo must be a number, got 'abc'"),
+    (",,5", "--grid lo must be a number, got ''"),
+    ("0.1,x,5", "--grid hi must be a number, got 'x'"),
+])
+def test_risk_curve_names_the_malformed_grid_part(instance_files, capsys,
+                                                  grid, message):
+    xp, _, bp = instance_files
+    assert run(["risk-curve", "--design", str(xp), "--kind", "gf",
+                "--grid", grid, "--beta0", str(bp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert f"error: {message}" in captured.err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("extra, key", [
     (["--grid", "0.1,inf,5", "--beta0"], "grid bounds 0.1, inf must be finite"),

@@ -22,6 +22,8 @@ from flowrisk.linalg import MAX_DOUBLES, design_decompose
 from flowrisk.risk import SignalModel, optimal_ridge_bayes_risk
 from flowrisk.shrinkage import FlowKind
 
+from oracles import traced_peak
+
 
 def power_law_spec(nu, p=100, n=500, seed=1, c=1.0):
     return DesignSpec(family="PowerLaw", n=n, p=p, seed=seed, c=c, nu=nu)
@@ -61,6 +63,13 @@ class TestIidDesigns:
         spec = DesignSpec(family="IidStudentT", n=500, p=100, seed=2, df=5.0)
         x = gen_iid_design(spec)
         assert 0.9 <= x.var() <= 1.1
+
+    def test_student_t_holds_about_two_doubles_per_entry(self):
+        # the t deviates and their chi-squares, plus one block of df normals
+        # per row (df + 1 more doubles per entry if drawn whole)
+        spec = DesignSpec(family="IidStudentT", n=2000, p=100, seed=2, df=5.0)
+        x, peak = traced_peak(gen_iid_design, spec)
+        assert peak <= 5 * 8 * x.size
 
     def test_low_df_rejected(self):
         with pytest.raises(ConfigError, match="df"):

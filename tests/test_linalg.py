@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from flowrisk.linalg import (
     sym_eig,
 )
 
-from oracles import power_iteration_eigenvalues
+from oracles import power_iteration_eigenvalues, traced_peak
 
 
 class TestSymEig:
@@ -178,6 +179,19 @@ class TestDesignDecompose:
     def test_refuses_a_design_whose_gram_overflows(self, x):
         with pytest.raises(ValueError, match="X'X/n or its norm overflows"):
             design_decompose(x)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.11 moves a temporary argument into the "
+                           "callee's frame")
+def test_a_temporary_design_is_freed_before_the_eigensolve():
+    # X is 2 p^2 doubles; with X freed, X'X/n, eigh's copy and its
+    # eigenvectors peak at about 4 p^2 (6 p^2 when X lives on)
+    p = 400
+    rng = np.random.default_rng(3)
+    _, peak = traced_peak(
+        lambda: design_decompose(rng.standard_normal((2 * p, p))))
+    assert peak <= 4.5 * p * p * 8
 
 
 class TestAttachResponse:

@@ -301,6 +301,19 @@ def test_csv_text_is_the_reference_on_values(case):
     assert text == risk_csv_text_reference(FlowKind.RIDGE, curve)
 
 
+def test_csv_text_is_the_reference_on_one_long_curve():
+    # every case in one 5,000-row curve, so the specials, ties and extremes
+    # are formatted in the same array passes as ordinary values
+    cases = [CSV_VALUES[case] for case in sorted(CSV_VALUES)
+             if case != "bit_patterns"]
+    rest = 5_000 - sum(len(c) for c in cases)
+    curve = csv_curve(np.concatenate([CSV_VALUES["bit_patterns"][:rest],
+                                      *cases]))
+    assert curve.grid.size == 5_000
+    assert (risk_csv_text(FlowKind.RIDGE, curve)
+            == risk_csv_text_reference(FlowKind.RIDGE, curve))
+
+
 def test_csv_ties_round_half_even():
     curve = csv_curve([1234567890123456.25, 1234567890123456.75])
     params = [row.split(",")[1] for row in

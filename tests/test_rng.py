@@ -144,9 +144,12 @@ def test_interleaved_uniforms_and_normals_match_reference(seed):
         assert stream._counter == ref._counter
 
 
+# chi_square draws its normals in blocks of 2^14 rows: the streams and
+# counters are those of one whole request, across block edges and a short tail.
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-def test_chi_square_and_student_t_match_reference(seed):
-    count, df = 1001, 5
+@pytest.mark.parametrize("count, df",
+                         [(1001, 5), (3 * 2 ** 14 + 7, 3), (3 * 2 ** 14 + 7, 5)])
+def test_chi_square_and_student_t_match_reference(seed, count, df):
     stream, ref = SeededStream(seed), SeededStream(seed)
     z = batched_normals(ref, count * df).reshape(count, df)
     assert np.array_equal(stream.chi_square(count, df), (z * z).sum(axis=1))
