@@ -30,25 +30,21 @@ by float comparisons and forms its lambda = (1/t)(1/t) in Python floats,
 with no numpy reduction; past that point a scalar is a one-point grid, and
 the flow and ridge rows share one s > 0 mask.
 
-No square in coupling_gap overflows.  |g| <= 1 for heavy ball and
-0 <= 1 - g <= 1.14 for the accelerated flow, so every flow coordinate is
-at most 2M and every ridge coordinate at most M, with M the design's
-channel_bound on |c_i| / s_i; a squared difference is at most 9 M^2 and a
-row sum at most 9 p M^2.  Where 16 p M^2 overflows, a Python float product
-computed per call, before any row, the rows are formed with overflow
-ignored, and a coordinate past the largest double is refused by name as
-estimate refuses it; then each t's diff and ridge rows are divided by one
-power of two at their largest |entry| before the one reduction, and gap and
-norm multiplied back by its square (J. L. Blue, ACM TOMS 4(1), 1978, the
-idea behind LAPACK's dnrm2); so are the rows whose plain ridge norm is
-below 2^-968, where squares may have underflowed.  Then only the gap and
-the ridge norm, where they pass the largest double, are inf, never the
-ratio.
+coupling_gap follows estimate's rule for overflow and underflow: form,
+then check what came out.  Its lambdas, flow-minus-ridge and ridge rows
+and their sums of squares are formed with overflow ignored.  Where every
+gap is finite and every ridge norm lies in [2^-968, inf), the plain sums
+are the answer.  Otherwise a coordinate past the largest double is refused
+by name as estimate refuses it, and each failing t's diff and ridge rows
+are divided by one power of two at their largest |entry|, summed again,
+and gap and norm multiplied back by its square (J. L. Blue, ACM TOMS 4(1),
+1978, the idea behind LAPACK's dnrm2).  The other rows keep their plain
+sums, so a grid gives each t the bits of its own scalar call, even where a
+subnormal gap has lost some.  Only the gap and the ridge norm, where they
+pass the largest double, are then inf, never the ratio.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -134,8 +130,9 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     and finiteness of t (_path_params), then heavy ball's mu > 0.  A scalar
     t (0-d) is checked by float comparisons and its lambda formed in Python
     floats; a grid is checked by numpy comparisons and one min/max pair.
-    Past validation both take one path: one s > 0 mask, one reduction.  A
-    flow or ridge coordinate past the largest double is a ValueError.
+    Past validation both take one path: one s > 0 mask, one reduction,
+    one check of its sums (module docstring).  A flow or ridge coordinate
+    past the largest double is a ValueError.
     """
     if kind not in (FlowKind.ACCELERATED_FLOW, FlowKind.HEAVY_BALL_FLOW):
         raise ValueError("coupling_gap is defined for the accelerated and "
@@ -146,59 +143,50 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
         raise ValueError("t must be > 0")
     c = _require_response(design)
     times, t_max = _path_params(t_arr)
-    # (1/t)^2 underflows to lambda = 0 for huge t and overflows to
-    # lambda = inf for tiny t, where ridge is then exactly 0: both are the
-    # intended limits.  A Python float overflows without a warning, and
-    # (1/t)(1/t) is the double numpy's (1/t)**2 gives.
-    if scalar:
-        inv = 1.0 / t_max
-        lam_max = inv * inv
-        lam = np.array([lam_max])
-    else:
-        with np.errstate(over="ignore"):
-            lam = (1.0 / times) ** 2
-        lam_max = lam.max(initial=0.0)
     spectrum = design.spectrum
     positive = spectrum.eigenvalues > 0
-
-    def rows():
-        """The flow-minus-ridge rows and the ridge rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (1/t)^2 underflows to lambda = 0 for huge t and overflows to
+        # lambda = inf for tiny t, where ridge is then exactly 0: both are
+        # the intended limits.  A Python float overflows without a
+        # warning, and (1/t)(1/t) is the double numpy's (1/t)**2 gives.
+        if scalar:
+            inv = 1.0 / t_max
+            lam_max = inv * inv
+            lam = np.array([lam_max])
+        else:
+            lam = (1.0 / times) ** 2
+            lam_max = lam.max(initial=0.0)
         ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, lam_max,
                                positive)
-        return _spectral_rows(spectrum, c, kind, times, t_max,
-                              positive) - ridge, ridge
-
-    bound = design.channel_bound
-    w = None
-    if 16.0 * spectrum.p * bound * bound == math.inf:
-        # only here can a coordinate c_i / s_i pass the largest double
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff, ridge = rows()
-        if not (np.isfinite(diff).all() and np.isfinite(ridge).all()):
+        diff = _spectral_rows(spectrum, c, kind, times, t_max,
+                              positive) - ridge
+        gap, norm_sq = _sums_of_squares(diff, ridge)
+        if scalar:
+            gap, norm_sq = float(gap[0]), float(norm_sq[0])
+        plain = ((gap < np.inf) & (norm_sq >= _TINY_NORM_SQ)
+                 & (norm_sq < np.inf))
+        if (plain if scalar else plain.all()):
+            return gap, norm_sq, gap / norm_sq
+        # a coordinate past the largest double leaves diff non-finite
+        if not np.isfinite(diff).all():
             raise ValueError(
                 f"a {kind.value} coefficient passes the largest double")
-        w = _scale(diff, ridge)
-    else:
-        diff, ridge = rows()
-        gap, norm_sq = (diff * diff).sum(axis=1), (ridge * ridge).sum(axis=1)
-        if ((float(norm_sq[0]) < _TINY_NORM_SQ) if scalar
-                else (norm_sq < _TINY_NORM_SQ).any()):
-            tiny = norm_sq < _TINY_NORM_SQ   # the other rows keep w = 1
-            w = np.where(tiny[:, None], _scale(diff, ridge), 1.0)
-    if w is not None:
-        diff, ridge = diff / w, ridge / w
-        gap, norm_sq = (diff * diff).sum(axis=1), (ridge * ridge).sum(axis=1)
-    if scalar:
-        gap, norm_sq = float(gap[0]), float(norm_sq[0])
-        ratio = gap / norm_sq if norm_sq > 0 else 0.0
-    else:
+        # the rows that passed keep w = 1, and so their plain sums
+        w = np.where(np.reshape(plain, (-1, 1)), 1.0, _scale(diff, ridge))
+        gap, norm_sq = _sums_of_squares(diff / w, ridge / w)
         ratio = np.divide(gap, norm_sq, out=np.zeros_like(gap),
                           where=norm_sq > 0)
-    if w is not None:   # gap and norm past the largest double are inf
-        w = float(w[0, 0]) if scalar else w[:, 0]
-        with np.errstate(over="ignore"):
-            gap, norm_sq = gap * w * w, norm_sq * w * w
+        w = w[:, 0]   # gap and norm past the largest double are inf
+        gap, norm_sq = gap * w * w, norm_sq * w * w
+    if scalar:
+        return float(gap[0]), float(norm_sq[0]), float(ratio[0])
     return gap, norm_sq, ratio
+
+
+def _sums_of_squares(diff: np.ndarray, ridge: np.ndarray):
+    """Per row, the squared norms of the diff and ridge rows."""
+    return (diff * diff).sum(axis=1), (ridge * ridge).sum(axis=1)
 
 
 def _scale(diff: np.ndarray, ridge: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,10 +112,7 @@ class SpectralDesign:
 
     v_basis columns are the eigenvectors of X'X/n matching the spectrum
     order.  rotated_channel, when present, holds c = V' X' y / n, which
-    must be finite.  channel_bound, computed here once per design, bounds
-    every |c_i| / s_i with s_i > 0: the largest |c_i| over the smallest
-    positive eigenvalue, inf where that quotient overflows, 0 with no
-    response or no positive eigenvalue.
+    must be finite.
     """
 
     n: int
@@ -123,7 +120,6 @@ class SpectralDesign:
     spectrum: Spectrum
     v_basis: np.ndarray
     rotated_channel: np.ndarray | None = None
-    channel_bound: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
@@ -144,12 +140,6 @@ class SpectralDesign:
             if not np.isfinite(c).all():
                 raise ValueError("rotated_channel has non-finite entries")
             object.__setattr__(self, "rotated_channel", c)
-            s = self.spectrum.eigenvalues
-            k = int(np.searchsorted(s, 0.0, side="right"))   # first s > 0
-            if k < self.p:
-                # a Python float quotient overflows to inf with no warning
-                object.__setattr__(self, "channel_bound",
-                                   float(np.abs(c).max()) / float(s[k]))
 
     @property
     def has_response(self) -> bool:

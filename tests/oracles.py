@@ -107,13 +107,6 @@ def gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def grid_min(fn, grid: np.ndarray) -> tuple[float, float]:
-    """(argmin, min) of fn over a dense grid."""
-    vals = np.array([fn(g) for g in grid])
-    k = int(np.argmin(vals))
-    return float(grid[k]), float(vals[k])
-
-
 J1_ROOTS_BELOW_8 = (3.8317059702075123, 7.015586669815619)
 
 

@@ -185,28 +185,21 @@ def test_10_power_law_sweep_qualitative_claims():
         })
         dataset = figure_sweep(config)
 
-        def risks(label, token):
-            return np.array([dec.risk for _, dec in dataset[label][token]])
-
         # (a) accelerated and heavy-ball risks are non-monotone for the
         # ill-conditioned spectra: they both strictly fall and strictly rise
         for nu in ("powerlaw-nu1", "powerlaw-nu2"):
             for token in ("nest", "hb"):
-                r = risks(nu, token)
+                r = dataset[nu][token].risk
                 assert (np.diff(r) < 0).any() and (np.diff(r) > 0).any(), \
                     (nu, token)
         # (b) gradient-flow bias never increases, variance never decreases
         for label in dataset:
             curve = dataset[label]["gf"]
-            bias = np.array([dec.bias_sq for _, dec in curve])
-            var = np.array([dec.variance for _, dec in curve])
-            assert (np.diff(bias) <= 1e-12).all(), label
-            assert (np.diff(var) >= -1e-12).all(), label
+            assert (np.diff(curve.bias_sq) <= 1e-12).all(), label
+            assert (np.diff(curve.variance) >= -1e-12).all(), label
         # (c) under nu = 2 the accelerated variance overshoots gradient flow
-        nest_var = np.array([dec.variance
-                             for _, dec in dataset["powerlaw-nu2"]["nest"]])
-        gf_var = np.array([dec.variance
-                           for _, dec in dataset["powerlaw-nu2"]["gf"]])
+        nest_var = dataset["powerlaw-nu2"]["nest"].variance
+        gf_var = dataset["powerlaw-nu2"]["gf"].variance
         assert (nest_var >= 2.0 * gf_var).any()
 
 

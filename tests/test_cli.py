@@ -95,18 +95,17 @@ def test_shrink_prints_the_limit_of_an_overflowing_argument(kind, s, t, capsys):
     assert capsys.readouterr() == ("0\n", "")
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("s, t", [("1e308", "1e308"), ("1e308", "1.7e308"),
                                   ("1.7976931348623157e308", "1e292")])
-def test_shrink_ridge_where_s_plus_lambda_overflows(s, t):
-    # a fresh interpreter under -W error: an overflow warning is a traceback
-    src = Path(flowrisk.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "flowrisk.cli",
-                           "shrink", "--kind", "ridge", "--s", s, "--t", t],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+def test_shrink_ridge_where_s_plus_lambda_overflows(s, t, capsys):
+    # an overflow RuntimeWarning is an exception here, which run does not
+    # catch
+    assert run(["shrink", "--kind", "ridge", "--s", s, "--t", t]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
     exact = Fraction(float(t)) / (Fraction(float(s)) + Fraction(float(t)))
-    assert float(done.stdout) == pytest.approx(float(exact), rel=3e-16)
+    assert float(captured.out) == pytest.approx(float(exact), rel=3e-16)
 
 
 def test_estimate_matches_library(capsys, instance_files):

@@ -450,8 +450,6 @@ def test_coupling_gap_scales_rows_whose_squares_would_overflow(kind):
     small = tiny_design(-200)
     assert np.array_equal(small.rotated_channel,
                           np.ldexp(design.rotated_channel, -200))
-    assert 16.0 * 2 * design.channel_bound * design.channel_bound == np.inf
-    assert 16.0 * 2 * small.channel_bound * small.channel_bound < 1e200
     ts = np.array([1e-130, 1.0, 1e5, 1e130, 1e200])
     gap, norm_sq, ratio = coupling_gap(design, kind, ts)
     want = coupling_gap(small, kind, ts)
@@ -481,17 +479,24 @@ def test_coupling_gap_scales_rows_whose_ridge_norm_would_underflow(kind):
     assert (coupling_gap(tiny_design(-600), kind, ts)[1] < 2.0 ** -968).all()
 
 
-def test_channel_bound_is_set_where_the_channel_is_attached(small_instance):
-    design, x, _, _ = small_instance
-    s, c = design.spectrum.eigenvalues, design.rotated_channel
-    assert design.channel_bound == float(np.abs(c).max()) / float(s[0])
-    assert design_decompose(x).channel_bound == 0.0
-    # a rank-deficient design divides by its smallest positive eigenvalue
-    wide = np.random.default_rng(1).standard_normal((3, 5))
-    d = attach_response(design_decompose(wide), wide, np.ones(3))
-    s, c = d.spectrum.eigenvalues, d.rotated_channel
-    assert s[1] == 0.0 < s[2]
-    assert d.channel_bound == float(np.abs(c).max()) / float(s[2])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", COUPLED)
+def test_a_grid_mixing_plain_and_rescaled_rows_keeps_each_rows_bits(
+        kind, small_instance):
+    # at t = 1e-200 lambda is inf and the ridge row exactly 0, so the grid
+    # takes the rescaled rows; every other t alone takes the plain sums.
+    # With the response times 2^-484 the gap at t = 1e7 is subnormal, and
+    # a rescaled row would get a different ratio from the one a plain row
+    # gets
+    design, x, y, _ = small_instance
+    ts = np.array([1e-200, 1.0, 1e7])
+    for shift in (0, -484):
+        d = attach_response(design, x, np.ldexp(y, shift))
+        grid = coupling_gap(d, kind, ts)
+        assert grid[1][0] == 0.0 and (grid[1][1:] >= 2.0 ** -968).all()
+        for i, t in enumerate(ts):
+            assert _hex(coupling_gap(d, kind, float(t))) == \
+                [float(v[i]).hex() for v in grid]
 
 
 @pytest.mark.filterwarnings("error")

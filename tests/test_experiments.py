@@ -338,11 +338,11 @@ class TestFigureSweep:
         from flowrisk.rng import derive_seed
         beta0, _ = gen_signal(1, 1.0, 1.0, derive_seed(3, 1))
         b0_sq = float(beta0[0] ** 2)
-        for t, dec in curve:
-            assert dec.bias_sq == pytest.approx(b0_sq * np.exp(-2 * t),
-                                                rel=1e-12)
-            assert dec.variance == pytest.approx(
-                (1 - np.exp(-t)) ** 2 / 4.0, rel=1e-12)
+        t = curve.grid
+        assert curve.bias_sq == pytest.approx(b0_sq * np.exp(-2 * t),
+                                              rel=1e-12)
+        assert curve.variance == pytest.approx((1 - np.exp(-t)) ** 2 / 4.0,
+                                               rel=1e-12)
 
     def test_bayes_mode_ridge_optimum_dominates(self):
         cfg = small_config()
@@ -352,7 +352,7 @@ class TestFigureSweep:
             prior = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=spec.n)
             floor, _ = optimal_ridge_bayes_risk(design.spectrum, prior)
             for token, curve in dataset[label].items():
-                best = min(dec.risk for _, dec in curve)
+                best = curve.risk.min()
                 assert floor <= best + 1e-10, (label, token)
 
     def test_accelerated_curve_oscillates_at_small_scale(self):

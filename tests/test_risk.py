@@ -34,10 +34,9 @@ FIXED_UNIT = SignalModel.fixed(np.array([1.0]), sigma_sq=1.0, n=1)
 PRIOR_UNIT = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=1)  # alpha = 1 at p = 1
 
 
-def point_risk(spectrum, signal, kind, param):
-    """The decomposition of a one-point risk_curve (fixed or Bayes)."""
-    [(_, dec)] = risk_curve(spectrum, signal, kind, [param])
-    return dec
+def point_curve(spectrum, signal, kind, param):
+    """A one-point risk_curve (fixed or Bayes), read as arrays."""
+    return risk_curve(spectrum, signal, kind, [param])
 
 
 class TestFixedRisk:
@@ -47,39 +46,40 @@ class TestFixedRisk:
     def test_start_of_path(self, kind, simple_spectrum):
         signal = SignalModel.fixed(np.array([1.0, -2.0, 0.5, 3.0]),
                                    sigma_sq=2.0, n=10)
-        dec = point_risk(simple_spectrum, signal, kind, 0.0)
-        assert dec.bias_sq == pytest.approx(1 + 4 + 0.25 + 9, rel=1e-15)
-        assert dec.variance == 0.0
+        point = point_curve(simple_spectrum, signal, kind, 0.0)
+        assert point.bias_sq[0] == pytest.approx(1 + 4 + 0.25 + 9, rel=1e-15)
+        assert point.variance[0] == 0.0
 
     def test_ridge_scalar_substitution(self):
-        dec = point_risk(UNIT, FIXED_UNIT, FlowKind.RIDGE, 1.0)
-        assert dec.bias_sq == pytest.approx(0.25, abs=1e-15)
-        assert dec.variance == pytest.approx(0.25, abs=1e-15)
-        assert dec.risk == pytest.approx(0.5, abs=1e-15)
+        point = point_curve(UNIT, FIXED_UNIT, FlowKind.RIDGE, 1.0)
+        assert point.bias_sq[0] == pytest.approx(0.25, abs=1e-15)
+        assert point.variance[0] == pytest.approx(0.25, abs=1e-15)
+        assert point.risk[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_accelerated_scalar_via_series_oracle(self):
         g = j1_series(2.0)  # shrinkage factor at s = 1, t = 2
-        dec = point_risk(UNIT, FIXED_UNIT, FlowKind.ACCELERATED_FLOW, 2.0)
-        assert dec.bias_sq == pytest.approx(g * g, abs=1e-9)
-        assert dec.variance == pytest.approx((1 - g) ** 2, abs=1e-9)
-        assert dec.bias_sq == pytest.approx(0.33261, abs=1e-4)
-        assert dec.variance == pytest.approx(0.17916, abs=1e-4)
+        point = point_curve(UNIT, FIXED_UNIT, FlowKind.ACCELERATED_FLOW, 2.0)
+        assert point.bias_sq[0] == pytest.approx(g * g, abs=1e-9)
+        assert point.variance[0] == pytest.approx((1 - g) ** 2, abs=1e-9)
+        assert point.bias_sq[0] == pytest.approx(0.33261, abs=1e-4)
+        assert point.variance[0] == pytest.approx(0.17916, abs=1e-4)
 
     def test_null_directions_feed_bias_only(self):
         spec = Spectrum(np.array([0.0, 0.0, 1.0]))
         signal = SignalModel.fixed(np.array([2.0, -1.0, 0.3]), sigma_sq=1.0, n=4)
         for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW):
             for t in (0.5, 3.0, 50.0):
-                dec = point_risk(spec, signal, kind, t)
-                live = point_risk(Spectrum(np.array([1.0])),
-                                  SignalModel.fixed(np.array([0.3]),
-                                                    sigma_sq=1.0, n=4),
-                                  kind, t)
-                assert dec.bias_sq == pytest.approx(4 + 1 + live.bias_sq,
-                                                    rel=1e-14)
-                assert dec.variance == pytest.approx(live.variance, rel=1e-14)
-        dec = point_risk(spec, signal, FlowKind.RIDGE, 2.0)
-        assert dec.bias_sq >= 5.0
+                point = point_curve(spec, signal, kind, t)
+                live = point_curve(Spectrum(np.array([1.0])),
+                                   SignalModel.fixed(np.array([0.3]),
+                                                     sigma_sq=1.0, n=4),
+                                   kind, t)
+                assert point.bias_sq[0] == pytest.approx(
+                    4 + 1 + live.bias_sq[0], rel=1e-14)
+                assert point.variance[0] == pytest.approx(live.variance[0],
+                                                          rel=1e-14)
+        point = point_curve(spec, signal, FlowKind.RIDGE, 2.0)
+        assert point.bias_sq[0] >= 5.0
 
     def test_mode_mismatch(self, simple_spectrum):
         # the prior-only quantities refuse a fixed signal
@@ -92,9 +92,9 @@ class TestFixedRisk:
 
 class TestBayesRisk:
     def test_gradient_flow_scalar(self):
-        dec = point_risk(UNIT, PRIOR_UNIT, FlowKind.GRADIENT_FLOW, 1.0)
+        point = point_curve(UNIT, PRIOR_UNIT, FlowKind.GRADIENT_FLOW, 1.0)
         expected = math.exp(-2.0) + (1 - math.exp(-1.0)) ** 2
-        assert dec.risk == pytest.approx(expected, abs=1e-8)
+        assert point.risk[0] == pytest.approx(expected, abs=1e-8)
         assert expected == pytest.approx(0.53492, abs=1e-5)
 
     @pytest.mark.parametrize("kind", [FlowKind.GRADIENT_FLOW,
@@ -102,14 +102,14 @@ class TestBayesRisk:
                                       FlowKind.HEAVY_BALL_FLOW])
     def test_prior_energy_at_start(self, kind, simple_spectrum):
         prior = SignalModel.prior(r_sq=2.5, sigma_sq=1.0, n=20)
-        dec = point_risk(simple_spectrum, prior, kind, 0.0)
-        assert dec.risk == pytest.approx(2.5, rel=1e-14)
+        point = point_curve(simple_spectrum, prior, kind, 0.0)
+        assert point.risk[0] == pytest.approx(2.5, rel=1e-14)
 
     def test_accelerated_scalar(self):
         g = j1_series(2.0)
-        dec = point_risk(UNIT, PRIOR_UNIT, FlowKind.ACCELERATED_FLOW, 2.0)
-        assert dec.risk == pytest.approx(g * g + (1 - g) ** 2, abs=1e-6)
-        assert dec.risk == pytest.approx(0.51177, abs=1e-5)
+        point = point_curve(UNIT, PRIOR_UNIT, FlowKind.ACCELERATED_FLOW, 2.0)
+        assert point.risk[0] == pytest.approx(g * g + (1 - g) ** 2, abs=1e-6)
+        assert point.risk[0] == pytest.approx(0.51177, abs=1e-5)
 
     def test_matches_average_of_fixed_risk(self, simple_spectrum):
         # Monte Carlo over the prior: 2000 coefficient draws, 3 sigma band
@@ -121,12 +121,12 @@ class TestBayesRisk:
                             (FlowKind.ACCELERATED_FLOW, 2.0),
                             (FlowKind.RIDGE, 0.4)]:
             risks = np.array([
-                point_risk(simple_spectrum,
-                           SignalModel.fixed(b, sigma_sq=1.0, n=25),
-                           kind, param).risk
+                point_curve(simple_spectrum,
+                            SignalModel.fixed(b, sigma_sq=1.0, n=25),
+                            kind, param).risk[0]
                 for b in draws])
             se = risks.std(ddof=1) / np.sqrt(m)
-            target = point_risk(simple_spectrum, prior, kind, param).risk
+            target = point_curve(simple_spectrum, prior, kind, param).risk[0]
             assert abs(risks.mean() - target) <= 3 * se
 
 
@@ -158,8 +158,8 @@ class TestOptimalRidge:
         floor, _ = optimal_ridge_bayes_risk(simple_spectrum, prior)
         for kind in FlowKind:
             for param in np.logspace(-2, 2, 60):
-                assert point_risk(simple_spectrum, prior, kind,
-                                  param).risk >= floor - 1e-10
+                assert point_curve(simple_spectrum, prior, kind,
+                                   param).risk[0] >= floor - 1e-10
 
 
 class TestRiskCurve:
@@ -175,10 +175,8 @@ class TestRiskCurve:
                                    sigma_sq=1.0, n=10)
         curve = risk_curve(simple_spectrum, signal, FlowKind.GRADIENT_FLOW,
                            np.logspace(-2, 3, 200))
-        bias = np.array([d.bias_sq for _, d in curve])
-        var = np.array([d.variance for _, d in curve])
-        assert (np.diff(bias) <= 1e-12).all()
-        assert (np.diff(var) >= -1e-12).all()
+        assert (np.diff(curve.bias_sq) <= 1e-12).all()
+        assert (np.diff(curve.variance) >= -1e-12).all()
 
     def test_accelerated_curve_oscillates(self):
         signal = SignalModel.fixed(np.array([1.0]), sigma_sq=1.0, n=1)
@@ -253,10 +251,9 @@ def test_csv_text_matches_per_value_format():
     variance = np.array([0.0, 2.5e-310, 7e297, 0.2])
     curve = RiskCurve(np.array([0.0, 1e-5, 3.0, 1e300]), bias, variance)
     want = ["kind,param,bias_sq,variance,risk"]
-    for t, dec in curve:
-        want.append(",".join(["nest"] + [format(v, ".17g") for v in
-                                         (t, dec.bias_sq, dec.variance,
-                                          dec.risk)]))
+    for row in zip(curve.grid.tolist(), curve.bias_sq.tolist(),
+                   curve.variance.tolist(), curve.risk.tolist()):
+        want.append(",".join(["nest"] + [format(v, ".17g") for v in row]))
     text = risk_csv_text(FlowKind.ACCELERATED_FLOW, curve)
     assert text == "\n".join(want) + "\n"
     assert ",4.9406564584124654e-324," in text  # the subnormal round-trips
@@ -496,8 +493,8 @@ def test_decomposition_identity_everywhere(simple_spectrum):
                                sigma_sq=2.0, n=8)
     for kind in FlowKind:
         for param in (0.05, 0.9, 12.0):
-            dec = point_risk(simple_spectrum, signal, kind, param)
-            assert dec.risk == dec.bias_sq + dec.variance
+            point = point_curve(simple_spectrum, signal, kind, param)
+            assert point.risk[0] == point.bias_sq[0] + point.variance[0]
 
 
 def test_closed_forms_match_monte_carlo_estimators():
@@ -522,7 +519,7 @@ def test_closed_forms_match_monte_carlo_estimators():
             bhat = estimate(d, kind, [param])[0]
             sq_errors[i] = np.sum((bhat - beta0) ** 2)
         se = sq_errors.std(ddof=1) / np.sqrt(m)
-        target = point_risk(base.spectrum, signal, kind, param).risk
+        target = point_curve(base.spectrum, signal, kind, param).risk[0]
         assert abs(sq_errors.mean() - target) <= 3 * se
 
 
@@ -571,5 +568,5 @@ def test_subnormal_eigenvalue_keeps_variance_finite():
     signal = SignalModel.fixed(np.ones(3), sigma_sq=1.0, n=1)
     for kind in (FlowKind.GRADIENT_FLOW, FlowKind.ACCELERATED_FLOW,
                  FlowKind.RIDGE):
-        for _, dec in risk_curve(spec, signal, kind, [0.5, 2.0]):
-            assert np.isfinite(dec.variance)
+        curve = risk_curve(spec, signal, kind, [0.5, 2.0])
+        assert np.isfinite(curve.variance).all()
