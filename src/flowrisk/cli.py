@@ -1,4 +1,4 @@
-"""Command-line interface: verification, curves, estimates, simulation, plots.
+"""Command-line interface: verification, curves, estimates, simulation.
 
 Exit codes: 0 success, 1 a verification failed (a certified value left its
 tolerance, or the certifier could not produce one), 2 usage or
@@ -29,7 +29,6 @@ from .experiments import ConfigError, ExperimentConfig, GridSpec, figure_sweep
 from .linalg import (MAX_DOUBLES, Spectrum, attach_response, design_decompose,
                      read_matrix_csv, read_vector_csv)
 from .oracle import compare_closed_form
-from .plotting import load_plot_series, render_line_plot
 from .risk import SignalModel, risk_csv_text, risk_curve, write_risk_csv
 from .rng import SeededStream
 from .shrinkage import FlowKind, factor_block
@@ -102,7 +101,7 @@ def _cmd_verify_constants(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# risk-curve / estimate / oracle-check / simulate / shrink / special-eval / plot
+# risk-curve / estimate / oracle-check / simulate / shrink / special-eval
 
 def _cmd_risk_curve(args) -> int:
     design = design_decompose(read_matrix_csv(args.design))
@@ -197,23 +196,6 @@ def _cmd_special_eval(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    series = []
-    x_label = y_label = None
-    for path in args.inputs:
-        s, xl, yl = load_plot_series(path, column=args.column)
-        series.append(s)
-        x_label = x_label or xl
-        y_label = y_label or yl
-    svg = render_line_plot(series, logx=args.logx, logy=args.logy,
-                           x_label=x_label or "x", y_label=y_label or "y",
-                           title=args.title)
-    with open(args.out, "w") as fh:
-        fh.write(svg)
-    print(f"wrote {args.out}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,17 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", required=True, choices=tuple(_SPECIAL))
     p.add_argument("--x", type=float, required=True)
     p.set_defaults(handler=_cmd_special_eval)
-
-    p = sub.add_parser("plot", help="render CSV curves as SVG")
-    p.add_argument("--in", dest="inputs", nargs="+", required=True,
-                   help="input CSV files")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--logx", action="store_true")
-    p.add_argument("--logy", action="store_true")
-    p.add_argument("--column", default="risk",
-                   help="risk-schema column to plot (bias_sq | variance | risk)")
-    p.add_argument("--title", default=None)
-    p.set_defaults(handler=_cmd_plot)
     return parser
 
 
@@ -310,7 +281,7 @@ def run(argv) -> int:
     package_log.addHandler(handler)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:  # ConfigError, PlotSchemaError too
+    except (ValueError, OSError) as exc:  # ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -203,17 +203,24 @@ def bias_variance_curve(spectrum: Spectrum, weights: np.ndarray,
     """bias_variance of one family along a grid, a block of rows at a time.
 
     Each block holds about _BLOCK_DOUBLES factors, so memory stays flat in
-    the grid length whatever the spectrum size.
+    the grid length whatever the spectrum size.  A squared bias or a
+    variance past the largest double is a ValueError, as estimate refuses a
+    coefficient past it; so is the NaN an infinite weight leaves where its
+    factor is 0.
     """
     s = spectrum.eigenvalues
     grid = np.asarray(grid, dtype=float)
     rows = max(1, _BLOCK_DOUBLES // s.size)
     bias = np.empty(grid.size)
     variance = np.empty(grid.size)
-    for lo in range(0, grid.size, rows):
-        g = factor_block(kind, s, grid[lo:lo + rows], spectrum.mu)
-        bias[lo:lo + rows], variance[lo:lo + rows] = bias_variance(
-            g, s, weights, noise_scale)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        for lo in range(0, grid.size, rows):
+            g = factor_block(kind, s, grid[lo:lo + rows], spectrum.mu)
+            bias[lo:lo + rows], variance[lo:lo + rows] = bias_variance(
+                g, s, weights, noise_scale)
+    for name, values in (("squared bias", bias), ("variance", variance)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"a {kind.value} {name} passes the largest double")
     return bias, variance
 
 
@@ -248,7 +255,8 @@ def risk_curve(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
     if signal.mode == "fixed":
         if signal.beta0_rotated.size != spectrum.p:
             raise ValueError("beta0_rotated length does not match the spectrum")
-        weights = signal.beta0_rotated ** 2
+        with np.errstate(over="ignore"):   # bias_variance_curve refuses inf
+            weights = signal.beta0_rotated ** 2
     else:
         weights = np.full(spectrum.p, signal.r_sq / spectrum.p)
     bias, variance = bias_variance_curve(spectrum, weights, signal.noise_scale,

@@ -444,15 +444,15 @@ class TestHbParamError:
         # the former 50^3 (mu, s, t) scan, evaluated through (a, b)
         a, b, _ = _old_hb_nodes(50)
         f = bounds._hb_factor(a, b)
-        assert (f * f).max() == pytest.approx(4.7093730888261796, rel=1e-12)
+        assert (f * f).max() == pytest.approx(4.7093730888261796, rel=1e-12, abs=0)
         assert ((f - 1.0) ** 2).max() == pytest.approx(1.3691550810177335,
-                                                       rel=1e-12)
+                                                       rel=1e-12, abs=0)
 
     def test_values_are_the_undamped_edge_suprema(self):
         f_sq, fm1_sq, _ = (r.value for r in hb_quarter_plane())
-        assert f_sq == pytest.approx(_undamped_sup(lambda f: f * f), rel=1e-9)
+        assert f_sq == pytest.approx(_undamped_sup(lambda f: f * f), rel=1e-9, abs=0)
         assert fm1_sq == pytest.approx(_undamped_sup(lambda f: (f - 1.0) ** 2),
-                                       rel=1e-9)
+                                       rel=1e-9, abs=0)
         # above the former grid maxima 4.709 and 1.369, which missed a = 0
         assert f_sq == pytest.approx(4.88918, abs=1e-5)
         assert fm1_sq == pytest.approx(1.46688, abs=1e-5)
@@ -609,9 +609,9 @@ class TestHKappa:
         limit = 8.0 + phi ** 6 * math.exp(-2.0 * phi)
         for kappa in (1e3, 1e6):
             ratio = h_kappa(kappa) / kappa ** (2.0 / 3.0)
-            assert ratio == pytest.approx(limit, rel=1e-2)
+            assert ratio == pytest.approx(limit, rel=1e-2, abs=0)
         assert h_kappa(1e6) / 1e6 ** (2.0 / 3.0) == pytest.approx(limit,
-                                                                  rel=1e-4)
+                                                                  rel=1e-4, abs=0)
 
     def test_rejects_kappa_below_one(self):
         with pytest.raises(ValueError):
@@ -682,7 +682,7 @@ class TestTildeHDomain:
         direct = tilde_h(x, z)
         assert np.allclose(bounds._tilde_h_log(x, z), direct, rtol=2e-13, atol=0)
         for i in range(0, 4000, 400):
-            assert direct[i] == pytest.approx(tilde_h_mp(x[i], z[i]), rel=1e-13)
+            assert direct[i] == pytest.approx(tilde_h_mp(x[i], z[i]), rel=1e-13, abs=0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x, z", [
@@ -732,14 +732,14 @@ class TestTildeHDomain:
         with mpmath.workdps(40):
             want = float((mpmath.mpf(z) + mpmath.sqrt(5 * mpmath.mpf(z) ** 2 - 4))
                          / 2)
-        assert tilde_h_maximizer(z) == pytest.approx(want, rel=4e-16)
+        assert tilde_h_maximizer(z) == pytest.approx(want, rel=4e-16, abs=0)
 
     @pytest.mark.filterwarnings("error")
     def test_maximizer_of_a_mixed_array(self):
         zs = np.array([1.0, 3.0, 1e200, np.inf])
         got = tilde_h_maximizer(zs)
         assert got[:2].tolist() == [tilde_h_maximizer(1.0), tilde_h_maximizer(3.0)]
-        assert got[2] == pytest.approx(1.618033988749895e200, rel=4e-16)
+        assert got[2] == pytest.approx(1.618033988749895e200, rel=4e-16, abs=0)
         assert got[3] == np.inf
 
     @pytest.mark.filterwarnings("error")
@@ -864,8 +864,8 @@ class TestVarianceBound:
     def test_kappa_64_substitution(self):
         tau = 64.0 ** (1.0 / 6.0)
         assert 8.0 * tau ** 4 == pytest.approx(8.0 * 64.0 ** (2.0 / 3.0),
-                                               rel=1e-14)
-        assert 8.0 * tau ** 4 == pytest.approx(128.0, rel=1e-14)
+                                               rel=1e-14, abs=0)
+        assert 8.0 * tau ** 4 == pytest.approx(128.0, rel=1e-14, abs=0)
 
     def test_recomposition_at_anchor_kappas(self):
         for kappa in (1.0, 8.0, 1000.0):

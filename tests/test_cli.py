@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -14,7 +15,6 @@ from flowrisk import cli
 from flowrisk.cli import run
 from flowrisk.experiments import ExperimentConfig
 from flowrisk.linalg import MAX_DOUBLES
-from flowrisk.plotting import load_plot_series, render_line_plot
 from flowrisk.shrinkage import FlowKind, factor_block
 from flowrisk.special import bessel_j1
 
@@ -105,7 +105,7 @@ def test_shrink_ridge_where_s_plus_lambda_overflows(s, t, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     exact = Fraction(float(t)) / (Fraction(float(s)) + Fraction(float(t)))
-    assert float(captured.out) == pytest.approx(float(exact), rel=3e-16)
+    assert float(captured.out) == pytest.approx(float(exact), rel=3e-16, abs=0)
 
 
 def test_estimate_matches_library(capsys, instance_files):
@@ -250,6 +250,19 @@ def test_risk_curve_refuses_a_design_whose_gram_overflows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and _one_error_line(captured.err)
     assert "X'X/n or its norm overflows" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_risk_curve_refuses_a_variance_past_the_largest_double(tmp_path, capsys):
+    # X'X/n = I/2 and sigma^2/n = 5e307: where the gf factors reach 0 the
+    # variance is 4 x 5e307
+    xp = tmp_path / "X.csv"
+    xp.write_text("1,0\n0,1\n")
+    assert run(["risk-curve", "--design", str(xp), "--kind", "gf", "--grid",
+                "0.01,1000,3", "--bayes", "--r2", "1", "--sigma2", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert captured.err == "error: a gf variance passes the largest double\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -481,7 +494,17 @@ def test_simulate_has_no_seed_override(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_simulate_and_plot_pipeline(tmp_path, capsys):
+def test_readme_command_lines_name_every_subcommand():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1]
+    named = [line.split()[1] for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("flowrisk ")]
+    (commands,) = (action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert named == list(commands)
+
+
+def test_simulate_writes_one_curve_per_flow(tmp_path, capsys):
     config = {
         "design": [{"family": "PowerLaw", "C": 1.0, "nu": 1.0, "n": 100,
                     "p": 20, "seed": 2}],
@@ -494,18 +517,7 @@ def test_simulate_and_plot_pipeline(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert run(["simulate", "--config", str(cfg_path)]) == 0
-    capsys.readouterr()
-    out_dir = tmp_path / "out"
-    csvs = sorted(out_dir.glob("*.csv"))
-    assert len(csvs) == 2
-    svg_path = tmp_path / "fig.svg"
-    assert run(["plot", "--in"] + [str(c) for c in csvs]
-               + ["--out", str(svg_path), "--logx"]) == 0
-    svg1 = svg_path.read_bytes()
-    assert svg1.startswith(b"<svg")
-    assert run(["plot", "--in"] + [str(c) for c in csvs]
-               + ["--out", str(svg_path), "--logx"]) == 0
-    assert svg_path.read_bytes() == svg1  # byte-identical rerun
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 2
 
 
 def test_simulate_missing_config_key(tmp_path, capsys):
@@ -567,30 +579,6 @@ def test_simulate_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys,
     assert captured.out == "" and _one_error_line(captured.err)
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
-
-
-def test_plot_rejects_empty_csv(tmp_path, capsys):
-    bad = tmp_path / "empty.csv"
-    bad.write_text("")
-    assert run(["plot", "--in", str(bad), "--out",
-                str(tmp_path / "x.svg")]) == 2
-
-
-def test_plot_rejects_schema_mismatch(tmp_path):
-    bad = tmp_path / "three.csv"
-    bad.write_text("1,2,3\n4,5,6\n")
-    assert run(["plot", "--in", str(bad), "--out",
-                str(tmp_path / "x.svg")]) == 2
-
-
-def test_plot_two_column_with_header(tmp_path):
-    path = tmp_path / "h.csv"
-    path.write_text("kappa,h\n1,9.08\n10,40.0\n100,190.0\n")
-    series, x_label, y_label = load_plot_series(path)
-    assert (x_label, y_label) == ("kappa", "h")
-    svg = render_line_plot([series], logx=True, x_label=x_label,
-                           y_label=y_label)
-    assert "polyline" in svg
 
 
 def test_simulate_full_grid_of_designs_and_flows(tmp_path, capsys):

@@ -36,7 +36,7 @@ class TestPowerLaw:
 
     def test_condition_number(self):
         d = gen_power_law_design(power_law_spec(2.0, p=100))
-        assert d.spectrum.kappa == pytest.approx(1e4, rel=1e-12)
+        assert d.spectrum.kappa == pytest.approx(1e4, rel=1e-12, abs=0)
 
     def test_flat_exponent_rejected(self):
         with pytest.raises(ConfigError):
@@ -98,7 +98,7 @@ class TestOrthogonal:
     def test_single_column(self):
         spec = DesignSpec(family="Orthogonal", n=7, p=1, seed=0, s=0.5)
         x = gen_orthogonal_design(spec)
-        assert np.linalg.norm(x) == pytest.approx(np.sqrt(7 * 0.5), rel=1e-12)
+        assert np.linalg.norm(x) == pytest.approx(np.sqrt(7 * 0.5), rel=1e-12, abs=0)
 
     def test_wide_shape_rejected(self):
         with pytest.raises(ConfigError, match="n must be >="):
@@ -172,9 +172,9 @@ class TestPowerLawUnderflow:
 class TestSignal:
     def test_exact_snr(self):
         beta, sigma_sq = gen_signal(p=50, snr=1.0, sigma_sq=1.0, seed=7)
-        assert np.sum(beta ** 2) == pytest.approx(1.0, rel=1e-12)
+        assert np.sum(beta ** 2) == pytest.approx(1.0, rel=1e-12, abs=0)
         beta4, _ = gen_signal(p=50, snr=4.0, sigma_sq=1.0, seed=7)
-        assert np.sum(beta4 ** 2) == pytest.approx(4.0, rel=1e-12)
+        assert np.sum(beta4 ** 2) == pytest.approx(4.0, rel=1e-12, abs=0)
 
     def test_deterministic(self):
         a, _ = gen_signal(10, 1.0, 1.0, seed=123)
@@ -340,9 +340,9 @@ class TestFigureSweep:
         b0_sq = float(beta0[0] ** 2)
         t = curve.grid
         assert curve.bias_sq == pytest.approx(b0_sq * np.exp(-2 * t),
-                                              rel=1e-12)
+                                              rel=1e-12, abs=0)
         assert curve.variance == pytest.approx((1 - np.exp(-t)) ** 2 / 4.0,
-                                               rel=1e-12)
+                                               rel=1e-12, abs=0)
 
     def test_bayes_mode_ridge_optimum_dominates(self):
         cfg = small_config()

@@ -158,7 +158,7 @@ class TestDesignDecompose:
             d = design_decompose(np.diag([2.0, 2e150]) * np.sqrt(2.0))
         # 4 lies below the relative clamp 1e-12 * 4e300
         s = d.spectrum.eigenvalues
-        assert s[0] == 0.0 and s[1] == pytest.approx(4e300, rel=1e-12)
+        assert s[0] == 0.0 and s[1] == pytest.approx(4e300, rel=1e-12, abs=0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [

@@ -47,7 +47,7 @@ class TestFixedRisk:
         signal = SignalModel.fixed(np.array([1.0, -2.0, 0.5, 3.0]),
                                    sigma_sq=2.0, n=10)
         point = point_curve(simple_spectrum, signal, kind, 0.0)
-        assert point.bias_sq[0] == pytest.approx(1 + 4 + 0.25 + 9, rel=1e-15)
+        assert point.bias_sq[0] == pytest.approx(1 + 4 + 0.25 + 9, rel=1e-15, abs=0)
         assert point.variance[0] == 0.0
 
     def test_ridge_scalar_substitution(self):
@@ -75,9 +75,9 @@ class TestFixedRisk:
                                                      sigma_sq=1.0, n=4),
                                    kind, t)
                 assert point.bias_sq[0] == pytest.approx(
-                    4 + 1 + live.bias_sq[0], rel=1e-14)
+                    4 + 1 + live.bias_sq[0], rel=1e-14, abs=0)
                 assert point.variance[0] == pytest.approx(live.variance[0],
-                                                          rel=1e-14)
+                                                          rel=1e-14, abs=0)
         point = point_curve(spec, signal, FlowKind.RIDGE, 2.0)
         assert point.bias_sq[0] >= 5.0
 
@@ -103,7 +103,7 @@ class TestBayesRisk:
     def test_prior_energy_at_start(self, kind, simple_spectrum):
         prior = SignalModel.prior(r_sq=2.5, sigma_sq=1.0, n=20)
         point = point_curve(simple_spectrum, prior, kind, 0.0)
-        assert point.risk[0] == pytest.approx(2.5, rel=1e-14)
+        assert point.risk[0] == pytest.approx(2.5, rel=1e-14, abs=0)
 
     def test_accelerated_scalar(self):
         g = j1_series(2.0)
@@ -140,7 +140,7 @@ class TestOptimalRidge:
         spec = Spectrum(np.zeros(3))
         prior = SignalModel.prior(r_sq=1.7, sigma_sq=1.0, n=12)
         risk, _ = optimal_ridge_bayes_risk(spec, prior)
-        assert risk == pytest.approx(1.7, rel=1e-14)
+        assert risk == pytest.approx(1.7, rel=1e-14, abs=0)
 
     def test_matches_grid_minimization_oracle(self):
         rng = np.random.default_rng(21)
@@ -150,7 +150,7 @@ class TestOptimalRidge:
         lams = np.logspace(-4, 3, 20000)
         grid_best = float(risk_curve(spec, prior, FlowKind.RIDGE,
                                      lams).risk.min())
-        assert opt == pytest.approx(grid_best, rel=1e-6)
+        assert opt == pytest.approx(grid_best, rel=1e-6, abs=0)
         assert opt <= grid_best + 1e-12
 
     def test_bayes_optimality_floor(self, simple_spectrum):
@@ -570,3 +570,26 @@ def test_subnormal_eigenvalue_keeps_variance_finite():
                  FlowKind.RIDGE):
         curve = risk_curve(spec, signal, kind, [0.5, 2.0])
         assert np.isfinite(curve.variance).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, grid", [("gf", [1e-3, 1e300]),
+                                        ("ridge", [1e-300, 1.0])])
+def test_a_variance_past_the_largest_double_is_refused(kind, grid):
+    # (sigma^2/n) (1 - g)^2 / s overflows at s = 1e-300; it once came back inf
+    signal = SignalModel.prior(r_sq=1.0, sigma_sq=1e100, n=1)
+    with pytest.raises(ValueError,
+                       match=f"^a {kind} variance passes the largest double$"):
+        risk_curve(Spectrum(np.array([1e-300, 1.0])), signal,
+                   FlowKind.parse(kind), grid)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", [[0.0], [1e300]], ids=["factor-1", "factor-0"])
+def test_a_weight_past_the_largest_double_is_refused(grid):
+    # (1e200)^2 is inf: an inf bias where the factor is 1, NaN where it is 0
+    signal = SignalModel.fixed(np.array([1e200, 1.0]), sigma_sq=1.0, n=1)
+    with pytest.raises(ValueError,
+                       match="^a gf squared bias passes the largest double$"):
+        risk_curve(Spectrum(np.array([1.0, 2.0])), signal,
+                   FlowKind.GRADIENT_FLOW, grid)
