@@ -167,21 +167,28 @@ def _scan_max(objective, taus, xs):
     objective(taus[rows, None], xs[rows or None, cols]): as many whole rows
     as fit, or column chunks of a longer row.  Every point is evaluated exactly as in
     a one-row call, and a tie (or a NaN) resolves to the first index, as in
-    np.argmax over the whole row.
+    np.argmax over the whole row.  A scan that fits in one block, as every
+    scan of the golden-section stage and every hb zoom does, returns that
+    block's row maxima and argmaxes as they are; only a scan of several
+    blocks, or of no rows, fills buffers, merging block by block.
     """
     n_rows, n_cols = taus.size, xs.shape[-1]
     row_step = max(1, _SCAN_BLOCK // n_cols)
     col_step = min(n_cols, _SCAN_BLOCK)
-    best = np.empty(n_rows)
-    arg = np.empty(n_rows, dtype=np.intp)
+    one_block = 0 < n_rows <= row_step and n_cols <= col_step
+    if not one_block:
+        best = np.empty(n_rows)
+        arg = np.empty(n_rows, dtype=np.intp)
     for r in range(0, n_rows, row_step):
         rows = slice(r, r + row_step)
         t = taus[rows, None]
         for c in range(0, n_cols, col_step):
             x = xs[None, c:c + col_step] if xs.ndim == 1 else xs[rows, c:c + col_step]
             vals = objective(t, x)
-            k = np.argmax(vals, axis=1)
+            k = vals.argmax(axis=1)
             v = vals[np.arange(k.size), k]
+            if one_block:
+                return v, k
             if c == 0:
                 best[rows], arg[rows] = v, k
                 continue
@@ -192,25 +199,36 @@ def _scan_max(objective, taus, xs):
     return best, arg
 
 
+# the zoom offsets 0, 1, ..., _ZOOM_POINTS - 1, as doubles
+_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
+
+
 def _zoom(objective, taus, x_coarse, best_v, k, zoom_rounds=3):
     """Dense x zooms per tau around its coarse maximizer x_coarse[k].
 
     best_v and k are each row's coarse max and first argmax, as _scan_max
-    returns them.  Returns (values, maximizers), one entry per tau.
+    returns them.  Each round scans _ZOOM_POINTS points per row from lo to
+    hi and keeps a strictly better max; every round but the last then sets
+    the next window to the best x so far plus or minus a tenth of this
+    window's width (lo clipped at x_coarse[0]).  Returns (values,
+    maximizers), one entry per tau.
     """
+    rows = np.arange(taus.size)
     best_x = x_coarse[k]
     lo = x_coarse[np.maximum(k - 1, 0)]
     hi = x_coarse[np.minimum(k + 1, x_coarse.size - 1)]
-    for _ in range(zoom_rounds):
+    for r in range(zoom_rounds):
         # rows equal to np.linspace(lo[i], hi[i], _ZOOM_POINTS) (same steps,
         # same rounding, last point hi) unless a step underflows to 0
         step = (hi - lo) / (_ZOOM_POINTS - 1)
-        xs = lo[:, None] + np.arange(_ZOOM_POINTS) * step[:, None]
+        xs = lo[:, None] + _ZOOM_STEPS * step[:, None]
         xs[:, -1] = hi
         vv, kk = _scan_max(objective, taus, xs)
         better = vv > best_v
         best_v = np.where(better, vv, best_v)
-        best_x = np.where(better, xs[np.arange(taus.size), kk], best_x)
+        best_x = np.where(better, xs[rows, kk], best_x)
+        if r == zoom_rounds - 1:
+            break
         width = (hi - lo) / 10.0
         lo = np.maximum(best_x - width, x_coarse[0])
         hi = best_x + width

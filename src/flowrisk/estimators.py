@@ -33,15 +33,17 @@ the flow and ridge rows share one s > 0 mask.
 coupling_gap follows estimate's rule for overflow and underflow: form,
 then check what came out.  Its lambdas, flow-minus-ridge and ridge rows
 and their sums of squares are formed with overflow ignored.  Where every
-gap is finite and every ridge norm lies in [2^-968, inf), the plain sums
-are the answer.  Otherwise a coordinate past the largest double is refused
+gap and every ridge norm lies in [2^-968, inf), the plain sums are the
+answer.  Otherwise a coordinate past the largest double is refused
 by name as estimate refuses it, and each failing t's diff and ridge rows
 are divided by one power of two at their largest |entry|, summed again,
 and gap and norm multiplied back by its square (J. L. Blue, ACM TOMS 4(1),
 1978, the idea behind LAPACK's dnrm2).  The other rows keep their plain
-sums, so a grid gives each t the bits of its own scalar call, even where a
-subnormal gap has lost some.  Only the gap and the ridge norm, where they
-pass the largest double, are then inf, never the ratio.
+sums, so a grid gives each t the bits of its own scalar call.  A gap below
+2^-968 (a subnormal one has lost bits, and one whose squares underflowed
+is 0) is rescaled too; a gap of exact zeros stays 0.  Only the gap and the
+ridge norm, where they pass the largest double, are then inf, never the
+ratio.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from .shrinkage import FlowKind, _factor_rows, _path_params, _ridge_terms
 
 __all__ = ["estimate", "coupling_gap"]
 
-# 2^54 times the smallest normal double: a smaller ridge norm is rescaled
+# 2^54 times the smallest normal double: a smaller gap or ridge norm is
+# rescaled
 _TINY_NORM_SQ = 2.0 ** -968
 
 
@@ -164,8 +167,8 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
         gap, norm_sq = _sums_of_squares(diff, ridge)
         if scalar:
             gap, norm_sq = float(gap[0]), float(norm_sq[0])
-        plain = ((gap < np.inf) & (norm_sq >= _TINY_NORM_SQ)
-                 & (norm_sq < np.inf))
+        plain = ((gap >= _TINY_NORM_SQ) & (gap < np.inf)
+                 & (norm_sq >= _TINY_NORM_SQ) & (norm_sq < np.inf))
         if (plain if scalar else plain.all()):
             return gap, norm_sq, gap / norm_sq
         # a coordinate past the largest double leaves diff non-finite

@@ -10,7 +10,9 @@ then divided by x^2.
 
 j1_ratio evaluates J1 on the whole array and writes its series over the
 few entries below 1e-4; j1_ratio_complement evaluates J1 only at x >= 1e-2,
-where no series overwrites it.
+where no series overwrites it.  The division 2*J1(x)/x enters an errstate
+guard for its 0/0 only when the array's smallest entry is 0, which
+j1_ratio knows from its domain check and j1_ratio_complement never passes.
 
 All functions accept scalars or arrays, return matching shapes, and are
 pure; they are safe for unrestricted concurrent use.
@@ -48,14 +50,19 @@ def _checked(x, name, nonnegative=False):
     return arr, lo
 
 
-def _two_j1_over_x(vec):
+def _two_j1_over_x(vec, lo):
     """2*J1(x)/x over a whole array, computed in place in one buffer.
 
-    The 0/0 at x = 0 gives NaN without a warning; j1_ratio overwrites it
-    (and every other entry below its cutoff) with its series.
+    lo is a lower bound of vec.  Only when it is 0 can a 0/0 form, and only
+    then is the division guarded: the 0/0 at x = 0 gives NaN without a
+    warning, and j1_ratio overwrites it (and every other entry below its
+    cutoff) with its series.
     """
     out = _cephes_j1(vec)
     out *= 2.0
+    if lo > 0:
+        out /= vec
+        return out
     with np.errstate(invalid="ignore"):
         out /= vec
     return out
@@ -81,7 +88,7 @@ def j1_ratio(x):
     """
     arr, lo = _checked(x, "j1_ratio", nonnegative=True)
     vec = np.atleast_1d(arr)
-    out = _two_j1_over_x(vec)
+    out = _two_j1_over_x(vec, lo)
     if lo < _RATIO_CUTOFF:
         small = vec < _RATIO_CUTOFF
         x2 = vec[small] ** 2
@@ -102,7 +109,7 @@ def j1_ratio_complement(x):
     vec = np.atleast_1d(arr)
     out = np.empty_like(vec)
     big = vec >= _COMPLEMENT_CUTOFF     # J1 only where no series overwrites it
-    out[big] = 1.0 - _two_j1_over_x(vec[big])
+    out[big] = 1.0 - _two_j1_over_x(vec[big], _COMPLEMENT_CUTOFF)
     _complement_series(vec, out)
     return float(out[0]) if arr.ndim == 0 else out
 

@@ -484,10 +484,10 @@ def test_coupling_gap_scales_rows_whose_ridge_norm_would_underflow(kind):
 def test_a_grid_mixing_plain_and_rescaled_rows_keeps_each_rows_bits(
         kind, small_instance):
     # at t = 1e-200 lambda is inf and the ridge row exactly 0, so the grid
-    # takes the rescaled rows; every other t alone takes the plain sums.
-    # With the response times 2^-484 the gap at t = 1e7 is subnormal, and
-    # a rescaled row would get a different ratio from the one a plain row
-    # gets
+    # takes the rescaled rows; t = 1 alone takes the plain sums.  With the
+    # response times 2^-484 the gap at t = 1e7 is subnormal, so that t takes
+    # the rescaled rows alone too, and a plain row beside it in the grid
+    # keeps its plain sums
     design, x, y, _ = small_instance
     ts = np.array([1e-200, 1.0, 1e7])
     for shift in (0, -484):
@@ -497,6 +497,23 @@ def test_a_grid_mixing_plain_and_rescaled_rows_keeps_each_rows_bits(
         for i, t in enumerate(ts):
             assert _hex(coupling_gap(d, kind, float(t))) == \
                 [float(v[i]).hex() for v in grid]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_subnormal_gap_is_rescaled(small_instance):
+    # times 2^-484 the heavy-ball gap at t = 5.62e7 is subnormal while the
+    # ridge norm is not: its plain sums gave 0x1.05020eae71677p-102, 2.7e-3
+    # off; the rescaled rows give the unshifted instance's ratio
+    design, x, y, _ = small_instance
+    hb, t = FlowKind.HEAVY_BALL_FLOW, 5.62e7
+    want = "0x1.05b5ad001dc08p-102"
+    assert coupling_gap(design, hb, t)[2].hex() == want
+    shifted = attach_response(design, x, np.ldexp(y, -484))
+    gap, norm_sq, ratio = coupling_gap(shifted, hb, t)
+    assert 0.0 < gap < np.finfo(float).tiny <= 2.0 ** -968 <= norm_sq
+    assert ratio.hex() == want
+    grid = coupling_gap(shifted, hb, np.array([1.0, t]))
+    assert [float(v[1]).hex() for v in grid] == _hex([gap, norm_sq, ratio])
 
 
 @pytest.mark.filterwarnings("error")
