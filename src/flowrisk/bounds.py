@@ -31,7 +31,10 @@ The certified quantities:
 Grid protocol for min-max values: tau on a fixed log grid [1e-3, 10] with
 200 points, x on a fixed log grid [1e-8, 1e6] with 2000 points, then three
 rounds of local refinement (golden-section on tau, dense zoom on x), each
-shrinking its bracket by 10x.  The x grid reaches 1e6 by construction, and
+shrinking its bracket by 10x.  A golden-section tau is evaluated once per
+certification: a round that starts on interior points an earlier round
+already evaluated reads their values, which are bit for bit those a new
+evaluation would give.  The x grid reaches 1e6 by construction, and
 the x tail beyond it cannot host the inner maximum at the minimizing tau:
 both objectives there are 1 + O(1/sqrt(x)) + O(1/(tau^3 sqrt(x))), below
 the certified values, while at tiny tau the grid already sees inner maxima
@@ -269,7 +272,15 @@ def _pruned_coarse(objective, taus, x_coarse):
 
 
 def _certified_minimax(objective, taus=_TAUS, x_coarse=_XS):
-    """(value, tau*, x*) of min over taus of max over x of objective."""
+    """(value, tau*, x*) of min over taus of max over x of objective.
+
+    Each golden-section tau is evaluated once per call: its inner max is
+    kept in a dict keyed on the exact double, and a round start whose
+    interior points were already evaluated (on these grids, both points of
+    rounds 2 and 3) reads them from there.  A kept value is the one a fresh
+    evaluation would give, because every point is evaluated as in a
+    one-row scan.  Nothing is kept across calls.
+    """
     coarse = _pruned_coarse(objective, taus, x_coarse)
     nan = np.flatnonzero(np.isnan(coarse))
     if nan.size:
@@ -278,26 +289,31 @@ def _certified_minimax(objective, taus=_TAUS, x_coarse=_XS):
     i = int(np.flatnonzero(coarse <= vmin + 1e-12)[0])  # smallest-tau tie-break
     lo = float(taus[max(i - 1, 0)])
     hi = float(taus[min(i + 1, taus.size - 1)])
+    seen = {}                                  # tau -> its inner max
 
-    def outer(tau):
-        return float(_inner_max(objective, tau, x_coarse)[0][0])
+    def outer(*points):
+        new = [t for t in points if t not in seen]
+        if new:                 # one call, of two rows when a round starts fresh
+            seen.update(zip(new, _inner_max(objective, np.array(new),
+                                            x_coarse)[0].tolist()))
+        return [seen[t] for t in points]
 
     for _ in range(_REFINEMENT_DEPTH):
         target = (hi - lo) / 10.0
         c = hi - (hi - lo) * _GOLDEN
         d = lo + (hi - lo) * _GOLDEN
-        f_c, f_d = _inner_max(objective, np.array([c, d]), x_coarse)[0].tolist()
+        f_c, f_d = outer(c, d)
         while hi - lo > target:
             if f_c < f_d:
                 hi = d
                 d, f_d = c, f_c
                 c = hi - (hi - lo) * _GOLDEN
-                f_c = outer(c)
+                f_c, = outer(c)
             else:
                 lo = c
                 c, f_c = d, f_d
                 d = lo + (hi - lo) * _GOLDEN
-                f_d = outer(d)
+                f_d, = outer(d)
     tau_star = float(0.5 * (lo + hi))
     value, x_star = (float(v[0]) for v in _inner_max(objective, tau_star, x_coarse))
     if not (x_coarse[1] < x_star < x_coarse[-2]):

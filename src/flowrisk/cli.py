@@ -20,6 +20,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -83,8 +84,23 @@ def _require_tol(tol) -> None:
         raise ConfigError(f"--tol must be finite and >= 0, got {tol!r}")
 
 
+def _require_dir(path, name) -> None:
+    """Refuse, before any work, a directory path that names a file or lies
+    under one, so that no command computes what it cannot write."""
+    target = Path(path)
+    found = next((p for p in (target, *target.parents) if p.exists()), None)
+    if found is None or found.is_dir():
+        return
+    if found == target:
+        raise ConfigError(f"{name} {path!r} is not a directory")
+    raise ConfigError(f"{name} {path!r} lies under {str(found)!r}, "
+                      "which is not a directory")
+
+
 def _cmd_verify_constants(args) -> int:
     _require_tol(args.tol)
+    if args.out:
+        _require_dir(args.out, "--out")
     checks = []
     for c, record, ms in bounds.run_checks():
         if args.tol is not None and c.overridable:
@@ -92,11 +108,11 @@ def _cmd_verify_constants(args) -> int:
         checks.append(_check(c.name, record.value, c.paper_value, c.tolerance,
                              c.mode, ms))
     text = json.dumps({"checks": checks}, indent=2, sort_keys=True)
-    print(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "constants.json"), "w") as fh:
             fh.write(text + "\n")
+    print(text)
     return 0 if all(c["pass"] for c in checks) else 1
 
 
@@ -174,6 +190,8 @@ def _cmd_simulate(args) -> int:
         config = replace(config, output_dir=args.out)
     if config.output_dir is None:
         raise ConfigError("config key 'output_dir' is missing (or pass --out)")
+    _require_dir(config.output_dir,
+                 "--out" if args.out else "config key 'output_dir'")
     dataset = figure_sweep(config, bayes=args.bayes)
     n_files = sum(len(v) for v in dataset.values())
     print(f"wrote {n_files} curve files and manifest.json to {config.output_dir}")

@@ -9,7 +9,10 @@ variants needed where the ratio is compared against 1 at tiny arguments and
 then divided by x^2.
 
 j1_ratio evaluates J1 on the whole array and writes its series over the
-few entries below 1e-4; j1_ratio_complement evaluates J1 only at x >= 1e-2,
+few entries below 1e-4.  j1_ratio_complement picks its branch from the
+smallest and largest entries its domain check takes: J1 alone on an array
+wholly at or above 1e-2, the series alone on one wholly below, and one
+mask only for an array that straddles the cutoff, with J1 evaluated only
 where no series overwrites it.  The division 2*J1(x)/x enters an errstate
 guard for its 0/0 only when the array's smallest entry is 0, which
 j1_ratio knows from its domain check and j1_ratio_complement never passes.
@@ -33,7 +36,8 @@ _COMPLEMENT_CUTOFF = 1e-2
 
 
 def _checked(x, name, nonnegative=False):
-    """x as a float array, with its smallest entry (inf when empty).
+    """x as a float array, with its smallest and largest entries (inf and
+    -inf when empty).
 
     One min/max pair checks every entry: ValueError unless finite (a NaN
     makes both NaN) and, when nonnegative, >= 0; the finiteness message
@@ -41,13 +45,13 @@ def _checked(x, name, nonnegative=False):
     """
     arr = np.asarray(x, dtype=float)
     if not arr.size:
-        return arr, np.inf
+        return arr, np.inf, -np.inf
     lo, hi = arr.min(), arr.max()
     if not (-np.inf < lo and hi < np.inf):
         raise ValueError(f"{name} requires finite input")
     if nonnegative and lo < 0:
         raise ValueError(f"{name} is defined for x >= 0")
-    return arr, lo
+    return arr, lo, hi
 
 
 def _two_j1_over_x(vec, lo):
@@ -74,7 +78,7 @@ def bessel_j1(x):
     Odd in x.  Non-finite input raises ValueError.  Scalars in, scalar out;
     arrays in, array out.
     """
-    arr, _ = _checked(x, "bessel_j1")
+    arr, _, _ = _checked(x, "bessel_j1")
     out = _cephes_j1(arr)
     return float(out) if arr.ndim == 0 else out
 
@@ -86,7 +90,7 @@ def j1_ratio(x):
     the removable singularity never forms a 0/0.  |j1_ratio(x)| <= 1 for all
     x >= 0, with equality only at x = 0.
     """
-    arr, lo = _checked(x, "j1_ratio", nonnegative=True)
+    arr, lo, _ = _checked(x, "j1_ratio", nonnegative=True)
     vec = np.atleast_1d(arr)
     out = _two_j1_over_x(vec, lo)
     if lo < _RATIO_CUTOFF:
@@ -104,14 +108,32 @@ def j1_ratio_complement(x):
     would destroy all digits below x ~ 1e-5.  Below 1e-2 the series
     x^2/8 - x^4/192 + x^6/9216 is exact to about 1e-17 relative (the next
     term is x^8/737280); above that, subtraction is safe.
+
+    The smallest and largest entries, which the domain check takes, pick
+    the branch: an array wholly at or above 1e-2 is 1 - 2J1(x)/x and one
+    wholly below is the series, each with no mask; only an array that
+    straddles the cutoff masks, once.
     """
-    arr, _ = _checked(x, "j1_ratio_complement", nonnegative=True)
+    arr, lo, hi = _checked(x, "j1_ratio_complement", nonnegative=True)
     vec = np.atleast_1d(arr)
-    out = np.empty_like(vec)
-    big = vec >= _COMPLEMENT_CUTOFF     # J1 only where no series overwrites it
-    out[big] = 1.0 - _two_j1_over_x(vec[big], _COMPLEMENT_CUTOFF)
-    _complement_series(vec, out)
+    if lo >= _COMPLEMENT_CUTOFF:
+        out = _two_j1_over_x(vec, lo)
+        np.subtract(1.0, out, out=out)
+    elif hi < _COMPLEMENT_CUTOFF:
+        out = _series(vec)
+    else:
+        small = vec < _COMPLEMENT_CUTOFF
+        big = ~small        # J1 only where no series overwrites it
+        out = np.empty_like(vec)
+        out[big] = 1.0 - _two_j1_over_x(vec[big], _COMPLEMENT_CUTOFF)
+        out[small] = _series(vec[small])
     return float(out[0]) if arr.ndim == 0 else out
+
+
+def _series(x):
+    """The complement series x^2/8 - x^4/192 + x^6/9216, for x < 1e-2."""
+    x2 = x ** 2
+    return x2 / 8.0 - x2 * x2 / 192.0 + x2 * x2 * x2 / 9216.0
 
 
 def _complement_series(x, out):
@@ -124,6 +146,5 @@ def _complement_series(x, out):
     """
     small = x < _COMPLEMENT_CUTOFF
     if small.any():
-        x2 = x[small] ** 2
-        out[small] = x2 / 8.0 - x2 * x2 / 192.0 + x2 * x2 * x2 / 9216.0
+        out[small] = _series(x[small])
     return out

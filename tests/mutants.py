@@ -53,6 +53,16 @@ MUTANTS = (
            "    if lo > 0:\n        out /= vec\n",
            "    if lo >= 0:\n        out /= vec\n",
            ("tests/test_special.py",)),
+    Mutant("minimax-memo-swapped", "src/flowrisk/bounds.py",
+           "            seen.update(zip(new, _inner_max(",
+           "            seen.update(zip(new[::-1], _inner_max(",
+           ("tests/test_bounds.py::TestBlockedScan::"
+            "test_constants_match_the_loop_minimax",)),
+    Mutant("complement-gate-off-the-cutoff", "src/flowrisk/special.py",
+           "    if lo >= _COMPLEMENT_CUTOFF:\n",
+           "    if lo >= 0.5 * _COMPLEMENT_CUTOFF:\n",
+           ("tests/test_special.py::"
+            "test_complement_blocks_equal_the_two_mask_form",)),
     Mutant("gf-inflation-one-plus-x", "src/flowrisk/bounds.py",
            "    return (1.0 + x) * (np.exp(-2.0 * tau * x)",
            "    return (1.0 + 0.5 * x) * (np.exp(-2.0 * tau * x)",

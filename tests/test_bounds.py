@@ -247,14 +247,30 @@ class TestBlockedScan:
 
     def test_one_constant_is_few_calls_on_the_same_points(self, monkeypatch):
         # 25,000 witness points, 2240 per fully scanned coarse row (1 row for
-        # gf, 5 for nest), 59,840 in the golden-section stage
+        # gf, 5 for nest), 48,960 in the golden-section stage
         for certifier, name, points in (
-                (gf_inflation_constant, "gf_inflation_objective", 87_080),
-                (nest_inflation_constant, "nest_inflation_objective", 96_040)):
+                (gf_inflation_constant, "gf_inflation_objective", 76_200),
+                (nest_inflation_constant, "nest_inflation_objective", 85_160)):
             seen = _counting(monkeypatch, name)
             certifier()
             assert seen["calls"] <= 150
             assert seen["points"] == points
+
+    @pytest.mark.parametrize("certifier",
+                             [gf_inflation_constant, nest_inflation_constant])
+    def test_the_golden_section_evaluates_each_tau_once(self, certifier,
+                                                        monkeypatch):
+        inner_max, taus = bounds._inner_max, []
+
+        def spy(objective, tau, x_coarse, zoom_rounds=3):
+            if zoom_rounds == 3:        # not the coarse stage's one-round zooms
+                taus.extend(np.atleast_1d(tau).tolist())
+            return inner_max(objective, tau, x_coarse, zoom_rounds)
+
+        monkeypatch.setattr(bounds, "_inner_max", spy)
+        certifier()
+        # 18 x 2720 = 48,960 points: 17 golden-section taus and tau*
+        assert len(taus) == len(set(taus)) == 18
 
     @pytest.mark.parametrize("taus, xs", [
         (np.logspace(-3.0, 1.0, 50), bounds._XS),

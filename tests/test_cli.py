@@ -735,6 +735,38 @@ def test_verify_constants_refuses_a_bad_tol_before_certifying(monkeypatch, capsy
     assert "--tol must be finite and >= 0" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["verify-constants", "simulate"])
+def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, command, under):
+    from flowrisk import bounds
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(bounds, "run_checks", no_work)
+    monkeypatch.setattr(cli, "figure_sweep", no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if under else taken
+    argv = [command, "--out", str(out)]
+    if command == "simulate":
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "design": [{"family": "IidGaussian", "n": 20, "p": 4, "seed": 0}],
+            "snr": 1.0, "flows": ["gf"],
+            "t_grid": {"lo": 0.01, "hi": 100.0, "count": 20, "log": True},
+            "ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 20, "log": True}}))
+        argv += ["--config", str(config)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert captured.err.startswith(f"error: --out {str(out)!r}")
+    assert "not a directory" in captured.err
+    assert taken.read_text() == "kept\n"
+
+
 def test_verify_constants_calls_each_certifier_once(monkeypatch, capsys):
     # only outermost calls count: h_kappa runs only inside
     # hb_variance_bound_check, which certifies h(1) too

@@ -181,3 +181,42 @@ def test_ratios_equal_the_masked_formulas_bit_for_bit(fn, ref):
         for arg in (float(x), np.array(x)):
             got = fn(arg)
             assert isinstance(got, float) and got == ref(arg)
+
+
+_CUT = 1e-2
+_BELOW, _ABOVE = np.nextafter(_CUT, 0.0), np.nextafter(_CUT, np.inf)
+
+
+def _hex(values):
+    return [float.hex(v) for v in np.ravel(values).tolist()]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xs", [
+    np.linspace(1e-9, _BELOW, 513),            # wholly below: the series alone
+    np.linspace(6e-3, _BELOW, 257),            # below, close under the cutoff
+    np.linspace(_CUT, 30.0, 513),              # wholly at or above: 1 - 2J1/x
+    np.linspace(_ABOVE, 2e-2, 257),            # above, close over the cutoff
+    np.logspace(-9, 4, 1001),                  # straddling, ascending
+    np.logspace(4, -9, 1001),                  # straddling, descending
+    np.array([0.0, _CUT, 5e-3, _ABOVE, 0.0, _BELOW]),
+    np.empty(0),
+], ids=["below", "just-below", "at-or-above", "just-above", "straddle",
+        "straddle-descending", "straddle-mixed", "empty"])
+def test_complement_blocks_equal_the_two_mask_form(xs):
+    # each branch of j1_ratio_complement gives the two-mask reference's bits
+    for arg in (xs, xs.reshape(-1, 1)):
+        got = j1_ratio_complement(arg)
+        assert got.shape == arg.shape
+        assert _hex(got) == _hex(masked_j1_ratio_complement(arg))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [_BELOW, _CUT, _ABOVE, 0.0])
+def test_complement_at_the_cutoff_and_zero_equals_the_two_mask_form(x):
+    ref = masked_j1_ratio_complement(x)
+    for arg in (float(x), np.array(x)):         # a Python float, a 0-d array
+        got = j1_ratio_complement(arg)
+        assert isinstance(got, float) and got.hex() == ref.hex()
+    got = j1_ratio_complement(np.array([x]))
+    assert got.shape == (1,) and _hex(got) == [ref.hex()]
