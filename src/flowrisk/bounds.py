@@ -757,7 +757,6 @@ class Check:
     paper_value: float
     tolerance: float
     mode: str = "eq"
-    overridable: bool = False    # verify-constants --tol replaces tolerance
 
     def passes(self, value) -> bool:
         return within(value, self.paper_value, self.tolerance, self.mode)
@@ -765,15 +764,13 @@ class Check:
 
 # name -> row, in report order
 CHECKS = {c.name: c for c in (
-    Check("gradient_flow_inflation", "gf_inflation_constant", 1.0786, 1e-3,
-          overridable=True),
-    Check("accelerated_inflation", "nest_inflation_constant", 1.5991, 1e-3,
-          overridable=True),
+    Check("gradient_flow_inflation", "gf_inflation_constant", 1.0786, 1e-3),
+    Check("accelerated_inflation", "nest_inflation_constant", 1.5991, 1e-3),
     Check("accelerated_param_error", "nest_param_error_constant", 49.0 / 64.0,
-          1e-4, overridable=True),
+          1e-4),
     Check("heavy_ball_f_sq", "hb_quarter_plane", 16.0, 1e-6, "le"),
     Check("heavy_ball_param_error", "hb_quarter_plane", 25.0, 1e-6, "le"),
-    Check("crossover_z", "tilde_h_crossover", 0.907, 1e-3, overridable=True),
+    Check("crossover_z", "tilde_h_crossover", 0.907, 1e-3),
     Check("crossover_case_structure", "tilde_h_crossover", 1.0, 0.0),
     Check("h_recomposition", "hb_variance_bound_check", 0.0, 1e-10, "le"),
     Check("h_at_kappa_1", "hb_variance_bound_check",

@@ -78,16 +78,13 @@ def _check(name, value, reference, tolerance, mode, runtime_ms):
     }
 
 
-def _require_tol(tol) -> None:
-    """The --tol rule of every command that takes one: finite and >= 0."""
-    if tol is not None and not (np.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"--tol must be finite and >= 0, got {tol!r}")
-
-
-def _require_dir(path, name) -> None:
+def _require_dir(path, name, file) -> None:
     """Refuse, before any work, a directory path that names a file or lies
-    under one, so that no command computes what it cannot write."""
+    under one, or that holds a directory where the command writes file, so
+    that no command computes what it cannot write."""
     target = Path(path)
+    if (target / file).is_dir():
+        raise ConfigError(f"{name} {path!r} holds a directory named {file!r}")
     found = next((p for p in (target, *target.parents) if p.exists()), None)
     if found is None or found.is_dir():
         return
@@ -98,15 +95,10 @@ def _require_dir(path, name) -> None:
 
 
 def _cmd_verify_constants(args) -> int:
-    _require_tol(args.tol)
     if args.out:
-        _require_dir(args.out, "--out")
-    checks = []
-    for c, record, ms in bounds.run_checks():
-        if args.tol is not None and c.overridable:
-            c = replace(c, tolerance=args.tol)
-        checks.append(_check(c.name, record.value, c.paper_value, c.tolerance,
-                             c.mode, ms))
+        _require_dir(args.out, "--out", "constants.json")
+    checks = [_check(c.name, record.value, c.paper_value, c.tolerance, c.mode,
+                     ms) for c, record, ms in bounds.run_checks()]
     text = json.dumps({"checks": checks}, indent=2, sort_keys=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -155,7 +147,8 @@ def _cmd_oracle_check(args) -> int:
     kind = FlowKind.parse(args.kind)
     if kind is FlowKind.RIDGE:
         raise ConfigError("oracle-check covers the three flows")
-    _require_tol(args.tol)
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
     for flag, count in (("--grid-count", args.grid_count), ("--p", args.p)):
         if count < 1:
             raise ConfigError(f"{flag} must be >= 1, got {count}")
@@ -191,7 +184,8 @@ def _cmd_simulate(args) -> int:
     if config.output_dir is None:
         raise ConfigError("config key 'output_dir' is missing (or pass --out)")
     _require_dir(config.output_dir,
-                 "--out" if args.out else "config key 'output_dir'")
+                 "--out" if args.out else "config key 'output_dir'",
+                 "manifest.json")
     dataset = figure_sweep(config, bayes=args.bayes)
     n_files = sum(len(v) for v in dataset.values())
     print(f"wrote {n_files} curve files and manifest.json to {config.output_dir}")
@@ -225,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-constants", help="certify every constant and bound")
     p.add_argument("--out", help="directory for constants.json")
-    p.add_argument("--tol", type=float, default=None, help="tolerance for " + ", ".join(
-        name for name, c in bounds.CHECKS.items() if c.overridable))
     p.set_defaults(handler=_cmd_verify_constants)
 
     p = sub.add_parser("risk-curve", help="exact risk curve for one design")

@@ -91,6 +91,10 @@ MUTANTS = (
            "(d1 + 2.0 * d2 + 2.0 * d3 + d4)",
            "(d1 + 3.0 * d2 + 1.0 * d3 + d4)",
            ("tests/test_oracle.py",)),
+    Mutant("verify-constants-loosened-rows", "src/flowrisk/cli.py",
+           "c.paper_value, c.tolerance, c.mode,",
+           "c.paper_value, 2.0 * c.tolerance, c.mode,",
+           ("tests/test_ledger.py",)),
     Mutant("splitmix64-constant", "src/flowrisk/rng.py",
            "_MIX2 = np.uint64(0x94D049BB133111EB)",
            "_MIX2 = np.uint64(0x94D049BB133111EA)",

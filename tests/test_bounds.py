@@ -405,8 +405,7 @@ class TestRunChecks:
     def test_one_record_shape(self):
         assert {f.name for f in fields(bounds.Certified)} == {"name", "value", "at"}
         assert {f.name for f in fields(bounds.Check)} == {
-            "name", "certifier", "paper_value", "tolerance", "mode",
-            "overridable"}
+            "name", "certifier", "paper_value", "tolerance", "mode"}
         classes = [n for n in bounds.__all__ if isinstance(getattr(bounds, n), type)]
         assert sorted(classes) == ["Certified", "Check", "CrossoverCase"]
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -502,6 +503,16 @@ def test_readme_command_lines_name_every_subcommand():
     (commands,) = (action.choices for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
     assert named == list(commands)
+    # every --flag on a README command line, bracketed or not, is an option
+    # of that line's subcommand; a comment after # is not part of the line
+    for block in re.findall(r"```bash\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if not line.startswith("flowrisk "):
+                continue
+            words = re.sub(r"[\[\]]", " ", line.split("#", 1)[0]).split()
+            options = commands[words[1]]._option_string_actions
+            flags = {w.split("=", 1)[0] for w in words if w.startswith("--")}
+            assert flags <= options.keys(), (line, sorted(flags - options.keys()))
 
 
 def test_simulate_writes_one_curve_per_flow(tmp_path, capsys):
@@ -700,43 +711,34 @@ def test_verify_constants_cli(tmp_path, capsys):
     assert saved == report
 
 
-def test_verify_constants_tol_overrides_only_the_equality_rows(capsys):
-    overridable = {"gradient_flow_inflation", "accelerated_inflation",
-                   "accelerated_param_error", "crossover_z"}
+def test_verify_constants_rows_carry_the_table_tolerances(capsys):
+    # bounds.CHECKS alone sets each row's tolerance
+    from flowrisk import bounds
     assert run(["verify-constants"]) == 0
-    own = {c["name"]: c["tolerance"]
-           for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert run(["verify-constants", "--tol", "1e-9"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
-    assert len(checks) == 10
-    for c in checks:
-        if c["name"] in overridable:
-            assert c["tolerance"] == 1e-9
-            assert c["pass"] is (c["name"] == "accelerated_param_error")
-        else:
-            assert c["tolerance"] == own[c["name"]]
-            assert c["pass"] is True
-    assert run(["verify-constants", "--tol", "0.5"]) == 0
+    assert {c["name"]: (c["paper_value"], c["tolerance"]) for c in checks} == {
+        name: (c.paper_value, c.tolerance) for name, c in bounds.CHECKS.items()}
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])
-def test_verify_constants_refuses_a_bad_tol_before_certifying(monkeypatch, capsys,
-                                                              tol):
+@pytest.mark.parametrize("tol", [["--tol", "1e-3"], ["--tol", "0.5"],
+                                 ["--tol=0.5"], ["--tol=nan"]],
+                         ids=["1e-3", "0.5", "equals-0.5", "equals-nan"])
+def test_verify_constants_takes_no_tol(monkeypatch, capsys, tol):
     from flowrisk import bounds
 
     def no_certifier(*args, **kwargs):
         raise AssertionError("a certifier ran")
 
     monkeypatch.setattr(bounds, "run_checks", no_certifier)
-    assert run(["verify-constants", f"--tol={tol}"]) == 2
+    assert run(["verify-constants", *tol]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and _one_error_line(captured.err)
-    assert "--tol must be finite and >= 0" in captured.err
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("under",
+                         ["a-file", "under-a-file", "its-file-a-directory"])
 @pytest.mark.parametrize("command", ["verify-constants", "simulate"])
 def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
         tmp_path, capsys, monkeypatch, command, under):
@@ -749,7 +751,14 @@ def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
     monkeypatch.setattr(cli, "figure_sweep", no_work)
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
-    out = taken / "sub" if under else taken
+    out = taken / "sub" if under == "under-a-file" else taken
+    message = "not a directory"
+    if under == "its-file-a-directory":
+        written = ("constants.json" if command == "verify-constants"
+                   else "manifest.json")
+        out = tmp_path / "out"
+        (out / written).mkdir(parents=True)
+        message = f"holds a directory named {written!r}"
     argv = [command, "--out", str(out)]
     if command == "simulate":
         config = tmp_path / "cfg.json"
@@ -763,8 +772,11 @@ def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
     captured = capsys.readouterr()
     assert captured.out == "" and _one_error_line(captured.err)
     assert captured.err.startswith(f"error: --out {str(out)!r}")
-    assert "not a directory" in captured.err
+    assert message in captured.err
     assert taken.read_text() == "kept\n"
+    if under == "its-file-a-directory":
+        assert list(out.iterdir()) == [out / written]
+        assert not any((out / written).iterdir())
 
 
 def test_verify_constants_calls_each_certifier_once(monkeypatch, capsys):
@@ -814,18 +826,6 @@ def test_two_runs_build_the_parser_once(monkeypatch, capsys):
         cli._parser.cache_clear()
     capsys.readouterr()
     assert len(builds) == 1
-
-
-def test_a_tol_run_does_not_leak_into_the_next_run(capsys):
-    from flowrisk import bounds
-    assert run(["verify-constants", "--tol", "1e-9"]) == 1
-    assert {c["tolerance"] for c in json.loads(capsys.readouterr().out)["checks"]
-            if bounds.CHECKS[c["name"]].overridable} == {1e-9}
-    assert run(["verify-constants"]) == 0
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    assert {c["name"]: c["tolerance"] for c in checks} == {
-        name: c.tolerance for name, c in bounds.CHECKS.items()}
-    assert all(c["pass"] for c in checks)
 
 
 def test_importing_the_cli_builds_neither_cached_object():
