@@ -89,7 +89,7 @@ cases rest on: h~(x_-) < min(1, h~(x*)) in case 2, h~(x*) > 1 in case 3.
 
 The 49/64 scan grid (144,983 points, 1.16 MB) is built on the first
 certification in a process, not at import, and kept read-only for the
-later ones, one grid per tail value.
+later ones.
 
 Every certifier returns a Certified record, or a tuple of them: the name
 of the CHECKS row it answers, the value, and where the value was found.
@@ -365,24 +365,14 @@ def _check_tail(bound, value, name, tail):
 # the 49/64 scan grid is the part of np.logspace(-8, 4, 200000) with
 # x <= _PARAM_ERROR_TAIL; beyond it a checked bound covers the sup
 _PARAM_ERROR_TAIL = 5.0
-_PARAM_ERROR_STEP = 12.0 / 199999      # np.linspace's step for that grid
 
 
+@functools.cache
 def _param_error_grid() -> np.ndarray:
-    """The points of np.logspace(-8, 4, 200000) up to _PARAM_ERROR_TAIL.
-
-    Built as np.logspace builds them (10 ** (i * step - 8)), so they are
-    the same doubles, without the points past the tail (tail < 1e4).  The
-    grid is built once per tail value and process, and is read-only.
-    """
-    return _logspace_prefix(_PARAM_ERROR_TAIL)
-
-
-@functools.lru_cache(maxsize=2)
-def _logspace_prefix(tail: float) -> np.ndarray:
-    count = int((np.log10(tail) + 8.0) / _PARAM_ERROR_STEP) + 2
-    xs = 10.0 ** (np.arange(count, dtype=float) * _PARAM_ERROR_STEP - 8.0)
-    xs = xs[xs <= tail]
+    """The points of np.logspace(-8, 4, 200000) up to _PARAM_ERROR_TAIL,
+    built once per process and read-only."""
+    xs = np.logspace(-8.0, 4.0, 200000)
+    xs = xs[xs <= _PARAM_ERROR_TAIL]
     xs.flags.writeable = False
     return xs
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import bounds
 from .estimators import estimate
-from .experiments import ConfigError, ExperimentConfig, GridSpec, figure_sweep
+from .experiments import (ConfigError, ExperimentConfig, GridSpec, figure_sweep,
+                          output_files)
 from .linalg import (MAX_DOUBLES, Spectrum, attach_response, design_decompose,
                      read_matrix_csv, read_vector_csv)
 from .oracle import compare_closed_form
@@ -78,13 +79,14 @@ def _check(name, value, reference, tolerance, mode, runtime_ms):
     }
 
 
-def _require_dir(path, name, file) -> None:
+def _require_dir(path, name, files) -> None:
     """Refuse, before any work, a directory path that names a file or lies
-    under one, or that holds a directory where the command writes file, so
-    that no command computes what it cannot write."""
+    under one, or that holds a directory where the command writes one of
+    files, so that no command computes what it cannot write."""
     target = Path(path)
-    if (target / file).is_dir():
-        raise ConfigError(f"{name} {path!r} holds a directory named {file!r}")
+    for file in files:
+        if (target / file).is_dir():
+            raise ConfigError(f"{name} {path!r} holds a directory named {file!r}")
     found = next((p for p in (target, *target.parents) if p.exists()), None)
     if found is None or found.is_dir():
         return
@@ -96,7 +98,7 @@ def _require_dir(path, name, file) -> None:
 
 def _cmd_verify_constants(args) -> int:
     if args.out:
-        _require_dir(args.out, "--out", "constants.json")
+        _require_dir(args.out, "--out", ["constants.json"])
     checks = [_check(c.name, record.value, c.paper_value, c.tolerance, c.mode,
                      ms) for c, record, ms in bounds.run_checks()]
     text = json.dumps({"checks": checks}, indent=2, sort_keys=True)
@@ -185,7 +187,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("config key 'output_dir' is missing (or pass --out)")
     _require_dir(config.output_dir,
                  "--out" if args.out else "config key 'output_dir'",
-                 "manifest.json")
+                 output_files(config))
     dataset = figure_sweep(config, bayes=args.bayes)
     n_files = sum(len(v) for v in dataset.values())
     print(f"wrote {n_files} curve files and manifest.json to {config.output_dir}")

@@ -22,13 +22,14 @@ just in expectation, and the bounds module certifies the two constants.
 
 Each value is validated once, where it enters: estimate checks its
 parameters and coupling_gap its times, and a Spectrum's eigenvalues were
-checked when it was built.  _spectral_rows therefore validates nothing and
-calls shrinkage._factor_rows, the formula table behind factor_block, which
-keeps only the heavy-ball rule mu > 0 and takes the largest parameter from
-the caller, who got it while validating.  coupling_gap checks a scalar t
-by float comparisons and forms its lambda = (1/t)(1/t) in Python floats,
-with no numpy reduction; past that point a scalar is a one-point grid, and
-the flow and ridge rows share one s > 0 mask.
+checked when it was built.  _spectral_rows therefore validates nothing:
+its flow rows call shrinkage._factor_rows, the formula table behind
+factor_block, which keeps only the heavy-ball rule mu > 0 and takes each
+formula's limit where an argument overflows, and its ridge rows call the
+table's ridge rule, shrinkage._ridge_terms.  coupling_gap checks a scalar t by float comparisons and forms its
+lambda = (1/t)(1/t) in Python floats, with no numpy reduction; past that
+point a scalar is a one-point grid, and the flow and ridge rows share one
+s > 0 mask.
 
 coupling_gap follows estimate's rule for overflow and underflow: form,
 then check what came out.  Its lambdas, flow-minus-ridge and ridge rows
@@ -67,8 +68,7 @@ def _require_response(design: SpectralDesign) -> np.ndarray:
 
 
 def _spectral_rows(spectrum: Spectrum, c: np.ndarray, kind: FlowKind,
-                   params: np.ndarray, p_max: float,
-                   positive: np.ndarray) -> np.ndarray:
+                   params: np.ndarray, positive: np.ndarray) -> np.ndarray:
     """Spectral coordinates of a family, one row per parameter.
 
     c is the channel per eigenvalue and positive the mask s > 0, which a
@@ -76,22 +76,16 @@ def _spectral_rows(spectrum: Spectrum, c: np.ndarray, kind: FlowKind,
     (1 - g) c / s with g from the factor table, a ridge row c / (s + lambda);
     both are exactly 0 wherever s = 0, where c is rounding noise that
     c / lambda would otherwise amplify.  params are 1-D and not validated
-    here, and the caller passes their maximum p_max: flow times were
-    checked by the caller, and ridge may get lambda = 0 or inf, its
-    intended limits.  Where s + lambda overflows, the ridge row follows
-    shrinkage's one rule, _ridge_terms, behind _factor_rows' gate: the
-    float product of the largest s and p_max is inf.
+    here: flow times were checked by the caller, and ridge may get
+    lambda = 0 or inf, its intended limits.  Where s + lambda overflows,
+    the ridge row follows shrinkage's one rule, _ridge_terms.  The caller
+    runs it with overflow and invalid operations ignored.
     """
     s = spectrum.eigenvalues
     if kind is FlowKind.RIDGE:
-        lam = params[:, None]
-        if float(p_max) * spectrum.big_l == np.inf:
-            num, den = _ridge_terms(c, s, lam)
-        else:
-            num, den = c, s + lam
+        num, den = _ridge_terms(c, s, params[:, None])
     else:
-        num = (1.0 - _factor_rows(kind, s, params, spectrum.mu,
-                                  spectrum.big_l, p_max)) * c
+        num = (1.0 - _factor_rows(kind, s, params, spectrum.mu)) * c
         den = s
     return np.divide(num, den, out=np.zeros((params.size, s.size)),
                      where=positive)
@@ -106,14 +100,14 @@ def estimate(design: SpectralDesign, kind: FlowKind, params) -> np.ndarray:
     is exactly zero.  A coefficient past the largest double (where a
     |c_i| / s_i does) is a ValueError.
     """
-    params, p_max = _path_params(params)
+    params = _path_params(params)
     if (kind is FlowKind.RIDGE and (params == 0.0).any()
             and design.spectrum.mu == 0.0):
         raise ValueError("lambda = 0 requires a full-rank spectrum")
     spectrum = design.spectrum
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _spectral_rows(spectrum, _require_response(design), kind,
-                              params, p_max, spectrum.eigenvalues > 0)
+                              params, spectrum.eigenvalues > 0)
         out = (design.v_basis @ rows.T).T
     if not np.isfinite(out).all():
         raise ValueError(f"a {kind.value} coefficient passes the largest double")
@@ -145,7 +139,7 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
     if (float(t_arr) <= 0.0) if scalar else (t_arr <= 0).any():
         raise ValueError("t must be > 0")
     c = _require_response(design)
-    times, t_max = _path_params(t_arr)
+    times = _path_params(t_arr)
     spectrum = design.spectrum
     positive = spectrum.eigenvalues > 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -154,16 +148,12 @@ def coupling_gap(design: SpectralDesign, kind: FlowKind, t):
         # the intended limits.  A Python float overflows without a
         # warning, and (1/t)(1/t) is the double numpy's (1/t)**2 gives.
         if scalar:
-            inv = 1.0 / t_max
-            lam_max = inv * inv
-            lam = np.array([lam_max])
+            inv = 1.0 / float(t_arr)
+            lam = np.array([inv * inv])
         else:
             lam = (1.0 / times) ** 2
-            lam_max = lam.max(initial=0.0)
-        ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, lam_max,
-                               positive)
-        diff = _spectral_rows(spectrum, c, kind, times, t_max,
-                              positive) - ridge
+        ridge = _spectral_rows(spectrum, c, FlowKind.RIDGE, lam, positive)
+        diff = _spectral_rows(spectrum, c, kind, times, positive) - ridge
         gap, norm_sq = _sums_of_squares(diff, ridge)
         if scalar:
             gap, norm_sq = float(gap[0]), float(norm_sq[0])

@@ -52,6 +52,7 @@ __all__ = [
     "build_design",
     "figure_sweep",
     "git_blob_hash",
+    "output_files",
 ]
 
 log = logging.getLogger(__name__)
@@ -387,6 +388,19 @@ def _unique_labels(designs) -> list[str]:
     return labels
 
 
+def _curve_file(label: str, token: str) -> str:
+    return f"{label}_{token}.csv"
+
+
+def output_files(config: ExperimentConfig) -> list[str]:
+    """The names figure_sweep may write under config.output_dir: a curve
+    file per design and flow (heavy-ball files it skips included), then
+    manifest.json."""
+    return [_curve_file(label, kind.value)
+            for label in _unique_labels(config.design)
+            for kind in config.flows] + ["manifest.json"]
+
+
 def figure_sweep(config: ExperimentConfig, bayes: bool = False) -> dict:
     """Run every (design, family) sweep and return the curve dataset.
 
@@ -423,7 +437,7 @@ def figure_sweep(config: ExperimentConfig, bayes: bool = False) -> dict:
         hashes = {}
         for label in sorted(dataset):
             for token in sorted(dataset[label]):
-                name = f"{label}_{token}.csv"
+                name = _curve_file(label, token)
                 hashes[name] = git_blob_hash(write_risk_csv(
                     out / name, FlowKind(token), dataset[label][token]))
         manifest = {

@@ -331,6 +331,7 @@ def compare_closed_form(kind: FlowKind, spectrum: Spectrum, forcing, t_grid,
     traj = integrate_flow(kind, spectrum, forcing, float(t_grid.max()), step)
     idx = _snap_to_lattice(traj.times, t_grid)
     times = traj.times[idx]
-    closed = _spectral_rows(spectrum, np.asarray(forcing, dtype=float), kind,
-                            times, float(times.max()), spectrum.eigenvalues > 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = _spectral_rows(spectrum, np.asarray(forcing, dtype=float),
+                                kind, times, spectrum.eigenvalues > 0)
     return float(np.abs(traj.positions[idx] - closed).max())

@@ -25,19 +25,16 @@ factor_block checks raw arrays, each bound with one min/max pair, and then
 calls _factor_rows, the table behind it.  Callers that already hold valid
 input (a Spectrum's eigenvalues are finite, >= 0 and ascending, so s >= mu,
 and their parameters were checked by _path_params) call _factor_rows
-directly; it keeps only the heavy-ball rule mu > 0.  It takes the largest
-eigenvalue and the largest parameter from its caller, who holds both from
-validation (_path_params returns the parameter maximum, which for a scalar
-is the scalar itself), so it runs no reduction of its own.  The table calls
+directly; it keeps only the heavy-ball rule mu > 0.  The table calls
 the public kernels j1_ratio and hb_kernel through this module's globals,
 so a tracer that swaps them sees every evaluation.  Below the table,
 j1_ratio still checks its own domain on every call, and the heavy-ball
 kernels check nothing.  Everything here is pure and stateless.
 
-Finite input gives a finite factor.  t s, t sqrt(s), t sqrt(mu) and
-s + lambda overflow somewhere only if the largest parameter times the
-largest eigenvalue does, and that one scalar product picks the path.  Past
-it, a flow factor whose argument overflowed takes its limit 0: exp(-inf);
+Finite input gives a finite factor, by one rule: each formula forms its
+arguments with overflow ignored, evaluates, and takes its limit only where
+an argument came out infinite, found by one mask test per call.  A flow
+factor whose argument overflowed takes its limit 0: exp(-inf);
 2 J1(u)/u, below the smallest subnormal once u > 1e243 by Landau's
 |J1(u)| <= 0.7858 u^(-1/3); and the heavy-ball kernel, at most
 (1 + a) e^{-a}, where exp(-a) == 0.  An overflowed b where exp(-a) > 0
@@ -139,30 +136,23 @@ def hb_kernel_complement(a, b):
     return _scalar_or_array(out)
 
 
-# The one map from a family to its closed form f(s, param, mu); every entry
-# broadcasts s against param.
-_FORMULAS = {
-    FlowKind.GRADIENT_FLOW: lambda s, t, mu: np.exp(-t * s),
-    FlowKind.ACCELERATED_FLOW: lambda s, t, mu: j1_ratio(t * np.sqrt(s)),
-    FlowKind.HEAVY_BALL_FLOW:
-        lambda s, t, mu: hb_kernel(t * np.sqrt(mu), t * np.sqrt(s - mu)),
-    FlowKind.RIDGE: lambda s, lam, mu: lam / (s + lam),
-}
-
-
-def _nest_limit(s, t, mu):
-    """The accelerated formula with 0 wherever t sqrt(s) overflows."""
+def _nest(s, t, mu):
+    """2 J1(u)/u at u = t sqrt(s), with its limit 0 wherever u overflows."""
     u = t * np.sqrt(s)
     over = np.isinf(u)
+    if not np.count_nonzero(over):
+        return j1_ratio(u)
     out = j1_ratio(np.where(over, 0.0, u))
     out[over] = 0.0
     return out
 
 
-def _hb_limit(s, t, mu):
-    """The heavy-ball formula with 0 wherever a = t sqrt(mu) or b overflows."""
+def _hb(s, t, mu):
+    """The heavy-ball kernel, with its limit 0 wherever a or b overflows."""
     a, b = t * np.sqrt(mu), t * np.sqrt(s - mu)
     over = np.isinf(a) | np.isinf(b)
+    if not np.count_nonzero(over):
+        return hb_kernel(a, b)
     if (over & (np.exp(-a) > 0.0)).any():
         raise ValueError("heavy-ball argument t sqrt(s - mu) overflows "
                          "where exp(-t sqrt(mu)) > 0")
@@ -173,27 +163,31 @@ def _hb_limit(s, t, mu):
 
 def _ridge_terms(num, s, lam):
     """num and s + lambda, both halved where s + lambda overflows (exact)."""
-    with np.errstate(over="ignore"):
-        half = np.where(np.isinf(s + lam), 0.5, 1.0)
+    den = s + lam
+    over = np.isinf(den)
+    if not np.count_nonzero(over):
+        return num, den
+    half = np.where(over, 0.5, 1.0)
     return num * half, s * half + lam * half
 
 
-# The formulas where an argument may overflow (module docstring)
-_LIMITS = {
-    FlowKind.GRADIENT_FLOW: _FORMULAS[FlowKind.GRADIENT_FLOW],
-    FlowKind.ACCELERATED_FLOW: _nest_limit,
-    FlowKind.HEAVY_BALL_FLOW: _hb_limit,
+# The one map from a family to its closed form f(s, param, mu); every entry
+# broadcasts s against param and takes its own limit where an argument
+# overflows (module docstring).
+_FORMULAS = {
+    FlowKind.GRADIENT_FLOW: lambda s, t, mu: np.exp(-t * s),
+    FlowKind.ACCELERATED_FLOW: _nest,
+    FlowKind.HEAVY_BALL_FLOW: _hb,
     FlowKind.RIDGE: lambda s, lam, mu: np.divide(*_ridge_terms(lam, s, lam)),
 }
 
 
 def _path_params(params):
-    """params as a 1-D float array (a scalar counts as length 1), and their max.
+    """params as a 1-D float array; a scalar counts as length 1.
 
     The one rule for times and penalties of every family: ValueError unless
     each is finite and >= 0, checked by float comparisons for a scalar and
-    by one min/max pair for an array (a NaN makes both NaN).  The maximum
-    (0 for an empty array) is what _factor_rows takes as p_max.
+    by one min/max pair for an array (a NaN makes both NaN).
     """
     params = np.asarray(params, dtype=float)
     if params.ndim == 0:
@@ -207,7 +201,7 @@ def _path_params(params):
         lo = hi = 0.0
     if not (lo >= 0.0 and hi < np.inf):
         raise ValueError("path parameter must be finite and >= 0")
-    return params, hi
+    return params
 
 
 def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
@@ -220,7 +214,7 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
     s = lambda = 0 (naming the eigenvalue index).
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    params, p_max = _path_params(params)
+    params = _path_params(params)
     if s.ndim != 1:
         raise ValueError("eigenvalues must be 1-D")
     lo, hi = (s.min(), s.max()) if s.size else (np.inf, 0.0)
@@ -236,24 +230,19 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
         if zero.size:
             raise ValueError(f"ridge factor undefined at eigenvalue index {zero[0]}: "
                              "s = 0 and lambda = 0")
-    return _factor_rows(kind, s, params, mu, hi, p_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _factor_rows(kind, s, params, mu)
 
 
 def _factor_rows(kind: FlowKind, s: np.ndarray, params: np.ndarray,
-                 mu, s_max, p_max) -> np.ndarray:
+                 mu) -> np.ndarray:
     """The formula table of factor_block, on input it need not check again.
 
-    s and params are 1-D, finite and >= 0, with s >= mu for heavy ball,
-    s_max the largest s and p_max the largest parameter (0 when there are
-    none), as with a Spectrum and checked parameters: the caller already
-    holds both maxima.  Only the heavy-ball rule mu > 0 is checked here (a
-    Spectrum may have mu = 0).
+    s and params are 1-D, finite and >= 0, with s >= mu for heavy ball, as
+    with a Spectrum and checked parameters.  Only the heavy-ball rule
+    mu > 0 is checked here (a Spectrum may have mu = 0).  The caller runs
+    it with overflow and invalid operations ignored.
     """
     if kind is FlowKind.HEAVY_BALL_FLOW and not mu > 0.0:
         raise ValueError("heavy-ball flow requires a finite mu > 0")
-    s, params = s[None, :], params[:, None]
-    # a float product: inf on overflow, with no warning
-    if float(p_max) * float(s_max) == np.inf:
-        with np.errstate(over="ignore"):
-            return _LIMITS[kind](s, params, mu)
-    return _FORMULAS[kind](s, params, mu)
+    return _FORMULAS[kind](s[None, :], params[:, None], mu)

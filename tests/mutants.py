@@ -11,7 +11,8 @@ directory, runs the named tests there once unmutated, then applies each
 mutant in turn and runs its tests with -x.  A mutant is killed when pytest
 exits 1; the runner exits 1 when any mutant survives.
 tests/test_mutants.py checks, in Tier-1, that every old text occurs exactly
-once in its file, so the list cannot silently rot.
+once in its file and that every named test resolves in its file, so the
+list cannot silently rot.
 
 Method: R. A. DeMillo, R. J. Lipton and F. G. Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978.
@@ -79,6 +80,32 @@ MUTANTS = (
            "    return num * half, s * half + lam * half\n",
            "    return num, s * half + lam * half\n",
            ("tests/test_cli.py", "tests/test_shrinkage.py")),
+    Mutant("hb-limit-one", "src/flowrisk/shrinkage.py",
+           "np.where(over, 0.0, b))\n    out[over] = 0.0\n",
+           "np.where(over, 0.0, b))\n    out[over] = 1.0\n",
+           ("tests/test_shrinkage.py::TestProfile::"
+            "test_an_overflowing_argument_takes_its_limit",
+            "tests/test_estimators.py::TestCouplingMatchesReference::"
+            "test_an_overflowing_argument_takes_its_limit")),
+    Mutant("nest-limit-half", "src/flowrisk/shrinkage.py",
+           "np.where(over, 0.0, u))\n    out[over] = 0.0\n",
+           "np.where(over, 0.0, u))\n    out[over] = 0.5\n",
+           ("tests/test_shrinkage.py::TestProfile::"
+            "test_an_overflowing_argument_takes_its_limit",
+            "tests/test_estimators.py::TestCouplingMatchesReference::"
+            "test_an_overflowing_argument_takes_its_limit")),
+    Mutant("ridge-halving-never-halves", "src/flowrisk/shrinkage.py",
+           "    half = np.where(over, 0.5, 1.0)\n",
+           "    half = np.where(over, 1.0, 1.0)\n",
+           ("tests/test_shrinkage.py::TestProfile::"
+            "test_ridge_halves_where_s_plus_lambda_overflows",
+            "tests/test_estimators.py::"
+            "test_a_ridge_row_whose_s_plus_lambda_overflows_is_halved")),
+    Mutant("simulate-preflight-manifest-only", "src/flowrisk/cli.py",
+           "                 output_files(config))\n",
+           "                 [\"manifest.json\"])\n",
+           ("tests/test_cli.py::"
+            "test_an_out_that_cannot_be_a_directory_is_refused_before_any_work",)),
     Mutant("complement-series-coefficient", "src/flowrisk/special.py",
            "x2 / 8.0 - x2 * x2 / 192.0",
            "x2 / 8.0 - x2 * x2 / 190.0",

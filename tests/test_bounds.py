@@ -507,23 +507,16 @@ class TestTailCuts:
         assert np.array_equal(xs, full[:xs.size])
         assert full[xs.size - 1] <= bounds._PARAM_ERROR_TAIL < full[xs.size]
 
-    def test_param_error_grid_is_built_once_and_read_only(self, monkeypatch):
-        bounds._logspace_prefix.cache_clear()
+    def test_param_error_grid_is_built_once_and_read_only(self):
+        bounds._param_error_grid.cache_clear()
         first = nest_param_error_constant()
         assert nest_param_error_constant() == first
-        info = bounds._logspace_prefix.cache_info()
+        info = bounds._param_error_grid.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         xs = bounds._param_error_grid()
         assert not xs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             xs[0] = 1.0
-        # a patched tail gets its own grid, the prefix up to the new tail
-        monkeypatch.setattr(bounds, "_PARAM_ERROR_TAIL", 1.0)
-        short = bounds._param_error_grid()
-        assert short is not xs and not short.flags.writeable
-        assert np.array_equal(short, xs[:short.size])
-        assert short[-1] <= 1.0 < xs[short.size]
-        assert bounds._param_error_grid() is short
 
     def test_hb_sups_match_the_two_pass_scan(self):
         got_f_sq, got_fm1_sq, _ = hb_quarter_plane()

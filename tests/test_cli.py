@@ -737,9 +737,10 @@ def test_verify_constants_takes_no_tol(monkeypatch, capsys, tol):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("under",
-                         ["a-file", "under-a-file", "its-file-a-directory"])
-@pytest.mark.parametrize("command", ["verify-constants", "simulate"])
+@pytest.mark.parametrize(("command", "under"), [
+    (command, under) for command in ["verify-constants", "simulate"]
+    for under in ["a-file", "under-a-file", "its-file-a-directory"]]
+    + [("simulate", "its-curve-file-a-directory")])
 def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
         tmp_path, capsys, monkeypatch, command, under):
     from flowrisk import bounds
@@ -753,9 +754,13 @@ def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
     taken.write_text("kept\n")
     out = taken / "sub" if under == "under-a-file" else taken
     message = "not a directory"
+    written = None
     if under == "its-file-a-directory":
         written = ("constants.json" if command == "verify-constants"
                    else "manifest.json")
+    elif under == "its-curve-file-a-directory":
+        written = "gaussian_gf.csv"
+    if written:
         out = tmp_path / "out"
         (out / written).mkdir(parents=True)
         message = f"holds a directory named {written!r}"
@@ -774,7 +779,7 @@ def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
     assert captured.err.startswith(f"error: --out {str(out)!r}")
     assert message in captured.err
     assert taken.read_text() == "kept\n"
-    if under == "its-file-a-directory":
+    if written:
         assert list(out.iterdir()) == [out / written]
         assert not any((out / written).iterdir())
 
@@ -833,7 +838,7 @@ def test_importing_the_cli_builds_neither_cached_object():
     src = Path(flowrisk.__file__).resolve().parents[1]
     code = ("import flowrisk.cli as c, flowrisk.bounds as b; "
             "print(c._parser.cache_info().currsize, "
-            "b._logspace_prefix.cache_info().currsize)")
+            "b._param_error_grid.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)

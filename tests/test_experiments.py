@@ -17,6 +17,7 @@ from flowrisk.experiments import (
     gen_power_law_design,
     gen_signal,
     git_blob_hash,
+    output_files,
 )
 from flowrisk.linalg import MAX_DOUBLES, design_decompose
 from flowrisk.risk import SignalModel, optimal_ridge_bayes_risk
@@ -303,6 +304,7 @@ class TestFigureSweep:
         names = {f"{label}_{token}.csv"
                  for label in dataset for token in dataset[label]}
         assert {p.name for p in out.iterdir()} == names | {"manifest.json"}
+        assert set(output_files(cfg)) == names | {"manifest.json"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == names
 
@@ -323,6 +325,9 @@ class TestFigureSweep:
             dataset = figure_sweep(cfg)
         assert "skipping heavy ball" in caplog.text
         assert set(dataset["gaussian"]) == {"gf"}
+        # the preflight still checks the file the sweep skips
+        assert output_files(cfg) == ["gaussian_gf.csv", "gaussian_hb.csv",
+                                     "manifest.json"]
 
     def test_scalar_design_reduces_to_scalar_formulas(self):
         cfg = ExperimentConfig.from_json({
