@@ -8,7 +8,6 @@ from .bounds import (
     bias_ratio_unbounded_witness,
     gf_inflation_constant,
     h_kappa,
-    hb_inflation_check,
     hb_quarter_plane,
     hb_variance_bound_check,
     nest_inflation_constant,

@@ -108,9 +108,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum
-from .risk import SignalModel, optimal_ridge_bayes_risk, risk_curve
-from .shrinkage import FlowKind, hb_kernel, hb_kernel_complement
+from .shrinkage import hb_kernel, hb_kernel_complement
 from .special import _complement_series, j1_ratio, j1_ratio_complement
 
 __all__ = [
@@ -131,7 +129,6 @@ __all__ = [
     "tilde_h_maximizer",
     "tilde_h_crossover",
     "hb_variance_bound_check",
-    "hb_inflation_check",
     "bias_ratio_unbounded_witness",
 ]
 
@@ -147,10 +144,9 @@ _XS = np.logspace(-8.0, 6.0, 2000)
 
 @dataclass(frozen=True)
 class Certified:
-    """One certified value: name is the CHECKS row it answers (none for
-    hb_inflation_check's), and at is where the value was found, in the
-    certifier's own variables: (tau*, x*) for the min-max constants, (x*,)
-    for 49/64, (t*,) for the inflation ratio, the sampled CrossoverCases
+    """One certified value: name is the CHECKS row it answers, and at is
+    where the value was found, in the certifier's own variables: (tau*, x*)
+    for the min-max constants, (x*,) for 49/64, the sampled CrossoverCases
     for the case structure, and () where no single point is the answer."""
 
     name: str
@@ -681,24 +677,6 @@ def hb_variance_bound_check() -> tuple[Certified, Certified]:
     return (Certified("h_recomposition",
                       float(np.abs(recomp + target - h_kappa(kappas)).max())),
             Certified("h_at_kappa_1", h_kappa(1.0)))
-
-
-_HB_T_GRID = np.logspace(-2, 3, 2000)
-
-
-def hb_inflation_check(spectrum: Spectrum, prior: SignalModel) -> Certified:
-    """inf_t hb Bayes risk / optimal ridge Bayes risk, at its grid time t*.
-
-    The claim 1 <= ratio <= h(kappa) is checked by the caller through
-    within; the record, named heavy_ball_inflation, answers no CHECKS row.
-    """
-    if spectrum.mu <= 0:
-        raise ValueError("heavy-ball inflation requires mu > 0")
-    ridge_opt, _ = optimal_ridge_bayes_risk(spectrum, prior)
-    risks = risk_curve(spectrum, prior, FlowKind.HEAVY_BALL_FLOW, _HB_T_GRID).risk
-    k = int(np.argmin(risks))
-    return Certified("heavy_ball_inflation", float(risks[k]) / ridge_opt,
-                     (float(_HB_T_GRID[k]),))
 
 
 def bias_ratio_unbounded_witness(x_points) -> list[tuple[float, float]]:

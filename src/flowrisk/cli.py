@@ -114,6 +114,15 @@ def _cmd_verify_constants(args) -> int:
 # risk-curve / estimate / oracle-check / simulate / shrink / special-eval
 
 def _cmd_risk_curve(args) -> int:
+    if args.out:  # refuse a path that cannot be written before any work
+        out = Path(args.out)
+        if out.is_dir():
+            raise ConfigError(f"--out {args.out!r} is a directory")
+        if not out.exists():
+            _require_dir(args.out, "--out", [])  # a path under a file
+            if not out.parent.is_dir():
+                raise ConfigError(f"--out {args.out!r} lies in "
+                                  f"{str(out.parent)!r}, which does not exist")
     design = design_decompose(read_matrix_csv(args.design))
     grid = _parse_grid(args.grid)
     kind = FlowKind.parse(args.kind)

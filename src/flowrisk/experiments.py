@@ -297,7 +297,7 @@ class ExperimentConfig:
         with open(path) as fh:
             try:
                 obj = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_json(obj)
 

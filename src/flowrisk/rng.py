@@ -30,10 +30,14 @@ time and squares them in place, so at its peak it holds its count
 results plus one block of _CHI_ROWS x df normals, not count x df twice
 over; student_t holds its two count-long arrays plus that block.  The
 chunking is invisible in the output: every stream, and the counter after
-every call, is the pair-at-a-time recipe's.
+every call, is the pair-at-a-time recipe's.  A count is a nonnegative
+integer: uniforms refuses any other with a ValueError naming count before
+the counter moves, and the other draws refuse a negative one through NumPy.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -82,9 +86,14 @@ class SeededStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """count doubles uniform on [0, 1)."""
-        v = np.arange(self._counter + 1, self._counter + count + 1,
-                      dtype=np.uint64)
-        self._counter += count
+        try:
+            n = operator.index(count)
+        except TypeError:
+            n = None
+        if n is None or n < 0:
+            raise ValueError(f"count must be a nonnegative integer, got {count!r}")
+        v = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        self._counter += n
         with np.errstate(over="ignore"):  # modular wrap is the algorithm
             v *= _GAMMA
             v += self._seed

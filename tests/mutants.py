@@ -126,6 +126,21 @@ MUTANTS = (
            "_MIX2 = np.uint64(0x94D049BB133111EB)",
            "_MIX2 = np.uint64(0x94D049BB133111EA)",
            ("tests/test_rng.py",)),
+    Mutant("risk-curve-out-check-skipped", "src/flowrisk/cli.py",
+           "    if args.out:  # refuse a path that cannot be written before",
+           "    if False:  # refuse a path that cannot be written before",
+           ("tests/test_cli.py::"
+            "test_risk_curve_refuses_an_out_it_cannot_write_before_any_work",)),
+    Mutant("config-recursion-error-uncaught", "src/flowrisk/experiments.py",
+           "except (json.JSONDecodeError, RecursionError) as exc:",
+           "except json.JSONDecodeError as exc:",
+           ("tests/test_cli.py::"
+            "test_simulate_refuses_a_config_nested_past_the_recursion_limit",)),
+    Mutant("uniforms-count-check-off-by-one", "src/flowrisk/rng.py",
+           "        if n is None or n < 0:\n",
+           "        if n is None or n < -1:\n",
+           ("tests/test_rng.py::"
+            "test_uniforms_refuses_a_count_that_is_not_a_nonnegative_integer",)),
 )
 
 

@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,7 +15,6 @@ from flowrisk.bounds import (
     gf_inflation_constant,
     gf_inflation_objective,
     h_kappa,
-    hb_inflation_check,
     hb_quarter_plane,
     hb_variance_bound_check,
     nest_inflation_constant,
@@ -146,10 +147,27 @@ def test_certified_constants_bind_the_risk_ratio_on_random_spectra(
             assert 1.0 <= tuned <= record.value
 
 
+def _hb_inflation(spectrum, prior):
+    """inf_t heavy-ball Bayes risk / optimal ridge Bayes risk, over a fixed
+    log grid of t in [1e-2, 1e3]."""
+    grid = np.logspace(-2, 3, 2000)
+    return (risk_curve(spectrum, prior, FlowKind.HEAVY_BALL_FLOW, grid).risk.min()
+            / optimal_ridge_bayes_risk(spectrum, prior)[0])
+
+
 def test_heavy_ball_inflation_lies_under_h_kappa_on_random_spectra():
     for spectrum, prior in _random_bayes_instances(40, seed=12):
         kappa = spectrum.big_l / spectrum.mu
-        assert 1.0 <= hb_inflation_check(spectrum, prior).value <= h_kappa(kappa)
+        assert 1.0 <= _hb_inflation(spectrum, prior) <= h_kappa(kappa)
+
+
+def test_bounds_imports_only_special_and_shrinkage_from_the_package():
+    # the certifiers run on the kernels alone: no risk, linalg or rng layer
+    tree = ast.parse(Path(bounds.__file__).read_text())
+    relative = {"." * node.level + (node.module or "")
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {".special", ".shrinkage"}
 
 
 def _counting(monkeypatch, name):
@@ -883,41 +901,40 @@ class TestVarianceBound:
             assert CHECKS["h_recomposition"].passes(abs(recomp - h_kappa(kappa)))
 
 
-def _inflation_within(result, spectrum):
+def _inflation_within(ratio, spectrum):
     """1 - 1e-9 <= ratio <= h(kappa) + 1e-9, through the one pass rule."""
-    return (within(1.0, result.value, 1e-9, "le")
-            and within(result.value, h_kappa(spectrum.kappa), 1e-9, "le"))
+    return (within(1.0, ratio, 1e-9, "le")
+            and within(ratio, h_kappa(spectrum.kappa), 1e-9, "le"))
 
 
 class TestHbInflation:
     def test_single_eigenvalue_ratio_at_least_one(self):
         spec = Spectrum(np.array([1.0]))
         prior = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=1)  # alpha = 1
-        result = hb_inflation_check(spec, prior)
-        assert result.value >= 1.0 - 1e-9
-        assert _inflation_within(result, spec)
-        assert result.at[0] in bounds._HB_T_GRID
+        ratio = _hb_inflation(spec, prior)
+        assert ratio >= 1.0 - 1e-9
+        assert _inflation_within(ratio, spec)
 
     def test_power_law_spectra(self):
         for nu in (0.5, 1.0, 2.0):
             vals = np.sort(1.0 / np.arange(1, 41, dtype=float) ** nu)
             spec = Spectrum(vals)
             prior = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=200)
-            result = hb_inflation_check(spec, prior)
-            assert _inflation_within(result, spec), (nu, result)
+            ratio = _hb_inflation(spec, prior)
+            assert _inflation_within(ratio, spec), (nu, ratio)
 
     def test_condition_one_design(self):
         spec = Spectrum(np.ones(10))
         prior = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=50)
-        result = hb_inflation_check(spec, prior)
-        assert result.value <= h_kappa(1.0) + 1e-9
-        assert _inflation_within(result, spec)
+        ratio = _hb_inflation(spec, prior)
+        assert ratio <= h_kappa(1.0) + 1e-9
+        assert _inflation_within(ratio, spec)
 
     def test_rejects_singular_spectrum(self):
         spec = Spectrum(np.array([0.0, 1.0]))
         prior = SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=10)
-        with pytest.raises(ValueError):
-            hb_inflation_check(spec, prior)
+        with pytest.raises(ValueError, match="mu > 0"):
+            risk_curve(spec, prior, FlowKind.HEAVY_BALL_FLOW, [1.0])
 
 
 class TestKernelBounds:

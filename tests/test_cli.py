@@ -221,6 +221,7 @@ def test_risk_curve_stdout_matches_out_file(tmp_path, instance_files, capsys):
     argv = ["risk-curve", "--design", str(xp), "--kind", "hb",
             "--grid", "0.01,10,7", "--beta0", str(bp)]
     out = tmp_path / "curve.csv"
+    out.write_text("an older, longer file\n" * 100)  # rewritten, not refused
     assert run(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert run(argv) == 0
@@ -237,6 +238,34 @@ def test_risk_curve_bayes_requires_r2(instance_files, capsys):
 def _one_error_line(err):
     lines = err.splitlines()
     return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(("case", "message"), [
+    ("a-directory", "is a directory"),
+    ("under-a-file", "which is not a directory"),
+    ("in-a-missing-directory", "which does not exist")])
+def test_risk_curve_refuses_an_out_it_cannot_write_before_any_work(
+        tmp_path, capsys, monkeypatch, case, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(cli, "read_matrix_csv", no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = {"a-directory": tmp_path / "outdir",
+           "under-a-file": taken / "curve.csv",
+           "in-a-missing-directory": tmp_path / "missing" / "curve.csv"}[case]
+    if case == "a-directory":
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run(["risk-curve", "--design", str(tmp_path / "X.csv"),
+                "--kind", "gf", "--grid", "0.1,1,3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert captured.err.startswith(f"error: --out {str(out)!r}")
+    assert message in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert taken.read_text() == "kept\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -529,6 +558,19 @@ def test_simulate_writes_one_curve_per_flow(tmp_path, capsys):
     cfg_path.write_text(json.dumps(config))
     assert run(["simulate", "--config", str(cfg_path)]) == 0
     assert len(list((tmp_path / "out").glob("*.csv"))) == 2
+
+
+def test_simulate_refuses_a_config_nested_past_the_recursion_limit(tmp_path,
+                                                                   capsys):
+    # json raises RecursionError, a RuntimeError, which would exit 1
+    config = tmp_path / "cfg.json"
+    config.write_text("[" * 200000 + "]" * 200000)
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert captured.err.startswith("error: config is not valid JSON")
+    assert not out.exists()
 
 
 def test_simulate_missing_config_key(tmp_path, capsys):

@@ -61,6 +61,20 @@ def test_student_t_requires_df():
         SeededStream(1).student_t(10, df=0)
 
 
+@pytest.mark.parametrize("count", [-1, -2, 2.5, np.float64(2.0), "3", None],
+                         ids=repr)
+def test_uniforms_refuses_a_count_that_is_not_a_nonnegative_integer(count):
+    stream = SeededStream(5)
+    first = stream.uniforms(3)
+    with pytest.raises(ValueError, match="count"):
+        stream.uniforms(count)
+    # the counter did not move, and a NumPy integer count draws on from it
+    assert stream.uniforms(0).size == 0
+    rest = stream.uniforms(np.int64(2))
+    assert np.array_equal(np.concatenate([first, rest]),
+                          SeededStream(5).uniforms(5))
+
+
 def test_derive_seed_decorrelates():
     child_a = derive_seed(99, 0)
     child_b = derive_seed(99, 1)
