@@ -33,7 +33,7 @@ from .linalg import (MAX_DOUBLES, Spectrum, attach_response, design_decompose,
 from .oracle import compare_closed_form
 from .risk import SignalModel, risk_csv_text, risk_curve, write_risk_csv
 from .rng import SeededStream
-from .shrinkage import FlowKind, factor_block
+from .shrinkage import FlowKind, _path_params, factor_block
 from .special import bessel_j1, j1_ratio
 
 __all__ = ["main", "run"]
@@ -123,20 +123,25 @@ def _cmd_risk_curve(args) -> int:
             if not out.parent.is_dir():
                 raise ConfigError(f"--out {args.out!r} lies in "
                                   f"{str(out.parent)!r}, which does not exist")
-    design = design_decompose(read_matrix_csv(args.design))
     grid = _parse_grid(args.grid)
     kind = FlowKind.parse(args.kind)
+    if args.bayes and args.r2 is None:
+        raise ConfigError("config key 'r2' is missing (required with --bayes)")
+    if not args.bayes and args.beta0 is None:
+        raise ConfigError("config key 'beta0' is missing (fixed-signal curves)")
+    # --r2 and --sigma2 are checked before any input is read: n = 1 and no
+    # coefficients stand in for the design's until it is
+    signal = (SignalModel.prior(r_sq=args.r2, sigma_sq=args.sigma2, n=1)
+              if args.bayes else SignalModel.fixed([], args.sigma2, 1))
+    design = design_decompose(read_matrix_csv(args.design))
     if args.bayes:
-        if args.r2 is None:
-            raise ConfigError("config key 'r2' is missing (required with --bayes)")
-        signal = SignalModel.prior(r_sq=args.r2, sigma_sq=args.sigma2, n=design.n)
+        signal = replace(signal, n=design.n)
     else:
-        if args.beta0 is None:
-            raise ConfigError("config key 'beta0' is missing (fixed-signal curves)")
         beta0 = read_vector_csv(args.beta0)
         if beta0.size != design.p:
             raise ConfigError("beta0 length does not match the design")
-        signal = SignalModel.fixed(design.v_basis.T @ beta0, args.sigma2, design.n)
+        signal = replace(signal, n=design.n,
+                         beta0_rotated=design.v_basis.T @ beta0)
     curve = risk_curve(design.spectrum, signal, kind, grid)
     if args.out:
         write_risk_csv(args.out, kind, curve)
@@ -146,10 +151,12 @@ def _cmd_risk_curve(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    kind = FlowKind.parse(args.kind)
+    _path_params(args.t)   # estimate's rule for --t, before any input is read
     x = read_matrix_csv(args.design)
     y = read_vector_csv(args.response)
     design = attach_response(design_decompose(x), x, y)
-    for v in estimate(design, FlowKind.parse(args.kind), args.t)[0]:
+    for v in estimate(design, kind, args.t)[0]:
         print(_fmt(v))
     return 0
 

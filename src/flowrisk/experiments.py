@@ -294,10 +294,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:   # JSON is UTF-8 (RFC 8259)
             try:
                 obj = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError,
+                    RecursionError) as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_json(obj)
 

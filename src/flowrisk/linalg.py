@@ -7,6 +7,8 @@ This module builds those coordinates.  The factorization work is done by
 LAPACK through numpy.linalg.eigh behind small validated wrappers; the
 spectrum of X is always obtained from X'X/n, never from X directly, since
 only the right singular subspace and the eigenvalues appear downstream.
+design_decompose clamps sym_eig's ascending eigenvalues itself; a Spectrum
+only validates the values it is given.
 
 Matrix I/O is bare CSV: comma-separated values, one row per line, no
 header.
@@ -32,9 +34,9 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
-# Roundoff negatives this far (relative to ||A||_F) below zero are clamped
-# to exactly 0 so null directions are detected exactly.
-_NEG_CLAMP_REL = 1e-12
+# Eigenvalues this close (relative to ||X'X/n||_F) to zero, on either side,
+# are clamped to exactly 0 so null directions are detected exactly.
+_CLAMP_REL = 1e-12
 # Most doubles (512 MiB) that one requested array, or the arrays of one
 # generated design, may hold; oracle trajectories, experiment designs and
 # scan grids above it are refused before anything is allocated.
@@ -66,26 +68,6 @@ class Spectrum:
         if (np.diff(vals) < 0).any():
             raise ValueError("Spectrum eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", vals)
-
-    @classmethod
-    def from_eigenvalues(cls, values, clamp_scale: float = 0.0) -> "Spectrum":
-        """Build a spectrum from raw eigenvalues, sorted ascending.
-
-        Values within 1e-12*clamp_scale of zero (either side) are clamped to
-        exactly 0, so null directions are detected exactly downstream; a
-        tiny positive roundoff eigenvalue would otherwise turn a null
-        coordinate into a huge spurious one.  Anything below the negative
-        clamp is a genuine error.
-        """
-        vals = np.sort(np.asarray(values, dtype=float))
-        tol = _NEG_CLAMP_REL * max(clamp_scale, 0.0)
-        bad = vals < -tol
-        if bad.any():
-            raise ValueError(
-                f"eigenvalue {vals[bad][0]:.6g} below the roundoff clamp {-tol:.6g}"
-            )
-        vals = np.where(np.abs(vals) <= tol, 0.0, vals)
-        return cls(vals)
 
     @property
     def p(self) -> int:
@@ -171,11 +153,14 @@ def sym_eig(a):
 def design_decompose(x) -> SpectralDesign:
     """Spectral coordinates of a design matrix.
 
-    The spectrum and basis come from the eigendecomposition of X'X/n;
-    roundoff-negative eigenvalues are clamped to exactly zero so rank
-    deficiency is detected exactly.  A design whose X'X/n, its Frobenius
-    norm (the clamp scale) or its largest eigenvalue overflows is refused
-    by name: an infinite clamp scale would clamp the whole spectrum to 0.
+    The spectrum and basis come from the eigendecomposition of X'X/n.
+    Eigenvalues within 1e-12 ||X'X/n||_F of zero, on either side, are
+    clamped to exactly 0, so rank deficiency is detected exactly: a tiny
+    positive roundoff eigenvalue would otherwise turn a null coordinate
+    into a huge spurious one.  One below that clamp is a genuine error and
+    is refused.  A design whose X'X/n, its Frobenius norm (the clamp scale)
+    or its largest eigenvalue overflows is refused by name: an infinite
+    clamp scale would clamp the whole spectrum to 0.
 
     X'X/n is formed in one p x p buffer, and X is let go before the
     eigensolve: when the caller passes X as a temporary, as build_design
@@ -210,8 +195,11 @@ def design_decompose(x) -> SpectralDesign:
     w, q = sym_eig(sigma_hat)
     if not w[-1] < np.inf:
         raise ValueError(_GRAM_OVERFLOW)
-    spectrum = Spectrum.from_eigenvalues(w, clamp_scale=scale)
-    # eigh returns ascending values already; from_eigenvalues only clamps
+    # eigh returns w ascending, so w[0] is the one to test against the clamp
+    tol = _CLAMP_REL * scale
+    if w[0] < -tol:
+        raise ValueError(f"eigenvalue {w[0]:.6g} below the roundoff clamp {-tol:.6g}")
+    spectrum = Spectrum(np.where(np.abs(w) <= tol, 0.0, w))
     return SpectralDesign(n=n, p=p, spectrum=spectrum, v_basis=q)
 
 

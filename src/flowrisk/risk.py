@@ -19,9 +19,11 @@ tuned ridge Bayes risk (sigma^2/n) sum_i alpha/(alpha s_i + 1), attained
 at lambda = 1/alpha, is the floor every family is compared against.
 
 risk_curve is the one evaluator, for both signal models and any grid: a
-single point is a one-point grid.  Curves are computed directly from the
-spectrum, a block of grid points at a time, through the single reduction
-bias_variance; they never form estimator vectors.  A curve is a RiskCurve:
+single point is a one-point grid.  It checks its grid once, then computes
+the curve directly from the spectrum, a block of grid points at a time:
+shrinkage._factor_rows forms each block's factors (a Spectrum's
+eigenvalues need no second check) and the single reduction bias_variance
+sums them; no estimator vector is formed.  A curve is a RiskCurve:
 the grid plus its bias^2 and variance arrays, read as arrays; len and
 iteration over (param, RiskDecomposition) pairs remain for the benchmark
 harness, which reads curves that way.  The estimators module plus Monte
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Spectrum
-from .shrinkage import FlowKind, factor_block
+from .shrinkage import FlowKind, _factor_rows, _path_params
 
 __all__ = [
     "SignalModel",
@@ -51,7 +53,6 @@ __all__ = [
     "RiskCurve",
     "OscillationReport",
     "bias_variance",
-    "bias_variance_curve",
     "optimal_ridge_bayes_risk",
     "risk_curve",
     "oscillation_report",
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 RISK_CSV_HEADER = "kind,param,bias_sq,variance,risk"
-# Factors per block in bias_variance_curve: large enough to amortize the
+# Factors per block in risk_curve: large enough to amortize the
 # per-call overhead at p = 100, small enough that p = 10^4 curves add no
 # measurable peak memory.
 _BLOCK_DOUBLES = 1 << 16
@@ -197,33 +198,6 @@ def bias_variance(factors, s: np.ndarray, weights: np.ndarray,
     return bias, noise_scale * (sq @ live.astype(float))
 
 
-def bias_variance_curve(spectrum: Spectrum, weights: np.ndarray,
-                        noise_scale: float, kind: FlowKind,
-                        grid) -> tuple[np.ndarray, np.ndarray]:
-    """bias_variance of one family along a grid, a block of rows at a time.
-
-    Each block holds about _BLOCK_DOUBLES factors, so memory stays flat in
-    the grid length whatever the spectrum size.  A squared bias or a
-    variance past the largest double is a ValueError, as estimate refuses a
-    coefficient past it; so is the NaN an infinite weight leaves where its
-    factor is 0.
-    """
-    s = spectrum.eigenvalues
-    grid = np.asarray(grid, dtype=float)
-    rows = max(1, _BLOCK_DOUBLES // s.size)
-    bias = np.empty(grid.size)
-    variance = np.empty(grid.size)
-    with np.errstate(over="ignore", invalid="ignore"):   # refused below
-        for lo in range(0, grid.size, rows):
-            g = factor_block(kind, s, grid[lo:lo + rows], spectrum.mu)
-            bias[lo:lo + rows], variance[lo:lo + rows] = bias_variance(
-                g, s, weights, noise_scale)
-    for name, values in (("squared bias", bias), ("variance", variance)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"a {kind.value} {name} passes the largest double")
-    return bias, variance
-
-
 def optimal_ridge_bayes_risk(spectrum: Spectrum,
                              signal: SignalModel) -> tuple[float, float]:
     """Optimally tuned ridge Bayes risk and its tuning parameter.
@@ -243,9 +217,16 @@ def risk_curve(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
                grid) -> RiskCurve:
     """Risk decomposition at every grid point, in grid order.
 
-    The grid must be ascending and nonnegative.  Fixed signals weight the
-    bias by (v_i' b0)^2, prior signals by r^2/p, so one call covers both
-    fixed and Bayes curves.
+    The grid must be a nonempty 1-D array, ascending, finite and
+    nonnegative, checked once here; ridge at lambda = 0 on a null
+    eigenvalue is refused.  Fixed signals weight the bias by (v_i' b0)^2,
+    prior signals by r^2/p, so one call covers both fixed and Bayes curves.
+
+    The curve is reduced a block of about _BLOCK_DOUBLES factors at a time,
+    so memory stays flat in the grid length whatever the spectrum size.  A
+    squared bias or a variance past the largest double is a ValueError, as
+    estimate refuses a coefficient past it; so is the NaN an infinite
+    weight leaves where its factor is 0.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -255,12 +236,28 @@ def risk_curve(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
     if signal.mode == "fixed":
         if signal.beta0_rotated.size != spectrum.p:
             raise ValueError("beta0_rotated length does not match the spectrum")
-        with np.errstate(over="ignore"):   # bias_variance_curve refuses inf
+        with np.errstate(over="ignore"):   # refused below, as an inf bias
             weights = signal.beta0_rotated ** 2
     else:
         weights = np.full(spectrum.p, signal.r_sq / spectrum.p)
-    bias, variance = bias_variance_curve(spectrum, weights, signal.noise_scale,
-                                         kind, grid)
+    _path_params(grid)
+    # grid and spectrum ascend: lambda = 0 can only be grid[0], and a null
+    # eigenvalue only index 0
+    if kind is FlowKind.RIDGE and grid[0] == 0.0 and spectrum.mu == 0.0:
+        raise ValueError("ridge factor undefined at eigenvalue index 0: "
+                         "s = 0 and lambda = 0")
+    s = spectrum.eigenvalues
+    rows = max(1, _BLOCK_DOUBLES // s.size)
+    bias = np.empty(grid.size)
+    variance = np.empty(grid.size)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        for lo in range(0, grid.size, rows):
+            g = _factor_rows(kind, s, grid[lo:lo + rows], spectrum.mu)
+            bias[lo:lo + rows], variance[lo:lo + rows] = bias_variance(
+                g, s, weights, signal.noise_scale)
+    for name, values in (("squared bias", bias), ("variance", variance)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"a {kind.value} {name} passes the largest double")
     return RiskCurve(grid=grid, bias_sq=bias, variance=variance)
 
 

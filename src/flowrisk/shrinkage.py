@@ -17,19 +17,20 @@ for 0 < mu <= s.  Its kernels take a = t sqrt(mu) and b = t sqrt(s - mu),
 the two variables the heavy-ball certificates in bounds scan over, and the
 removable sin(b)/b singularity at b = 0 (s = mu) is evaluated by series.
 
-factor_block is the one evaluator: it validates its input and looks the
-family up in a single formula table, returning one row of factors per path
-parameter and one column per eigenvalue; a single factor is the [0, 0]
-entry of a one-by-one block.  Validation happens once, at the boundary:
-factor_block checks raw arrays, each bound with one min/max pair, and then
-calls _factor_rows, the table behind it.  Callers that already hold valid
-input (a Spectrum's eigenvalues are finite, >= 0 and ascending, so s >= mu,
-and their parameters were checked by _path_params) call _factor_rows
-directly; it keeps only the heavy-ball rule mu > 0.  The table calls
-the public kernels j1_ratio and hb_kernel through this module's globals,
-so a tracer that swaps them sees every evaluation.  Below the table,
-j1_ratio still checks its own domain on every call, and the heavy-ball
-kernels check nothing.  Everything here is pure and stateless.
+One formula table gives every factor, one row per path parameter and one
+column per eigenvalue; a single factor is the [0, 0] entry of a
+one-by-one block.  Validation happens once, at the boundary.  factor_block
+is the entry for raw arrays (in the package, only the shrink command calls
+it): it checks each bound with one min/max pair and then calls
+_factor_rows, the table behind it.  Callers that already hold valid input
+(a Spectrum's eigenvalues are finite, >= 0 and ascending, so s >= mu, and
+their parameters were checked by _path_params), risk.risk_curve and the
+estimators, call _factor_rows directly; it keeps only the heavy-ball rule
+mu > 0.  The table calls the public kernels j1_ratio and hb_kernel
+through this module's globals, so a tracer that swaps them sees every
+evaluation.  Below the table, j1_ratio still checks its own domain on
+every call, and the heavy-ball kernels check nothing.  Everything here is
+pure and stateless.
 
 Finite input gives a finite factor, by one rule: each formula forms its
 arguments with overflow ignored, evaluates, and takes its limit only where

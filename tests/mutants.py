@@ -132,10 +132,48 @@ MUTANTS = (
            ("tests/test_cli.py::"
             "test_risk_curve_refuses_an_out_it_cannot_write_before_any_work",)),
     Mutant("config-recursion-error-uncaught", "src/flowrisk/experiments.py",
-           "except (json.JSONDecodeError, RecursionError) as exc:",
-           "except json.JSONDecodeError as exc:",
+           "UnicodeDecodeError,\n                    RecursionError) as exc:",
+           "UnicodeDecodeError) as exc:",
            ("tests/test_cli.py::"
             "test_simulate_refuses_a_config_nested_past_the_recursion_limit",)),
+    Mutant("config-decode-error-uncaught", "src/flowrisk/experiments.py",
+           "except (json.JSONDecodeError, UnicodeDecodeError,",
+           "except (json.JSONDecodeError,",
+           ("tests/test_cli.py::"
+            "test_simulate_refuses_a_config_that_is_not_utf8",)),
+    Mutant("risk-curve-finiteness-check-skipped", "src/flowrisk/risk.py",
+           "    _path_params(grid)\n",
+           "",
+           ("tests/test_risk.py::TestRiskCurve::test_grid_refusals",)),
+    Mutant("risk-curve-ridge-zero-check-skipped", "src/flowrisk/risk.py",
+           "if kind is FlowKind.RIDGE and grid[0] == 0.0",
+           "if kind is FlowKind.RIDGE and grid[0] < 0.0",
+           ("tests/test_risk.py::TestRiskCurve::test_grid_refusals",)),
+    Mutant("design-below-clamp-guard-skipped", "src/flowrisk/linalg.py",
+           "    if w[0] < -tol:\n",
+           "    if False:\n",
+           ("tests/test_linalg.py::TestDesignDecompose::"
+            "test_clamp_of_roundoff_eigenvalues",)),
+    Mutant("risk-curve-reads-the-design-before-kind", "src/flowrisk/cli.py",
+           "    kind = FlowKind.parse(args.kind)\n    if args.bayes and",
+           "    read_matrix_csv(args.design)\n"
+           "    kind = FlowKind.parse(args.kind)\n    if args.bayes and",
+           ("tests/test_cli.py::"
+            "test_usage_errors_are_refused_before_any_input_is_read",)),
+    Mutant("spectral-design-orthogonality-check-skipped",
+           "src/flowrisk/linalg.py",
+           "        if gram_err > ORTHOGONALITY_TOL * max(1.0, self.p):\n",
+           "        if False:\n",
+           ("tests/test_linalg.py::test_spectral_design_refusals",)),
+    Mutant("spectrum-finiteness-and-sign-checks-skipped",
+           "src/flowrisk/linalg.py",
+           "        if not np.isfinite(vals).all():\n"
+           "            raise ValueError(\"Spectrum eigenvalues must be finite\")\n"
+           "        if (vals < 0).any():\n",
+           "        if False:\n"
+           "            raise ValueError(\"Spectrum eigenvalues must be finite\")\n"
+           "        if False:\n",
+           ("tests/test_linalg.py::TestSpectrum::test_refusals",)),
     Mutant("uniforms-count-check-off-by-one", "src/flowrisk/rng.py",
            "        if n is None or n < 0:\n",
            "        if n is None or n < -1:\n",

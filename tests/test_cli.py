@@ -268,6 +268,41 @@ def test_risk_curve_refuses_an_out_it_cannot_write_before_any_work(
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(("argv", "message"), [
+    (["risk-curve", "--kind", "bogus", "--grid", "0.1,1,5", "--beta0", "b.csv"],
+     "unknown flow kind 'bogus'"),
+    (["risk-curve", "--kind", "gf", "--grid", "0.1,1", "--beta0", "b.csv"],
+     "grid must be lo,hi,count[,log|linear]"),
+    (["risk-curve", "--kind", "gf", "--grid", "1,0.1,5", "--beta0", "b.csv"],
+     "log grid requires 0 < lo < hi"),
+    (["risk-curve", "--kind", "gf", "--grid", "0.1,1,5", "--bayes"],
+     "config key 'r2' is missing (required with --bayes)"),
+    (["risk-curve", "--kind", "gf", "--grid", "0.1,1,5"],
+     "config key 'beta0' is missing (fixed-signal curves)"),
+    (["risk-curve", "--kind", "gf", "--grid", "0.1,1,5", "--bayes",
+      "--r2", "-1"], "prior mode requires a finite r_sq > 0, got -1.0"),
+    (["risk-curve", "--kind", "gf", "--grid", "0.1,1,5", "--beta0", "b.csv",
+      "--sigma2", "0"], "sigma_sq must be positive and finite, got 0.0"),
+    (["estimate", "--kind", "bogus", "--t", "1"], "unknown flow kind 'bogus'"),
+    (["estimate", "--kind", "ridge", "--t", "-1"],
+     "path parameter must be finite and >= 0"),
+    (["estimate", "--kind", "nest", "--t", "inf"],
+     "path parameter must be finite and >= 0"),
+])
+def test_usage_errors_are_refused_before_any_input_is_read(
+        tmp_path, capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command read its input")
+
+    monkeypatch.setattr(cli, "read_matrix_csv", no_work)
+    monkeypatch.setattr(cli, "read_vector_csv", no_work)
+    argv = argv + ["--design", str(tmp_path / "X.csv")]
+    if argv[0] == "estimate":
+        argv += ["--response", str(tmp_path / "y.csv")]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_risk_curve_refuses_a_design_whose_gram_overflows(tmp_path, capsys):
     # X'X/n = 1e308 everywhere, whose spectrum [0, 2e308] would otherwise be
@@ -571,6 +606,39 @@ def test_simulate_refuses_a_config_nested_past_the_recursion_limit(tmp_path,
     assert captured.out == "" and _one_error_line(captured.err)
     assert captured.err.startswith("error: config is not valid JSON")
     assert not out.exists()
+
+
+def test_simulate_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    # a UTF-16 file with its byte-order mark ff fe
+    config = tmp_path / "cfg.json"
+    config.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert captured.err.startswith("error: config is not valid JSON: 'utf-8' "
+                                   "codec can't decode byte 0xff")
+    assert not out.exists()
+
+
+def test_a_config_is_read_as_utf8_whatever_the_locale(tmp_path, monkeypatch):
+    from flowrisk import experiments
+    encodings = []
+
+    def spy(*args, **kwargs):
+        encodings.append(kwargs.get("encoding"))
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "open", spy, raising=False)
+    config = tmp_path / "cfg.json"
+    config.write_bytes(json.dumps({
+        "design": [{"family": "IidGaussian", "n": 20, "p": 4, "seed": 0}],
+        "snr": 1.0, "flows": ["gf"],
+        "t_grid": {"lo": 0.01, "hi": 100.0, "count": 20},
+        "ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 20},
+        "output_dir": "r\u00e9sum\u00e9"}, ensure_ascii=False).encode("utf-8"))
+    assert ExperimentConfig.from_file(config).output_dir == "r\u00e9sum\u00e9"
+    assert encodings == ["utf-8"]
 
 
 def test_simulate_missing_config_key(tmp_path, capsys):

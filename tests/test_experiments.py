@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -181,6 +182,20 @@ class TestSignal:
         a, _ = gen_signal(10, 1.0, 1.0, seed=123)
         b, _ = gen_signal(10, 1.0, 1.0, seed=123)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(("args", "message"), [
+    ((0.1, INF, 3), "grid bounds 0.1, inf must be finite"),
+    ((NAN, 1.0, 3), "grid bounds nan, 1.0 must be finite"),
+    ((0.1, 1.0, 1), "grid needs at least 2 points"),
+    ((0.1, 1.0, -5, False), "grid needs at least 2 points"),
+    ((0.0, 1.0, 3), "log grid requires 0 < lo < hi"),
+    ((1.0, 1.0, 3), "log grid requires 0 < lo < hi"),
+    ((1.0, 0.5, 3, False), "linear grid requires lo < hi"),
+])
+def test_grid_spec_refusals(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GridSpec(*args)
 
 
 def test_grid_count_is_capped_before_allocating():

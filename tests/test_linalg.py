@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from flowrisk import linalg
 from flowrisk.linalg import (
     SpectralDesign,
     Spectrum,
@@ -93,11 +94,17 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="ascending"):
             Spectrum(np.array([2.0, 1.0]))
 
-    def test_clamp_of_roundoff_negatives(self):
-        s = Spectrum.from_eigenvalues(np.array([1.0, -1e-14]), clamp_scale=1.0)
-        assert s.eigenvalues[0] == 0.0
-        with pytest.raises(ValueError):
-            Spectrum.from_eigenvalues(np.array([1.0, -1e-6]), clamp_scale=1.0)
+    @pytest.mark.parametrize(("values", "message"), [
+        ([], "Spectrum requires a nonempty 1-D eigenvalue array"),
+        ([[0.5, 1.0]], "Spectrum requires a nonempty 1-D eigenvalue array"),
+        ([0.5, np.nan], "Spectrum eigenvalues must be finite"),
+        ([0.5, np.inf], "Spectrum eigenvalues must be finite"),
+        ([-np.inf, 0.5], "Spectrum eigenvalues must be finite"),
+        ([-1e-300, 0.5], "Spectrum eigenvalues must be nonnegative"),
+    ])
+    def test_refusals(self, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Spectrum(np.array(values))
 
     def test_holds_a_read_only_copy(self):
         a = np.array([0.5, 1.0, 2.0])
@@ -138,6 +145,36 @@ class TestDesignDecompose:
         d2 = design_decompose(q @ x)
         assert np.abs(d1.spectrum.eigenvalues - d2.spectrum.eigenvalues).max() \
             <= 1e-8
+
+    @pytest.mark.parametrize(("x", "message"), [
+        (np.ones(3), "design matrix must be 2-D"),
+        (np.ones((2, 2, 2)), "design matrix must be 2-D"),
+        (np.zeros((0, 2)), "design matrix must be at least 1x1"),
+        (np.zeros((2, 0)), "design matrix must be at least 1x1"),
+    ])
+    def test_refusals(self, x, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            design_decompose(x)
+
+    def test_clamp_of_roundoff_eigenvalues(self, monkeypatch):
+        # X = 2 I at n = 2: X'X/n = 2 I, whose Frobenius norm 2 sqrt(2) sets
+        # the clamp; values within it on either side become exactly 0, one
+        # below it is refused
+        x = 2.0 * np.eye(2)
+        tol = 1e-12 * (2.0 * np.sqrt(2.0))
+        below = np.nextafter(-tol, -np.inf)
+        for w, want in (([-tol, 1.0], [0.0, 1.0]), ([tol, 1.0], [0.0, 1.0]),
+                        ([-1e-14, 1e-14], [0.0, 0.0]),
+                        ([np.nextafter(tol, 1.0), 1.0],
+                         [np.nextafter(tol, 1.0), 1.0])):
+            monkeypatch.setattr(linalg, "sym_eig",
+                                lambda a, w=w: (np.array(w), np.eye(2)))
+            assert design_decompose(x).spectrum.eigenvalues.tolist() == want
+        monkeypatch.setattr(linalg, "sym_eig",
+                            lambda a: (np.array([below, 1.0]), np.eye(2)))
+        with pytest.raises(ValueError, match=(
+                f"^eigenvalue {below:.6g} below the roundoff clamp {-tol:.6g}$")):
+            design_decompose(x)
 
     def test_rank_deficient_detected_exactly(self):
         rng = np.random.default_rng(17)
@@ -194,6 +231,26 @@ def test_a_temporary_design_is_freed_before_the_eigensolve():
     assert peak <= 4.5 * p * p * 8
 
 
+@pytest.mark.parametrize(("fields", "message"), [
+    ({"n": 0}, "SpectralDesign requires n >= 1 and p >= 1"),
+    ({"p": 0}, "SpectralDesign requires n >= 1 and p >= 1"),
+    ({"v_basis": np.eye(3)}, "v_basis must be 2x2, got (3, 3)"),
+    ({"spectrum": Spectrum(np.array([1.0]))}, "spectrum size does not match p"),
+    # V'V - I = [[0, 1], [1, 1]]
+    ({"v_basis": np.array([[1.0, 1.0], [0.0, 1.0]])},
+     "v_basis is not orthogonal (Frobenius error 1.73)"),
+    # V'V - I = diag(0, 2e-9), ten times the tolerance 1e-10 p
+    ({"v_basis": np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]])},
+     "v_basis is not orthogonal (Frobenius error 2e-09)"),
+    ({"rotated_channel": np.ones(3)}, "rotated_channel must have length p"),
+])
+def test_spectral_design_refusals(fields, message):
+    base = {"n": 5, "p": 2, "spectrum": Spectrum(np.array([0.5, 2.0])),
+            "v_basis": np.eye(2), "rotated_channel": np.ones(2)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SpectralDesign(**(base | fields))
+
+
 class TestAttachResponse:
     def test_zero_response(self, small_instance):
         design, x, _, _ = small_instance
@@ -215,6 +272,12 @@ class TestAttachResponse:
         direct = np.array([design.v_basis[:, i] @ (x.T @ y) / 40
                            for i in range(6)])
         assert np.abs(design.rotated_channel - direct).max() <= 1e-12
+
+    def test_design_shape_mismatch(self, small_instance):
+        design, x, y, _ = small_instance
+        with pytest.raises(ValueError, match=re.escape(
+                "design shape mismatch: expected (40, 6), got (40, 5)")):
+            attach_response(design, x[:, :-1], y)
 
     def test_dimension_mismatch(self, small_instance):
         design, x, y, _ = small_instance

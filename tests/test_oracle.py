@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError, match="t_end must be finite"):
             integrate_flow(FlowKind.ACCELERATED_FLOW, UNIT, np.array([1.0]),
                            value, step=1e-2)
+
+    @pytest.mark.parametrize(("kind", "forcing", "t_end", "message"), [
+        (FlowKind.RIDGE, [1.0], 1.0, "integrate_flow covers the three flows"),
+        (FlowKind.GRADIENT_FLOW, [1.0, 2.0], 1.0,
+         "forcing length does not match the spectrum"),
+        (FlowKind.ACCELERATED_FLOW, [math.nan], 1.0, "forcing must be finite"),
+        (FlowKind.HEAVY_BALL_FLOW, [math.inf], 1.0, "forcing must be finite"),
+        (FlowKind.GRADIENT_FLOW, [1.0], -1e-300, "t_end must be >= 0"),
+    ])
+    def test_refusals(self, kind, forcing, t_end, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate_flow(kind, UNIT, np.array(forcing), t_end, step=1e-2)
 
     def test_heavy_ball_needs_positive_mu(self):
         spec = Spectrum(np.array([0.0, 1.0]))

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from flowrisk.risk import (
     RiskCurve,
     RiskDecomposition,
     SignalModel,
-    bias_variance_curve,
     optimal_ridge_bayes_risk,
     oscillation_report,
     risk_csv_text,
@@ -88,6 +88,26 @@ class TestFixedRisk:
             optimal_ridge_bayes_risk(simple_spectrum, signal)
         with pytest.raises(ValueError, match="prior"):
             signal.alpha(simple_spectrum.p)
+
+
+@pytest.mark.parametrize(("fields", "message"), [
+    ({"mode": "bayes"}, "mode must be 'fixed' or 'prior'"),
+    ({"sigma_sq": 0.0}, "sigma_sq must be positive and finite, got 0.0"),
+    ({"sigma_sq": math.nan}, "sigma_sq must be positive and finite, got nan"),
+    ({"n": 0}, "n must be a positive integer"),
+    ({"beta0_rotated": None}, "fixed mode requires beta0_rotated"),
+    ({"beta0_rotated": [[1.0, 2.0]]}, "beta0_rotated must be a finite 1-D vector"),
+    ({"beta0_rotated": [1.0, math.inf]},
+     "beta0_rotated must be a finite 1-D vector"),
+    ({"mode": "prior"}, "prior mode requires a finite r_sq > 0, got None"),
+    ({"mode": "prior", "r_sq": math.inf},
+     "prior mode requires a finite r_sq > 0, got inf"),
+])
+def test_signal_model_refusals(fields, message):
+    base = {"mode": "fixed", "sigma_sq": 1.0, "n": 3,
+            "beta0_rotated": [1.0, 2.0], "r_sq": None}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SignalModel(**(base | fields))
 
 
 class TestBayesRisk:
@@ -191,6 +211,41 @@ class TestRiskCurve:
         with pytest.raises(ValueError, match="ascending"):
             risk_curve(simple_spectrum, signal, FlowKind.GRADIENT_FLOW,
                        np.array([1.0, 0.5]))
+
+    # the checks run in this order: the grid's shape, then its order and
+    # sign, then the length of beta0, then the grid's finiteness, then the
+    # family's rule (ridge at lambda = 0 on a null eigenvalue, heavy ball's
+    # mu > 0)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(("kind", "s", "beta0", "grid", "message"), [
+        ("gf", [0.5, 2.0], None, [[0.1, 1.0]],
+         "grid must be a nonempty 1-D array"),
+        ("gf", [0.5, 2.0], None, [], "grid must be a nonempty 1-D array"),
+        ("gf", [0.5, 2.0], [1.0, 2.0], [-1.0, 1.0],
+         "grid must be ascending and nonnegative"),
+        ("gf", [0.5, 2.0], [1.0, 2.0, 3.0], [0.1, np.nan],
+         "beta0_rotated length does not match the spectrum"),
+        ("gf", [0.5, 2.0], [1.0, 2.0], [np.nan, 0.1],
+         "path parameter must be finite and >= 0"),
+        ("nest", [0.5, 2.0], None, [0.1, np.inf],
+         "path parameter must be finite and >= 0"),
+        ("ridge", [0.0, 2.0], None, [0.0, np.inf],
+         "path parameter must be finite and >= 0"),
+        ("ridge", [0.0, 2.0], [1.0, 2.0], [0.0, 1.0],
+         "ridge factor undefined at eigenvalue index 0: s = 0 and lambda = 0"),
+        ("hb", [0.0, 2.0], None, [0.1, 1.0],
+         "heavy-ball flow requires a finite mu > 0"),
+    ])
+    def test_grid_refusals(self, kind, s, beta0, grid, message):
+        signal = (SignalModel.prior(r_sq=1.0, sigma_sq=1.0, n=5)
+                  if beta0 is None else SignalModel.fixed(beta0, 1.0, 5))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            risk_curve(Spectrum(np.array(s)), signal, FlowKind.parse(kind), grid)
+
+    def test_ridge_at_lambda_zero_on_a_full_rank_spectrum(self, simple_spectrum):
+        curve = risk_curve(simple_spectrum, PRIOR_UNIT, FlowKind.RIDGE,
+                           [0.0, 1.0])
+        assert np.isfinite(curve.risk).all() and curve.bias_sq[0] == 0.0
 
     def test_output_order_matches_grid(self, simple_spectrum):
         signal = SignalModel.fixed(np.ones(4), sigma_sq=1.0, n=5)
@@ -551,9 +606,11 @@ def test_block_reduction_matches_direct_sums():
             np.concatenate([np.zeros(4), positive])
         rows = _BLOCK_DOUBLES // s.size
         assert grid.size > 3 * rows and grid.size % rows
-        weights = rng.uniform(0.0, 1.0, s.size)
-        bias, variance = bias_variance_curve(Spectrum(s), weights, 0.3, kind,
-                                             grid)
+        beta = rng.uniform(0.0, 1.0, s.size)
+        weights = beta ** 2
+        curve = risk_curve(Spectrum(s), SignalModel.fixed(beta, 0.3, 1), kind,
+                           grid)
+        bias, variance = curve.bias_sq, curve.variance
         live = s > 0
         for k, t in enumerate(grid):
             g = _direct_factors(kind, s, t)

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -361,3 +363,18 @@ class TestTracedKernels:
         risk_curve(spectrum, signal, NEST, [0.5, 1.0])
         risk_curve(spectrum, signal, HB, [0.5, 1.0])
         assert calls == {"j1_ratio": 1, "hb_kernel": 1}
+
+
+def test_only_cli_calls_factor_block_in_the_package():
+    # factor_block validates raw arrays for the shrink command; callers that
+    # hold a Spectrum, whose eigenvalues need no second check, call the
+    # table behind it, _factor_rows
+    callers = {}
+    for path in Path(shrinkage.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                callers.setdefault(name, set()).add(path.stem)
+    assert callers["factor_block"] == {"cli"}
+    assert {"risk", "estimators"} <= callers["_factor_rows"]
