@@ -26,8 +26,8 @@ import numpy as np
 
 from . import bounds
 from .estimators import estimate
-from .experiments import (ConfigError, ExperimentConfig, GridSpec, figure_sweep,
-                          output_files)
+from .experiments import (ConfigError, ExperimentConfig, GridSpec,
+                          _require_seed, figure_sweep, output_files)
 from .linalg import (MAX_DOUBLES, Spectrum, attach_response, design_decompose,
                      read_matrix_csv, read_vector_csv)
 from .oracle import compare_closed_form
@@ -172,6 +172,7 @@ def _cmd_oracle_check(args) -> int:
             raise ConfigError(f"{flag} must be >= 1, got {count}")
         if count > MAX_DOUBLES:
             raise ConfigError(f"{flag} {count} exceeds {MAX_DOUBLES} doubles")
+    _require_seed(args.seed, "--seed")
     stream = SeededStream(args.seed)
     eigs = np.sort(0.05 + 2.95 * stream.uniforms(args.p))
     spectrum = Spectrum(eigs)

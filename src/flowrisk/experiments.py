@@ -134,6 +134,14 @@ def _require_above(value, floor, key: str, where: str = "") -> None:
                           f"got {value!r}")
 
 
+def _require_seed(value: int, key: str) -> None:
+    """ConfigError naming key unless 0 <= value < 2^64.  SeededStream takes
+    its seed mod 2^64, so a seed outside that range would run the stream of
+    another seed while the manifest records its own."""
+    if not 0 <= value < 1 << 64:
+        raise ConfigError(f"{key} must be an integer in [0, 2^64), got {value}")
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """One design family instance: family tag, shape, seed, parameters."""
@@ -152,8 +160,7 @@ class DesignSpec:
             raise ConfigError(f"design.family must be one of {FAMILIES}")
         if self.n < 1 or self.p < 1:
             raise ConfigError("design.n and design.p must be positive")
-        if self.seed < 0:
-            raise ConfigError("design.seed must be a nonnegative integer")
+        _require_seed(self.seed, "design.seed")
         _, params, per_entry = _FAMILIES[self.family]
         for key, field, floor in params:
             _require_above(getattr(self, field), floor, f"design.{key}",

@@ -8,7 +8,9 @@ LAPACK through numpy.linalg.eigh behind small validated wrappers; the
 spectrum of X is always obtained from X'X/n, never from X directly, since
 only the right singular subspace and the eigenvalues appear downstream.
 design_decompose clamps sym_eig's ascending eigenvalues itself; a Spectrum
-only validates the values it is given.
+only validates the values it is given.  A SpectralDesign checks its basis
+once, when it is built, and holds its arrays read-only, so attach_response
+attaches a channel to the checked design without checking the basis again.
 
 Matrix I/O is bare CSV: comma-separated values, one row per line, no
 header.
@@ -16,9 +18,10 @@ header.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,8 +96,11 @@ class SpectralDesign:
     """A least-squares design in spectral coordinates.
 
     v_basis columns are the eigenvectors of X'X/n matching the spectrum
-    order.  rotated_channel, when present, holds c = V' X' y / n, which
-    must be finite.
+    order; it is a read-only view of the array passed in, not a p x p
+    copy, so a caller that keeps that array must not write into it.
+    rotated_channel, when present, holds c = V' X' y / n, which must be
+    finite; it is a read-only copy.  The O(p^3) orthogonality check of
+    v_basis runs here, once per basis.
     """
 
     n: int
@@ -106,7 +112,8 @@ class SpectralDesign:
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise ValueError("SpectralDesign requires n >= 1 and p >= 1")
-        v = np.asarray(self.v_basis, dtype=float)
+        v = np.asarray(self.v_basis, dtype=float).view()
+        v.flags.writeable = False
         if v.shape != (self.p, self.p):
             raise ValueError(f"v_basis must be {self.p}x{self.p}, got {v.shape}")
         if self.spectrum.p != self.p:
@@ -116,16 +123,23 @@ class SpectralDesign:
             raise ValueError(f"v_basis is not orthogonal (Frobenius error {gram_err:.3g})")
         object.__setattr__(self, "v_basis", v)
         if self.rotated_channel is not None:
-            c = np.asarray(self.rotated_channel, dtype=float)
-            if c.shape != (self.p,):
-                raise ValueError("rotated_channel must have length p")
-            if not np.isfinite(c).all():
-                raise ValueError("rotated_channel has non-finite entries")
-            object.__setattr__(self, "rotated_channel", c)
+            _set_channel(self, self.rotated_channel)
 
     @property
     def has_response(self) -> bool:
         return self.rotated_channel is not None
+
+
+def _set_channel(design: SpectralDesign, channel) -> None:
+    """Store a read-only copy of channel as design.rotated_channel, refusing
+    a wrong length or a non-finite entry by name."""
+    c = np.array(channel, dtype=float)
+    if c.shape != (design.p,):
+        raise ValueError("rotated_channel must have length p")
+    if not np.isfinite(c).all():
+        raise ValueError("rotated_channel has non-finite entries")
+    c.flags.writeable = False
+    object.__setattr__(design, "rotated_channel", c)
 
 
 def sym_eig(a):
@@ -206,7 +220,9 @@ def design_decompose(x) -> SpectralDesign:
 def attach_response(design: SpectralDesign, x, y) -> SpectralDesign:
     """Attach the rotated response channel c = V' X' y / n to a design.
 
-    A non-finite y, or a channel that overflows, is refused by name.
+    A non-finite y, or a channel that overflows, is refused by name.  The
+    result shares the design's checked, read-only basis, so the call costs
+    the two matrix-vector products and not a second O(p^3) basis check.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -218,10 +234,12 @@ def attach_response(design: SpectralDesign, x, y) -> SpectralDesign:
         raise ValueError(f"response length {y.size} does not match n = {design.n}")
     if not np.isfinite(y).all():
         raise ValueError("response has non-finite entries")
-    # a channel past the largest double is refused by SpectralDesign, by name
+    # a channel past the largest double is refused by _set_channel, by name
     with np.errstate(over="ignore", invalid="ignore"):
         channel = design.v_basis.T @ (x.T @ y) / design.n
-    return replace(design, rotated_channel=channel)
+    attached = copy.copy(design)    # a copy skips __post_init__'s checks
+    _set_channel(attached, channel)
+    return attached
 
 
 def _load_csv(path, ndmin: int) -> np.ndarray:

@@ -91,13 +91,13 @@ def _scalar_or_array(out):
 def _sinc(u):
     """sin(u)/u with the series 1 - u^2/6 + u^4/120 below the cutoff.
 
-    The result is an array of u's shape, 0-d for a scalar.
+    The division runs only where the series does not overwrite, so no 0/0
+    forms at u = 0.  The result is an array of u's shape, 0-d for a scalar.
     """
     u = np.asarray(u, dtype=float)
-    out = np.sin(u, out=np.empty_like(u))  # an array even when u is 0-d
-    with np.errstate(invalid="ignore"):  # 0/0 at u = 0, overwritten below
-        out /= u
     small = np.abs(u) < _SINC_CUTOFF
+    out = np.sin(u, out=np.empty_like(u))  # an array even when u is 0-d
+    np.divide(out, u, out=out, where=~small)
     if small.any():
         us = u[small]
         out[small] = 1.0 - us * us / 6.0 + us ** 4 / 120.0

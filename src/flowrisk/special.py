@@ -8,14 +8,14 @@ line.  The wrappers here add domain validation and the cancellation-free
 variants needed where the ratio is compared against 1 at tiny arguments and
 then divided by x^2.
 
-j1_ratio evaluates J1 on the whole array and writes its series over the
-few entries below 1e-4.  j1_ratio_complement picks its branch from the
-smallest and largest entries its domain check takes: J1 alone on an array
-wholly at or above 1e-2, the series alone on one wholly below, and one
-mask only for an array that straddles the cutoff, with J1 evaluated only
-where no series overwrites it.  The division 2*J1(x)/x enters an errstate
-guard for its 0/0 only when the array's smallest entry is 0, which
-j1_ratio knows from its domain check and j1_ratio_complement never passes.
+Each removable singularity has one path: J1 over the whole array, then
+the series written over the entries below the cutoff.  j1_ratio does so
+below 1e-4; j1_ratio_complement forms 1 - 2*J1(x)/x and hands it to
+_complement_series, the rule bounds.nest_inflation_objective also uses,
+unless the array's largest entry is below 1e-2, when the series alone
+gives every entry.  The division 2*J1(x)/x enters an errstate guard for
+its 0/0 only when the array's smallest entry, known from the domain
+check, is 0.
 
 All functions accept scalars or arrays, return matching shapes, and are
 pure; they are safe for unrestricted concurrent use.
@@ -59,7 +59,7 @@ def _two_j1_over_x(vec, lo):
 
     lo is a lower bound of vec.  Only when it is 0 can a 0/0 form, and only
     then is the division guarded: the 0/0 at x = 0 gives NaN without a
-    warning, and j1_ratio overwrites it (and every other entry below its
+    warning, and the caller overwrites it (and every other entry below its
     cutoff) with its series.
     """
     out = _cephes_j1(vec)
@@ -109,24 +109,19 @@ def j1_ratio_complement(x):
     x^2/8 - x^4/192 + x^6/9216 is exact to about 1e-17 relative (the next
     term is x^8/737280); above that, subtraction is safe.
 
-    The smallest and largest entries, which the domain check takes, pick
-    the branch: an array wholly at or above 1e-2 is 1 - 2J1(x)/x and one
-    wholly below is the series, each with no mask; only an array that
-    straddles the cutoff masks, once.
+    The largest entry, which the domain check takes, picks the branch: an
+    array wholly below 1e-2 is the series alone, with no J1; any other is
+    1 - 2J1(x)/x over the whole array, with the series written over the
+    entries below the cutoff by _complement_series.
     """
     arr, lo, hi = _checked(x, "j1_ratio_complement", nonnegative=True)
     vec = np.atleast_1d(arr)
-    if lo >= _COMPLEMENT_CUTOFF:
-        out = _two_j1_over_x(vec, lo)
-        np.subtract(1.0, out, out=out)
-    elif hi < _COMPLEMENT_CUTOFF:
+    if hi < _COMPLEMENT_CUTOFF:
         out = _series(vec)
     else:
-        small = vec < _COMPLEMENT_CUTOFF
-        big = ~small        # J1 only where no series overwrites it
-        out = np.empty_like(vec)
-        out[big] = 1.0 - _two_j1_over_x(vec[big], _COMPLEMENT_CUTOFF)
-        out[small] = _series(vec[small])
+        out = _two_j1_over_x(vec, lo)
+        np.subtract(1.0, out, out=out)
+        _complement_series(vec, out)
     return float(out[0]) if arr.ndim == 0 else out
 
 

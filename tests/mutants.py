@@ -60,8 +60,8 @@ MUTANTS = (
            ("tests/test_bounds.py::TestBlockedScan::"
             "test_constants_match_the_loop_minimax",)),
     Mutant("complement-gate-off-the-cutoff", "src/flowrisk/special.py",
-           "    if lo >= _COMPLEMENT_CUTOFF:\n",
-           "    if lo >= 0.5 * _COMPLEMENT_CUTOFF:\n",
+           "    if hi < _COMPLEMENT_CUTOFF:\n",
+           "    if hi < 2.0 * _COMPLEMENT_CUTOFF:\n",
            ("tests/test_special.py::"
             "test_complement_blocks_equal_the_two_mask_form",)),
     Mutant("gf-inflation-one-plus-x", "src/flowrisk/bounds.py",
@@ -179,6 +179,15 @@ MUTANTS = (
            "        if n is None or n < -1:\n",
            ("tests/test_rng.py::"
             "test_uniforms_refuses_a_count_that_is_not_a_nonnegative_integer",)),
+    Mutant("seed-bound-off-by-a-power-of-two", "src/flowrisk/experiments.py",
+           "    if not 0 <= value < 1 << 64:\n",
+           "    if not 0 <= value < 1 << 65:\n",
+           ("tests/test_experiments.py::test_refusals",)),
+    Mutant("attach-response-channel-unchecked", "src/flowrisk/linalg.py",
+           "    _set_channel(attached, channel)\n",
+           "    object.__setattr__(attached, \"rotated_channel\", channel)\n",
+           ("tests/test_linalg.py::TestAttachResponse::"
+            "test_refuses_a_channel_that_overflows",)),
 )
 
 

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -605,8 +606,9 @@ class TestTailCuts:
         assert seen["points"] == 117_760
 
     def test_j1_is_evaluated_only_above_the_series_cutoff(self, monkeypatch):
-        # the 100,720 points below 1e-2 (every zoom point among them) take
-        # the series alone
+        # the blocks wholly below 1e-2 (every zoom point among them) take
+        # the series alone; the one block straddling the cutoff takes J1
+        # whole, 1,696 of its points below 1e-2 among them
         cephes = special._cephes_j1
         seen = {"elems": 0}
 
@@ -616,7 +618,7 @@ class TestTailCuts:
 
         monkeypatch.setattr(special, "_cephes_j1", counting)
         nest_param_error_constant()
-        assert seen["elems"] == 44_983
+        assert seen["elems"] == 46_679
 
 
 class TestHKappa:
@@ -989,3 +991,14 @@ class TestBiasRatioWitness:
     def test_requires_four_decades(self):
         with pytest.raises(ValueError, match="decades"):
             bias_ratio_unbounded_witness(np.logspace(0, 2, 5))
+
+    @pytest.mark.parametrize(("x_points", "message"), [
+        ([1.0], "x_points must be a 1-D array with >= 2 points"),
+        ([[1.0, 1e5]], "x_points must be a 1-D array with >= 2 points"),
+        ([0.0, 1e5], "x_points must be positive and ascending"),
+        ([1e5, 1.0], "x_points must be positive and ascending"),
+        ([1.0, 1.0, 1e5], "x_points must be positive and ascending"),
+    ])
+    def test_refusals(self, x_points, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bias_ratio_unbounded_witness(x_points)

@@ -508,6 +508,69 @@ def test_oracle_check_rejects_non_finite_input(capsys, flag, value, message):
     assert f"error: {message}" in captured.err
 
 
+def test_oracle_check_fails_a_tolerance_it_exceeds(capsys):
+    code = run(["oracle-check", "--kind", "gf", "--p", "2", "--step", "0.1",
+                "--t-end", "1", "--grid-count", "3", "--tol", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out)["sup_error"] > 0.0   # the report stays
+
+
+def test_oracle_check_takes_the_largest_seed(capsys):
+    assert run(["oracle-check", "--kind", "gf", "--p", "2", "--step", "0.1",
+                "--t-end", "1", "--grid-count", "3",
+                "--seed", str(2 ** 64 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 64 - 1
+
+
+def _sweep_config(path, **fields):
+    config = {"design": [{"family": "IidGaussian", "n": 20, "p": 4,
+                          "seed": 0}],
+              "snr": 1.0, "flows": ["gf"],
+              "t_grid": {"lo": 0.01, "hi": 100.0, "count": 5},
+              "ridge_grid": {"lo": 1e-4, "hi": 100.0, "count": 5}} | fields
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize(("case", "message"), [
+    ("beta0-length", "beta0 length does not match the design"),
+    ("oracle-check-ridge", "oracle-check covers the three flows"),
+    ("oracle-check-seed-negative",
+     "--seed must be an integer in [0, 2^64), got -1"),
+    ("oracle-check-seed-2^64",
+     "--seed must be an integer in [0, 2^64), got 18446744073709551616"),
+    ("simulate-seed-2^64+1",
+     "design.seed must be an integer in [0, 2^64), got 18446744073709551617"),
+    ("simulate-no-output-dir",
+     "config key 'output_dir' is missing (or pass --out)"),
+])
+def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, instance_files,
+                                             case, message):
+    xp, _, _ = instance_files
+    short = tmp_path / "b3.csv"
+    short.write_text("1\n2\n3\n")
+    oracle = ["oracle-check", "--kind", "gf", "--p", "2", "--t-end", "1"]
+    argv = {
+        "beta0-length": ["risk-curve", "--design", str(xp), "--kind", "gf",
+                         "--grid", "0.1,1,3", "--beta0", str(short)],
+        "oracle-check-ridge": ["oracle-check", "--kind", "ridge"],
+        "oracle-check-seed-negative": oracle + ["--seed", "-1"],
+        "oracle-check-seed-2^64": oracle + ["--seed", str(2 ** 64)],
+        "simulate-seed-2^64+1": [
+            "simulate", "--out", str(tmp_path / "out"), "--config",
+            _sweep_config(tmp_path / "seed.json", design=[
+                {"family": "IidGaussian", "n": 20, "p": 4,
+                 "seed": 2 ** 64 + 1}])],
+        "simulate-no-output-dir": [
+            "simulate", "--config", _sweep_config(tmp_path / "cfg.json")],
+    }[case]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag", ["--grid-count", "--p"])
 def test_oracle_check_refuses_an_oversized_count_before_allocating(flag, capsys):

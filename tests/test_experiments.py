@@ -205,6 +205,67 @@ def test_grid_count_is_capped_before_allocating():
             GridSpec(0.1, 1.0, MAX_DOUBLES + 1, log)
 
 
+_GAUSS = {"family": "IidGaussian", "n": 10, "p": 2, "seed": 0}
+
+
+def _config(**fields):
+    """A one-design config as parsed JSON, with fields replaced."""
+    return {"design": _GAUSS, "snr": 1.0, "flows": ["gf"],
+            "t_grid": {"lo": 0.1, "hi": 1.0, "count": 4},
+            "ridge_grid": {"lo": 0.1, "hi": 1.0, "count": 4}} | fields
+
+
+_ORTHO = DesignSpec(family="Orthogonal", n=10, p=2, seed=0, s=1.0)
+
+
+@pytest.mark.parametrize(("build", "message"), [
+    (lambda: DesignSpec(**(_GAUSS | {"family": "Bogus"})),
+     "design.family must be one of "
+     "('PowerLaw', 'IidGaussian', 'IidStudentT', 'Orthogonal')"),
+    (lambda: DesignSpec.from_json(_GAUSS | {"family": "Bogus"}),
+     "design.family must be one of "
+     "('PowerLaw', 'IidGaussian', 'IidStudentT', 'Orthogonal')"),
+    (lambda: DesignSpec(**(_GAUSS | {"n": 0})),
+     "design.n and design.p must be positive"),
+    (lambda: DesignSpec(**(_GAUSS | {"p": -1})),
+     "design.n and design.p must be positive"),
+    (lambda: DesignSpec(**(_GAUSS | {"seed": -1})),
+     "design.seed must be an integer in [0, 2^64), got -1"),
+    (lambda: DesignSpec.from_json(_GAUSS | {"seed": 2 ** 64}),
+     "design.seed must be an integer in [0, 2^64), got 18446744073709551616"),
+    (lambda: DesignSpec.from_json(_GAUSS | {"seed": 2 ** 64 + 1}),
+     "design.seed must be an integer in [0, 2^64), got 18446744073709551617"),
+    (lambda: ExperimentConfig.from_json(_config(design=[])),
+     "design list is empty"),
+    (lambda: ExperimentConfig.from_json(_config(flows=[])),
+     "flows list is empty"),
+    (lambda: ExperimentConfig.from_json(_config(design=3)),
+     "design must be an object or a list of objects"),
+    (lambda: ExperimentConfig.from_json(_config(flows=["gf", "bogus"])),
+     "flows: unknown flow kind 'bogus'"),
+    (lambda: gen_power_law_design(_ORTHO),
+     "gen_power_law_design requires a PowerLaw spec"),
+    (lambda: gen_iid_design(_ORTHO), "gen_iid_design requires an iid family spec"),
+    (lambda: gen_orthogonal_design(DesignSpec(**_GAUSS)),
+     "gen_orthogonal_design requires an Orthogonal spec"),
+], ids=["family", "family-from-json", "n", "p", "seed-negative", "seed-2^64",
+        "seed-2^64+1", "no-design", "no-flows", "design-not-an-object",
+        "unknown-flow", "power-law-family", "iid-family", "orthogonal-family"])
+def test_refusals(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_integral_floats_are_read_as_integers_and_the_largest_seed_is_taken():
+    cfg = ExperimentConfig.from_json(_config(
+        design=_GAUSS | {"seed": 2.0 ** 63},
+        t_grid={"lo": 0.1, "hi": 1.0, "count": 1e1}))
+    assert cfg.t_grid.count == 10 and type(cfg.t_grid.count) is int
+    assert cfg.design[0].seed == 2 ** 63 and type(cfg.design[0].seed) is int
+    largest = DesignSpec(**(_GAUSS | {"seed": 2 ** 64 - 1}))
+    assert build_design(largest).p == 2
+
+
 def small_config(tmp_path=None, flows=("gf", "nest", "hb", "ridge")):
     return ExperimentConfig.from_json({
         "design": [

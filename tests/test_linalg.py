@@ -50,6 +50,18 @@ class TestSymEig:
         with pytest.raises(ValueError, match="symmetric"):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(("a", "message"), [
+        (np.ones((2, 3)), "sym_eig requires a square matrix"),
+        (np.ones(4), "sym_eig requires a square matrix"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]),
+         "sym_eig requires finite entries"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]),
+         "sym_eig requires finite entries"),
+    ])
+    def test_refusals(self, a, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sym_eig(a)
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((8, 8))
@@ -251,6 +263,18 @@ def test_spectral_design_refusals(fields, message):
         SpectralDesign(**(base | fields))
 
 
+def test_a_spectral_design_holds_its_arrays_read_only():
+    basis, channel = np.eye(2), np.ones(2)
+    design = SpectralDesign(5, 2, Spectrum(np.array([0.5, 2.0])), basis,
+                            channel)
+    for name in ("v_basis", "rotated_channel"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(design, name)[0] = 3.0
+    # the caller's arrays stay writable; the basis is a view, not a copy
+    basis[0, 0] = channel[0] = 1.0
+    assert np.shares_memory(design.v_basis, basis)
+
+
 class TestAttachResponse:
     def test_zero_response(self, small_instance):
         design, x, _, _ = small_instance
@@ -303,6 +327,23 @@ class TestAttachResponse:
         with pytest.raises(ValueError,
                            match="^rotated_channel has non-finite entries$"):
             attach_response(design_decompose(x), x, np.asarray(y))
+
+    def test_the_basis_is_not_checked_again(self, small_instance, monkeypatch):
+        # the O(p^3) orthogonality check, whose only norm call is
+        # ||V'V - I||, ran when design_decompose built the design
+        design, x, y, _ = small_instance
+        norm = np.linalg.norm
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        attached = attach_response(design, x, y)
+        assert calls == []
+        assert attached.v_basis is design.v_basis
+        assert np.array_equal(attached.rotated_channel, design.rotated_channel)
 
     def test_a_spectral_design_refuses_a_non_finite_channel(self, small_instance):
         design = small_instance[0]

@@ -328,6 +328,33 @@ class TestCompareClosedForm:
             assert e_coarse / e_fine >= 8.0
 
 
+_X, _Y = np.eye(2), np.ones(2)
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: discrete_iterates(FlowKind.RIDGE, _X, _Y, IterateConfig(0.1, 1)),
+     "discrete_iterates covers the three flows"),
+    (lambda: discrete_iterates(FlowKind.GRADIENT_FLOW, _X, np.ones(3),
+                               IterateConfig(0.1, 1)),
+     "x must be n x p with y of length n"),
+    (lambda: discrete_iterates(FlowKind.HEAVY_BALL_FLOW, np.ones(2), _Y,
+                               IterateConfig(0.1, 1, 0.5)),
+     "x must be n x p with y of length n"),
+    (lambda: compare_closed_form(FlowKind.GRADIENT_FLOW, UNIT, [1.0], []),
+     "t_grid must be a nonempty 1-D array"),
+    (lambda: compare_closed_form(FlowKind.ACCELERATED_FLOW, UNIT, [1.0],
+                                 [[0.0, 1.0]]),
+     "t_grid must be a nonempty 1-D array"),
+    (lambda: compare_closed_form(FlowKind.GRADIENT_FLOW, UNIT, [1.0],
+                                 [1.0, -1e-300]),
+     "t_grid must be nonnegative"),
+], ids=["ridge-iterates", "y-length", "x-not-2d", "empty-grid", "2d-grid",
+        "negative-grid"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestDiscreteIterates:
     def test_single_gd_step(self, small_instance):
         _, x, y, _ = small_instance

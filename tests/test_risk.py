@@ -110,6 +110,24 @@ def test_signal_model_refusals(fields, message):
         SignalModel(**(base | fields))
 
 
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: RiskDecomposition(-1.0, 0.0),
+     "bias_sq and variance must be nonnegative"),
+    (lambda: RiskDecomposition(0.0, -1e-300),
+     "bias_sq and variance must be nonnegative"),
+    (lambda: RiskCurve([1.0, 2.0], [0.5], [0.5]),
+     "curve arrays must be 1-D and of equal length"),
+    (lambda: RiskCurve([[1.0]], [[0.5]], [[0.5]]),
+     "curve arrays must be 1-D and of equal length"),
+    (lambda: RiskCurve([1.0], [0.5], [-0.5]),
+     "bias_sq and variance must be nonnegative"),
+], ids=["point-bias", "point-variance", "curve-lengths", "curve-2d",
+        "curve-variance"])
+def test_decomposition_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestBayesRisk:
     def test_gradient_flow_scalar(self):
         point = point_curve(UNIT, PRIOR_UNIT, FlowKind.GRADIENT_FLOW, 1.0)

@@ -61,6 +61,16 @@ def test_student_t_requires_df():
         SeededStream(1).student_t(10, df=0)
 
 
+@pytest.mark.parametrize("draw", ["chi_square", "student_t"])
+@pytest.mark.parametrize("df", [0, -3])
+def test_draws_refuse_a_df_below_one(draw, df):
+    stream = SeededStream(1)
+    with pytest.raises(ValueError, match="^df must be >= 1$"):
+        getattr(stream, draw)(10, df)
+    # refused before the counter moved
+    assert np.array_equal(stream.uniforms(2), SeededStream(1).uniforms(2))
+
+
 @pytest.mark.parametrize("count", [-1, -2, 2.5, np.float64(2.0), "3", None],
                          ids=repr)
 def test_uniforms_refuses_a_count_that_is_not_a_nonnegative_integer(count):
