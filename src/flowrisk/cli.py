@@ -31,7 +31,8 @@ from .experiments import (ConfigError, ExperimentConfig, GridSpec,
 from .linalg import (MAX_DOUBLES, Spectrum, attach_response, design_decompose,
                      read_matrix_csv, read_vector_csv)
 from .oracle import compare_closed_form
-from .risk import SignalModel, risk_csv_text, risk_curve, write_risk_csv
+from .risk import (SignalModel, _rewrite, risk_csv_text, risk_curve,
+                   write_risk_csv)
 from .rng import SeededStream
 from .shrinkage import FlowKind, _path_params, factor_block
 from .special import bessel_j1, j1_ratio
@@ -104,8 +105,8 @@ def _cmd_verify_constants(args) -> int:
     text = json.dumps({"checks": checks}, indent=2, sort_keys=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "constants.json"), "w") as fh:
-            fh.write(text + "\n")
+        _rewrite(os.path.join(args.out, "constants.json"),
+                 (text + "\n").encode("ascii"))
     print(text)
     return 0 if all(c["pass"] for c in checks) else 1
 

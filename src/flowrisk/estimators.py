@@ -9,7 +9,8 @@ with c_i = v_i' X' y / n the rotated response channel, mapped back through
 V.  The zero on null directions is the pseudo-inverse convention: those
 coordinates start at zero and the dynamics never move them.  Ridge replaces
 (1 - g_i)/s_i by 1/(s_i + lambda), which agrees with its shrinkage factor,
-and keeps the same zero: on a null direction c_i is only rounding noise,
+and keeps the same zero, so at lambda = 0 it is the minimum-norm fit every
+flow reaches as t -> inf: on a null direction c_i is only rounding noise,
 which c_i / lambda would blow up for small lambda.  estimate evaluates a
 whole parameter grid at once and rotates back with one matmul by V.
 
@@ -95,15 +96,13 @@ def estimate(design: SpectralDesign, kind: FlowKind, params) -> np.ndarray:
     """Coefficient vectors of a family, one row per parameter.
 
     params are times for the flows and penalties for ridge, each finite and
-    >= 0; ridge at lambda = 0 also needs a full-rank spectrum.  Returns a
-    (len(params), p) array in the original basis; every flow row at t = 0
-    is exactly zero.  A coefficient past the largest double (where a
-    |c_i| / s_i does) is a ValueError.
+    >= 0.  Returns a (len(params), p) array in the original basis; every
+    flow row at t = 0 is exactly zero, and ridge at lambda = 0 is the
+    minimum-norm least-squares fit, pinv(X) y, on any spectrum.  A
+    coefficient past the largest double (where a |c_i| / s_i does) is a
+    ValueError.
     """
     params = _path_params(params)
-    if (kind is FlowKind.RIDGE and (params == 0.0).any()
-            and design.spectrum.mu == 0.0):
-        raise ValueError("lambda = 0 requires a full-rank spectrum")
     spectrum = design.spectrum
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _spectral_rows(spectrum, _require_response(design), kind,

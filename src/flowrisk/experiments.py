@@ -20,6 +20,11 @@ bias weight to the prior average r^2/p with r^2 = snr * sigma^2.
 Outputs are one CSV per (design, family) named <label>_<kind>.csv in the
 risk-module schema, plus a manifest recording the configuration and a
 git-style blob hash of every file, so reruns are verifiably identical.
+
+A design's n, p and seed and a grid's count are integers by rng's one
+rule: a Python or NumPy integer is kept as an int, and anything else
+(10.5, 2.0) is a ConfigError naming the field, so a spec runs and records
+the same value.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 
 from .linalg import MAX_DOUBLES, SpectralDesign, Spectrum, design_decompose
 from .risk import SignalModel, _rewrite, risk_curve, write_risk_csv
-from .rng import SeededStream, derive_seed
+from .rng import SeededStream, _index, derive_seed
 from .shrinkage import FlowKind
 
 __all__ = [
@@ -158,6 +163,9 @@ class DesignSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"design.family must be one of {FAMILIES}")
+        for field in ("n", "p", "seed"):
+            object.__setattr__(self, field, _index(
+                getattr(self, field), f"design.{field}", ConfigError))
         if self.n < 1 or self.p < 1:
             raise ConfigError("design.n and design.p must be positive")
         _require_seed(self.seed, "design.seed")
@@ -229,6 +237,7 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"grid bounds {self.lo!r}, {self.hi!r} must be finite")
+        object.__setattr__(self, "count", _index(self.count, "count", ConfigError))
         if self.count < 2:
             raise ValueError("grid needs at least 2 points")
         if self.count > MAX_DOUBLES:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Spectrum
+from .rng import _index
 from .shrinkage import FlowKind, _factor_rows, _path_params
 
 __all__ = [
@@ -129,7 +130,7 @@ class SignalModel:
 
     mode "fixed" carries beta0_rotated (the coordinates v_i' b0) and
     sigma_sq; mode "prior" carries (r_sq, sigma_sq).  n is the sample count
-    entering the noise scale sigma^2/n.
+    entering the noise scale sigma^2/n, an integer by rng's one rule.
     """
 
     mode: str
@@ -144,6 +145,7 @@ class SignalModel:
         if not 0 < self.sigma_sq < np.inf:        # NaN fails too
             raise ValueError("sigma_sq must be positive and finite, "
                              f"got {self.sigma_sq!r}")
+        object.__setattr__(self, "n", _index(self.n, "n"))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.mode == "fixed":
@@ -160,12 +162,12 @@ class SignalModel:
 
     @classmethod
     def fixed(cls, beta0_rotated, sigma_sq: float, n: int) -> "SignalModel":
-        return cls(mode="fixed", sigma_sq=float(sigma_sq), n=int(n),
+        return cls(mode="fixed", sigma_sq=float(sigma_sq), n=n,
                    beta0_rotated=np.asarray(beta0_rotated, dtype=float))
 
     @classmethod
     def prior(cls, r_sq: float, sigma_sq: float, n: int) -> "SignalModel":
-        return cls(mode="prior", sigma_sq=float(sigma_sq), n=int(n),
+        return cls(mode="prior", sigma_sq=float(sigma_sq), n=n,
                    r_sq=float(r_sq))
 
     def alpha(self, p: int) -> float:
@@ -218,8 +220,9 @@ def risk_curve(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
     """Risk decomposition at every grid point, in grid order.
 
     The grid must be a nonempty 1-D array, ascending, finite and
-    nonnegative, checked once here; ridge at lambda = 0 on a null
-    eigenvalue is refused.  Fixed signals weight the bias by (v_i' b0)^2,
+    nonnegative, checked once here; ridge at lambda = 0 is the
+    minimum-norm fit, whose null directions keep g = 1 as every family's
+    do.  Fixed signals weight the bias by (v_i' b0)^2,
     prior signals by r^2/p, so one call covers both fixed and Bayes curves.
 
     The curve is reduced a block of about _BLOCK_DOUBLES factors at a time,
@@ -241,11 +244,6 @@ def risk_curve(spectrum: Spectrum, signal: SignalModel, kind: FlowKind,
     else:
         weights = np.full(spectrum.p, signal.r_sq / spectrum.p)
     _path_params(grid)
-    # grid and spectrum ascend: lambda = 0 can only be grid[0], and a null
-    # eigenvalue only index 0
-    if kind is FlowKind.RIDGE and grid[0] == 0.0 and spectrum.mu == 0.0:
-        raise ValueError("ridge factor undefined at eigenvalue index 0: "
-                         "s = 0 and lambda = 0")
     s = spectrum.eigenvalues
     rows = max(1, _BLOCK_DOUBLES // s.size)
     bias = np.empty(grid.size)

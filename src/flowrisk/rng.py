@@ -30,9 +30,13 @@ time and squares them in place, so at its peak it holds its count
 results plus one block of _CHI_ROWS x df normals, not count x df twice
 over; student_t holds its two count-long arrays plus that block.  The
 chunking is invisible in the output: every stream, and the counter after
-every call, is the pair-at-a-time recipe's.  A count is a nonnegative
-integer: uniforms refuses any other with a ValueError naming count before
-the counter moves, and the other draws refuse a negative one through NumPy.
+every call, is the pair-at-a-time recipe's.
+
+Seeds, stream indices and uniforms' count are integers by one rule,
+_index: each is taken through operator.index, so a Python or NumPy integer
+passes unchanged and anything else (1.5, 2.0, "3") is a ValueError naming
+it, raised before the counter moves.  A count must also be >= 0; the other
+draws refuse a negative one through NumPy.
 """
 
 from __future__ import annotations
@@ -70,10 +74,19 @@ def _mix(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _index(value, name: str, error: type = ValueError) -> int:
+    """value as an int through operator.index, else error naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def derive_seed(seed: int, stream_index: int) -> int:
     """A decorrelated child seed: mix(seed + (index+1) * golden gamma)."""
     mask = (1 << 64) - 1
-    v = (int(seed) + (int(stream_index) + 1) * int(_GAMMA)) & mask
+    v = (_index(seed, "seed")
+         + (_index(stream_index, "stream_index") + 1) * int(_GAMMA)) & mask
     return int(_mix(np.array([v], dtype=np.uint64))[0])
 
 
@@ -81,16 +94,13 @@ class SeededStream:
     """A consumable SplitMix64 stream with polar normals and t deviates."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        self._seed = np.uint64(_index(seed, "seed") & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
     def uniforms(self, count: int) -> np.ndarray:
         """count doubles uniform on [0, 1)."""
-        try:
-            n = operator.index(count)
-        except TypeError:
-            n = None
-        if n is None or n < 0:
+        n = _index(count, "count")
+        if n < 0:
             raise ValueError(f"count must be a nonnegative integer, got {count!r}")
         v = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n

@@ -10,7 +10,8 @@ times the unregularized target, where g is the family's shrinkage factor,
                       b = sqrt(s - mu)
     ridge             g = lambda / (s + lambda)
 
-with g = 1 at s = 0 for every family: null directions are never moved.
+with g = 1 at s = 0 for every family, ridge at lambda = 0 included (its
+0/0 takes that limit): null directions are never moved.
 The heavy-ball map takes mu (the global damping level, normally the
 smallest covariance eigenvalue) as an explicit argument and is only defined
 for 0 < mu <= s.  Its kernels take a = t sqrt(mu) and b = t sqrt(s - mu),
@@ -172,6 +173,14 @@ def _ridge_terms(num, s, lam):
     return num * half, s * half + lam * half
 
 
+def _ridge(s, lam, mu):
+    """lambda / (s + lambda), with its limit 1 where s = lambda = 0."""
+    out = np.divide(*_ridge_terms(lam, s, lam))
+    if np.count_nonzero(lam == 0.0):   # one test of the parameter column
+        out[(lam == 0.0) & (s == 0.0)] = 1.0
+    return out
+
+
 # The one map from a family to its closed form f(s, param, mu); every entry
 # broadcasts s against param and takes its own limit where an argument
 # overflows (module docstring).
@@ -179,7 +188,7 @@ _FORMULAS = {
     FlowKind.GRADIENT_FLOW: lambda s, t, mu: np.exp(-t * s),
     FlowKind.ACCELERATED_FLOW: _nest,
     FlowKind.HEAVY_BALL_FLOW: _hb,
-    FlowKind.RIDGE: lambda s, lam, mu: np.divide(*_ridge_terms(lam, s, lam)),
+    FlowKind.RIDGE: _ridge,
 }
 
 
@@ -211,8 +220,8 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
     s and params are 1-D (scalars count as length 1); params are times for
     the flows and penalties for ridge.  mu is the heavy-ball damping level
     and is ignored by the other families.  Raises ValueError on non-finite
-    or negative input, on heavy ball without 0 < mu <= s, and on ridge at
-    s = lambda = 0 (naming the eigenvalue index).
+    or negative input and on heavy ball without 0 < mu <= s.  Ridge at
+    s = lambda = 0 takes its limit 1, as every family does at s = 0.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     params = _path_params(params)
@@ -226,11 +235,6 @@ def factor_block(kind: FlowKind, s, params, mu=None) -> np.ndarray:
             raise ValueError("heavy-ball flow requires a finite mu > 0")
         if lo < mu:
             raise ValueError("heavy-ball flow requires s >= mu")
-    if kind is FlowKind.RIDGE and (params == 0.0).any():
-        zero = np.flatnonzero(s == 0.0)
-        if zero.size:
-            raise ValueError(f"ridge factor undefined at eigenvalue index {zero[0]}: "
-                             "s = 0 and lambda = 0")
     with np.errstate(over="ignore", invalid="ignore"):
         return _factor_rows(kind, s, params, mu)
 

@@ -21,5 +21,15 @@ def small_instance():
 
 
 @pytest.fixture
+def rank_deficient_instance():
+    """A 6 x 10 instance (four null eigenvalues) with its response attached."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 10))
+    y = rng.standard_normal(6)
+    design = attach_response(design_decompose(x), x, y)
+    return design, x, y, rng.standard_normal(10)
+
+
+@pytest.fixture
 def simple_spectrum():
     return Spectrum(np.array([0.25, 0.5, 1.0, 2.0]))

@@ -145,10 +145,13 @@ MUTANTS = (
            "    _path_params(grid)\n",
            "",
            ("tests/test_risk.py::TestRiskCurve::test_grid_refusals",)),
-    Mutant("risk-curve-ridge-zero-check-skipped", "src/flowrisk/risk.py",
-           "if kind is FlowKind.RIDGE and grid[0] == 0.0",
-           "if kind is FlowKind.RIDGE and grid[0] < 0.0",
-           ("tests/test_risk.py::TestRiskCurve::test_grid_refusals",)),
+    Mutant("ridge-zero-limit-dropped", "src/flowrisk/shrinkage.py",
+           "        out[(lam == 0.0) & (s == 0.0)] = 1.0\n",
+           "        out[(lam == 0.0) & (s == 0.0)] = 0.0\n",
+           ("tests/test_risk.py::TestRiskCurve::"
+            "test_ridge_at_lambda_zero_is_gradient_flow_at_1e300_when_rank_deficient",
+            "tests/test_shrinkage.py::TestProfile::"
+            "test_a_null_direction_keeps_factor_one")),
     Mutant("design-below-clamp-guard-skipped", "src/flowrisk/linalg.py",
            "    if w[0] < -tol:\n",
            "    if False:\n",
@@ -175,10 +178,16 @@ MUTANTS = (
            "        if False:\n",
            ("tests/test_linalg.py::TestSpectrum::test_refusals",)),
     Mutant("uniforms-count-check-off-by-one", "src/flowrisk/rng.py",
-           "        if n is None or n < 0:\n",
-           "        if n is None or n < -1:\n",
+           "        if n < 0:\n",
+           "        if n < -1:\n",
            ("tests/test_rng.py::"
             "test_uniforms_refuses_a_count_that_is_not_a_nonnegative_integer",)),
+    Mutant("integer-rule-truncates", "src/flowrisk/rng.py",
+           "        return operator.index(value)\n",
+           "        return int(value)\n",
+           ("tests/test_rng.py::test_seeds_and_indices_follow_the_integer_rule",
+            "tests/test_risk.py::test_signal_model_n_follows_the_integer_rule",
+            "tests/test_experiments.py::test_specs_follow_the_integer_rule")),
     Mutant("seed-bound-off-by-a-power-of-two", "src/flowrisk/experiments.py",
            "    if not 0 <= value < 1 << 64:\n",
            "    if not 0 <= value < 1 << 65:\n",

@@ -170,15 +170,36 @@ def test_estimate_refuses_a_coefficient_past_the_largest_double(
     assert np.isfinite(float(capsys.readouterr().out))
 
 
-def test_estimate_ridge_at_zero_penalty_needs_full_rank(tmp_path, capsys):
+@pytest.mark.filterwarnings("error")
+def test_estimate_ridge_at_zero_penalty_on_a_rank_deficient_design(tmp_path,
+                                                                   capsys):
+    # the minimum-norm least-squares fit, as gradient flow at t = 1e300
     rng = np.random.default_rng(2)
     xp, yp = tmp_path / "X.csv", tmp_path / "y.csv"
     np.savetxt(xp, rng.standard_normal((3, 5)), delimiter=",")
     np.savetxt(yp, rng.standard_normal((3, 1)), delimiter=",")
-    assert run(["estimate", "--kind", "ridge", "--t", "0", "--design", str(xp),
-                "--response", str(yp)]) == 2
-    assert "error: lambda = 0 requires a full-rank spectrum" in \
-        capsys.readouterr().err
+    argv = ["--design", str(xp), "--response", str(yp)]
+    assert run(["estimate", "--kind", "ridge", "--t", "0"] + argv) == 0
+    ridge = capsys.readouterr()
+    assert ridge.err == "" and len(ridge.out.splitlines()) == 5
+    assert run(["estimate", "--kind", "gf", "--t", "1e300"] + argv) == 0
+    assert capsys.readouterr().out == ridge.out
+
+
+@pytest.mark.filterwarnings("error")
+def test_risk_curve_ridge_from_zero_penalty_on_a_rank_deficient_design(
+        tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    xp = tmp_path / "X.csv"
+    np.savetxt(xp, rng.standard_normal((3, 5)), delimiter=",")
+    assert run(["risk-curve", "--design", str(xp), "--kind", "ridge",
+                "--grid", "0,1,5,linear", "--bayes", "--r2", "1"]) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
+    assert captured.err == "" and len(rows) == 6
+    assert rows[1].startswith("ridge,0,")
+    assert all(np.isfinite(float(v)) for row in rows[1:]
+               for v in row.split(",")[1:])
 
 
 @pytest.mark.filterwarnings("error")
@@ -882,6 +903,34 @@ def test_verify_constants_cli(tmp_path, capsys):
     assert all(c["pass"] for c in report["checks"])
     saved = json.loads((tmp_path / "constants.json").read_text())
     assert saved == report
+
+
+def test_verify_constants_rewrites_a_longer_constants_json(tmp_path, capsys,
+                                                           monkeypatch):
+    # the file goes through the one write rule of the curve CSVs and
+    # manifest.json (opened without O_TRUNC, truncated after the write):
+    # same inode, exactly the new text, nothing of the older file left
+    from types import SimpleNamespace
+
+    from flowrisk import bounds, risk
+    monkeypatch.setattr(bounds, "run_checks", lambda: [
+        (c, SimpleNamespace(value=c.paper_value), 1.0)
+        for c in bounds.CHECKS.values()])
+    opened = []
+
+    def untruncated(path, flags):
+        opened.append(path)
+        return real(path, flags)
+
+    real = risk._open_untruncated
+    monkeypatch.setattr(risk, "_open_untruncated", untruncated)
+    saved = tmp_path / "constants.json"
+    saved.write_text("an older, longer report\n" * 1000)
+    inode = saved.stat().st_ino
+    assert run(["verify-constants", "--out", str(tmp_path)]) == 0
+    assert saved.read_bytes() == capsys.readouterr().out.encode()
+    assert saved.stat().st_ino == inode
+    assert opened == [str(saved)]
 
 
 def test_verify_constants_rows_carry_the_table_tolerances(capsys):

@@ -53,13 +53,25 @@ def test_ridge_matches_gaussian_elimination_oracle(small_instance):
     assert np.abs(one(design, FlowKind.RIDGE, lam) - direct).max() <= 1e-10
 
 
-def test_ridge_zero_penalty_rejected_when_rank_deficient():
+def test_ridge_zero_penalty_is_the_minimum_norm_fit_when_rank_deficient():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 5))
     y = rng.standard_normal(3)
     design = attach_response(design_decompose(x), x, y)
-    with pytest.raises(ValueError, match="full-rank"):
-        one(design, FlowKind.RIDGE, 0.0)
+    assert design.spectrum.mu == 0.0
+    pinv = np.linalg.pinv(x) @ y
+    bhat = one(design, FlowKind.RIDGE, 0.0)
+    assert np.linalg.norm(bhat - pinv) <= 1e-12 * np.linalg.norm(pinv)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ridge_zero_penalty_is_gradient_flow_at_1e300_when_rank_deficient(
+        rank_deficient_instance):
+    # both reach the minimum-norm least-squares fit, bit for bit
+    design, _, _, _ = rank_deficient_instance
+    assert (design.spectrum.eigenvalues == 0.0).sum() == 4
+    assert np.array_equal(one(design, FlowKind.RIDGE, 0.0),
+                          one(design, FlowKind.GRADIENT_FLOW, 1e300))
 
 
 def test_accelerated_path_matches_rk4_trajectory():

@@ -256,6 +256,30 @@ def test_refusals(build, message):
         build()
 
 
+@pytest.mark.parametrize(("build", "message"), [
+    (lambda: DesignSpec(**(_GAUSS | {"seed": 1.5})),
+     "design.seed must be an integer, got 1.5"),
+    (lambda: DesignSpec(**(_GAUSS | {"n": 10.5})),
+     "design.n must be an integer, got 10.5"),
+    (lambda: DesignSpec(**(_GAUSS | {"p": 2.0})),
+     "design.p must be an integer, got 2.0"),
+    (lambda: GridSpec(0.1, 1.0, 2.5), "count must be an integer, got 2.5"),
+    (lambda: GridSpec(0.1, 1.0, "3"), "count must be an integer, got '3'"),
+], ids=["seed", "n", "p", "grid-count", "grid-count-str"])
+def test_specs_follow_the_integer_rule(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
+    # NumPy integers are kept as ints: the manifest records the value that ran
+    spec = DesignSpec(family="IidGaussian", n=np.int64(10), p=np.int32(2),
+                      seed=np.uint64(7))
+    assert json.dumps(spec.to_json()) == json.dumps(
+        DesignSpec(**(_GAUSS | {"seed": 7})).to_json())
+    assert np.array_equal(build_design(spec).spectrum.eigenvalues,
+                          build_design(replace(spec, seed=7)).spectrum.eigenvalues)
+    assert np.array_equal(GridSpec(0.1, 1.0, np.int64(3)).points(),
+                          GridSpec(0.1, 1.0, 3).points())
+
+
 def test_integral_floats_are_read_as_integers_and_the_largest_seed_is_taken():
     cfg = ExperimentConfig.from_json(_config(
         design=_GAUSS | {"seed": 2.0 ** 63},

@@ -110,6 +110,21 @@ def test_signal_model_refusals(fields, message):
         SignalModel(**(base | fields))
 
 
+@pytest.mark.parametrize("n", [2.7, 2.0, "3", None], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda n: SignalModel.prior(1.0, 1.0, n),
+    lambda n: SignalModel.fixed([1.0, 2.0], 1.0, n),
+    lambda n: SignalModel(mode="prior", sigma_sq=1.0, n=n, r_sq=1.0),
+], ids=["prior", "fixed", "constructor"])
+def test_signal_model_n_follows_the_integer_rule(build, n):
+    message = f"n must be an integer, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(n)
+    # a NumPy integer is kept as the int it is
+    signal = build(np.int64(3))
+    assert type(signal.n) is int and signal.noise_scale == 1.0 / 3
+
+
 @pytest.mark.parametrize(("call", "message"), [
     (lambda: RiskDecomposition(-1.0, 0.0),
      "bias_sq and variance must be nonnegative"),
@@ -232,8 +247,8 @@ class TestRiskCurve:
 
     # the checks run in this order: the grid's shape, then its order and
     # sign, then the length of beta0, then the grid's finiteness, then the
-    # family's rule (ridge at lambda = 0 on a null eigenvalue, heavy ball's
-    # mu > 0)
+    # family's rule (heavy ball's mu > 0); ridge at lambda = 0 on a null
+    # eigenvalue is not refused
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(("kind", "s", "beta0", "grid", "message"), [
         ("gf", [0.5, 2.0], None, [[0.1, 1.0]],
@@ -249,8 +264,8 @@ class TestRiskCurve:
          "path parameter must be finite and >= 0"),
         ("ridge", [0.0, 2.0], None, [0.0, np.inf],
          "path parameter must be finite and >= 0"),
-        ("ridge", [0.0, 2.0], [1.0, 2.0], [0.0, 1.0],
-         "ridge factor undefined at eigenvalue index 0: s = 0 and lambda = 0"),
+        ("ridge", [0.0, 2.0], [1.0, 2.0], [0.0, np.nan],
+         "path parameter must be finite and >= 0"),
         ("hb", [0.0, 2.0], None, [0.1, 1.0],
          "heavy-ball flow requires a finite mu > 0"),
     ])
@@ -264,6 +279,21 @@ class TestRiskCurve:
         curve = risk_curve(simple_spectrum, PRIOR_UNIT, FlowKind.RIDGE,
                            [0.0, 1.0])
         assert np.isfinite(curve.risk).all() and curve.bias_sq[0] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["fixed", "prior"])
+    def test_ridge_at_lambda_zero_is_gradient_flow_at_1e300_when_rank_deficient(
+            self, rank_deficient_instance, mode):
+        # both reach the minimum-norm fit: each null direction keeps its
+        # full signal energy in the bias and adds nothing to the variance
+        design, _, _, beta0 = rank_deficient_instance
+        signal = (SignalModel.fixed(design.v_basis.T @ beta0, 1.0, 6)
+                  if mode == "fixed" else SignalModel.prior(1.0, 1.0, 6))
+        ridge = risk_curve(design.spectrum, signal, FlowKind.RIDGE, [0.0])
+        flow = risk_curve(design.spectrum, signal, FlowKind.GRADIENT_FLOW,
+                          [1e300])
+        assert ridge.bias_sq[0] == flow.bias_sq[0] > 0.0
+        assert ridge.variance[0] == flow.variance[0] > 0.0
 
     def test_output_order_matches_grid(self, simple_spectrum):
         signal = SignalModel.fixed(np.ones(4), sigma_sq=1.0, n=5)

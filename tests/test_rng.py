@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,24 @@ def test_uniforms_refuses_a_count_that_is_not_a_nonnegative_integer(count):
     rest = stream.uniforms(np.int64(2))
     assert np.array_equal(np.concatenate([first, rest]),
                           SeededStream(5).uniforms(5))
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: SeededStream(1.5), "seed must be an integer, got 1.5"),
+    (lambda: SeededStream(2.0), "seed must be an integer, got 2.0"),
+    (lambda: SeededStream("3"), "seed must be an integer, got '3'"),
+    (lambda: derive_seed(1.5, 0), "seed must be an integer, got 1.5"),
+    (lambda: derive_seed(1, 0.0), "stream_index must be an integer, got 0.0"),
+    (lambda: derive_seed(None, 0), "seed must be an integer, got None"),
+], ids=["stream-float", "stream-integral-float", "stream-str",
+        "derive-seed-float", "derive-index-float", "derive-seed-none"])
+def test_seeds_and_indices_follow_the_integer_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    # NumPy integers pass and run the same streams
+    assert np.array_equal(SeededStream(np.uint64(2 ** 64 - 1)).uniforms(4),
+                          SeededStream(-1).uniforms(4))
+    assert derive_seed(np.int64(7), np.int8(1)) == derive_seed(7, 1)
 
 
 def test_derive_seed_decorrelates():

@@ -126,9 +126,9 @@ class TestRidgeShrink:
         assert g(RIDGE, 1.0, 0.0) == 0.0
         assert g(RIDGE, 0.0, 3.0) == 1.0
 
-    def test_double_zero_rejected(self):
-        with pytest.raises(ValueError):
-            g(RIDGE, 0.0, 0.0)
+    @pytest.mark.filterwarnings("error")
+    def test_double_zero_takes_the_limit(self):
+        assert g(RIDGE, 0.0, 0.0) == 1.0
 
     def test_monotone_in_lambda(self):
         lam = np.linspace(0.0, 50.0, 300)
@@ -228,9 +228,13 @@ class TestProfile:
             assert factors.shape == (4, 4)
             assert (np.abs(factors) <= 1.0 + 1e-12).all()
 
-    def test_ridge_zero_lambda_error_names_index(self):
-        with pytest.raises(ValueError, match="index 0"):
-            factor_block(RIDGE, [0.0, 1.0], 0.0)
+    @pytest.mark.filterwarnings("error")
+    def test_ridge_at_lambda_zero_keeps_null_directions(self):
+        # 1 on the null direction, lambda / s = 0 on the others; rows with
+        # lambda > 0 keep the formula's bits
+        block = factor_block(RIDGE, [0.0, 1.0, 4.0], [0.0, 1.0])
+        assert np.array_equal(block, [[1.0, 0.0, 0.0], [1.0, 0.5, 0.2]])
+        assert not np.signbit(block).any()
 
     def test_heavy_ball_requires_positive_mu(self):
         with pytest.raises(ValueError, match="mu > 0"):
@@ -251,8 +255,8 @@ class TestProfile:
         (HB, [1.0, 2.0], 1.0, np.nan, "heavy-ball flow requires a finite mu > 0"),
         (HB, [1.0, 2.0], 1.0, np.inf, "heavy-ball flow requires a finite mu > 0"),
         (HB, [0.5, 2.0], 1.0, 1.0, "heavy-ball flow requires s >= mu"),
-        (RIDGE, [1.0, 0.0], [1.0, 0.0], None,
-         "ridge factor undefined at eigenvalue index 1"),
+        (RIDGE, [1.0, 0.0], [0.0, -1.0], None,
+         "path parameter must be finite and >= 0"),
         # precedence: params, then the shape and values of s, then mu
         (GF, [[np.nan]], [[1.0]], None, "path parameters must be 1-D"),
         (GF, [-1.0], np.nan, None, "path parameter must be finite and >= 0"),
@@ -280,6 +284,15 @@ class TestProfile:
         assert np.isfinite(block).all()
         # entries whose arguments stay finite keep their values
         assert np.array_equal(block[0], factor_block(kind, eigenvalues, 0.5, 4.0)[0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [GF, NEST, RIDGE])
+    @pytest.mark.parametrize("param", [0.0, 5e-324, 1e-300, 1.0, 1e300,
+                                       1.7976931348623157e308])
+    def test_a_null_direction_keeps_factor_one(self, kind, param):
+        # g = 1 at s = 0 for every family, ridge at lambda = 0 included
+        block = factor_block(kind, [0.0, 0.0, 2.0], [param, 0.0])
+        assert block[0, 0] == block[0, 1] == block[1, 0] == 1.0
 
     @pytest.mark.filterwarnings("error")
     def test_ridge_halves_where_s_plus_lambda_overflows(self):
