@@ -15,9 +15,9 @@ import numpy as np
 from flowrisk import (
     FlowKind,
     attach_response,
-    bias_ratio_unbounded_witness,
     coupling_gap,
     design_decompose,
+    j1_ratio,
 )
 
 rng = np.random.default_rng(7)
@@ -37,5 +37,12 @@ print(f"\npath maxima: accelerated {r_nest.max():.6f} (bound 49/64 = "
       f"{49 / 64:.6f}), heavy ball {r_hb.max():.6f} (bound 25)")
 
 print("\nbias ratio at the Bessel envelope peaks (no uniform constant):")
-for x_val, ratio in bias_ratio_unbounded_witness(np.logspace(2, 6, 5)):
+# each x snapped to the nearest J1 envelope peak, u = sqrt(x) = 3 pi/4 + k pi,
+# where the ratio (2 J1(u)/u)^2 (1+x)^2 grows like (8/pi) sqrt(x)
+first_peak = 3.0 * np.pi / 4.0
+for x_val in np.logspace(2, 6, 5):
+    k = int(np.round((np.sqrt(x_val) - first_peak) / np.pi))
+    u = first_peak + k * np.pi
+    x_val = u * u
+    ratio = float(j1_ratio(u) ** 2 * (1.0 + x_val) ** 2)
     print(f"  x = {x_val:>12.1f}: ratio {ratio:>10.1f}")

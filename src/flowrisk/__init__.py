@@ -5,7 +5,6 @@ flow, heavy-ball flow, and ridge regression.
 
 from .bounds import (
     Certified,
-    bias_ratio_unbounded_witness,
     gf_inflation_constant,
     h_kappa,
     hb_quarter_plane,

@@ -22,11 +22,7 @@ The certified quantities:
   = 8 kappa^{2/3} at tau = kappa^{1/6};
 
 * the two pointwise kernel inequalities behind the heavy-ball bounds,
-  checked on the same quarter-plane grid;
-
-* the witness that no constant can couple the accelerated bias to the
-  ridge bias uniformly: along the J1 envelope peaks the bias ratio grows
-  like sqrt(x).
+  checked on the same quarter-plane grid.
 
 Grid protocol for min-max values: tau on a fixed log grid [1e-3, 10] with
 200 points, x on a fixed log grid [1e-8, 1e6] with 2000 points, then three
@@ -129,7 +125,6 @@ __all__ = [
     "tilde_h_maximizer",
     "tilde_h_crossover",
     "hb_variance_bound_check",
-    "bias_ratio_unbounded_witness",
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -677,36 +672,6 @@ def hb_variance_bound_check() -> tuple[Certified, Certified]:
     return (Certified("h_recomposition",
                       float(np.abs(recomp + target - h_kappa(kappas)).max())),
             Certified("h_at_kappa_1", h_kappa(1.0)))
-
-
-def bias_ratio_unbounded_witness(x_points) -> list[tuple[float, float]]:
-    """Accelerated-vs-ridge bias ratio along the J1 envelope peaks.
-
-    The ratio [(2 J1(sqrt(x)))^2 / x] / [1/(1+x)^2] oscillates with x, so
-    each requested point is snapped to the nearest envelope peak of J1
-    (u_k ~ 3 pi/4 + k pi in u = sqrt(x)); at the peaks the ratio grows like
-    sqrt(x), which is the witness that no uniform bias coupling constant
-    exists.  The input must be ascending, positive, and span at least four
-    decades.
-    """
-    pts = np.asarray(x_points, dtype=float)
-    if pts.ndim != 1 or pts.size < 2:
-        raise ValueError("x_points must be a 1-D array with >= 2 points")
-    if (pts <= 0).any() or (np.diff(pts) <= 0).any():
-        raise ValueError("x_points must be positive and ascending")
-    if pts[-1] < 1e4 * pts[0]:
-        raise ValueError("x_points must span at least four decades")
-    first_peak = 3.0 * np.pi / 4.0
-    out = []
-    for x in pts:
-        u = np.sqrt(x)
-        if u >= first_peak:
-            k = int(np.round((u - first_peak) / np.pi))
-            u = first_peak + k * np.pi
-            x = u * u
-        ratio = float(j1_ratio(u) ** 2 * (1.0 + x) ** 2)
-        out.append((float(x), ratio))
-    return out
 
 
 def within(value, paper_value, tolerance, mode) -> bool:

@@ -32,11 +32,11 @@ over; student_t holds its two count-long arrays plus that block.  The
 chunking is invisible in the output: every stream, and the counter after
 every call, is the pair-at-a-time recipe's.
 
-Seeds, stream indices and uniforms' count are integers by one rule,
-_index: each is taken through operator.index, so a Python or NumPy integer
-passes unchanged and anything else (1.5, 2.0, "3") is a ValueError naming
-it, raised before the counter moves.  A count must also be >= 0; the other
-draws refuse a negative one through NumPy.
+Seeds, stream indices, every draw's count and df are integers by one
+rule, _index: each is taken through operator.index, so a Python or NumPy
+integer passes unchanged and anything else (1.5, 2.0, "3") is a ValueError
+naming it.  A count must also be >= 0 (_count) and a df >= 1 (_df).  Every
+refusal is raised before the counter moves.
 """
 
 from __future__ import annotations
@@ -82,6 +82,22 @@ def _index(value, name: str, error: type = ValueError) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
+def _count(count) -> int:
+    """count as a nonnegative int by the integer rule, else ValueError."""
+    n = _index(count, "count")
+    if n < 0:
+        raise ValueError(f"count must be a nonnegative integer, got {count!r}")
+    return n
+
+
+def _df(df) -> int:
+    """df as an int >= 1 by the integer rule, else ValueError."""
+    d = _index(df, "df")
+    if d < 1:
+        raise ValueError("df must be >= 1")
+    return d
+
+
 def derive_seed(seed: int, stream_index: int) -> int:
     """A decorrelated child seed: mix(seed + (index+1) * golden gamma)."""
     mask = (1 << 64) - 1
@@ -99,9 +115,7 @@ class SeededStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """count doubles uniform on [0, 1)."""
-        n = _index(count, "count")
-        if n < 0:
-            raise ValueError(f"count must be a nonnegative integer, got {count!r}")
+        n = _count(count)
         v = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         with np.errstate(over="ignore"):  # modular wrap is the algorithm
@@ -124,6 +138,7 @@ class SeededStream:
         the result is indistinguishable from the scalar pair-at-a-time
         recipe.
         """
+        count = _count(count)
         out = np.empty(count)
         filled = 0
         while filled < count:
@@ -143,8 +158,6 @@ class SeededStream:
             accepted = np.flatnonzero((q > 0.0) & (q < 1.0))[:wanted]
             if accepted.size == wanted:
                 self._counter = start + 2 * (int(accepted[-1]) + 1)
-            if not accepted.size:
-                continue
             qs = q[accepted]
             factor = np.log(qs)
             factor *= -2.0
@@ -163,8 +176,7 @@ class SeededStream:
         The normals are drawn and squared _CHI_ROWS rows at a time, so the
         peak is the count results plus one block of _CHI_ROWS x df normals.
         """
-        if df < 1:
-            raise ValueError("df must be >= 1")
+        count, df = _count(count), _df(df)
         out = np.empty(count)
         for lo in range(0, count, _CHI_ROWS):
             rows = min(_CHI_ROWS, count - lo)
@@ -175,8 +187,7 @@ class SeededStream:
 
     def student_t(self, count: int, df: int) -> np.ndarray:
         """count Student-t deviates z / sqrt(w/df); z block first, w second."""
-        if df < 1:
-            raise ValueError("df must be >= 1")
+        count, df = _count(count), _df(df)
         z = self.normals(count)
         w = self.chi_square(count, df)
         w /= df

@@ -178,10 +178,15 @@ MUTANTS = (
            "        if False:\n",
            ("tests/test_linalg.py::TestSpectrum::test_refusals",)),
     Mutant("uniforms-count-check-off-by-one", "src/flowrisk/rng.py",
-           "        if n < 0:\n",
-           "        if n < -1:\n",
+           "    if n < 0:\n",
+           "    if n < -1:\n",
            ("tests/test_rng.py::"
             "test_uniforms_refuses_a_count_that_is_not_a_nonnegative_integer",)),
+    Mutant("rng-count-rule-skipped", "src/flowrisk/rng.py",
+           "        count = _count(count)\n",
+           "",
+           ("tests/test_rng.py::"
+            "test_draws_refuse_counts_and_dfs_before_the_counter_moves",)),
     Mutant("integer-rule-truncates", "src/flowrisk/rng.py",
            "        return operator.index(value)\n",
            "        return int(value)\n",
@@ -197,6 +202,11 @@ MUTANTS = (
            "    object.__setattr__(attached, \"rotated_channel\", channel)\n",
            ("tests/test_linalg.py::TestAttachResponse::"
             "test_refuses_a_channel_that_overflows",)),
+    Mutant("crossover-bracket-guard-dropped", "src/flowrisk/bounds.py",
+           "    if gap(lo) >= 0 or gap(hi) <= 0:\n",
+           "    if False:\n",
+           ("tests/test_cli.py::"
+            "test_a_failed_crossover_bracket_exits_1_without_traceback",)),
 )
 
 

@@ -892,6 +892,16 @@ def test_certifier_failure_exits_1_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_a_failed_crossover_bracket_exits_1_without_traceback(monkeypatch,
+                                                              capsys):
+    # a maximizer stuck at x = 0 reads tilde_h(0) = 1, so the gap is not
+    # below 0 at the lower end of the bracket
+    from flowrisk import bounds
+    monkeypatch.setattr(bounds, "tilde_h_maximizer", lambda z: 0.0)
+    assert run(["verify-constants"]) == 1
+    assert capsys.readouterr().err == "error: crossover bracket failed\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_verify_constants_cli(tmp_path, capsys):
     assert run(["verify-constants", "--out", str(tmp_path)]) == 0

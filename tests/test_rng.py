@@ -88,6 +88,53 @@ def test_uniforms_refuses_a_count_that_is_not_a_nonnegative_integer(count):
 
 
 @pytest.mark.parametrize(("call", "message"), [
+    (lambda s: s.normals(2.5), "count must be an integer, got 2.5"),
+    (lambda s: s.normals(-1), "count must be a nonnegative integer, got -1"),
+    (lambda s: s.chi_square(2.5, 3), "count must be an integer, got 2.5"),
+    (lambda s: s.chi_square(-1, 3),
+     "count must be a nonnegative integer, got -1"),
+    (lambda s: s.chi_square(3, 2.5), "df must be an integer, got 2.5"),
+    (lambda s: s.student_t(2.0, 3), "count must be an integer, got 2.0"),
+    (lambda s: s.student_t(3, "2"), "df must be an integer, got '2'"),
+    (lambda s: s.student_t(3, 2.5), "df must be an integer, got 2.5"),
+], ids=["normals-float", "normals-negative", "chi-square-float-count",
+        "chi-square-negative-count", "chi-square-float-df",
+        "student-t-integral-float-count", "student-t-str-df",
+        "student-t-float-df"])
+def test_draws_refuse_counts_and_dfs_before_the_counter_moves(call, message):
+    stream = SeededStream(4)
+    stream.uniforms(3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(stream)
+    assert stream._counter == 3
+    # NumPy integers pass and draw on from the same counter
+    ref = SeededStream(4)
+    ref.uniforms(3)
+    assert np.array_equal(stream.student_t(np.int64(3), np.int8(2)),
+                          ref.student_t(3, 2))
+
+
+def test_an_all_rejected_chunk_is_skipped():
+    stream = SeededStream(9)
+    uniforms, chunks = stream.uniforms, []
+
+    def ones_first(count):
+        out = uniforms(count)
+        if not chunks:
+            out[:] = 1.0        # q = 2: every pair of the chunk is rejected
+        chunks.append(count)
+        return out
+
+    stream.uniforms = ones_first
+    got = stream.normals(5)
+    assert len(chunks) == 2
+    ref = SeededStream(9)
+    ref.uniforms(chunks[0])
+    assert np.array_equal(got, ref.normals(5))
+    assert stream._counter == ref._counter
+
+
+@pytest.mark.parametrize(("call", "message"), [
     (lambda: SeededStream(1.5), "seed must be an integer, got 1.5"),
     (lambda: SeededStream(2.0), "seed must be an integer, got 2.0"),
     (lambda: SeededStream("3"), "seed must be an integer, got '3'"),
