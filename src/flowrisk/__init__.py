@@ -32,7 +32,6 @@ from .linalg import (
     Spectrum,
     attach_response,
     design_decompose,
-    sym_eig,
 )
 from .oracle import (
     IterateConfig,

@@ -127,9 +127,9 @@ def _cmd_risk_curve(args) -> int:
     grid = _parse_grid(args.grid)
     kind = FlowKind.parse(args.kind)
     if args.bayes and args.r2 is None:
-        raise ConfigError("config key 'r2' is missing (required with --bayes)")
+        raise ConfigError("--bayes requires --r2")
     if not args.bayes and args.beta0 is None:
-        raise ConfigError("config key 'beta0' is missing (fixed-signal curves)")
+        raise ConfigError("--beta0 is required unless --bayes is given")
     # --r2 and --sigma2 are checked before any input is read: n = 1 and no
     # coefficients stand in for the design's until it is
     signal = (SignalModel.prior(r_sq=args.r2, sigma_sq=args.sigma2, n=1)
@@ -215,7 +215,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_shrink(args) -> int:
     kind = FlowKind.parse(args.kind)
     if kind is FlowKind.HEAVY_BALL_FLOW and args.mu is None:
-        raise ConfigError("config key 'mu' is missing (heavy ball needs --mu)")
+        raise ConfigError("--kind hb requires --mu")
     print(_fmt(factor_block(kind, args.s, args.t, args.mu)[0, 0]))
     return 0
 

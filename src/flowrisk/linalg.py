@@ -3,14 +3,17 @@
 A design matrix X enters every closed form in this library only through the
 eigenvalues s_1 <= ... <= s_p of the sample covariance X'X/n, the
 eigenvector basis V, and the rotated response channel c_i = v_i' X' y / n.
-This module builds those coordinates.  The factorization work is done by
-LAPACK through numpy.linalg.eigh behind small validated wrappers; the
-spectrum of X is always obtained from X'X/n, never from X directly, since
-only the right singular subspace and the eigenvalues appear downstream.
-design_decompose clamps sym_eig's ascending eigenvalues itself; a Spectrum
-only validates the values it is given.  A SpectralDesign checks its basis
-once, when it is built, and holds its arrays read-only, so attach_response
-attaches a channel to the checked design without checking the basis again.
+This module builds those coordinates.  The spectrum of X is always
+obtained from X'X/n, never from X directly, since only the right singular
+subspace and the eigenvalues appear downstream.  design_decompose makes
+one eigensolve (numpy.linalg.eigh) of X'X/n divided by the power of two
+that puts its largest |entry| in [1, 2), where LAPACK never rescales, so
+X -> 2^j X multiplies the spectrum by 4^j and keeps the basis bit for bit
+(tests/test_scale_relations.py).  It clamps the ascending eigenvalues
+itself; a Spectrum only validates the values it is given.  A
+SpectralDesign checks its basis once, when it is built, and holds its
+arrays read-only, so attach_response attaches a channel to the checked
+design without checking the basis again.
 
 Matrix I/O is bare CSV: comma-separated values, one row per line, no
 header.
@@ -28,14 +31,12 @@ import numpy as np
 __all__ = [
     "Spectrum",
     "SpectralDesign",
-    "sym_eig",
     "design_decompose",
     "attach_response",
     "read_matrix_csv",
     "read_vector_csv",
 ]
 
-SYMMETRY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 # Eigenvalues this close (relative to ||X'X/n||_F) to zero, on either side,
 # are clamped to exactly 0 so null directions are detected exactly.
@@ -118,7 +119,9 @@ class SpectralDesign:
             raise ValueError(f"v_basis must be {self.p}x{self.p}, got {v.shape}")
         if self.spectrum.p != self.p:
             raise ValueError("spectrum size does not match p")
-        gram_err = np.linalg.norm(v.T @ v - np.eye(self.p))
+        gram = v.T @ v
+        gram.flat[::self.p + 1] -= 1.0     # V'V - I, in place
+        gram_err = np.linalg.norm(gram)
         if gram_err > ORTHOGONALITY_TOL * max(1.0, self.p):
             raise ValueError(f"v_basis is not orthogonal (Frobenius error {gram_err:.3g})")
         object.__setattr__(self, "v_basis", v)
@@ -142,32 +145,22 @@ def _set_channel(design: SpectralDesign, channel) -> None:
     object.__setattr__(design, "rotated_channel", c)
 
 
-def sym_eig(a):
-    """Eigendecomposition A = Q diag(w) Q' of a symmetric matrix.
-
-    Returns (w, q) with w ascending and q orthogonal.  Input asymmetry
-    beyond 1e-10 entrywise is a contract error; within tolerance the matrix
-    is symmetrized before factorization.  An exactly symmetric matrix, such
-    as numpy's X'X, is factored as is: symmetrizing it would reproduce it
-    bit for bit.  Deterministic for fixed input.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("sym_eig requires a square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("sym_eig requires finite entries")
-    asym = np.abs(a - a.T).max() if a.size else 0.0
-    if asym > SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3g})")
-    if asym > 0.0:
-        a = 0.5 * (a + a.T)
-    return np.linalg.eigh(a)
+def _eigh(scaled: np.ndarray, k: int):
+    """Eigenpairs of 2^k times the symmetric matrix scaled, which eigh
+    reads from one triangle; an eigenvalue past the largest double comes
+    back inf, which design_decompose refuses by name."""
+    w, q = np.linalg.eigh(scaled)
+    with np.errstate(over="ignore"):
+        w *= 2.0 ** k
+    return w, q
 
 
 def design_decompose(x) -> SpectralDesign:
     """Spectral coordinates of a design matrix.
 
-    The spectrum and basis come from the eigendecomposition of X'X/n.
+    The spectrum and basis come from one eigensolve of X'X/n, scaled as
+    the module docstring says; eigh reads one triangle, so a strided X's
+    Gram matrix, asymmetric in its last bits, is factored as it stands.
     Eigenvalues within 1e-12 ||X'X/n||_F of zero, on either side, are
     clamped to exactly 0, so rank deficiency is detected exactly: a tiny
     positive roundoff eigenvalue would otherwise turn a null coordinate
@@ -196,17 +189,18 @@ def design_decompose(x) -> SpectralDesign:
     sigma_hat /= n
     # an inf (or an inf - inf NaN) entry is refused before the scaling
     # below, which frexp(inf) would turn into a doubling
-    top = float(np.abs(sigma_hat).max())
+    top = float(max(sigma_hat.max(), -sigma_hat.min()))
     if not top < np.inf:
         raise ValueError(_GRAM_OVERFLOW)
-    # ||sigma_hat||_F from sigma_hat / 2^k <= 2, whose squares cannot
-    # overflow; a power of two scales exactly, so wherever the plain norm
-    # is finite this is the same double
+    # sigma_hat / 2^k has its largest |entry| in [1, 2): its norm's squares
+    # cannot overflow and LAPACK does not rescale it; a power of two scales
+    # exactly, so wherever the plain norm is finite this is the same double
     k = math.frexp(top)[1] - 1
-    scale = float(np.linalg.norm(sigma_hat / 2.0 ** k)) * 2.0 ** k
+    sigma_hat /= 2.0 ** k
+    scale = float(np.linalg.norm(sigma_hat)) * 2.0 ** k
     if not scale < np.inf:
         raise ValueError(_GRAM_OVERFLOW)
-    w, q = sym_eig(sigma_hat)
+    w, q = _eigh(sigma_hat, k)
     if not w[-1] < np.inf:
         raise ValueError(_GRAM_OVERFLOW)
     # eigh returns w ascending, so w[0] is the one to test against the clamp

@@ -202,6 +202,18 @@ MUTANTS = (
            "    object.__setattr__(attached, \"rotated_channel\", channel)\n",
            ("tests/test_linalg.py::TestAttachResponse::"
             "test_refuses_a_channel_that_overflows",)),
+    Mutant("eigensolve-power-of-two-scaling-skipped", "src/flowrisk/linalg.py",
+           "    sigma_hat /= 2.0 ** k\n"
+           "    scale = float(np.linalg.norm(sigma_hat)) * 2.0 ** k\n"
+           "    if not scale < np.inf:\n"
+           "        raise ValueError(_GRAM_OVERFLOW)\n"
+           "    w, q = _eigh(sigma_hat, k)\n",
+           "    sigma_hat /= 1.0\n"
+           "    scale = float(np.linalg.norm(sigma_hat / 2.0 ** k)) * 2.0 ** k\n"
+           "    if not scale < np.inf:\n"
+           "        raise ValueError(_GRAM_OVERFLOW)\n"
+           "    w, q = _eigh(sigma_hat, 0)\n",
+           ("tests/test_scale_relations.py",)),
     Mutant("crossover-bracket-guard-dropped", "src/flowrisk/bounds.py",
            "    if gap(lo) >= 0 or gap(hi) <= 0:\n",
            "    if False:\n",

@@ -29,7 +29,7 @@ STALE = {
     "shrinkage.profile", "shrinkage.gf_shrink", "shrinkage.nest_shrink",
     "shrinkage.hb_shrink", "estimators.flow_estimate",
     "estimators.ridge_estimate", "bounds.hb_param_error_check",
-    "bounds.hb_kernel_bound_checks",
+    "bounds.hb_kernel_bound_checks", "linalg.sym_eig",
 }
 
 

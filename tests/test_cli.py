@@ -42,8 +42,9 @@ def test_shrink_subcommand(capsys):
 
 
 def test_shrink_heavy_ball_needs_mu(capsys):
+    # the refusal names the flag: no config is involved
     assert run(["shrink", "--kind", "hb", "--s", "1.0", "--t", "1.0"]) == 2
-    assert "mu" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: --kind hb requires --mu\n")
 
 
 def test_special_eval(capsys):
@@ -297,9 +298,9 @@ def test_risk_curve_refuses_an_out_it_cannot_write_before_any_work(
     (["risk-curve", "--kind", "gf", "--grid", "1,0.1,5", "--beta0", "b.csv"],
      "log grid requires 0 < lo < hi"),
     (["risk-curve", "--kind", "gf", "--grid", "0.1,1,5", "--bayes"],
-     "config key 'r2' is missing (required with --bayes)"),
+     "--bayes requires --r2"),
     (["risk-curve", "--kind", "gf", "--grid", "0.1,1,5"],
-     "config key 'beta0' is missing (fixed-signal curves)"),
+     "--beta0 is required unless --bayes is given"),
     (["risk-curve", "--kind", "gf", "--grid", "0.1,1,5", "--bayes",
       "--r2", "-1"], "prior mode requires a finite r_sq > 0, got -1.0"),
     (["risk-curve", "--kind", "gf", "--grid", "0.1,1,5", "--beta0", "b.csv",
